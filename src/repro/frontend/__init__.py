@@ -7,14 +7,13 @@ isolation case study of Section 5.4).
 """
 
 from repro.frontend.errors import FrontendError, LexerError, ParserError
-from repro.frontend.lexer import Lexer, Token, TokenKind, tokenize
+from repro.frontend.lexer import Token, TokenKind, tokenize
 from repro.frontend.parser import Parser, parse_program, parse_expression
 
 __all__ = [
     "FrontendError",
     "LexerError",
     "ParserError",
-    "Lexer",
     "Token",
     "TokenKind",
     "tokenize",

@@ -1,15 +1,20 @@
 """Lexer for the annotated P4 dialect.
 
-Produces a flat list of :class:`Token` objects with source spans.  The
-lexer is deliberately simple (single pass, no backtracking); all
-context-sensitive decisions -- e.g. whether ``<`` opens a security
-annotation or is a comparison -- are made by the parser.
+One compiled master pattern matches the trivia before a token together
+with the token, and :func:`tokenize` walks the source with it in a single
+loop.  The loop keeps the current line number and line start, counting
+newlines with ``str.count`` over the skipped trivia (whitespace, line and
+block comments) -- tokens never span lines.  A :class:`Token` stores its
+line and column; its :class:`SourceSpan` is built only when the parser
+reads ``.span``.  All context-sensitive decisions -- e.g. whether ``<``
+opens a security annotation or is a comparison -- are made by the parser.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+import re
+from collections import namedtuple
 from typing import List
 
 from repro.frontend.errors import LexerError
@@ -17,50 +22,9 @@ from repro.syntax.source import Position, SourceSpan
 
 #: Keywords of the dialect.  Identifiers are never allowed to shadow them.
 KEYWORDS = frozenset(
-    {
-        "header",
-        "struct",
-        "typedef",
-        "match_kind",
-        "control",
-        "action",
-        "function",
-        "table",
-        "key",
-        "actions",
-        "apply",
-        "if",
-        "else",
-        "exit",
-        "return",
-        "true",
-        "false",
-        "bit",
-        "int",
-        "bool",
-        "void",
-        "in",
-        "out",
-        "inout",
-        "const",
-    }
+    """header struct typedef match_kind control action function table key actions
+    apply if else exit return true false bit int bool void in out inout const""".split()
 )
-
-#: Multi-character operators, longest first so maximal munch works.
-_MULTI_CHAR_OPERATORS = (
-    "<<",
-    ">>",
-    "==",
-    "!=",
-    "<=",
-    ">=",
-    "&&",
-    "||",
-)
-
-#: ``?`` only ever appears as the short spelling of an ``infer`` security
-#: annotation (``<bit<8>, ?>``); the parser rejects it anywhere else.
-_SINGLE_CHAR_TOKENS = frozenset("{}()[]<>,;:.=+-*/%&|^~!@?")
 
 
 class TokenKind(enum.Enum):
@@ -73,15 +37,23 @@ class TokenKind(enum.Enum):
     EOF = "end-of-file"
 
 
-@dataclass(frozen=True, slots=True)
-class Token:
-    """A single token: its kind, source text, value, and span."""
+class Token(namedtuple("_TokenFields", "kind text value width line column filename")):
+    """A single token: its kind, source text, value, and position.
 
-    kind: TokenKind
-    text: str
-    span: SourceSpan
-    value: int | None = None
-    width: int | None = None
+    Immutable (a named tuple).  A token never spans lines, so its line
+    and 1-based column fix its :class:`SourceSpan`, which is built only
+    when :attr:`span` is read -- most tokens never need one.
+    """
+
+    __slots__ = ()
+
+    @property
+    def span(self) -> SourceSpan:
+        return SourceSpan(
+            Position(self.line, self.column),
+            Position(self.line, self.column + len(self.text)),
+            self.filename,
+        )
 
     def is_punct(self, text: str) -> bool:
         return self.kind is TokenKind.PUNCT and self.text == text
@@ -93,148 +65,80 @@ class Token:
         return f"{self.kind.value} {self.text!r}"
 
 
-class Lexer:
-    """Single-pass lexer over a source string."""
+#: One match = the trivia before a token, then the token: a run of word
+#: characters (group 1; identifier, keyword or number) or punctuation
+#: (group 2; multi-character operators first, for maximal munch).  ``\w``
+#: is exactly ``str.isalnum() or "_"``; the first character decides the
+#: token class.  ``?`` only ever appears as the short spelling of an
+#: ``infer`` security annotation (``<bit<8>, ?>``); the parser rejects it
+#: anywhere else.  A ``/`` that opens an unterminated block comment
+#: matches nothing, so the loop reports it.
+_MASTER = re.compile(
+    r"(?:[ \t\r\n]+|//[^\n]*|/\*.*?\*/)*"
+    r"(?:(\w+)|(<<|>>|==|!=|<=|>=|&&|\|\||/(?!\*)|[{}()\[\]<>,;:.=+\-*%&|^~!@?]))?",
+    re.DOTALL,
+)
 
-    def __init__(self, source: str, filename: str = "<input>") -> None:
-        self._source = source
-        self._filename = filename
-        self._offset = 0
-        self._line = 1
-        self._column = 1
 
-    # -- public API ----------------------------------------------------------
-
-    def tokenize(self) -> List[Token]:
-        """Lex the whole input, appending a trailing EOF token."""
-        tokens: List[Token] = []
-        while True:
-            self._skip_trivia()
-            if self._at_end():
-                tokens.append(
-                    Token(TokenKind.EOF, "", self._point_span(), None)
-                )
-                return tokens
-            tokens.append(self._next_token())
-
-    # -- character helpers ----------------------------------------------------
-
-    def _at_end(self) -> bool:
-        return self._offset >= len(self._source)
-
-    def _peek(self, ahead: int = 0) -> str:
-        index = self._offset + ahead
-        if index >= len(self._source):
-            return "\0"
-        return self._source[index]
-
-    def _advance(self) -> str:
-        char = self._source[self._offset]
-        self._offset += 1
-        if char == "\n":
-            self._line += 1
-            self._column = 1
-        else:
-            self._column += 1
-        return char
-
-    def _position(self) -> Position:
-        return Position(self._line, self._column)
-
-    def _point_span(self) -> SourceSpan:
-        pos = self._position()
-        return SourceSpan(pos, pos, self._filename)
-
-    def _span_from(self, start: Position) -> SourceSpan:
-        return SourceSpan(start, self._position(), self._filename)
-
-    # -- trivia -----------------------------------------------------------------
-
-    def _skip_trivia(self) -> None:
-        while not self._at_end():
-            char = self._peek()
-            if char in " \t\r\n":
-                self._advance()
-            elif char == "/" and self._peek(1) == "/":
-                while not self._at_end() and self._peek() != "\n":
-                    self._advance()
-            elif char == "/" and self._peek(1) == "*":
-                self._skip_block_comment()
-            else:
-                return
-
-    def _skip_block_comment(self) -> None:
-        start = self._position()
-        self._advance()
-        self._advance()
-        while True:
-            if self._at_end():
-                raise LexerError(
-                    "unterminated block comment", SourceSpan(start, self._position(), self._filename)
-                )
-            if self._peek() == "*" and self._peek(1) == "/":
-                self._advance()
-                self._advance()
-                return
-            self._advance()
-
-    # -- token scanning -----------------------------------------------------------
-
-    def _next_token(self) -> Token:
-        start = self._position()
-        char = self._peek()
-        if char.isalpha() or char == "_":
-            return self._lex_word(start)
-        if char.isdigit():
-            return self._lex_number(start)
-        return self._lex_punct(start)
-
-    def _lex_word(self, start: Position) -> Token:
-        chars: List[str] = []
-        while not self._at_end() and (self._peek().isalnum() or self._peek() == "_"):
-            chars.append(self._advance())
-        text = "".join(chars)
-        kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENT
-        return Token(kind, text, self._span_from(start))
-
-    def _lex_number(self, start: Position) -> Token:
-        chars: List[str] = []
-        while not self._at_end() and (self._peek().isalnum() or self._peek() == "_"):
-            chars.append(self._advance())
-        text = "".join(chars)
-        span = self._span_from(start)
-        value, width = self._parse_number(text, span)
-        return Token(TokenKind.INT, text, span, value=value, width=width)
-
-    @staticmethod
-    def _parse_number(text: str, span: SourceSpan) -> tuple[int, int | None]:
-        cleaned = text.replace("_", "")
-        # width-annotated literals such as 8w255 or 32w0xFF
-        if "w" in cleaned and not cleaned.lower().startswith("0x"):
-            width_text, _, value_text = cleaned.partition("w")
-            if width_text.isdigit() and value_text:
-                try:
-                    return int(value_text, 0), int(width_text)
-                except ValueError as exc:
-                    raise LexerError(f"malformed literal {text!r}", span) from exc
-        try:
-            return int(cleaned, 0), None
-        except ValueError as exc:
-            raise LexerError(f"malformed literal {text!r}", span) from exc
-
-    def _lex_punct(self, start: Position) -> Token:
-        for op in _MULTI_CHAR_OPERATORS:
-            if self._source.startswith(op, self._offset):
-                for _ in op:
-                    self._advance()
-                return Token(TokenKind.PUNCT, op, self._span_from(start))
-        char = self._peek()
-        if char in _SINGLE_CHAR_TOKENS:
-            self._advance()
-            return Token(TokenKind.PUNCT, char, self._span_from(start))
-        raise LexerError(f"unexpected character {char!r}", self._point_span())
+def _parse_number(text: str) -> tuple[int, int | None]:
+    """Value and width of an integer literal; ``ValueError`` if malformed."""
+    cleaned = text.replace("_", "")
+    # width-annotated literals such as 8w255 or 32w0xFF
+    if "w" in cleaned and not cleaned.lower().startswith("0x"):
+        width_text, _, value_text = cleaned.partition("w")
+        if width_text.isdigit() and value_text:
+            return int(value_text, 0), int(width_text)
+    return int(cleaned, 0), None
 
 
 def tokenize(source: str, filename: str = "<input>") -> List[Token]:
-    """Lex ``source`` into a token list (convenience wrapper)."""
-    return Lexer(source, filename).tokenize()
+    """Lex ``source`` into a token list ending in an EOF token."""
+    match = _MASTER.match
+    count = source.count
+    ident, keyword, punct = TokenKind.IDENT, TokenKind.KEYWORD, TokenKind.PUNCT
+    tokens: List[Token] = []
+    append = tokens.append
+    new = Token._make
+    line, line_start, pos = 1, 0, 0
+    while True:
+        m = match(source, pos)
+        start = m.end() if m.lastindex is None else m.start(m.lastindex)
+        newlines = count("\n", pos, start)
+        if newlines:
+            line += newlines
+            line_start = source.rindex("\n", pos, start) + 1
+        column = start - line_start + 1
+        word, op = m.groups()
+        if op is not None:
+            append(new((punct, op, None, None, line, column, filename)))
+        elif word is not None:
+            first = word[0]
+            if first.isalpha() or first == "_":
+                kind = keyword if word in KEYWORDS else ident
+                append(new((kind, word, None, None, line, column, filename)))
+            elif first.isdigit():
+                token = new((TokenKind.INT, word, None, None, line, column, filename))
+                try:
+                    value, width = _parse_number(word)
+                except ValueError as exc:
+                    raise LexerError(f"malformed literal {word!r}", token.span) from exc
+                append(token._replace(value=value, width=width))
+            else:
+                _unexpected(first, line, column, filename)
+        elif start == len(source):
+            append(new((TokenKind.EOF, "", None, None, line, column, filename)))
+            return tokens
+        elif source.startswith("/*", start):
+            # The span runs to the end of the input, as far as the scan got.
+            end = Position(line + count("\n", start), len(source) - source.rfind("\n"))
+            raise LexerError(
+                "unterminated block comment",
+                SourceSpan(Position(line, column), end, filename),
+            )
+        else:
+            _unexpected(source[start], line, column, filename)
+        pos = m.end()
+
+
+def _unexpected(char: str, line: int, column: int, filename: str) -> None:
+    raise LexerError(f"unexpected character {char!r}", SourceSpan.point(line, column, filename))

@@ -11,11 +11,14 @@ Security annotations are written ``<type, label>`` wherever a type may
 appear, e.g. ``<bit<8>, high> ttl;`` inside a header.  A control block may
 be prefixed by ``@pc(label)`` to request type checking under a non-bottom
 program counter (isolation case study, Section 5.4).
+
+Binary operators are parsed by precedence climbing, and input nested
+deeper than :data:`MAX_DEPTH` is rejected with a located error.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.frontend.errors import ParserError
 from repro.frontend.lexer import Token, TokenKind, tokenize
@@ -47,7 +50,7 @@ from repro.syntax.expressions import (
     Var,
 )
 from repro.syntax.program import Program
-from repro.syntax.source import SourceSpan
+from repro.syntax.source import Position, SourceSpan
 from repro.syntax.statements import (
     Assign,
     Block,
@@ -69,23 +72,48 @@ from repro.syntax.types import (
     TypeName,
     UnitType,
 )
+from repro.telemetry.recorder import current_recorder
 
 #: Binary operator precedence levels, lowest binding first.  Each level is a
 #: tuple of operators parsed left-associatively.
 _BINARY_PRECEDENCE: Tuple[Tuple[str, ...], ...] = (
-    ("||",),
-    ("&&",),
-    ("==", "!="),
-    ("<", ">", "<=", ">="),
-    ("|",),
-    ("^",),
-    ("&",),
-    ("<<", ">>"),
-    ("+", "-"),
-    ("*", "/", "%"),
+    ("||",), ("&&",), ("==", "!="), ("<", ">", "<=", ">="), ("|",), ("^",), ("&",),
+    ("<<", ">>"), ("+", "-"), ("*", "/", "%"),
 )
 
+#: Binary operator -> its precedence level, for precedence climbing.
+_BINARY_LEVEL: Dict[str, int] = {
+    op: level for level, ops in enumerate(_BINARY_PRECEDENCE) for op in ops
+}
+
+_UNARY_OPERATORS = frozenset({"!", "-", "~"})
+
+#: Deepest nesting the parser accepts, counting statements (a block is
+#: one) and expressions (a parenthesised group is one) nested in one
+#: another; declarations do not count.  The parser and every recursive
+#: walker downstream -- core and IFC checking, constraint generation,
+#: elaboration, digests, the printer -- spend at most two frames per
+#: level, so at this depth they stay well inside Python's default
+#: recursion limit of 1000, and deeper input gets a located
+#: :class:`ParserError` instead of a ``RecursionError``.  Real programs
+#: nest a few levels; the deepest test input is a 300-selector chain.
+MAX_DEPTH = 320
+
 _TYPE_KEYWORDS = frozenset({"bit", "bool", "int", "void"})
+
+
+def _cover(first: SourceSpan, last: SourceSpan) -> SourceSpan:
+    """From the start of ``first`` to the end of ``last``, which follows it."""
+    return SourceSpan(first.start, last.end, first.filename)
+
+
+def _between(first: Token, last: Token) -> SourceSpan:
+    """The span from token ``first`` through token ``last``."""
+    return SourceSpan(
+        Position(first.line, first.column),
+        Position(last.line, last.column + len(last.text)),
+        first.filename,
+    )
 
 
 class Parser:
@@ -95,12 +123,15 @@ class Parser:
         self._tokens = tokens
         self._filename = filename
         self._index = 0
+        #: Depth of the innermost open statement or expression (MAX_DEPTH).
+        self._depth = 0
 
     # ------------------------------------------------------------------ utils
 
     def _peek(self, ahead: int = 0) -> Token:
-        index = min(self._index + ahead, len(self._tokens) - 1)
-        return self._tokens[index]
+        # Lookahead past the current token only follows a non-EOF token,
+        # so it never runs off the end of the list.
+        return self._tokens[self._index + ahead]
 
     def _at_end(self) -> bool:
         return self._peek().kind is TokenKind.EOF
@@ -111,11 +142,11 @@ class Parser:
             self._index += 1
         return token
 
-    def _check_punct(self, text: str, ahead: int = 0) -> bool:
-        return self._peek(ahead).is_punct(text)
+    def _check_punct(self, text: str) -> bool:
+        return self._tokens[self._index].is_punct(text)
 
-    def _check_keyword(self, text: str, ahead: int = 0) -> bool:
-        return self._peek(ahead).is_keyword(text)
+    def _check_keyword(self, text: str) -> bool:
+        return self._tokens[self._index].is_keyword(text)
 
     def _match_punct(self, text: str) -> Optional[Token]:
         if self._check_punct(text):
@@ -125,25 +156,25 @@ class Parser:
     def _expect_punct(self, text: str, context: str) -> Token:
         token = self._peek()
         if not token.is_punct(text):
-            raise ParserError(
-                f"expected {text!r} {context}, found {token}", token.span
-            )
+            raise ParserError(f"expected {text!r} {context}, found {token}", token.span)
         return self._advance()
 
     def _expect_keyword(self, text: str, context: str) -> Token:
         token = self._peek()
         if not token.is_keyword(text):
-            raise ParserError(
-                f"expected keyword {text!r} {context}, found {token}", token.span
-            )
+            raise ParserError(f"expected keyword {text!r} {context}, found {token}", token.span)
         return self._advance()
+
+    def _nest(self, token: Token) -> None:
+        """Open one nesting level at ``token``; close it with ``_depth -= 1``."""
+        self._depth += 1
+        if self._depth > MAX_DEPTH:
+            raise ParserError(f"nesting deeper than {MAX_DEPTH} levels", token.span)
 
     def _expect_ident(self, context: str) -> Token:
         token = self._peek()
         if token.kind is not TokenKind.IDENT:
-            raise ParserError(
-                f"expected an identifier {context}, found {token}", token.span
-            )
+            raise ParserError(f"expected an identifier {context}, found {token}", token.span)
         return self._advance()
 
     # ------------------------------------------------------------------ program
@@ -209,7 +240,7 @@ class Parser:
             fields.append(Field(field_name.text, field_type))
         close = self._expect_punct("}", f"to close {keyword.text} {name.text}")
         self._match_punct(";")
-        span = keyword.span.merge(close.span)
+        span = _between(keyword, close)
         if header:
             return HeaderDecl(name.text, tuple(fields), span=span)
         return StructDecl(name.text, tuple(fields), span=span)
@@ -219,7 +250,7 @@ class Parser:
         ty = self._parse_annotated_type()
         name = self._expect_ident("as the typedef name")
         semi = self._expect_punct(";", "after a typedef")
-        return TypedefDecl(ty, name.text, span=keyword.span.merge(semi.span))
+        return TypedefDecl(ty, name.text, span=_between(keyword, semi))
 
     def _parse_match_kind(self) -> MatchKindDecl:
         keyword = self._advance()
@@ -232,7 +263,7 @@ class Parser:
                 break
         close = self._expect_punct("}", "to close match_kind")
         self._match_punct(";")
-        return MatchKindDecl(tuple(members), span=keyword.span.merge(close.span))
+        return MatchKindDecl(tuple(members), span=_between(keyword, close))
 
     # ------------------------------------------------------------------ controls
 
@@ -272,7 +303,7 @@ class Parser:
             tuple(locals_),
             apply_block,
             pc_label=pc_label,
-            span=keyword.span.merge(close.span),
+            span=_between(keyword, close),
         )
 
     def _parse_param_list(self) -> List[Param]:
@@ -299,7 +330,7 @@ class Parser:
             self._advance()
         ty = self._parse_annotated_type()
         name = self._expect_ident("as a parameter name")
-        return Param(direction, name.text, ty, span=start.merge(name.span))
+        return Param(direction, name.text, ty, span=_cover(start, name.span))
 
     # ------------------------------------------------------------------ actions / functions
 
@@ -316,7 +347,7 @@ class Parser:
             body,
             return_type=None,
             is_action=True,
-            span=keyword.span.merge(body.span),
+            span=_cover(keyword.span, body.span),
         )
 
     def _parse_function(self) -> FunctionDecl:
@@ -337,7 +368,7 @@ class Parser:
             body,
             return_type=return_type,
             is_action=False,
-            span=keyword.span.merge(body.span),
+            span=_cover(keyword.span, body.span),
         )
 
     # ------------------------------------------------------------------ tables
@@ -360,7 +391,7 @@ class Parser:
                     kind = self._expect_ident("as a match kind")
                     self._match_punct(";")
                     keys.append(
-                        TableKey(key_expr, kind.text, span=key_expr.span.merge(kind.span))
+                        TableKey(key_expr, kind.text, span=_cover(key_expr.span, kind.span))
                     )
                 self._expect_punct("}", "to close the key list")
                 self._match_punct(";")
@@ -383,7 +414,7 @@ class Parser:
         close = self._expect_punct("}", f"to close table {name.text!r}")
         self._match_punct(";")
         return TableDecl(
-            name.text, tuple(keys), tuple(actions), span=keyword.span.merge(close.span)
+            name.text, tuple(keys), tuple(actions), span=_between(keyword, close)
         )
 
     def _parse_action_ref(self) -> ActionRef:
@@ -397,7 +428,7 @@ class Parser:
                     if not self._match_punct(","):
                         break
             close = self._expect_punct(")", "to close action arguments")
-            span = span.merge(close.span)
+            span = _cover(span, close.span)
         return ActionRef(name.text, tuple(arguments), span=span)
 
     # ------------------------------------------------------------------ variable declarations
@@ -412,7 +443,7 @@ class Parser:
         if self._match_punct("="):
             init = self.parse_expression()
         semi = self._expect_punct(";", "after a variable declaration")
-        return VarDecl(ty, name.text, init, span=start.merge(semi.span))
+        return VarDecl(ty, name.text, init, span=_cover(start, semi.span))
 
     def _looks_like_type_start(self) -> bool:
         """Decide whether the upcoming tokens begin a (possibly annotated) type.
@@ -445,34 +476,40 @@ class Parser:
 
     def _parse_block(self) -> Block:
         open_brace = self._expect_punct("{", "to open a block")
+        self._nest(open_brace)
         statements: List[Statement] = []
         while not self._check_punct("}"):
             statements.append(self._parse_statement())
+        self._depth -= 1
         close = self._expect_punct("}", "to close a block")
-        return Block(tuple(statements), span=open_brace.span.merge(close.span))
+        return Block(tuple(statements), span=_between(open_brace, close))
 
     def _parse_statement(self) -> Statement:
         token = self._peek()
         if token.is_punct("{"):
             return self._parse_block()
-        if token.is_keyword("if"):
-            return self._parse_if()
-        if token.is_keyword("exit"):
-            self._advance()
-            semi = self._expect_punct(";", "after 'exit'")
-            return Exit(span=token.span.merge(semi.span))
-        if token.is_keyword("return"):
-            self._advance()
-            if self._check_punct(";"):
-                semi = self._advance()
-                return Return(None, span=token.span.merge(semi.span))
-            value = self.parse_expression()
-            semi = self._expect_punct(";", "after a return value")
-            return Return(value, span=token.span.merge(semi.span))
-        if self._looks_like_type_start() or token.is_keyword("const"):
-            decl = self._parse_var_decl(allow_const=True)
-            return VarDeclStmt(decl, span=decl.span)
-        return self._parse_expression_statement()
+        self._nest(token)
+        try:
+            if token.is_keyword("if"):
+                return self._parse_if()
+            if token.is_keyword("exit"):
+                self._advance()
+                semi = self._expect_punct(";", "after 'exit'")
+                return Exit(span=_between(token, semi))
+            if token.is_keyword("return"):
+                self._advance()
+                if self._check_punct(";"):
+                    semi = self._advance()
+                    return Return(None, span=_between(token, semi))
+                value = self.parse_expression()
+                semi = self._expect_punct(";", "after a return value")
+                return Return(value, span=_between(token, semi))
+            if self._looks_like_type_start() or token.is_keyword("const"):
+                decl = self._parse_var_decl(allow_const=True)
+                return VarDeclStmt(decl, span=decl.span)
+            return self._parse_expression_statement()
+        finally:
+            self._depth -= 1
 
     def _parse_if(self) -> If:
         keyword = self._advance()
@@ -484,7 +521,9 @@ class Parser:
         if self._check_keyword("else"):
             self._advance()
             if self._check_keyword("if"):
-                nested = self._parse_if()
+                self._depth += 1  # the block ``else if`` implies
+                nested = self._parse_statement()
+                self._depth -= 1
                 else_branch = Block((nested,), span=nested.span)
             else:
                 else_branch = self._parse_block()
@@ -492,7 +531,7 @@ class Parser:
             condition,
             then_branch,
             else_branch,
-            span=keyword.span.merge(else_branch.span),
+            span=_cover(keyword.span, else_branch.span),
         )
 
     def _parse_expression_statement(self) -> Statement:
@@ -500,114 +539,143 @@ class Parser:
         if self._match_punct("="):
             value = self.parse_expression()
             semi = self._expect_punct(";", "after an assignment")
-            return Assign(expr, value, span=expr.span.merge(semi.span))
+            return Assign(expr, value, span=_cover(expr.span, semi.span))
         semi = self._expect_punct(";", "after an expression statement")
         if isinstance(expr, Call):
-            return CallStmt(expr, span=expr.span.merge(semi.span))
+            return CallStmt(expr, span=_cover(expr.span, semi.span))
         raise ParserError(
             f"expression {expr.describe()!r} cannot be used as a statement",
             expr.span,
         )
 
     # ------------------------------------------------------------------ expressions
+    #
+    # The helpers below return each expression with its *height*: the
+    # nesting levels it spans (a leaf is 1, a parenthesised group adds 1).
+    # Operator and selector chains such as ``a + b + c`` or ``h.f.g`` grow
+    # in a loop rather than by recursion, so :meth:`parse_expression`
+    # checks the finished expression against :data:`MAX_DEPTH`, while
+    # ``_nest`` bounds the recursion on the way down.  Every nesting level
+    # costs the parser at most two frames: ``_parse_binary`` and
+    # ``_parse_operand`` recurse into each other and into nothing else.
 
     def parse_expression(self) -> Expression:
-        return self._parse_binary(0)
+        expr, height = self._parse_binary(0)
+        if self._depth + height > MAX_DEPTH:
+            raise ParserError(f"nesting deeper than {MAX_DEPTH} levels", expr.span)
+        return expr
 
-    def _parse_binary(self, level: int) -> Expression:
-        if level >= len(_BINARY_PRECEDENCE):
-            return self._parse_unary()
-        operators = _BINARY_PRECEDENCE[level]
-        left = self._parse_binary(level + 1)
-        while self._peek().kind is TokenKind.PUNCT and self._peek().text in operators:
-            op = self._advance()
-            right = self._parse_binary(level + 1)
-            left = BinaryOp(op.text, left, right, span=left.span.merge(right.span))
-        return left
-
-    def _parse_unary(self) -> Expression:
-        token = self._peek()
-        if token.kind is TokenKind.PUNCT and token.text in ("!", "-", "~"):
-            self._advance()
-            operand = self._parse_unary()
-            return UnaryOp(token.text, operand, span=token.span.merge(operand.span))
-        return self._parse_postfix()
-
-    def _parse_postfix(self) -> Expression:
-        expr = self._parse_primary()
+    def _parse_binary(self, min_level: int) -> Tuple[Expression, int]:
+        """Precedence climbing over operators binding at ``min_level`` or tighter."""
+        left, height = self._parse_operand()
+        tokens = self._tokens
         while True:
-            if self._check_punct("."):
-                self._advance()
-                field = self._peek()
-                if field.is_keyword("apply"):
-                    # table application t.apply(...) desugars to t(...)
-                    self._advance()
-                    self._expect_punct("(", "after '.apply'")
-                    arguments = self._parse_call_arguments()
-                    close_span = self._tokens[self._index - 1].span
-                    expr = Call(expr, tuple(arguments), span=expr.span.merge(close_span))
-                    continue
-                if field.kind is not TokenKind.IDENT:
-                    raise ParserError(
-                        f"expected a field name after '.', found {field}", field.span
-                    )
-                self._advance()
-                expr = FieldAccess(expr, field.text, span=expr.span.merge(field.span))
-            elif self._check_punct("["):
-                self._advance()
-                index = self.parse_expression()
-                close = self._expect_punct("]", "to close an index expression")
-                expr = Index(expr, index, span=expr.span.merge(close.span))
-            elif self._check_punct("("):
-                self._advance()
-                arguments = self._parse_call_arguments()
-                close_span = self._tokens[self._index - 1].span
-                expr = Call(expr, tuple(arguments), span=expr.span.merge(close_span))
-            else:
-                return expr
+            op = tokens[self._index]
+            # Only punctuation tokens can spell an operator.
+            level = _BINARY_LEVEL.get(op.text)
+            if level is None or level < min_level:
+                return left, height
+            self._index += 1
+            self._nest(op)
+            right, right_height = self._parse_binary(level + 1)
+            self._depth -= 1
+            left = BinaryOp(op.text, left, right, span=_cover(left.span, right.span))
+            height = 1 + max(height, right_height)
 
-    def _parse_call_arguments(self) -> List[Expression]:
-        arguments: List[Expression] = []
-        if not self._check_punct(")"):
-            while True:
-                arguments.append(self.parse_expression())
+    def _parse_operand(self) -> Tuple[Expression, int]:
+        """Prefix operators, a primary, then field selectors, indices and calls."""
+        tokens = self._tokens
+        token = tokens[self._index]
+        prefix: List[Token] = []
+        while token.text in _UNARY_OPERATORS:
+            self._nest(token)
+            prefix.append(token)
+            self._index += 1
+            token = tokens[self._index]
+
+        expr: Expression
+        kind, text = token.kind, token.text
+        if kind is TokenKind.IDENT:
+            self._index += 1
+            expr, height = Var(text, span=token.span), 1
+        elif kind is TokenKind.INT:
+            self._index += 1
+            expr, height = IntLiteral(token.value or 0, token.width, span=token.span), 1
+        elif token.is_keyword("true") or token.is_keyword("false"):
+            self._index += 1
+            expr, height = BoolLiteral(text == "true", span=token.span), 1
+        elif token.is_punct("("):
+            self._index += 1
+            self._nest(token)
+            expr, height = self._parse_binary(0)
+            self._depth -= 1
+            self._expect_punct(")", "to close a parenthesised expression")
+            height += 1
+        elif token.is_punct("{"):
+            self._index += 1
+            self._nest(token)
+            fields: List[Tuple[str, Expression]] = []
+            height = 0
+            while not self._check_punct("}"):
+                name = self._expect_ident("as a record field name")
+                self._expect_punct("=", "after a record field name")
+                value, value_height = self._parse_binary(0)
+                fields.append((name.text, value))
+                height = max(height, value_height)
                 if not self._match_punct(","):
                     break
-        self._expect_punct(")", "to close a call")
-        return arguments
+            self._depth -= 1
+            close = self._expect_punct("}", "to close a record literal")
+            expr, height = RecordLiteral(tuple(fields), span=_between(token, close)), height + 1
+        else:
+            raise ParserError(f"expected an expression, found {token}", token.span)
 
-    def _parse_primary(self) -> Expression:
-        token = self._peek()
-        if token.kind is TokenKind.INT:
-            self._advance()
-            return IntLiteral(token.value or 0, token.width, span=token.span)
-        if token.is_keyword("true") or token.is_keyword("false"):
-            self._advance()
-            return BoolLiteral(token.text == "true", span=token.span)
-        if token.kind is TokenKind.IDENT:
-            self._advance()
-            return Var(token.text, span=token.span)
-        if token.is_punct("("):
-            self._advance()
-            inner = self.parse_expression()
-            self._expect_punct(")", "to close a parenthesised expression")
-            return inner
-        if token.is_punct("{"):
-            return self._parse_record_literal()
-        raise ParserError(f"expected an expression, found {token}", token.span)
-
-    def _parse_record_literal(self) -> RecordLiteral:
-        open_brace = self._advance()
-        fields: List[Tuple[str, Expression]] = []
-        while not self._check_punct("}"):
-            name = self._expect_ident("as a record field name")
-            self._expect_punct("=", "after a record field name")
-            value = self.parse_expression()
-            fields.append((name.text, value))
-            if not self._match_punct(","):
+        while True:
+            token = tokens[self._index]
+            if token.is_punct(".") and tokens[self._index + 1].is_keyword("apply"):
+                # table application t.apply(...) desugars to t(...)
+                self._index += 2
+                token = self._peek()
+                if not token.is_punct("("):
+                    raise ParserError(f"expected '(' after '.apply', found {token}", token.span)
+            if token.is_punct("("):
+                self._index += 1
+                self._nest(token)
+                arguments: List[Expression] = []
+                inner = 0
+                if not self._check_punct(")"):
+                    while True:
+                        argument, argument_height = self._parse_binary(0)
+                        arguments.append(argument)
+                        inner = max(inner, argument_height)
+                        if not self._match_punct(","):
+                            break
+                self._depth -= 1
+                close = self._expect_punct(")", "to close a call")
+                expr = Call(expr, tuple(arguments), span=_cover(expr.span, close.span))
+                height = 1 + max(height, inner)
+            elif token.is_punct("."):
+                field = tokens[self._index + 1]
+                if field.kind is not TokenKind.IDENT:
+                    raise ParserError(f"expected a field name after '.', found {field}", field.span)
+                self._index += 2
+                expr = FieldAccess(expr, field.text, span=_cover(expr.span, field.span))
+                height += 1
+            elif token.is_punct("["):
+                self._index += 1
+                self._nest(token)
+                index, index_height = self._parse_binary(0)
+                self._depth -= 1
+                close = self._expect_punct("]", "to close an index expression")
+                expr = Index(expr, index, span=_cover(expr.span, close.span))
+                height = 1 + max(height, index_height)
+            else:
                 break
-        close = self._expect_punct("}", "to close a record literal")
-        return RecordLiteral(tuple(fields), span=open_brace.span.merge(close.span))
+
+        for token in reversed(prefix):
+            expr = UnaryOp(token.text, expr, span=_cover(token.span, expr.span))
+        self._depth -= len(prefix)
+        return expr, height + len(prefix)
 
     # ------------------------------------------------------------------ types
 
@@ -619,14 +687,14 @@ class Parser:
             self._expect_punct(",", "between a type and its security label")
             label = self._parse_label_text(">")
             close = self._expect_punct(">", "to close a security annotation")
-            return AnnotatedType(inner, label, span=open_angle.span.merge(close.span))
+            return AnnotatedType(inner, label, span=_between(open_angle, close))
         span_start = token.span
         ty = self._parse_type()
         # Span the whole type, not just its first token: ``bit<8>`` and
         # ``ipv4_t[4]`` span through the last consumed token, so SARIF
         # regions cover the full type expression.
         span_end = self._tokens[self._index - 1].span
-        return AnnotatedType(ty, None, span=span_start.merge(span_end))
+        return AnnotatedType(ty, None, span=_cover(span_start, span_end))
 
     def _parse_type(self) -> Type:
         token = self._peek()
@@ -692,10 +760,16 @@ class Parser:
 
 
 def parse_program(source: str, filename: str = "<input>", name: str | None = None) -> Program:
-    """Parse ``source`` into a :class:`Program`."""
-    tokens = tokenize(source, filename)
-    parser = Parser(tokens, filename)
-    return parser.parse_program(name or filename)
+    """Parse ``source`` into a :class:`Program`.
+
+    The two stages run in the ``parse.lex`` and ``parse.descend`` spans
+    of the ambient telemetry recorder.
+    """
+    recorder = current_recorder()
+    with recorder.span("parse.lex"):
+        tokens = tokenize(source, filename)
+    with recorder.span("parse.descend"):
+        return Parser(tokens, filename).parse_program(name or filename)
 
 
 def parse_expression(source: str, filename: str = "<expr>") -> Expression:

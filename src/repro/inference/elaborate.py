@@ -114,9 +114,8 @@ class _Elaborator:
     # -- statements -----------------------------------------------------------
 
     def _block(self, block: s.Block) -> s.Block:
-        return s.Block(
-            tuple(self._statement(stmt) for stmt in block.statements), span=block.span
-        )
+        # map(), not a generator: one frame per nesting level (MAX_DEPTH).
+        return s.Block(tuple(map(self._statement, block.statements)), span=block.span)
 
     def _statement(self, stmt: s.Statement) -> s.Statement:
         if isinstance(stmt, s.Block):

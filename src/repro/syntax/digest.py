@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-from typing import Dict, FrozenSet, Iterator, Tuple, Union
+from typing import Dict, FrozenSet, Iterator, List, Tuple, Union
 
 from repro.syntax import declarations as d
 from repro.syntax import expressions as e
@@ -81,20 +81,27 @@ def iter_tree(node: object) -> Iterator[object]:
     Unlike :func:`repro.syntax.visitor.walk` this descends into type
     annotations (:class:`~repro.syntax.types.AnnotatedType` trees, fields,
     parameters), which is what fingerprint-adjacent consumers need: the
-    annotation slots live there.
+    annotation slots live there.  The walk keeps its own stack, so a deep
+    tree costs no recursion and each node is yielded once, not passed up
+    through a generator per ancestor.
     """
-    yield node
-    for name in _field_names(node):
-        value = getattr(node, name)
-        yield from _iter_value(value)
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        yield node
+        children: List[object] = []
+        for name in _field_names(node):
+            _collect_nodes(getattr(node, name), children)
+        children.reverse()
+        stack.extend(children)
 
 
-def _iter_value(value: object) -> Iterator[object]:
+def _collect_nodes(value: object, out: List[object]) -> None:
     if _is_node(value):
-        yield from iter_tree(value)
+        out.append(value)
     elif isinstance(value, tuple):
         for item in value:
-            yield from _iter_value(item)
+            _collect_nodes(item, out)
 
 
 def declared_names(unit: Unit) -> Tuple[str, ...]:
@@ -153,41 +160,38 @@ def respan(old: Unit, new: Unit) -> Dict[SourceSpan, SourceSpan]:
     ``span_map.get(span, span)``.
     """
     span_map: Dict[SourceSpan, SourceSpan] = {}
-    _respan_node(old, new, span_map)
+    # An explicit stack of node pairs: deep trees cost no recursion.
+    pending: List[Tuple[object, object]] = [(old, new)]
+    while pending:
+        old_node, new_node = pending.pop()
+        if type(old_node) is not type(new_node):
+            raise RespanMismatch(f"{type(old_node).__name__} vs {type(new_node).__name__}")
+        for name in _field_names(old_node):
+            old_value = getattr(old_node, name)
+            new_value = getattr(new_node, name)
+            if isinstance(old_value, SourceSpan):
+                if not isinstance(new_value, SourceSpan):
+                    raise RespanMismatch(f"span field {name} became {new_value!r}")
+                if old_value != new_value:
+                    span_map[old_value] = new_value
+                    object.__setattr__(old_node, name, new_value)
+            elif _is_node(old_value) or _is_node(new_value):
+                pending.append((old_value, new_value))
+            elif isinstance(old_value, tuple) and isinstance(new_value, tuple):
+                _pair_items(old_value, new_value, pending)
+            elif old_value != new_value:
+                raise RespanMismatch(f"field {name}: {old_value!r} != {new_value!r}")
     return span_map
 
 
-def _respan_node(old: object, new: object, span_map: Dict[SourceSpan, SourceSpan]) -> None:
-    if type(old) is not type(new):
-        raise RespanMismatch(f"{type(old).__name__} vs {type(new).__name__}")
-    for name in _field_names(old):
-        old_value = getattr(old, name)
-        new_value = getattr(new, name)
-        if isinstance(old_value, SourceSpan):
-            if not isinstance(new_value, SourceSpan):
-                raise RespanMismatch(f"span field {name} became {new_value!r}")
-            if old_value != new_value:
-                span_map[old_value] = new_value
-                object.__setattr__(old, name, new_value)
-        elif _is_node(old_value) or _is_node(new_value):
-            _respan_node(old_value, new_value, span_map)
-        elif isinstance(old_value, tuple) and isinstance(new_value, tuple):
-            _respan_tuple(old_value, new_value, span_map)
-        elif old_value != new_value:
-            raise RespanMismatch(
-                f"field {name}: {old_value!r} != {new_value!r}"
-            )
-
-
-def _respan_tuple(
-    old: tuple, new: tuple, span_map: Dict[SourceSpan, SourceSpan]
-) -> None:
+def _pair_items(old: tuple, new: tuple, pending: List[Tuple[object, object]]) -> None:
+    """Queue the node pairs of two tuple fields; raise if they differ otherwise."""
     if len(old) != len(new):
         raise RespanMismatch(f"tuple length {len(old)} vs {len(new)}")
     for old_item, new_item in zip(old, new):
         if _is_node(old_item) or _is_node(new_item):
-            _respan_node(old_item, new_item, span_map)
+            pending.append((old_item, new_item))
         elif isinstance(old_item, tuple) and isinstance(new_item, tuple):
-            _respan_tuple(old_item, new_item, span_map)
+            _pair_items(old_item, new_item, pending)
         elif old_item != new_item:
             raise RespanMismatch(f"tuple item {old_item!r} != {new_item!r}")

@@ -118,8 +118,13 @@ class RecordLiteral(Expression):
     fields: Tuple[Tuple[str, Expression], ...]
 
     def describe(self) -> str:
-        inner = ", ".join(f"{name} = {expr.describe()}" for name, expr in self.fields)
-        return "{" + inner + "}"
+        # Loops, not generator expressions, in the recursive describe()s:
+        # a generator costs a frame per nesting level, and the parser's
+        # MAX_DEPTH assumes at most two.
+        inner = []
+        for name, expr in self.fields:
+            inner.append(f"{name} = {expr.describe()}")
+        return "{" + ", ".join(inner) + "}"
 
     def field_named(self, name: str) -> Optional[Expression]:
         for field_name, expr in self.fields:
@@ -156,5 +161,7 @@ class Call(Expression):
     arguments: Tuple[Expression, ...] = ()
 
     def describe(self) -> str:
-        args = ", ".join(a.describe() for a in self.arguments)
-        return f"{self.callee.describe()}({args})"
+        args = []
+        for argument in self.arguments:
+            args.append(argument.describe())
+        return f"{self.callee.describe()}({', '.join(args)})"

@@ -150,7 +150,7 @@ class _Printer:
     def action_ref(self, ref: d.ActionRef) -> str:
         if not ref.arguments:
             return ref.name
-        args = ", ".join(self.expression(a) for a in ref.arguments)
+        args = ", ".join(map(self.expression, ref.arguments))
         return f"{ref.name}({args})"
 
     # -- statements -----------------------------------------------------------
@@ -216,14 +216,16 @@ class _Printer:
         if isinstance(expr, e.UnaryOp):
             return f"({expr.op}{self.expression(expr.operand)})"
         if isinstance(expr, e.RecordLiteral):
-            inner = ", ".join(
-                f"{name} = {self.expression(value)}" for name, value in expr.fields
-            )
-            return "{" + inner + "}"
+            # map() and loops rather than generator expressions keep the
+            # recursion at one frame per nesting level (see MAX_DEPTH).
+            inner = []
+            for name, value in expr.fields:
+                inner.append(f"{name} = {self.expression(value)}")
+            return "{" + ", ".join(inner) + "}"
         if isinstance(expr, e.FieldAccess):
             return f"{self.expression(expr.target)}.{expr.field_name}"
         if isinstance(expr, e.Call):
-            args = ", ".join(self.expression(a) for a in expr.arguments)
+            args = ", ".join(map(self.expression, expr.arguments))
             return f"{self.expression(expr.callee)}({args})"
         raise TypeError(f"cannot print expression {type(expr).__name__}")
 

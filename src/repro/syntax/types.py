@@ -117,8 +117,10 @@ class RecordType(Type):
         return None
 
     def describe(self) -> str:
-        inner = ", ".join(f.describe() for f in self.fields)
-        return "struct {" + inner + "}"
+        inner = []
+        for f in self.fields:  # Field.describe inlined: one frame per level
+            inner.append(f"{f.name}: {f.ty.describe()}")
+        return "struct {" + ", ".join(inner) + "}"
 
 
 @dataclass(frozen=True, slots=True)
@@ -134,8 +136,10 @@ class HeaderType(Type):
         return None
 
     def describe(self) -> str:
-        inner = ", ".join(f.describe() for f in self.fields)
-        return "header {" + inner + "}"
+        inner = []
+        for f in self.fields:  # Field.describe inlined: one frame per level
+            inner.append(f"{f.name}: {f.ty.describe()}")
+        return "header {" + ", ".join(inner) + "}"
 
 
 @dataclass(frozen=True, slots=True)

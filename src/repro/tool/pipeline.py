@@ -45,6 +45,7 @@ from repro.telemetry.recorder import (
     Span,
     TraceRecorder,
     current_recorder,
+    use_recorder,
 )
 from repro.typechecker.checker import CoreCheckResult
 from repro.typechecker.errors import TypeDiagnostic
@@ -56,6 +57,12 @@ if False:  # pragma: no cover - typing-only imports (cycle-free at runtime)
 
 #: Span names of the solver intervals that constitute the "solve" sub-phase.
 _SOLVE_SPANS = ("solver.solve", "solver.resolve", "solver.rebase")
+#: Span name -> the sub-phase it accumulates into.
+_SUB_PHASE_SPANS: Mapping[str, str] = {
+    **{name: "solve" for name in _SOLVE_SPANS},
+    "parse.lex": "lex",
+    "parse.descend": "descend",
+}
 
 
 @dataclass
@@ -66,14 +73,19 @@ class PhaseTiming:
     top-level phases -- :data:`TOP_LEVEL` -- partition the pipeline;
     :data:`SUB_PHASES` records containment *explicitly*: ``solve`` is a
     sub-phase of ``infer`` (the constraint-solving interval inside label
-    inference), so :attr:`total_ms` sums only the top-level phases and can
-    never double-count a nested interval.
+    inference), and ``lex`` (tokenising) and ``descend`` (the recursive
+    descent over the tokens) split ``parse``, so :attr:`total_ms` sums
+    only the top-level phases and can never double-count a nested interval.
     """
 
     #: The phases that partition a pipeline run end to end.
     TOP_LEVEL: ClassVar[Tuple[str, ...]] = ("parse", "core", "infer", "ifc", "analysis")
     #: Explicit sub-phase nesting: sub-phase -> the phase containing it.
-    SUB_PHASES: ClassVar[Mapping[str, str]] = {"solve": "infer"}
+    SUB_PHASES: ClassVar[Mapping[str, str]] = {
+        "solve": "infer",
+        "lex": "parse",
+        "descend": "parse",
+    }
 
     parse_ms: float = 0.0
     core_ms: float = 0.0
@@ -85,6 +97,9 @@ class PhaseTiming:
     #: The constraint-solving sub-phase of ``infer`` (see
     #: :data:`SUB_PHASES`); excluded from :attr:`total_ms` by construction.
     solve_ms: float = 0.0
+    #: The ``parse`` sub-phases: tokenising, then parsing the tokens.
+    lex_ms: float = 0.0
+    descend_ms: float = 0.0
 
     @property
     def total_ms(self) -> float:
@@ -101,7 +116,8 @@ class PhaseTiming:
 
         ``phase.<name>`` spans accumulate into their phase; the solver
         spans (:data:`_SOLVE_SPANS`) accumulate into the ``solve``
-        sub-phase.  Multiple spans of one phase (re-runs) sum.
+        sub-phase and ``parse.lex`` / ``parse.descend`` into ``lex`` /
+        ``descend``.  Multiple spans of one phase (re-runs) sum.
         """
         timing = cls()
         for span in spans:
@@ -111,8 +127,9 @@ class PhaseTiming:
                 phase = span.name[len("phase.") :]
                 if phase in cls.TOP_LEVEL:
                     setattr(timing, f"{phase}_ms", timing.phase_ms(phase) + span.duration_ms)
-            elif span.name in _SOLVE_SPANS:
-                timing.solve_ms += span.duration_ms
+            elif span.name in _SUB_PHASE_SPANS:
+                sub = _SUB_PHASE_SPANS[span.name]
+                setattr(timing, f"{sub}_ms", timing.phase_ms(sub) + span.duration_ms)
         return timing
 
     def as_dict(self) -> Dict[str, Any]:
@@ -443,7 +460,8 @@ def check_source(
     rec = _pipeline_recorder(recorder)
     first_span = len(rec.spans)
     with rec.span("pipeline.check", program=report.name, lattice=resolved.name):
-        with rec.span("phase.parse"):
+        # The parser reports its lex/descend split to the ambient recorder.
+        with rec.span("phase.parse"), use_recorder(rec):
             workspace.open(source, filename=filename)
         report.parse_error = workspace.parse_error
         if workspace.program is not None:

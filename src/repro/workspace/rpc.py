@@ -70,6 +70,31 @@ class _RpcError(Exception):
 class WorkspaceServer:
     """One serving session: a warm workspace plus the RPC dispatch."""
 
+    #: RPC method -> handler attribute.  Names, not bound methods: a dict
+    #: of bound methods on the instance is a reference cycle, which kept a
+    #: dropped server's whole workspace alive until a full collection.
+    _METHODS: Dict[str, str] = {
+        "ping": "_ping",
+        "open": "_open",
+        "edit": "_edit",
+        "check": "_check",
+        "infer": "_infer",
+        "pin": "_pin",
+        "unsat_core": "_unsat_core",
+        "witnesses": "_witnesses",
+        "lint": "_lint",
+        "stats": "_stats",
+        "save": "_save",
+        "load": "_load",
+        "shutdown": "_shutdown",
+        "policy.open": "_policy_open",
+        "policy.decide": "_policy_decide",
+        "policy.explain": "_policy_explain",
+        "policy.grant": "_policy_grant",
+        "policy.replay": "_policy_replay",
+        "policy.stats": "_policy_stats",
+    }
+
     def __init__(
         self,
         *,
@@ -91,27 +116,6 @@ class WorkspaceServer:
         #: The compliance session: ``(engine, events)`` after ``policy.open``.
         self._policy = None
         self._policy_next_uid = 0
-        self._methods = {
-            "ping": self._ping,
-            "open": self._open,
-            "edit": self._edit,
-            "check": self._check,
-            "infer": self._infer,
-            "pin": self._pin,
-            "unsat_core": self._unsat_core,
-            "witnesses": self._witnesses,
-            "lint": self._lint,
-            "stats": self._stats,
-            "save": self._save,
-            "load": self._load,
-            "shutdown": self._shutdown,
-            "policy.open": self._policy_open,
-            "policy.decide": self._policy_decide,
-            "policy.explain": self._policy_explain,
-            "policy.grant": self._policy_grant,
-            "policy.replay": self._policy_replay,
-            "policy.stats": self._policy_stats,
-        }
 
     def _new_workspace(self) -> Workspace:
         return Workspace(
@@ -147,13 +151,13 @@ class WorkspaceServer:
             return self._encode_error(
                 request_id, INVALID_PARAMS, "params must be an object"
             )
-        handler = self._methods.get(method)
+        handler = self._METHODS.get(method)
         if handler is None:
             return self._encode_error(
                 request_id, METHOD_NOT_FOUND, f"unknown method {method!r}"
             )
         try:
-            result = handler(params)
+            result = getattr(self, handler)(params)
         except _RpcError as exc:
             return self._encode_error(request_id, exc.code, exc.message)
         except WorkspaceError as exc:

@@ -461,6 +461,30 @@ class TestPhaseTiming:
         for sub in PhaseTiming.SUB_PHASES:
             assert sub not in PhaseTiming.TOP_LEVEL
 
+    def test_parse_sub_phases_are_not_double_counted(self):
+        timing = PhaseTiming(parse_ms=5.0, lex_ms=2.0, descend_ms=3.0, core_ms=1.0)
+        assert timing.total_ms == pytest.approx(6.0)
+        tree = timing.as_dict()
+        assert tree["parse"]["sub_phases"] == {"lex": {"ms": 2.0}, "descend": {"ms": 3.0}}
+        assert "lex" not in tree and "descend" not in tree
+
+    @pytest.mark.parametrize("traced", [False, True])
+    def test_parse_phase_splits_into_lex_and_descend(self, stripped_case, traced):
+        source, lattice_name = stripped_case
+        if traced:
+            report, rec = traced_check(source, lattice_name, infer=True)
+        else:
+            report = check_source(source, lattice_name, infer=True)
+            rec = report.trace
+        (parse_span,) = rec.spans_named("phase.parse")
+        assert [s.name for s in rec.children_of(parse_span)] == ["parse.lex", "parse.descend"]
+        timing = report.timing
+        assert timing.lex_ms == pytest.approx(rec.total_ms("parse.lex"))
+        assert timing.descend_ms == pytest.approx(rec.total_ms("parse.descend"))
+        assert 0.0 < timing.lex_ms + timing.descend_ms <= timing.parse_ms
+        top_level = sum(timing.phase_ms(phase) for phase in PhaseTiming.TOP_LEVEL)
+        assert timing.total_ms == pytest.approx(top_level)
+
     def test_as_dict_nests_sub_phases(self):
         timing = PhaseTiming(infer_ms=10.0, solve_ms=7.0)
         tree = timing.as_dict()

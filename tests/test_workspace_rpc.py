@@ -8,8 +8,10 @@ one-shot pipeline.
 
 from __future__ import annotations
 
+import gc
 import io
 import json
+import weakref
 
 from repro.synth import sharded_dataflow_program
 from repro.tool.pipeline import check_source
@@ -139,6 +141,21 @@ class TestProtocol:
         response = json.loads(server.handle_line(line))
         assert response["error"]["code"] == METHOD_NOT_FOUND
         assert response["id"] is None
+
+    def test_a_dropped_server_frees_its_workspace_without_the_collector(self):
+        # No reference cycle through the dispatch table: a closed session's
+        # program, constraints and graph go when the server does, not at
+        # the next full collection.
+        gc.disable()
+        try:
+            server = WorkspaceServer()
+            result_of(server, "open", {"source": SECURE})
+            result_of(server, "check", {"infer": True})
+            workspace = weakref.ref(server.workspace)
+            del server
+            assert workspace() is None
+        finally:
+            gc.enable()
 
 
 class TestPolicyMethods:
