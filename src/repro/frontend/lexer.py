@@ -4,10 +4,12 @@ One compiled master pattern matches the trivia before a token together
 with the token, and :func:`tokenize` walks the source with it in a single
 loop.  The loop keeps the current line number and line start, counting
 newlines with ``str.count`` over the skipped trivia (whitespace, line and
-block comments) -- tokens never span lines.  A :class:`Token` stores its
-line and column; its :class:`SourceSpan` is built only when the parser
-reads ``.span``.  All context-sensitive decisions -- e.g. whether ``<``
-opens a security annotation or is a comparison -- are made by the parser.
+block comments) -- tokens never span lines.  :func:`scan` runs the same
+loop over a slice of the source from a known line, for re-parsing the
+region an edit touched.  A :class:`Token` stores its line and column; its
+:class:`SourceSpan` is built only when the parser reads ``.span``.  All
+context-sensitive decisions -- e.g. whether ``<`` opens a security
+annotation or is a comparison -- are made by the parser.
 """
 
 from __future__ import annotations
@@ -93,15 +95,26 @@ def _parse_number(text: str) -> tuple[int, int | None]:
 
 def tokenize(source: str, filename: str = "<input>") -> List[Token]:
     """Lex ``source`` into a token list ending in an EOF token."""
+    return scan(source, filename, 0, len(source), 1, 0)
+
+
+def scan(
+    source: str, filename: str, pos: int, stop: int, line: int, line_start: int
+) -> List[Token]:
+    """Lex ``source[pos:stop]`` as if ``stop`` were the end of the input.
+
+    ``pos`` must be where a token may start, on line ``line``, which
+    starts at offset ``line_start``; the EOF token sits at ``stop``.  A
+    block comment that closes only after ``stop`` is unterminated here.
+    """
     match = _MASTER.match
     count = source.count
     ident, keyword, punct = TokenKind.IDENT, TokenKind.KEYWORD, TokenKind.PUNCT
     tokens: List[Token] = []
     append = tokens.append
     new = Token._make
-    line, line_start, pos = 1, 0, 0
     while True:
-        m = match(source, pos)
+        m = match(source, pos, stop)
         start = m.end() if m.lastindex is None else m.start(m.lastindex)
         newlines = count("\n", pos, start)
         if newlines:
@@ -125,12 +138,14 @@ def tokenize(source: str, filename: str = "<input>") -> List[Token]:
                 append(token._replace(value=value, width=width))
             else:
                 _unexpected(first, line, column, filename)
-        elif start == len(source):
+        elif start == stop:
             append(new((TokenKind.EOF, "", None, None, line, column, filename)))
             return tokens
         elif source.startswith("/*", start):
             # The span runs to the end of the input, as far as the scan got.
-            end = Position(line + count("\n", start), len(source) - source.rfind("\n"))
+            end = Position(
+                line + count("\n", start, stop), stop - source.rfind("\n", 0, stop)
+            )
             raise LexerError(
                 "unterminated block comment",
                 SourceSpan(Position(line, column), end, filename),

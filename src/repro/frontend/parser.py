@@ -14,14 +14,20 @@ program counter (isolation case study, Section 5.4).
 
 Binary operators are parsed by precedence climbing, and input nested
 deeper than :data:`MAX_DEPTH` is rejected with a located error.
+
+Given a :class:`ParseIndex` of the previous revision, :func:`parse_program`
+lexes and parses only the text around an edit and hands back the other
+top-level units as the previous parse's node objects.
 """
 
 from __future__ import annotations
 
+from array import array
+from itertools import accumulate
 from typing import Dict, List, Optional, Tuple
 
-from repro.frontend.errors import ParserError
-from repro.frontend.lexer import Token, TokenKind, tokenize
+from repro.frontend.errors import FrontendError, ParserError
+from repro.frontend.lexer import Token, TokenKind, scan, tokenize
 from repro.syntax.declarations import (
     ActionRef,
     ControlDecl,
@@ -49,6 +55,7 @@ from repro.syntax.expressions import (
     UnaryOp,
     Var,
 )
+from repro.syntax.digest import Unit
 from repro.syntax.program import Program
 from repro.syntax.source import Position, SourceSpan
 from repro.syntax.statements import (
@@ -179,37 +186,49 @@ class Parser:
 
     # ------------------------------------------------------------------ program
 
-    def parse_program(self, name: str = "<program>") -> Program:
-        declarations: List[Declaration] = []
-        controls: List[ControlDecl] = []
-        start_span = self._peek().span
+    def parse_units(self) -> Tuple[List[Unit], "array[int]"]:
+        """Every top-level unit up to EOF, in source order, and its bounds.
+
+        The bounds hold four ints per unit: the line and column of the
+        first token it consumed and of the end of the last one.  An
+        ``@pc(...)`` prefix is part of its control, a trailing optional
+        ``;`` part of its declaration.  Plain ints, not the tokens, so
+        what a :class:`ParseIndex` keeps does not pin the token list's
+        memory.
+        """
+        units: List[Unit] = []
+        bounds = array("l")
+        tokens = self._tokens
         while not self._at_end():
+            first = self._peek()
             pc_label = self._parse_optional_pc_annotation()
             token = self._peek()
+            unit: Unit
             if token.is_keyword("control"):
-                controls.append(self._parse_control(pc_label))
-                continue
-            if pc_label is not None:
+                unit = self._parse_control(pc_label)
+            elif pc_label is not None:
                 raise ParserError(
                     "@pc(...) annotations may only precede a control block",
                     token.span,
                 )
-            if token.is_keyword("header"):
-                declarations.append(self._parse_header_or_struct(header=True))
+            elif token.is_keyword("header"):
+                unit = self._parse_header_or_struct(header=True)
             elif token.is_keyword("struct"):
-                declarations.append(self._parse_header_or_struct(header=False))
+                unit = self._parse_header_or_struct(header=False)
             elif token.is_keyword("typedef"):
-                declarations.append(self._parse_typedef())
+                unit = self._parse_typedef()
             elif token.is_keyword("match_kind"):
-                declarations.append(self._parse_match_kind())
+                unit = self._parse_match_kind()
             elif token.is_keyword("const") or self._looks_like_type_start():
-                declarations.append(self._parse_var_decl(allow_const=True))
+                unit = self._parse_var_decl(allow_const=True)
             else:
                 raise ParserError(
                     f"unexpected token {token} at top level", token.span
                 )
-        span = start_span.merge(self._peek().span)
-        return Program(tuple(declarations), tuple(controls), span=span, name=name)
+            last = tokens[self._index - 1]
+            units.append(unit)
+            bounds.extend((first.line, first.column, last.line, last.column + len(last.text)))
+        return units, bounds
 
     def _parse_optional_pc_annotation(self) -> Optional[str]:
         if not self._check_punct("@"):
@@ -759,17 +778,177 @@ class Parser:
         return text
 
 
-def parse_program(source: str, filename: str = "<input>", name: str | None = None) -> Program:
+class ParseIndex:
+    """The top-level units of the last successful parse of one file.
+
+    Pass the same index to every :func:`parse_program` call over
+    successive revisions of a file: each successful parse records its
+    source and units here, and the next one hands back the units the
+    edit cannot have touched.  A failed parse leaves the index as it
+    was.  A caller that swaps a parsed unit for an equal one with the
+    same spans (a workspace keeps its cached nodes) records the swap
+    with :meth:`relink`, so the next parse hands back the kept node.
+    """
+
+    def __init__(self) -> None:
+        self.source: Optional[str] = None
+        self.filename: Optional[str] = None
+        #: The units of the last parse, in source order.
+        self.units: List[Unit] = []
+        #: Their bounds, four ints per unit (see :meth:`Parser.parse_units`).
+        self.bounds = array("l")
+        #: How many units the last parse reused and how many it parsed.
+        self.reused = 0
+        self.reparsed = 0
+        self._line_starts: Optional[List[int]] = None
+
+    def offset(self, line: int, column: int) -> int:
+        """The offset of ``line``:``column`` in :attr:`source`."""
+        if self._line_starts is None:
+            self._line_starts = list(
+                accumulate((len(text) + 1 for text in self.source.split("\n")), initial=0)
+            )
+        return self._line_starts[line - 1] + column - 1
+
+    def relink(self, parsed: Program, kept: Program) -> None:
+        """Record ``kept``'s units in place of ``parsed``'s, pairing them
+        in walk order (declarations, then controls)."""
+        swap = {
+            id(old): new
+            for old, new in zip(
+                (*parsed.declarations, *parsed.controls),
+                (*kept.declarations, *kept.controls),
+            )
+            if old is not new
+        }
+        if swap:
+            self.units = [swap.get(id(unit), unit) for unit in self.units]
+
+
+def parse_program(
+    source: str,
+    filename: str = "<input>",
+    name: str | None = None,
+    *,
+    index: Optional[ParseIndex] = None,
+) -> Program:
     """Parse ``source`` into a :class:`Program`.
 
-    The two stages run in the ``parse.lex`` and ``parse.descend`` spans
-    of the ambient telemetry recorder.
+    With an ``index`` holding an earlier parse of ``filename``, only the
+    text around the edit is lexed and parsed; the units before and after
+    it are the earlier parse's node objects, whose spans are exactly what
+    a full parse would give:
+
+    * every unit that ends at or before the first changed character;
+    * when the edit keeps the changed region's line count, every unit
+      that starts after a newline inside the common suffix.
+
+    Between them the text is parsed as top-level units.  If that fails,
+    or does not end exactly at the first reused suffix unit, the whole
+    source is parsed, so errors are always the full parse's.  The lex
+    and parse run in the ``parse.lex`` and ``parse.descend`` spans of
+    the ambient telemetry recorder.
     """
+    plan = _reuse_plan(index, source, filename) if index is not None else None
+    if plan is not None:
+        try:
+            return _parse(source, filename, name, index, *plan)
+        except FrontendError:
+            pass  # the edit reaches into a reused unit
+    return _parse(source, filename, name, index, 0, 0, 0, len(source), 1, 0)
+
+
+def _parse(
+    source: str,
+    filename: str,
+    name: Optional[str],
+    index: Optional[ParseIndex],
+    head: int,
+    tail: int,
+    start: int,
+    stop: int,
+    line: int,
+    line_start: int,
+) -> Program:
+    """Parse ``source[start:stop]`` between the first ``head`` and the
+    last ``tail`` units of ``index``, which are reused."""
     recorder = current_recorder()
     with recorder.span("parse.lex"):
-        tokens = tokenize(source, filename)
+        tokens = scan(source, filename, start, stop, line, line_start)
     with recorder.span("parse.descend"):
-        return Parser(tokens, filename).parse_program(name or filename)
+        units, bounds = Parser(tokens, filename).parse_units()
+    reparsed = len(units)
+    if head or tail:
+        kept = len(index.units) - tail
+        units = index.units[:head] + units + index.units[kept:]
+        bounds = index.bounds[: 4 * head] + bounds + index.bounds[4 * kept :]
+    end = Position(source.count("\n") + 1, len(source) - source.rfind("\n"))
+    begin = Position(bounds[0], bounds[1]) if units else end
+    if index is not None:
+        index.source, index.filename = source, filename
+        index.units, index.bounds = units, bounds
+        index.reused, index.reparsed = len(units) - reparsed, reparsed
+        index._line_starts = None
+    return Program(
+        tuple(unit for unit in units if not isinstance(unit, ControlDecl)),
+        tuple(unit for unit in units if isinstance(unit, ControlDecl)),
+        span=SourceSpan(begin, end, filename),
+        name=name or filename,
+    )
+
+
+def _reuse_plan(
+    index: ParseIndex, source: str, filename: str
+) -> Optional[Tuple[int, int, int, int, int, int]]:
+    """What :func:`_parse` may reuse of ``index`` for ``source``: how many
+    units at the head and at the tail, and the region between them
+    (start, stop, and the line and line start at start), or None when
+    nothing is reusable."""
+    old, bounds, count = index.source, index.bounds, len(index.units)
+    if old is None or index.filename != filename:
+        return None
+    limit = min(len(old), len(source))
+    changed = _common_prefix(old, source, limit)
+    suffix = _common_prefix(old[::-1], source[::-1], limit - changed)
+    # Units that end at or before the first changed character.
+    changed_at = (old.count("\n", 0, changed) + 1, changed - old.rfind("\n", 0, changed))
+    head = 0
+    while head < count and (bounds[4 * head + 2], bounds[4 * head + 3]) <= changed_at:
+        head += 1
+    # Units that start after a newline in the common suffix keep their
+    # line and column if the changed region keeps its line count.
+    tail = count
+    old_stop, new_stop = len(old) - suffix, len(source) - suffix
+    newline = old.find("\n", old_stop)
+    if newline >= 0 and old.count("\n", changed, old_stop) == source.count(
+        "\n", changed, new_stop
+    ):
+        boundary = changed_at[0] + old.count("\n", changed, newline)
+        while tail > head and bounds[4 * (tail - 1)] > boundary:
+            tail -= 1
+    if head == 0 and tail == count:
+        return None
+    start, line, line_start = 0, 1, 0
+    if head:
+        line = bounds[4 * head - 2]
+        line_start = index.offset(line, 1)
+        start = line_start + bounds[4 * head - 1] - 1
+    stop = len(source)
+    if tail < count:
+        stop = index.offset(bounds[4 * tail], bounds[4 * tail + 1]) + len(source) - len(old)
+    return head, count - tail, start, stop, line, line_start
+
+
+def _common_prefix(a: str, b: str, limit: int) -> int:
+    """Length of the longest common prefix of ``a`` and ``b``, at most ``limit``."""
+    low, high = 0, limit
+    while low < high:
+        mid = (low + high + 1) // 2
+        if a[low:mid] == b[low:mid]:
+            low = mid
+        else:
+            high = mid - 1
+    return low
 
 
 def parse_expression(source: str, filename: str = "<expr>") -> Expression:

@@ -191,11 +191,12 @@ class SiteRegistry:
         return log
 
     def restrict_to(self, sites: List[InferenceSite]) -> None:
-        """Replace the site order (dropping sites of deleted declarations)."""
+        """Replace the site order, dropping the sites and hints of nodes
+        that are no longer live (deleted or re-parsed declarations)."""
         self._order = list(sites)
         self._sites = {id(site.node): site for site in self._order}
         self._hints = {
-            id(node): (node, hint) for node, hint in self._hints.values()
+            key: hinted for key, hinted in self._hints.items() if key in self._sites
         }
 
     def __getstate__(self) -> dict:

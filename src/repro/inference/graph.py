@@ -77,7 +77,8 @@ class NormalisationCache:
 
     The decomposition consults the lattice (constant folding of join
     covers), so a cache is bound to one lattice and refuses reuse under
-    another.
+    another.  Each graph build keeps only the entries it used, so pairs
+    over the variables of deleted code do not outlive the next build.
     """
 
     def __init__(self, lattice: Lattice) -> None:
@@ -89,11 +90,17 @@ class NormalisationCache:
                 Tuple[Tuple[Term, Term], ...],
             ],
         ] = {}
+        #: The entries the build in progress has used so far.
+        self._used: Dict[Tuple[Term, Term], tuple] = {}
         self.hits = 0
         self.misses = 0
 
     def __len__(self) -> int:
         return len(self._memo)
+
+    def end_build(self) -> None:
+        """Keep only the entries the build now ending has used."""
+        self._memo, self._used = self._used, {}
 
     def normalise(
         self,
@@ -119,6 +126,7 @@ class NormalisationCache:
             self._memo[key] = entry
         else:
             self.hits += 1
+        self._used[key] = entry
         for lhs, target, cover in entry[0]:
             raw.append((lhs, target, constraint, cover))
         for lhs, rhs in entry[1]:
@@ -300,6 +308,8 @@ class PropagationGraph:
                 if var not in seen_vars:
                     seen_vars.add(var)
                     self.variables.append(var)
+        if self._cache is not None:
+            self._cache.end_build()
         self.checks = checks
         # Deduplicate by (lhs, target, cover): repeated use sites emit the
         # same edge over and over; one edge suffices for propagation, but

@@ -60,17 +60,11 @@ class VarSupply:
 
     def __init__(self) -> None:
         self._next = 0
-        self._vars: List[LabelVar] = []
 
     def fresh(self, hint: str = "", span: SourceSpan | None = None) -> LabelVar:
         var = LabelVar(self._next, hint, span or SourceSpan.unknown())
         self._next += 1
-        self._vars.append(var)
         return var
-
-    @property
-    def all_vars(self) -> Tuple[LabelVar, ...]:
-        return tuple(self._vars)
 
     def __len__(self) -> int:
         return self._next

@@ -12,20 +12,27 @@ annotation sites).
 Diffing a new revision against the cached states proceeds in three steps,
 all span-insensitive:
 
-1. **Match** by content fingerprint
-   (:func:`repro.syntax.digest.unit_fingerprint`): each new unit claims
-   the first unclaimed old unit with the same fingerprint, in order
-   (FIFO, so duplicated units pair up positionally).  Matching is
+1. **Match**, first by identity: a unit that *is* a cached state's node
+   -- the incremental parser
+   (:func:`repro.frontend.parser.parse_program` with an index) hands
+   back the units an edit did not touch -- matches that state as it
+   stands, with its cached fingerprint.  Every other unit (one the
+   parser re-parsed) is matched by content fingerprint
+   (:func:`repro.syntax.digest.unit_fingerprint`): it claims the first
+   unclaimed old unit with the same fingerprint, in order (FIFO, so
+   duplicated units pair up positionally).  Fingerprint matching is
    position-independent -- a unit that merely moved still matches.
 2. **Classify** by environment signature: a matched unit is *clean* only
    if the names it references still resolve to byte-identical earlier
    declarations (:func:`environment_signatures`).  A unit whose own text
    is untouched but whose referenced ``header`` changed is re-walked, so
    cross-unit label variables are re-allocated consistently.
-3. **Re-span**: a matched unit's cached AST is rewritten in place to the
-   new revision's positions (:func:`repro.syntax.digest.respan`), so
-   cached constraints and diagnostics render exactly as a cold parse of
-   the new source would.
+3. **Re-span**: only a unit matched by fingerprint -- that is, one that
+   was re-parsed -- has its cached AST rewritten in place to the new
+   revision's positions (:func:`repro.syntax.digest.respan`), so cached
+   constraints and diagnostics render exactly as a cold parse of the new
+   source would.  A unit matched by identity already carries the right
+   spans.
 
 Everything here is pure bookkeeping over the syntax layer; the walk that
 consumes the plan lives in :mod:`repro.workspace.regen`.
@@ -153,36 +160,49 @@ def diff_program(old_states: List[UnitState], program: Program) -> List[UnitPlan
 
     Returns one :class:`UnitPlan` per unit of the new revision, in walk
     order.  Matched units *reuse the old state object* (and with it the
-    old AST nodes, whose identities anchor cached label variables); their
-    spans are rewritten in place to the new positions.  Old states that
-    no new unit claims are dropped -- their annotation sites disappear
-    from the registry once the walk's touch union is recomputed.
+    old AST nodes, whose identities anchor cached label variables); the
+    spans of those matched by fingerprint are rewritten in place to the
+    new positions.  Old states that no new unit claims are dropped --
+    their annotation sites disappear from the registry once the walk's
+    touch union is recomputed.
     """
     units = program_units(program)
-    fingerprints = [unit_fingerprint(unit) for unit in units]
 
+    # A unit that *is* a cached node (the parser handed it back unchanged)
+    # is a clean match as it stands: same content, spans already right.
+    by_node = {id(state.node): state for state in old_states}
+    matches: List[Optional[UnitState]] = [by_node.pop(id(unit), None) for unit in units]
+    claimed = {id(state) for state in matches if state is not None}
     pool: Dict[str, List[UnitState]] = {}
     for state in old_states:
-        pool.setdefault(state.fingerprint, []).append(state)
+        if id(state) not in claimed:
+            pool.setdefault(state.fingerprint, []).append(state)
 
-    # Match (and re-span) first, so reference sets of matched units can be
-    # taken from the cached state instead of re-walking their trees: equal
-    # fingerprints mean equal content, hence equal referenced names.
-    matches: List[Optional[UnitState]] = []
+    # Match (and re-span) the rest by fingerprint, so reference sets of
+    # matched units can be taken from the cached state instead of
+    # re-walking their trees: equal fingerprints mean equal content,
+    # hence equal referenced names.
+    fingerprints: List[str] = []
     span_maps: List[Dict[object, object]] = []
     for index, unit in enumerate(units):
-        bucket = pool.get(fingerprints[index])
-        old = bucket.pop(0) if bucket else None
+        old = matches[index]
         span_map: Dict[object, object] = {}
         if old is not None:
-            try:
-                span_map = respan(old.node, unit)
-            except RespanMismatch:
-                # Identical fingerprints should guarantee identical
-                # shapes; if they somehow do not, fall back to a full
-                # re-walk of the fresh node rather than corrupt caches.
-                old, span_map = None, {}
-        matches.append(old)
+            fingerprint = old.fingerprint
+        else:
+            fingerprint = unit_fingerprint(unit)
+            bucket = pool.get(fingerprint)
+            old = bucket.pop(0) if bucket else None
+            if old is not None:
+                try:
+                    span_map = respan(old.node, unit)
+                except RespanMismatch:
+                    # Identical fingerprints should guarantee identical
+                    # shapes; if they somehow do not, fall back to a full
+                    # re-walk of the fresh node rather than corrupt caches.
+                    old, span_map = None, {}
+            matches[index] = old
+        fingerprints.append(fingerprint)
         span_maps.append(span_map)
 
     referenced = [

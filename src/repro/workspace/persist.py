@@ -20,6 +20,7 @@ import pickle
 from pathlib import Path
 from typing import Union
 
+from repro.frontend.parser import ParseIndex
 from repro.telemetry.recorder import NULL_RECORDER, current_recorder
 from repro.version import __version__
 
@@ -55,7 +56,11 @@ def save_workspace(workspace, path: Union[str, Path]) -> None:
 
 
 def load_workspace(path: Union[str, Path]):
-    """Restore a workspace persisted by :func:`save_workspace`."""
+    """Restore a workspace persisted by :func:`save_workspace`.
+
+    The restored workspace starts a fresh parse index, so its first edit
+    parses the whole source.
+    """
     from repro.workspace.session import Workspace, WorkspaceError
 
     try:
@@ -74,4 +79,5 @@ def load_workspace(path: Union[str, Path]):
     if not isinstance(workspace, Workspace):
         raise WorkspaceError(f"{path}: malformed workspace payload")
     workspace._generator.algebra.telemetry = current_recorder()
+    workspace._parse_index = ParseIndex()
     return workspace

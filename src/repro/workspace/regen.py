@@ -22,10 +22,10 @@ order (the dedup key includes the span, so per-unit capture cannot
 manufacture cross-unit collisions), and the live site list is the
 first-occurrence union of the units' touch logs -- which on a fully
 dirty refresh *is* allocation order.  A matched unit keeps its old AST
-node (so its sites keep their variables) but is re-spanned in place to
-the new revision's positions; cached constraints, diagnostics, and
-variable spans are rewritten through the re-span map so warm output
-renders identically to a cold run.
+node (so its sites keep their variables); one the parser re-parsed is
+re-spanned in place to the new revision's positions, and its cached
+constraints, diagnostics, and variable spans are rewritten through the
+re-span map so warm output renders identically to a cold run.
 
 Interception of context effects is by substitution, not patching:
 :class:`RecordingContext` / :class:`RecordingDefs` subclass the real

@@ -7,8 +7,12 @@ graph, the solved assignment, and cached verdicts -- and keeps them warm
 across edits:
 
 * :meth:`Workspace.open` / :meth:`Workspace.edit` install a new source
-  revision; :meth:`Workspace.infer` (and everything downstream) then
-  re-walks only the *changed* declarations
+  revision, re-parsing only the top-level units the edit touched (a
+  :class:`~repro.frontend.parser.ParseIndex` of the last good parse);
+  the others come back as the cached nodes, which the diff matches by
+  identity, so only re-parsed units are fingerprinted and re-spanned.
+  :meth:`Workspace.infer` (and everything downstream) then re-walks only
+  the *changed* declarations
   (:class:`~repro.workspace.regen.IncrementalGenerator`) and re-solves
   only the edit's cone of influence
   (:meth:`~repro.inference.engine.Solver.rebase`);
@@ -38,7 +42,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Union
 
 from repro.frontend.errors import FrontendError
-from repro.frontend.parser import parse_program
+from repro.frontend.parser import ParseIndex, parse_program
 from repro.inference.elaborate import elaborate_program
 from repro.inference.engine import (
     InferenceResult,
@@ -91,6 +95,9 @@ class Workspace:
         self.revision = 0
         self.program: Optional[Program] = None
         self.parse_error: Optional[str] = None
+        #: The last successful parse, from which an edit re-parses only
+        #: the units it touched.
+        self._parse_index = ParseIndex()
         self._generator = IncrementalGenerator(
             resolved, allow_declassification=allow_declassification
         )
@@ -142,7 +149,9 @@ class Workspace:
         self.revision += 1
         self._invalidate()
         try:
-            program = parse_program(source, filename, name=self.name)
+            program = parse_program(
+                source, filename, name=self.name, index=self._parse_index
+            )
         except FrontendError as exc:
             self.parse_error = str(exc)
             self.program = None
@@ -161,6 +170,7 @@ class Workspace:
             self.name = name
         self.revision += 1
         self._invalidate()
+        self._parse_index = ParseIndex()
         self.parse_error = None
         self.program = program
 
@@ -204,9 +214,13 @@ class Workspace:
                 "workspace.constraints_regenerated", stats.constraints_regenerated
             )
             recorder.count("workspace.sites_live", stats.sites_live)
+            recorder.count("parse.units_reused", self._parse_index.reused)
+            recorder.count("parse.units_reparsed", self._parse_index.reparsed)
         # Matched units keep their original AST nodes; the assembled
         # program (identical to the parse on a first refresh) is what
-        # every downstream phase must see.
+        # every downstream phase must see, and what the next edit's
+        # parse hands back for the units it leaves alone.
+        self._parse_index.relink(self.program, generation.program)
         self.program = generation.program
         self._generation = generation
         self._generation_rev = self.revision
@@ -494,6 +508,10 @@ class Workspace:
             "parsed": self.program is not None,
             "parse_error": self.parse_error,
             "units": len(self._generator.units),
+            "parse": {
+                "units_reused": self._parse_index.reused,
+                "units_reparsed": self._parse_index.reparsed,
+            },
             "constraints": len(self._generation.constraints)
             if self._generation is not None
             else None,

@@ -12,15 +12,18 @@ the incrementality.
 
 from __future__ import annotations
 
+import gc
 import random
 
 import pytest
 
 from repro.casestudies import get_case_study
+from repro.casestudies.base import strip_body_annotations
 from repro.lattice.registry import available_lattices, get_lattice
 from repro.synth import sharded_dataflow_program
 from repro.telemetry import TraceRecorder, use_recorder
 from repro.tool.pipeline import check_source
+from repro.tool.report import report_to_dict
 from repro.workspace import Workspace, WorkspaceError
 
 
@@ -242,6 +245,114 @@ class TestIncrementality:
         assert recorder.counters.get("solver.rebase.calls") is None
         assert recorder.counters["workspace.regenerations"] == 1
         assert recorder.counters["workspace.units_rewalked"] == 6
+
+
+def _report(report) -> dict:
+    """A report as ``p4bid --json`` prints it, minus the timings and the
+    solver statistics, which count the warm re-solve's own work."""
+    payload = report_to_dict(report)
+    payload.pop("timing_ms")
+    if payload["inference"] is not None:
+        payload["inference"].pop("solver")
+    return payload
+
+
+class TestIncrementalParse:
+    """Edits re-parse only the units they touch; the unchanged units come
+    back as the cached nodes, and every answer stays the cold one."""
+
+    SEED = "header shard2_t {\n    <bit<8>, low> seed;"
+
+    def test_edit_sequence_matches_fresh_checks(self, tmp_path):
+        study = get_case_study("d2r")
+        stripped = strip_body_annotations(study.secure_source)
+        control = stripped.index("control ")
+        revisions = [
+            study.insecure_source,
+            stripped,
+            stripped[: len(stripped) // 2],  # fails to parse
+            stripped.replace("\n", "\n// note\n", 1),  # a comment line at the top
+            stripped[:control] + "\n\n" + stripped[control:],  # lines above a control
+            stripped[:control] + "/* only a comment */" + stripped[control:],
+            "save-load",
+            study.secure_source,
+        ]
+        workspace = Workspace(study.lattice_name)
+        assert workspace.open(study.secure_source, filename="d2r.p4")
+        for revision in revisions:
+            if revision == "save-load":
+                path = tmp_path / "session.p4bidws"
+                workspace.save(path)
+                workspace = Workspace.load(path)
+                continue
+            workspace.edit(revision)
+            warm = workspace.check(infer=True, lint=True)
+            cold = check_source(
+                revision, study.lattice_name, infer=True, lint=True, filename="d2r.p4"
+            )
+            assert _report(warm) == _report(cold)
+
+    def test_parse_counters(self):
+        source = sharded_dataflow_program(4, depth=3, source_level="low")
+        workspace = Workspace()
+        assert workspace.open(source, filename="s.p4")
+        workspace.check(infer=True)
+        assert workspace.stats()["parse"] == {"units_reused": 0, "units_reparsed": 12}
+
+        raised = source.replace(self.SEED, self.SEED.replace("low", "high"))
+        recorder = TraceRecorder()
+        with use_recorder(recorder):
+            assert workspace.edit(raised)
+            workspace.check(infer=True)
+        assert workspace.stats()["parse"] == {"units_reused": 11, "units_reparsed": 1}
+        assert recorder.counters["parse.units_reparsed"] == 1
+        assert recorder.counters["parse.units_reused"] == 11
+        # The reused units are matched by identity: nothing is re-spanned.
+        assert recorder.counters["workspace.units_rewalked"] == 3
+        assert recorder.counters.get("workspace.units_respanned", 0) == 0
+
+        assert workspace.edit("// a new first line\n" + raised)
+        workspace.check(infer=True)
+        assert workspace.stats()["parse"] == {"units_reused": 0, "units_reparsed": 12}
+        regen = workspace.stats()["regen"]
+        assert (regen["units_rewalked"], regen["units_respanned"]) == (0, 12)
+
+    def test_open_program_and_load_reset_the_index(self, tmp_path):
+        source = sharded_dataflow_program(4, depth=3, source_level="low")
+        raised = source.replace(self.SEED, self.SEED.replace("low", "high"))
+        workspace = Workspace()
+        assert workspace.open(source, filename="s.p4")
+        workspace.check(infer=True)
+        path = tmp_path / "session.p4bidws"
+        workspace.save(path)
+        loaded = Workspace.load(path)
+        assert loaded.edit(raised)
+        assert loaded.stats()["parse"] == {"units_reused": 0, "units_reparsed": 12}
+        workspace.open_program(loaded.program)
+        assert workspace.edit(source)
+        assert workspace.stats()["parse"] == {"units_reused": 0, "units_reparsed": 12}
+
+    def test_edits_retain_nothing(self):
+        """Raise/lower cycles return the session to the same state, and the
+        memory it holds to the same size."""
+        source = sharded_dataflow_program(6, depth=8, source_level="low")
+        raised = source.replace(self.SEED, self.SEED.replace("low", "high"))
+        workspace = Workspace()
+        assert workspace.open(source, filename="s.p4")
+        workspace.check(infer=True)
+        registry = workspace._generator.algebra.registry
+
+        def counts():
+            gc.collect()
+            return len(gc.get_objects()), len(registry._hints), len(workspace._cache)
+
+        for cycle in range(80):
+            for revision in (raised, source):
+                assert workspace.edit(revision)
+                workspace.check(infer=True)
+            if cycle == 0:
+                first = counts()
+        assert counts() == first
 
 
 class TestPins:

@@ -10,7 +10,7 @@ result still matches a cold check of the edited source.
 
 from __future__ import annotations
 
-from repro.frontend.parser import parse_program
+from repro.frontend.parser import ParseIndex, parse_program
 from repro.syntax.digest import (
     declared_names,
     referenced_names,
@@ -200,6 +200,43 @@ control A(inout headers hdr) { apply { } }
         assert controls[0].state is states[1]
         assert controls[1].state is states[2]
 
+    def test_reused_nodes_match_by_identity(self, monkeypatch):
+        # A unit the parser handed back unchanged *is* the cached node: it
+        # matches without a fingerprint or a re-span.
+        index = ParseIndex()
+        states = [
+            plan.state
+            for plan in diff_program([], parse_program(BASE, index=index))
+        ]
+        edited = BASE.replace("hdr.h.a = 1;", "hdr.h.a = 2;")
+        program = parse_program(edited, index=index)
+        assert index.reparsed == 1
+        fingerprinted = []
+
+        def counting(unit):
+            fingerprinted.append(unit)
+            return unit_fingerprint(unit)
+
+        monkeypatch.setattr("repro.workspace.diff.unit_fingerprint", counting)
+        monkeypatch.setattr("repro.workspace.diff.respan", None)
+        plans = diff_program(states, program)
+        assert [plan.state for plan in plans[:2]] == states[:2]
+        assert fingerprinted == [program.controls[0]]
+        assert [plan.dirty for plan in plans] == [False, False, True]
+
+    def test_identity_matches_come_before_fifo(self):
+        # A fresh copy of a reused unit falls to the fingerprint pool; it
+        # must not claim the state the reused node itself matches.
+        twin = "\nstruct headers { }\ncontrol A(inout headers hdr) { apply { } }\n"
+        index = ParseIndex()
+        states = [plan.state for plan in diff_program([], parse_program(twin, index=index))]
+        copied = twin.replace("\nstruct", "\ncontrol A(inout headers hdr) { apply { } } struct")
+        program = parse_program(copied, index=index)
+        assert index.reused == 1
+        struct, fresh, reused = diff_program(states, program)
+        assert struct.state is states[0] and struct.respanned
+        assert reused.state is states[1] and not reused.dirty
+        assert fresh.state not in states and fresh.dirty
 
 class TestWorkspaceEdits:
     """End-to-end: the regen statistics and the warm-vs-cold contract."""
