@@ -1,16 +1,8 @@
-"""Analysis overhead: lint pass and pre-solve reduction, with guards.
+"""Analysis overhead: the lint pass, with guards.
 
-Two claims, checked structurally (counters, not just wall time, which
-shared CI runners make noisy):
-
-* the pre-solve reduction *shrinks the live problem* on the 10k-constraint
-  solver-scaling stress system -- it resolves variables and prunes edges
-  before Kleene iteration starts, so the scheduler visits strictly fewer
-  edges -- while producing the identical assignment;
-* running ``--lint`` and ``--presolve`` on the case studies stays within a
-  bounded multiple of the plain check (the lint engine re-runs the unified
-  traversal a small constant number of times, the reduction is one linear
-  topological sweep).
+Running ``--lint`` on the case studies stays within a bounded multiple of
+the plain check (the lint engine re-runs the unified traversal a small
+constant number of times).
 
 The measured numbers land in ``benchmarks/results/BENCH_analysis.json``
 (merged by the ``record_json`` fixture, uploaded by CI).  Runs in the CI
@@ -24,22 +16,13 @@ import os
 import statistics
 import time
 
-import pytest
-
 from repro.analysis import run_lints
-from repro.analysis.presolve import presolve_graph
 from repro.casestudies import all_case_studies
 from repro.frontend.parser import parse_program
-from repro.inference import generate_constraints
-from repro.inference.graph import PropagationGraph
 from repro.lattice.registry import get_lattice
-from repro.lattice.two_point import TwoPointLattice
-from repro.synth import deep_dataflow_program
 from repro.tool.pipeline import check_source
 
 SMOKE = os.environ.get("P4BID_SOLVER_BENCH_SMOKE", "") not in {"", "0"}
-DEEP_DEPTH = 400 if SMOKE else 10_500
-CONSTRAINT_FLOOR = 0 if SMOKE else 10_000
 REPETITIONS = 3 if SMOKE else 9
 
 
@@ -50,75 +33,6 @@ def _median_ms(fn, repetitions: int = REPETITIONS) -> float:
         fn()
         samples.append((time.perf_counter() - start) * 1000.0)
     return statistics.median(samples)
-
-
-@pytest.fixture(scope="module")
-def deep_graph():
-    lattice = TwoPointLattice()
-    generation = generate_constraints(
-        parse_program(deep_dataflow_program(DEEP_DEPTH)), lattice
-    )
-    assert not generation.errors
-    assert len(generation.constraints) >= CONSTRAINT_FLOOR
-    return lattice, PropagationGraph(lattice, generation.constraints)
-
-
-def test_presolve_shrinks_the_live_problem(deep_graph, record_json):
-    """Hard guard: fewer live edges and variables, identical assignment."""
-    lattice, graph = deep_graph
-    plain = graph.solve()
-    reduced = graph.solve(presolve=True)
-
-    stats = reduced.stats
-    assert stats.presolve_resolved_vars > 0, "presolve resolved nothing"
-    assert stats.presolve_pruned_edges > 0, "presolve pruned no edges"
-    live_edges_plain = plain.stats.edges_visited
-    live_edges_reduced = stats.edges_visited
-    assert live_edges_reduced < live_edges_plain, (
-        "presolve must leave strictly fewer edges to the Kleene iteration"
-    )
-    assert dict(plain.assignment) == dict(reduced.assignment)
-    assert len(plain.conflicts) == len(reduced.conflicts)
-
-    record_json(
-        "BENCH_analysis.json",
-        {
-            "presolve_stress": {
-                "constraints": plain.stats.edge_count + plain.stats.check_count,
-                "variables": plain.stats.variable_count,
-                "resolved_vars": stats.presolve_resolved_vars,
-                "pruned_edges": stats.presolve_pruned_edges,
-                "edges_visited_plain": live_edges_plain,
-                "edges_visited_presolved": live_edges_reduced,
-                "presolve_ms": round(stats.presolve_ms, 3),
-                "solve_ms_plain": round(plain.stats.solve_ms, 3),
-                "solve_ms_presolved": round(stats.solve_ms, 3),
-                "smoke": SMOKE,
-            }
-        },
-    )
-
-
-def test_presolve_overhead_is_bounded(deep_graph, record_json):
-    """The reduction sweep must not dominate the solve it accelerates."""
-    lattice, graph = deep_graph
-    presolve_ms = _median_ms(lambda: presolve_graph(graph))
-    solve_ms = _median_ms(lambda: graph.solve())
-    # One linear topological sweep vs a full solve: generous 3x + 5ms slack
-    # absorbs shared-runner noise without hiding a superlinear regression.
-    assert presolve_ms <= 3.0 * solve_ms + 5.0, (
-        f"presolve took {presolve_ms:.2f} ms vs {solve_ms:.2f} ms solve"
-    )
-    record_json(
-        "BENCH_analysis.json",
-        {
-            "presolve_sweep": {
-                "presolve_ms": round(presolve_ms, 3),
-                "plain_solve_ms": round(solve_ms, 3),
-                "smoke": SMOKE,
-            }
-        },
-    )
 
 
 def test_lint_overhead_is_bounded_on_case_studies(record_json):
@@ -147,7 +61,7 @@ def test_lint_overhead_is_bounded_on_case_studies(record_json):
 
 
 def test_lint_pipeline_overhead(record_json):
-    """End-to-end: check_source with lint+presolve vs without, per case."""
+    """End-to-end: check_source with lint vs without, per case."""
     rows = {}
     for case in all_case_studies():
         plain_ms = _median_ms(
@@ -158,7 +72,6 @@ def test_lint_pipeline_overhead(record_json):
                 case.secure_source,
                 case.lattice_name,
                 infer=True,
-                presolve=True,
                 lint=True,
             )
         )
@@ -167,6 +80,6 @@ def test_lint_pipeline_overhead(record_json):
         )
         rows[case.name] = {
             "infer_ms": round(plain_ms, 3),
-            "infer_lint_presolve_ms": round(full_ms, 3),
+            "infer_lint_ms": round(full_ms, 3),
         }
     record_json("BENCH_analysis.json", {"pipeline_overhead": rows})

@@ -16,11 +16,7 @@ noisy:
 
 Set ``P4BID_SOLVER_BENCH_SMOKE=1`` to run the same assertions at reduced
 size (the CI smoke job does this so solver regressions fail fast); the
-10k-constraint floor is only asserted at full size.  The packed-backend
-ops/sec curve (:func:`test_packed_backend_scaling_curve`) runs 10k and
-100k tiers by default and adds the 1M tier when
-``P4BID_SOLVER_BENCH_FULL=1`` is set (generation plus graph construction
-at 1M takes about a minute, so the full curve is opt-in).
+10k-constraint floor is only asserted at full size.
 """
 
 from __future__ import annotations
@@ -41,31 +37,15 @@ from repro.inference import (
     solve,
     solve_worklist,
 )
-from repro.inference.graph import PropagationGraph
-from repro.inference.packed import solve_packed
-from repro.lattice.registry import get_lattice
 from repro.lattice.two_point import TwoPointLattice
-from repro.synth import deep_dataflow_program, mega_constraint_system, scc_cycle_program
+from repro.synth import deep_dataflow_program, scc_cycle_program
 
 SMOKE = os.environ.get("P4BID_SOLVER_BENCH_SMOKE", "") not in {"", "0"}
-FULL = os.environ.get("P4BID_SOLVER_BENCH_FULL", "") not in {"", "0"}
 #: Sized so each system comfortably clears 10,000 constraints at full size.
 DEEP_DEPTH = 400 if SMOKE else 10_500
 CYCLE_COUNT = 80 if SMOKE else 1_700
 CYCLE_LENGTH = 5
 CONSTRAINT_FLOOR = 0 if SMOKE else 10_000
-
-#: Packed-curve tiers: (constraints, timing repetitions).  Single-shot
-#: timings on shared runners vary by 2-3x, so every number reported is the
-#: minimum over several repetitions of the *solve stage only* (the graph is
-#: prebuilt, the packed system warm; encode cost is reported separately).
-if SMOKE:
-    PACKED_TIERS = [(2_000, 7)]
-elif FULL:
-    PACKED_TIERS = [(10_000, 7), (100_000, 5), (1_000_000, 2)]
-else:
-    PACKED_TIERS = [(10_000, 7), (100_000, 5)]
-
 
 def _system(source: str):
     lattice = TwoPointLattice()
@@ -291,104 +271,6 @@ def test_unsat_core_extraction_scales(record_table, record_json):
                 "constraints": len(constraints),
                 "core_size": len(conflict.core),
                 "ms": round(ms, 3),
-            }
-        },
-    )
-
-
-def _min_of(repetitions, fn, *args, **kwargs):
-    """(best result, best ms): minimum wall time over ``repetitions`` runs."""
-    best = None
-    best_ms = float("inf")
-    for _ in range(repetitions):
-        start = time.perf_counter()
-        result = fn(*args, **kwargs)
-        ms = (time.perf_counter() - start) * 1000.0
-        if ms < best_ms:
-            best, best_ms = result, ms
-    return best, best_ms
-
-
-def test_packed_backend_scaling_curve(record_table, record_json):
-    """The bit-packed backend's ops/sec curve, 10k to 1M constraints.
-
-    Per tier: one mega-scale synthetic system, one prebuilt propagation
-    graph, then min-of-N timings of the object (graph) backend vs the warm
-    packed backend.  Asserts the packed backend is never slower than the
-    graph backend at any tier, clears a 5x speedup at the 100k tier, and
-    produces the identical least solution everywhere.
-    """
-    lattice = get_lattice("diamond")
-    curve = []
-    lines = [
-        f"Packed backend scaling curve ({'smoke' if SMOKE else 'full' if FULL else 'default'})",
-        f"{'constraints':>12} {'graph ms':>10} {'packed ms':>10} {'speedup':>8} "
-        f"{'packed ops/s':>13} {'encode ms':>10}",
-    ]
-    for n_constraints, repetitions in PACKED_TIERS:
-        constraints, _ = mega_constraint_system(
-            n_constraints, lattice, seed=11, chains=64, cycle_every=97
-        )
-        graph = PropagationGraph(lattice, constraints)
-        # Cold packed solve: pays codec construction + edge compilation, and
-        # leaves the PackedSystem cached on the graph for the warm timings.
-        cold, cold_ms = _min_of(1, solve_packed, lattice, graph=graph)
-        assert cold.stats.backend == "packed", cold.stats.fallback_reason
-
-        graph_solution, graph_ms = _min_of(repetitions, graph.solve)
-        packed_solution, packed_ms = _min_of(
-            repetitions, solve_packed, lattice, graph=graph
-        )
-        assert packed_solution.assignment == graph_solution.assignment
-        assert packed_solution.ok and graph_solution.ok
-
-        speedup = graph_ms / packed_ms if packed_ms else float("inf")
-        edges = len(graph.edges)
-        ops_per_sec = edges / (packed_ms / 1000.0) if packed_ms else None
-        stats = packed_solution.stats
-        curve.append(
-            {
-                "constraints": n_constraints,
-                "edges": edges,
-                "repetitions": repetitions,
-                "graph_ms": round(graph_ms, 3),
-                "packed_ms": round(packed_ms, 3),
-                "packed_cold_ms": round(cold_ms, 3),
-                "encode_ms": round(stats.encode_ms, 3),
-                "speedup": round(speedup, 2),
-                "ops_per_sec": round(ops_per_sec, 1) if ops_per_sec else None,
-                "sweeps": stats.sweeps,
-                "clusters": stats.clusters,
-                "waves": stats.waves,
-                "max_wave_width": stats.max_wave_width,
-                "workers": stats.workers,
-            }
-        )
-        lines.append(
-            f"{n_constraints:>12,} {graph_ms:>10.1f} {packed_ms:>10.1f} "
-            f"{speedup:>7.1f}x {ops_per_sec:>13,.0f} {stats.encode_ms:>10.1f}"
-        )
-        # The CI gate: warm packed must never lose to the object backend
-        # (1.1 tolerance absorbs scheduler jitter on shared runners).
-        assert packed_ms <= graph_ms * 1.1, (
-            f"packed backend slower than graph at {n_constraints}: "
-            f"{packed_ms:.1f} ms vs {graph_ms:.1f} ms"
-        )
-        if n_constraints >= 100_000:
-            assert speedup >= 5.0, (
-                f"packed backend must clear 5x at the 100k tier, got {speedup:.1f}x"
-            )
-
-    record_table("solver_packed_curve.txt", "\n".join(lines))
-    record_json(
-        "BENCH_solver.json",
-        {
-            "packed_scaling": {
-                "smoke": SMOKE,
-                "full": FULL,
-                "lattice": "diamond",
-                "backend": "packed",
-                "curve": curve,
             }
         },
     )

@@ -1,7 +1,8 @@
 """Static analyses over the label-flow structure.
 
-The checker and solver answer "does it check?"; this package answers the
-follow-up questions a reviewer actually asks:
+The checker and the inference solver answer "does it check?"; this
+package answers the follow-up questions a reviewer actually asks, over the
+same propagation graph the one constraint solver builds:
 
 * *why does it fail?* -- :mod:`repro.analysis.witness` walks the
   propagation graph backwards from a failing obligation to the nearest
@@ -10,9 +11,6 @@ follow-up questions a reviewer actually asks:
   runs the coded ``P4B0xx`` rules (redundant/slack annotations,
   ineffective declassify, dead slots, unreachable code) defined in
   :mod:`repro.analysis.rules`;
-* *can the solver skip work?* -- :mod:`repro.analysis.presolve` folds the
-  constant-reachable acyclic region of the graph before Kleene iteration,
-  preserving the least solution and conflict set exactly;
 * *how do tools consume it?* -- :mod:`repro.analysis.sarif` serialises
   findings as SARIF 2.1.0 (``p4bid --lint --sarif FILE``).
 """
@@ -24,7 +22,6 @@ from repro.analysis.lints import (
     probe_declassifications,
     run_lints,
 )
-from repro.analysis.presolve import PresolveReduction, presolve_graph
 from repro.analysis.rules import (
     ALL_RULES,
     Finding,
@@ -55,7 +52,6 @@ __all__ = [
     "Finding",
     "LeakWitness",
     "LintRule",
-    "PresolveReduction",
     "RelatedSpan",
     "ReleasedFlow",
     "Severity",
@@ -64,7 +60,6 @@ __all__ = [
     "finding_from_parse_error",
     "findings_from_core",
     "findings_from_diagnostics",
-    "presolve_graph",
     "probe_declassifications",
     "rule_by_code",
     "rule_for_violation",

@@ -13,7 +13,8 @@ be prefixed by ``@pc(label)`` to request type checking under a non-bottom
 program counter (isolation case study, Section 5.4).
 
 Binary operators are parsed by precedence climbing, and input nested
-deeper than :data:`MAX_DEPTH` is rejected with a located error.
+deeper than :data:`MAX_DEPTH`, or types nested deeper than
+:data:`MAX_TYPE_DEPTH`, is rejected with a located error.
 
 Given a :class:`ParseIndex` of the previous revision, :func:`parse_program`
 lexes and parses only the text around an edit and hands back the other
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 from array import array
 from itertools import accumulate
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.frontend.errors import FrontendError, ParserError
 from repro.frontend.lexer import Token, TokenKind, scan, tokenize
@@ -105,6 +106,16 @@ _UNARY_OPERATORS = frozenset({"!", "-", "~"})
 #: :class:`ParserError` instead of a ``RecursionError``.  Real programs
 #: nest a few levels; the deepest test input is a 300-selector chain.
 MAX_DEPTH = 320
+
+#: Deepest type declaration the parser accepts.  Each ``header``,
+#: ``struct`` and ``typedef`` on a chain of named types is one level,
+#: wherever the names are declared, and so is each stack suffix ``[n]``;
+#: a use of a type may add at most as many suffixes again.  The type
+#: walkers downstream -- security-type conversion, typedef unfolding --
+#: spend up to five frames per level, and may run below a statement or
+#: expression nested :data:`MAX_DEPTH` deep, so the cap is far lower.
+#: Real programs nest a handful of levels.
+MAX_TYPE_DEPTH = 32
 
 _TYPE_KEYWORDS = frozenset({"bit", "bool", "int", "void"})
 
@@ -742,8 +753,14 @@ class Parser:
         else:
             raise ParserError(f"expected a type, found {token}", token.span)
         # header stacks / arrays: τ[n]
+        stacks = 0
         while self._check_punct("[") and self._peek(1).kind is TokenKind.INT:
-            self._advance()
+            bracket = self._advance()
+            stacks += 1
+            if stacks > MAX_TYPE_DEPTH:
+                raise ParserError(
+                    f"type nesting deeper than {MAX_TYPE_DEPTH} levels", bracket.span
+                )
             size = self._advance()
             self._expect_punct("]", "to close a stack type")
             base = StackType(AnnotatedType(base, None), size.value or 0)
@@ -882,6 +899,7 @@ def _parse(
         kept = len(index.units) - tail
         units = index.units[:head] + units + index.units[kept:]
         bounds = index.bounds[: 4 * head] + bounds + index.bounds[4 * kept :]
+    _check_type_depth(units)
     end = Position(source.count("\n") + 1, len(source) - source.rfind("\n"))
     begin = Position(bounds[0], bounds[1]) if units else end
     if index is not None:
@@ -895,6 +913,61 @@ def _parse(
         span=SourceSpan(begin, end, filename),
         name=name or filename,
     )
+
+
+def _check_type_depth(units: List[Unit]) -> None:
+    """Refuse a type declaration nested deeper than :data:`MAX_TYPE_DEPTH`.
+
+    A declaration's depth is its own level plus its stack suffixes plus
+    the depth of the deepest named type it refers to.  Names may refer
+    forward, and in cycles, which the checkers report; every declaration
+    a cycle reaches gets the levels of the whole unresolved region, an
+    upper bound on any chain a walker can follow before it finds the
+    cycle.  Iterative, so the check itself cannot overflow.
+    """
+    decls = [u for u in units if isinstance(u, (HeaderDecl, StructDecl, TypedefDecl))]
+    if not decls:
+        return
+    own: Dict[str, int] = {}
+    refs: Dict[str, Set[str]] = {}
+    for decl in decls:
+        fields = [decl.ty] if isinstance(decl, TypedefDecl) else [f.ty for f in decl.fields]
+        levels, names = 1, refs.setdefault(decl.name, set())
+        for annotated in fields:
+            ty, stacks = annotated.ty, 0
+            while isinstance(ty, StackType):
+                ty, stacks = ty.element.ty, stacks + 1
+            levels = max(levels, 1 + stacks)
+            if isinstance(ty, TypeName):
+                names.add(ty.name)
+        own[decl.name] = max(own.get(decl.name, 1), levels)
+    users: Dict[str, List[str]] = {name: [] for name in own}
+    pending: Dict[str, int] = {}
+    for name, names in refs.items():
+        declared = names & own.keys()
+        pending[name] = len(declared)
+        for ref in declared:
+            users[ref].append(name)
+    below = dict.fromkeys(own, 0)
+    depth: Dict[str, int] = {}
+    ready = [name for name, count in pending.items() if not count]
+    while ready:
+        name = ready.pop()
+        depth[name] = own[name] + below[name]
+        for user in users[name]:
+            below[user] = max(below[user], depth[name])
+            pending[user] -= 1
+            if not pending[user]:
+                ready.append(user)
+    cyclic = [name for name in own if name not in depth]
+    if cyclic:
+        bound = sum(own[name] for name in cyclic) + max(below[name] for name in cyclic)
+        depth.update(dict.fromkeys(cyclic, bound))
+    for decl in decls:
+        if depth[decl.name] > MAX_TYPE_DEPTH:
+            raise ParserError(
+                f"type nesting deeper than {MAX_TYPE_DEPTH} levels", decl.span
+            )
 
 
 def _reuse_plan(

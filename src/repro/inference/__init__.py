@@ -14,16 +14,16 @@ fully annotated program that the unmodified checker re-verifies.
   over the shared Figure 5–7 traversal (:mod:`repro.flow`) run with the
   symbolic label algebra, and the :class:`InferenceLabeler` that turns
   missing or ``infer``-marked annotations into variables.
-* :mod:`repro.inference.solve` -- Kleene least-fixpoint solving plus
-  unsatisfiable-core extraction for conflicts.
-* :mod:`repro.inference.graph` -- the propagation-graph subsystem: edges
+* :mod:`repro.inference.solve` -- the :func:`solve` entry point, Kleene
+  least-fixpoint semantics and unsatisfiable-core extraction for
+  conflicts, plus :func:`solve_worklist`, the single-worklist reference
+  solver the property tests use as an oracle.
+* :mod:`repro.inference.graph` -- the one solving engine: edges
   deduplicated and condensed into SCCs (Tarjan), the Kleene iteration
   scheduled in topological component order, cone-of-influence queries.
-* :mod:`repro.inference.packed` -- the bit-packed array backend
-  (``solve(..., backend="packed")``): labels encoded as machine ints,
-  batched Kleene sweeps over flattened edge blocks, and independent SCC
-  clusters dispatched across a process pool -- with automatic fallback to
-  the object backend for lattices without an int encoding.
+* :mod:`repro.inference.packed` -- verified int codecs for labels
+  (``join = |``, ``leq`` as one compare), which the policy decision
+  engine uses on its hot path.
 * :mod:`repro.inference.elaborate` -- substitution of solved labels back
   into the AST.
 * :mod:`repro.inference.engine` -- the generate → solve → elaborate
@@ -52,15 +52,8 @@ from repro.inference.generate import (
     generate_constraints,
 )
 from repro.inference.graph import PropagationEdge, PropagationGraph, SolverStats
-from repro.inference.packed import (
-    CodecError,
-    LabelCodec,
-    PackedSystem,
-    codec_for,
-    solve_packed,
-)
+from repro.inference.packed import CodecError, LabelCodec, codec_for
 from repro.inference.solve import (
-    SOLVER_BACKENDS,
     InferenceConflict,
     InferenceError,
     Solution,
@@ -97,10 +90,8 @@ __all__ = [
     "LabelCodec",
     "LabelVar",
     "MeetTerm",
-    "PackedSystem",
     "PropagationEdge",
     "PropagationGraph",
-    "SOLVER_BACKENDS",
     "Solution",
     "Solver",
     "SolverStats",
@@ -116,6 +107,5 @@ __all__ = [
     "join_terms",
     "meet_terms",
     "solve",
-    "solve_packed",
     "solve_worklist",
 ]

@@ -25,18 +25,7 @@ from repro.inference.elaborate import elaborate_program
 from repro.inference.generate import GenerationResult, generate_constraints
 from repro.inference.graph import NormalisationCache, PropagationGraph
 from repro.inference.solve import InferenceConflict, Solution, solve
-from repro.inference.terms import (
-    ConstTerm,
-    JoinTerm,
-    LabelVar,
-    MeetTerm,
-    Term,
-    VarTerm,
-    evaluate,
-    free_vars,
-    join_terms,
-    meet_terms,
-)
+from repro.inference.terms import ConstTerm, LabelVar, VarTerm, evaluate, free_vars
 from repro.lattice.base import Label, Lattice
 from repro.lattice.two_point import TwoPointLattice
 from repro.syntax.program import Program
@@ -94,9 +83,6 @@ def _maximise_control_pcs(
     lattice: Lattice,
     generation: GenerationResult,
     solution: Solution,
-    *,
-    backend: str = "graph",
-    workers: int = 1,
 ) -> Solution:
     """Re-solve with each ``@pc(infer)`` variable pushed as high as it goes.
 
@@ -151,12 +137,7 @@ def _maximise_control_pcs(
         )
         for var, label in candidates.items()
     ]
-    boosted = solve(
-        lattice,
-        generation.constraints + freezes + pins,
-        backend=backend,
-        workers=workers,
-    )
+    boosted = solve(lattice, generation.constraints + freezes + pins)
     if not boosted.ok:
         return solution
     # Report the *user's* constraint system, not the internal augmented one
@@ -199,13 +180,9 @@ class Solver:
         constraints: Sequence[Constraint],
         *,
         cache: Optional[NormalisationCache] = None,
-        backend: str = "graph",
-        workers: int = 1,
         graph: Optional[PropagationGraph] = None,
     ) -> None:
         self.lattice = lattice
-        self.backend = backend
-        self.workers = workers
         self._cache = cache
         #: ``graph`` lets a caller that already built the propagation graph
         #: over exactly these constraints (e.g. a workspace adopting a cold
@@ -323,10 +300,10 @@ class Solver:
     def adopt(self, solution: Solution) -> None:
         """Seed the persistent state from an externally computed solution.
 
-        Used by a workspace whose *initial* solve ran through another
-        backend (``solve(..., backend="packed")``): the assignment is
-        taken over, the per-check verdicts are re-derived against this
-        solver's graph (so they are aligned for incremental updates), and
+        Used by a workspace whose *initial* solve was the one-shot
+        :func:`~repro.inference.solve.solve`: the assignment is taken
+        over, the per-check verdicts are re-derived against this solver's
+        graph (so they are aligned for incremental updates), and
         ``solution`` becomes the cached result.  Only valid before any
         pin has been applied.
         """
@@ -432,10 +409,7 @@ class Solver:
                 pin = self._pins.get(var)
                 carried[var] = pin if pin is not None else self.lattice.bottom
             if components:
-                if self.backend == "graph":
-                    new_graph.propagate(carried, stats, components)
-                else:
-                    self._solve_cone_packed(new_graph, cone, carried, stats)
+                new_graph.propagate(carried, stats, components)
             for var, label in self._pins.items():
                 if var not in new_graph.component_of:
                     carried[var] = label
@@ -483,61 +457,6 @@ class Solver:
         self._solution = self._snapshot(stats)
         return self._solution
 
-    def _solve_cone_packed(
-        self,
-        graph: PropagationGraph,
-        cone,
-        carried: Dict[LabelVar, Label],
-        stats,
-    ) -> None:
-        """Re-solve the cone through the configured (packed) backend.
-
-        The cone is forward-closed, so every in-edge of a cone variable
-        has converged sources outside it: substituting those sources with
-        their carried values yields a *self-contained* subsystem whose
-        least solution is exactly the restriction of the global one.
-        Pins become explicit floor constraints.  Checks, cores and
-        witnesses are never computed here -- they always run against the
-        main graph, so the output is byte-identical across backends.
-        """
-        sub: List[Constraint] = []
-        edge_indices = sorted(
-            {index for var in cone for index in graph.edges_into.get(var, ())}
-        )
-        for index in edge_indices:
-            edge = graph.edges[index]
-            lhs = _substitute(edge.lhs, cone, carried, self.lattice)
-            if edge.cover is None:
-                rhs: Term = VarTerm(edge.target)
-            else:
-                rhs = join_terms(
-                    self.lattice, [VarTerm(edge.target), ConstTerm(edge.cover)]
-                )
-            sub.append(Constraint(lhs, rhs, edge.origin.span, edge.origin.rule))
-        for var in sorted(cone, key=lambda v: v.uid):
-            pin = self._pins.get(var)
-            if pin is not None:
-                sub.append(
-                    Constraint(ConstTerm(pin), VarTerm(var), var.span, rule="@pin")
-                )
-        solution = solve(
-            self.lattice, sub, backend=self.backend, workers=self.workers
-        )
-        for var in cone:
-            carried[var] = solution.value_of(var)
-        sub_stats = solution.stats
-        if sub_stats is not None:
-            stats.backend = sub_stats.backend
-            stats.encode_ms = sub_stats.encode_ms
-            stats.sweeps = sub_stats.sweeps
-            stats.waves = sub_stats.waves
-            stats.max_wave_width = sub_stats.max_wave_width
-            stats.clusters = sub_stats.clusters
-            stats.workers = sub_stats.workers
-            stats.fallback_reason = sub_stats.fallback_reason
-            stats.edges_visited = sub_stats.edges_visited
-            stats.worklist_pops = sub_stats.worklist_pops
-
     def _apply_pin(self, var: LabelVar, label: Optional[Label]) -> None:
         if label is None:
             self._pins.pop(var, None)
@@ -558,36 +477,11 @@ class Solver:
         return solution
 
 
-def _substitute(
-    term: Term,
-    cone,
-    carried: Dict[LabelVar, Label],
-    lattice: Lattice,
-) -> Term:
-    """Replace out-of-cone variables in ``term`` with their carried values."""
-    if isinstance(term, VarTerm):
-        if term.var in cone:
-            return term
-        return ConstTerm(carried.get(term.var, lattice.bottom))
-    if isinstance(term, JoinTerm):
-        return join_terms(
-            lattice, [_substitute(part, cone, carried, lattice) for part in term.parts]
-        )
-    if isinstance(term, MeetTerm):
-        return meet_terms(
-            lattice, [_substitute(part, cone, carried, lattice) for part in term.parts]
-        )
-    return term
-
-
 def infer_labels(
     program: Program,
     lattice: Optional[Lattice] = None,
     *,
     allow_declassification: bool = False,
-    presolve: bool = False,
-    backend: str = "graph",
-    solver_workers: int = 1,
 ) -> InferenceResult:
     """Infer a least label assignment for ``program`` under ``lattice``.
 
@@ -612,22 +506,10 @@ def infer_labels(
         recorder.count("infer.runs")
         recorder.count("infer.constraints_generated", len(generation.constraints))
         recorder.count("infer.slots", len(generation.sites))
-    solution = solve(
-        resolved,
-        generation.constraints,
-        presolve=presolve,
-        backend=backend,
-        workers=solver_workers,
-    )
+    solution = solve(resolved, generation.constraints)
     if solution.ok and generation.control_pc_vars:
         with recorder.span("infer.maximise-pc", pcs=len(generation.control_pc_vars)):
-            solution = _maximise_control_pcs(
-                resolved,
-                generation,
-                solution,
-                backend=backend,
-                workers=solver_workers,
-            )
+            solution = _maximise_control_pcs(resolved, generation, solution)
     inferred = [
         InferredLabel(
             site.hint,

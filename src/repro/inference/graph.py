@@ -181,39 +181,9 @@ class SolverStats:
     max_passes: int = 0
     components_solved: int = 0
     solve_ms: float = 0.0
-    #: What the constant-label pre-solve reduction (``solve(presolve=True)``,
-    #: :mod:`repro.analysis.presolve`) folded away before Kleene iteration:
-    #: variables whose least value was fixed by constant propagation, and
-    #: the edges into them that the schedule therefore never visited.
-    presolve_resolved_vars: int = 0
-    presolve_pruned_edges: int = 0
-    presolve_ms: float = 0.0
-    #: Which backend produced these stats: ``"graph"`` (the SCC-scheduled
-    #: object solver), ``"packed"`` (:mod:`repro.inference.packed`) or
-    #: ``"worklist"``.  The remaining fields are packed-backend counters:
-    #: time spent encoding the graph into int arrays, batched sweep count,
-    #: topological wave count / widest wave / independent cluster count of
-    #: the component DAG, the worker processes used, and -- when the packed
-    #: backend delegated back to the object solver -- why.
-    backend: str = "graph"
-    encode_ms: float = 0.0
-    sweeps: int = 0
-    waves: int = 0
-    max_wave_width: int = 0
-    clusters: int = 0
-    workers: int = 1
-    fallback_reason: str = ""
 
     def as_dict(self) -> Dict[str, Any]:
         return {
-            "backend": self.backend,
-            "encode_ms": self.encode_ms,
-            "sweeps": self.sweeps,
-            "waves": self.waves,
-            "max_wave_width": self.max_wave_width,
-            "clusters": self.clusters,
-            "workers": self.workers,
-            "fallback_reason": self.fallback_reason,
             "variables": self.variable_count,
             "edges": self.edge_count,
             "checks": self.check_count,
@@ -225,9 +195,6 @@ class SolverStats:
             "max_passes": self.max_passes,
             "components_solved": self.components_solved,
             "solve_ms": self.solve_ms,
-            "presolve_resolved_vars": self.presolve_resolved_vars,
-            "presolve_pruned_edges": self.presolve_pruned_edges,
-            "presolve_ms": self.presolve_ms,
         }
 
     def describe(self) -> str:
@@ -577,21 +544,9 @@ class PropagationGraph:
         return assignment
 
     def solve(
-        self,
-        overrides: Optional[Mapping[LabelVar, Label]] = None,
-        *,
-        presolve: bool = False,
+        self, overrides: Optional[Mapping[LabelVar, Label]] = None
     ) -> Solution:
-        """Full SCC-scheduled solve; least solution above ``overrides``.
-
-        ``presolve=True`` runs the constant-label reduction
-        (:func:`repro.analysis.presolve.presolve_graph`) first: variables
-        whose least value is forced by constants alone are fixed up front
-        and their components skipped by the schedule, so the Kleene
-        iteration only ever sees the *live* region of the graph.  The
-        assignment and conflict set are identical either way (property
-        tested); only :class:`SolverStats` shows the difference.
-        """
+        """Full SCC-scheduled solve; least solution above ``overrides``."""
         recorder = current_recorder()
         start = time.perf_counter()
         with recorder.span(
@@ -599,25 +554,7 @@ class PropagationGraph:
         ):
             stats = self._new_stats()
             assignment = self.fresh_assignment(overrides)
-            skip_components: Optional[Set[int]] = None
-            if presolve:
-                from repro.analysis.presolve import presolve_graph
-
-                reduction = presolve_graph(self, overrides)
-                reduction.apply(assignment, stats)
-                skip_components = reduction.resolved_components
-            if skip_components:
-                self.propagate(
-                    assignment,
-                    stats,
-                    (
-                        index
-                        for index in range(len(self.components))
-                        if index not in skip_components
-                    ),
-                )
-            else:
-                self.propagate(assignment, stats)
+            self.propagate(assignment, stats)
             conflicts = [c for c in self.check_conflicts(assignment) if c is not None]
         stats.solve_ms = (time.perf_counter() - start) * 1000.0
         if recorder.enabled:
@@ -625,13 +562,6 @@ class PropagationGraph:
             recorder.count("solver.edges_visited", stats.edges_visited)
             recorder.count("solver.worklist_pops", stats.worklist_pops)
             recorder.count("solver.conflicts", len(conflicts))
-            if presolve:
-                recorder.count(
-                    "solver.presolve.vars_resolved", stats.presolve_resolved_vars
-                )
-                recorder.count(
-                    "solver.presolve.edges_pruned", stats.presolve_pruned_edges
-                )
         solution = Solution(
             self.lattice,
             assignment,

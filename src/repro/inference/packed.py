@@ -1,80 +1,32 @@
-"""The bit-packed, parallel solver backend (``solve(..., backend="packed")``).
+"""Bit-packed label codecs: lattice labels as machine ints.
 
-The SCC-condensed scheduler in :mod:`repro.inference.graph` already visits
-each edge a near-optimal number of times; what remains at 10k+ constraints
-is pure interpreter overhead -- per-edge :func:`~repro.inference.terms.evaluate`
-recursion, per-operation lattice method calls, membership ``require``
-checks, frozenset unions.  This module removes that constant factor by
-changing the *data layout*, not the algorithm:
+Labels of structured lattices embed into machine integers so the lattice
+operations become single int instructions: ``join = |``, ``meet = &``,
+``leq(a, b) = (a | b == b)``.  Powersets get one bit per principal, chains
+the rank-unary encoding ``L_i ↦ 2^i - 1``, products the concatenation of
+their component codecs, policy labels one bit per purpose and recipient
+plus a rank-unary retention field, and any other finite lattice the
+generic Birkhoff embedding over its join-irreducible elements --
+*verified exhaustively* against the object lattice at build time, so a
+lattice the encoding cannot represent faithfully (any non-distributive
+order) gets no codec instead of one that computes wrong joins.
 
-* **Int codec** -- labels of structured lattices embed into machine
-  integers so the lattice operations become single int instructions:
-  ``join = |``, ``meet = &``, ``leq(a, b) = (a | b == b)``.  Powersets get
-  one bit per principal, chains the rank-unary encoding ``L_i ↦ 2^i - 1``,
-  products the concatenation of their component codecs, and any other
-  finite lattice the generic Birkhoff embedding over its join-irreducible
-  elements -- *verified exhaustively* against the object lattice at build
-  time, so a lattice the encoding cannot represent faithfully (any
-  non-distributive order) is rejected and the solver falls back to the
-  object backend instead of computing wrong joins.
-
-* **Flattened propagation arrays** -- the deduplicated
-  :class:`~repro.inference.graph.PropagationGraph` edges compile into flat
-  parallel tuples ``(target, const_bits, source_indices, cover_bits)``
-  (plus one ``eval``-compiled int expression per edge whose left side
-  mixes joins and meets), and variables into integer indices, so the inner
-  loop touches only small ints and a flat list.
-
-* **Batched Kleene sweeps** -- maximal runs of consecutive *acyclic*
-  components in the topological component order collapse into one edge
-  block swept exactly once (the SCC schedule guarantees every source is
-  final when its edge is reached); cyclic components iterate locally with
-  whole-block sweeps until a sweep changes nothing.
-
-* **Parallel component scheduling** -- the condensation's weakly connected
-  *clusters* (maximal groups of SCC components linked by any edge) are
-  mutually independent, so they dispatch concurrently across a
-  ``ProcessPoolExecutor`` in topological waves; every worker runs the same
-  batched sweeps over its clusters and returns only its cluster's solved
-  bits.  Results are byte-identical for any worker count because clusters
-  write disjoint variable sets and merge in cluster order.
-
-The backend is *exactly* equivalent to the object backends: the packed
-fixpoint is decoded back through the codec and the checks, unsat cores,
-witnesses, and pre-solve reduction all run over the same
-:class:`PropagationGraph` and the same (object) assignment, so
-``tests/test_packed_backend.py`` pins solutions, conflicts, cores and
-leak-path witnesses bit-for-bit against ``backend="graph"`` and
-:func:`~repro.inference.solve.solve_worklist`.
+:class:`repro.policy.engine.PolicyEngine` decides requests through these
+codecs (one OR and one compare per ``⊑`` check) and falls back to the
+object lattice when :func:`codec_for` returns ``None``.
+``tests/test_packed_codec.py`` pins the round-trip and algebra contract.
 """
 
 from __future__ import annotations
 
-import time
-from collections import defaultdict
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    Iterable,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.inference.constraints import Constraint
-from repro.inference.solve import InferenceError, Solution
-from repro.inference.terms import ConstTerm, JoinTerm, LabelVar, MeetTerm, Term, VarTerm
 from repro.lattice.base import Label, Lattice, LatticeError
 from repro.lattice.chain import ChainLattice
 from repro.lattice.finite import FiniteLattice
 from repro.lattice.policy import PolicyLattice
 from repro.lattice.powerset import PowersetLattice
 from repro.lattice.product import ProductLattice
-from repro.telemetry.recorder import current_recorder
 
 
 class CodecError(LatticeError):
@@ -374,593 +326,11 @@ def _build_codec(lattice: Lattice) -> LabelCodec:
 def codec_for(lattice: Lattice) -> Optional[LabelCodec]:
     """A verified int codec for ``lattice``, or ``None`` when unencodable.
 
-    ``None`` is the fallback signal: :func:`solve_packed` then delegates to
-    the object-lattice graph backend (and records why in
-    :attr:`~repro.inference.graph.SolverStats.fallback_reason`).
+    ``None`` is the fallback signal: callers such as
+    :class:`~repro.policy.engine.PolicyEngine` then use the object lattice
+    (and record why).
     """
     try:
         return _build_codec(lattice)
     except CodecError:
         return None
-
-
-# ---------------------------------------------------------------------------
-# edge compilation
-
-
-def _term_spec(
-    term: Term, codec: LabelCodec, var_index: Mapping[LabelVar, int]
-) -> Tuple[int, Optional[Tuple[int, ...]], Optional[str]]:
-    """Compile one left-hand term to ``(const_bits, sources, expr)``.
-
-    Join-shaped terms (the overwhelming majority) become the *fast* form:
-    constant bits plus a tuple of source variable indices, OR-ed inline by
-    the sweep loop.  Anything containing a meet compiles to a Python int
-    expression over ``V`` (the values list), evaluated as one call per
-    edge -- still orders of magnitude cheaper than the recursive object
-    evaluator.
-    """
-    if isinstance(term, ConstTerm):
-        return codec.encode(term.label), (), None
-    if isinstance(term, VarTerm):
-        return 0, (var_index[term.var],), None
-    if isinstance(term, JoinTerm) and all(
-        isinstance(part, (ConstTerm, VarTerm)) for part in term.parts
-    ):
-        const = 0
-        sources: List[int] = []
-        for part in term.parts:
-            if isinstance(part, ConstTerm):
-                const |= codec.encode(part.label)
-            else:
-                sources.append(var_index[part.var])
-        return const, tuple(sources), None
-    return 0, None, _term_expr(term, codec, var_index)
-
-
-def _term_expr(term: Term, codec: LabelCodec, var_index: Mapping[LabelVar, int]) -> str:
-    if isinstance(term, ConstTerm):
-        return str(codec.encode(term.label))
-    if isinstance(term, VarTerm):
-        return f"V[{var_index[term.var]}]"
-    if isinstance(term, JoinTerm):
-        return "(" + " | ".join(_term_expr(p, codec, var_index) for p in term.parts) + ")"
-    if isinstance(term, MeetTerm):
-        return "(" + " & ".join(_term_expr(p, codec, var_index) for p in term.parts) + ")"
-    raise CodecError(f"cannot compile {type(term).__name__} to an int expression")
-
-
-def _compile_expr(expr: str) -> Callable[[Any], int]:
-    return eval("lambda V: " + expr, {"__builtins__": {}})  # noqa: S307
-
-
-#: One compiled edge: (target index, constant bits, source index tuple or
-#: None, cover bits or None, compiled expression or None).  ``sources`` is
-#: None exactly when ``fn`` is set.
-_CompiledEdge = Tuple[int, int, Optional[Tuple[int, ...]], Optional[int], Optional[Callable]]
-
-
-def _compile_edges(
-    specs: Sequence[Tuple[int, int, Optional[Tuple[int, ...]], Optional[int], Optional[str]]],
-) -> List[_CompiledEdge]:
-    return [
-        (target, const, sources, cover, None if expr is None else _compile_expr(expr))
-        for target, const, sources, cover, expr in specs
-    ]
-
-
-def _sweep(block: Sequence[_CompiledEdge], values: Any) -> bool:
-    """One batched pass over an edge block; True when anything rose."""
-    changed = False
-    for target, const, sources, cover, fn in block:
-        if fn is None:
-            value = const
-            for source in sources:  # type: ignore[union-attr]
-                value |= values[source]
-        else:
-            value = fn(values)
-        if cover is not None and value | cover == cover:
-            continue  # the join's constant part absorbs the flow
-        current = values[target]
-        merged = current | value
-        if merged != current:
-            values[target] = merged
-            changed = True
-    return changed
-
-
-def _run_plan(
-    plan: Sequence[Tuple[str, Any]], values: Any, height: int
-) -> Tuple[int, int, int, int]:
-    """Run compiled blocks over ``values``; (pops, sweeps, max_passes, comps).
-
-    ``("sweep", block)`` entries are single batched passes over a run of
-    consecutive acyclic components; ``("iterate", block, size)`` entries
-    are one cyclic component swept to a local fixpoint.  The iteration
-    budget mirrors the object scheduler's ascending-chain guard.
-    """
-    pops = 0
-    sweeps = 0
-    max_passes = 0
-    components = 0
-    for kind, block, size in plan:
-        components += size if kind == "sweep" else 1
-        if kind == "sweep":
-            _sweep(block, values)
-            pops += len(block)
-            sweeps += 1
-            max_passes = max(max_passes, 1)
-            continue
-        passes = 0
-        budget = (size + 1) * height + 2
-        while True:
-            passes += 1
-            if passes > budget:
-                raise InferenceError(
-                    "constraint solving did not converge; the lattice violates "
-                    "the ascending chain condition"
-                )
-            pops += len(block)
-            sweeps += 1
-            if not _sweep(block, values):
-                break
-        max_passes = max(max_passes, passes)
-    return pops, sweeps, max_passes, components
-
-
-# ---------------------------------------------------------------------------
-# the packed system
-
-
-class PackedSystem:
-    """A :class:`PropagationGraph` flattened into int arrays, built once.
-
-    Holds the codec, the per-edge compiled specs, the per-component edge
-    blocks, the topological *wave* of every component (the earliest round
-    in which all of its dependencies are final) and the weakly connected
-    *clusters* of the condensation -- the units the parallel scheduler
-    dispatches.  Instances cache on the graph (one encode per graph), so
-    repeated solves pay only the sweeps.
-    """
-
-    def __init__(self, graph, codec: LabelCodec) -> None:
-        start = time.perf_counter()
-        self.graph = graph
-        self.codec = codec
-        self.var_index: Dict[LabelVar, int] = {
-            var: index for index, var in enumerate(graph.variables)
-        }
-        #: Picklable per-edge specs (expressions kept as source strings so
-        #: worker processes can compile them locally).
-        self.edge_specs: List[
-            Tuple[int, int, Optional[Tuple[int, ...]], Optional[int], Optional[str]]
-        ] = []
-        for edge in graph.edges:
-            const, sources, expr = _term_spec(edge.lhs, codec, self.var_index)
-            cover = None if edge.cover is None else codec.encode(edge.cover)
-            self.edge_specs.append(
-                (self.var_index[edge.target], const, sources, cover, expr)
-            )
-        #: In-edge indices of every component, in component order.
-        self.comp_edges: List[List[int]] = []
-        for component in graph.components:
-            in_edges: List[int] = []
-            for var in component:
-                in_edges.extend(graph.edges_into.get(var, ()))
-            self.comp_edges.append(in_edges)
-        self.comp_vars: List[Tuple[int, ...]] = [
-            tuple(self.var_index[var] for var in component)
-            for component in graph.components
-        ]
-        self.cyclic: List[bool] = list(graph._cyclic)
-        self.height: int = graph._height
-        self.wave_of: List[int] = self._waves()
-        self.cluster_members: List[List[int]] = self._clusters()
-        self._wave_count: Optional[int] = None
-        self._max_wave_width: Optional[int] = None
-        self._compiled: Optional[List[_CompiledEdge]] = None
-        self._default_plan: Optional[List[Tuple[str, Any, int]]] = None
-        self.encode_ms = (time.perf_counter() - start) * 1000.0
-
-    # -- structure ----------------------------------------------------------
-
-    def _waves(self) -> List[int]:
-        """Topological wave of each component: 0 for components with no
-        cross-component in-edges, else 1 + the latest feeding wave."""
-        graph = self.graph
-        waves: List[int] = []
-        for comp_index, in_edges in enumerate(self.comp_edges):
-            wave = 0
-            for edge_index in in_edges:
-                for source in graph.edges[edge_index].sources:
-                    source_comp = graph.component_of[source]
-                    if source_comp != comp_index:
-                        wave = max(wave, waves[source_comp] + 1)
-            waves.append(wave)
-        return waves
-
-    def _clusters(self) -> List[List[int]]:
-        """Weakly connected clusters of the condensation, via union-find.
-
-        Two components belong to one cluster when any propagation edge
-        links them (in either direction); distinct clusters share no
-        variables, so they solve independently -- the parallel dispatch
-        unit.  Members are kept in (topological) component order.
-        """
-        graph = self.graph
-        parent = list(range(len(self.comp_edges)))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for comp_index, in_edges in enumerate(self.comp_edges):
-            for edge_index in in_edges:
-                for source in graph.edges[edge_index].sources:
-                    a, b = find(graph.component_of[source]), find(comp_index)
-                    if a != b:
-                        parent[max(a, b)] = min(a, b)
-        members: Dict[int, List[int]] = defaultdict(list)
-        for comp_index in range(len(self.comp_edges)):
-            members[find(comp_index)].append(comp_index)
-        return [members[root] for root in sorted(members)]
-
-    @property
-    def wave_count(self) -> int:
-        if self._wave_count is None:
-            self._wave_count = max(self.wave_of, default=-1) + 1
-        return self._wave_count
-
-    @property
-    def max_wave_width(self) -> int:
-        if self._max_wave_width is None:
-            widths: Dict[int, int] = defaultdict(int)
-            for wave in self.wave_of:
-                widths[wave] += 1
-            self._max_wave_width = max(widths.values(), default=0)
-        return self._max_wave_width
-
-    def decode_assignment(self, values: Sequence[int]) -> Dict[LabelVar, Label]:
-        """``values`` (bit array in variable order) as an object assignment.
-
-        Distinct bit patterns in a fixpoint are at most the carrier size,
-        so decoding memoises per pattern and the 100k-variable dict is
-        assembled by C-level ``zip``/``map`` instead of a Python loop.
-        """
-        decode = self.codec.decode
-        table = {bits: decode(bits) for bits in set(values)}
-        return dict(zip(self.graph.variables, map(table.__getitem__, values)))
-
-    # -- compilation --------------------------------------------------------
-
-    def compiled(self) -> List[_CompiledEdge]:
-        if self._compiled is None:
-            self._compiled = _compile_edges(self.edge_specs)
-        return self._compiled
-
-    def plan(
-        self, skip: Optional[Set[int]] = None, component_indices: Optional[Iterable[int]] = None
-    ) -> List[Tuple[str, Any, int]]:
-        """Compiled blocks in schedule order, merging acyclic runs.
-
-        Consecutive acyclic components collapse into one ``("sweep", ...)``
-        block: in topological order each of their edges reads only final
-        values, so a single batched pass over the concatenation is exactly
-        the per-component schedule (this is what removes the per-component
-        interpreter overhead at 1M singleton components).  ``skip`` drops
-        pre-solved components; ``component_indices`` restricts (and sorts)
-        the schedule like :meth:`PropagationGraph.propagate`.
-        """
-        if skip is None and component_indices is None and self._default_plan is not None:
-            return self._default_plan
-        order = (
-            range(len(self.comp_edges))
-            if component_indices is None
-            else sorted(component_indices)
-        )
-        compiled = self.compiled()
-        plan: List[Tuple[str, Any, int]] = []
-        run: List[_CompiledEdge] = []
-        run_size = 0
-        for comp_index in order:
-            if skip is not None and comp_index in skip:
-                continue
-            block = [compiled[i] for i in self.comp_edges[comp_index]]
-            if self.cyclic[comp_index]:
-                if run:
-                    plan.append(("sweep", run, run_size))
-                    run, run_size = [], 0
-                plan.append(("iterate", block, len(self.comp_vars[comp_index])))
-            elif block:
-                run.extend(block)
-                run_size += 1
-        if run:
-            plan.append(("sweep", run, run_size))
-        if skip is None and component_indices is None:
-            self._default_plan = plan
-        return plan
-
-    def worker_payload(self) -> Dict[str, Any]:
-        """Everything a worker process needs, picklable."""
-        return {
-            "edge_specs": self.edge_specs,
-            "comp_edges": self.comp_edges,
-            "comp_vars": self.comp_vars,
-            "cyclic": self.cyclic,
-            "height": self.height,
-        }
-
-
-def packed_system_for(graph, codec: Optional[LabelCodec] = None) -> "PackedSystem":
-    """The (cached) packed form of ``graph``; one encode per graph."""
-    cached = getattr(graph, "_packed_system", None)
-    if cached is not None and (codec is None or cached.codec is codec):
-        return cached
-    resolved = codec or _build_codec(graph.lattice)
-    system = PackedSystem(graph, resolved)
-    graph._packed_system = system
-    return system
-
-
-# ---------------------------------------------------------------------------
-# worker-side solving (module level so ProcessPoolExecutor can pickle it)
-
-_WORKER_STATE: Optional[Dict[str, Any]] = None
-
-
-def _worker_init(payload: Dict[str, Any]) -> None:
-    global _WORKER_STATE
-    payload = dict(payload)
-    payload["compiled"] = _compile_edges(payload["edge_specs"])
-    _WORKER_STATE = payload
-
-
-def _worker_plan(state: Dict[str, Any], comp_ids: Sequence[int]) -> List[Tuple[str, Any, int]]:
-    compiled = state["compiled"]
-    plan: List[Tuple[str, Any, int]] = []
-    run: List[_CompiledEdge] = []
-    run_size = 0
-    for comp_index in comp_ids:
-        block = [compiled[i] for i in state["comp_edges"][comp_index]]
-        if state["cyclic"][comp_index]:
-            if run:
-                plan.append(("sweep", run, run_size))
-                run, run_size = [], 0
-            plan.append(("iterate", block, len(state["comp_vars"][comp_index])))
-        elif block:
-            run.extend(block)
-            run_size += 1
-    if run:
-        plan.append(("sweep", run, run_size))
-    return plan
-
-
-def _worker_solve(
-    task: Tuple[Sequence[int], Sequence[Tuple[int, int]]],
-) -> Tuple[List[Tuple[int, int]], Tuple[int, int, int, int]]:
-    """Solve one batch of clusters: (comp ids, floor bits) -> solved bits.
-
-    Clusters are weakly connected closures, so every variable an edge in
-    the batch reads lives inside the batch; values start at the floors
-    (pins and pre-solved components) and ``defaultdict(int)`` supplies the
-    ``⊥ = 0`` default, letting compiled expressions index it like a list.
-    """
-    assert _WORKER_STATE is not None, "worker used before initialisation"
-    state = _WORKER_STATE
-    comp_ids, floors = task
-    values: Any = defaultdict(int, floors)
-    counters = _run_plan(_worker_plan(state, comp_ids), values, state["height"])
-    results: List[Tuple[int, int]] = []
-    for comp_index in comp_ids:
-        for var_index in state["comp_vars"][comp_index]:
-            results.append((var_index, values[var_index]))
-    return results, counters
-
-
-# ---------------------------------------------------------------------------
-# the backend entry point
-
-
-def _fallback(graph, overrides, presolve: bool, reason: str) -> Solution:
-    solution = graph.solve(overrides, presolve=presolve)
-    if solution.stats is not None:
-        solution.stats.backend = "graph"
-        solution.stats.fallback_reason = reason
-    recorder = current_recorder()
-    if recorder.enabled:
-        recorder.count("solver.packed.fallbacks")
-    return solution
-
-
-def _parallel_tasks(
-    system: PackedSystem,
-    values: Sequence[int],
-    skip: Optional[Set[int]],
-    workers: int,
-) -> List[Tuple[List[int], List[Tuple[int, int]]]]:
-    """Round-robin the clusters into ``workers`` batches of (comps, floors).
-
-    Batching keeps IPC at one task per worker rather than one per cluster;
-    determinism is unaffected because clusters are disjoint and the merge
-    only writes each variable once.  Floors carry every non-bottom value of
-    the batch's clusters -- override pins *and* pre-solved (skipped)
-    components, whose values downstream edges in the same cluster read.
-    """
-    batches: List[List[List[int]]] = [[] for _ in range(workers)]
-    for index, members in enumerate(system.cluster_members):
-        batches[index % workers].append(members)
-    tasks: List[Tuple[List[int], List[Tuple[int, int]]]] = []
-    for clusters in batches:
-        comp_ids: List[int] = []
-        floors: List[Tuple[int, int]] = []
-        for members in clusters:
-            for comp_index in members:
-                if not (skip and comp_index in skip):
-                    comp_ids.append(comp_index)
-                for var_index in system.comp_vars[comp_index]:
-                    if values[var_index]:
-                        floors.append((var_index, values[var_index]))
-        if comp_ids:
-            tasks.append((comp_ids, floors))
-    return tasks
-
-
-def solve_packed(
-    lattice: Lattice,
-    constraints: Optional[Sequence[Constraint]] = None,
-    *,
-    presolve: bool = False,
-    workers: int = 1,
-    graph=None,
-    overrides: Optional[Mapping[LabelVar, Label]] = None,
-) -> Solution:
-    """Least solution via the bit-packed backend; exact graph-backend parity.
-
-    Builds (or reuses) the :class:`PropagationGraph`, encodes it into a
-    cached :class:`PackedSystem`, runs the batched Kleene sweeps -- serial,
-    or with independent clusters dispatched over ``workers`` processes --
-    decodes the fixpoint, and evaluates checks/cores over the *object*
-    graph so conflicts, unsat cores and witnesses are identical to
-    ``backend="graph"`` by construction.  Falls back to the object backend
-    (recording :attr:`SolverStats.fallback_reason`) when the lattice has no
-    faithful int encoding.
-    """
-    from repro.inference.graph import PropagationGraph
-
-    if graph is None:
-        graph = PropagationGraph(lattice, list(constraints or ()))
-    recorder = current_recorder()
-    start = time.perf_counter()
-    with recorder.span(
-        "solver.solve",
-        edges=len(graph.edges),
-        variables=len(graph.variables),
-        backend="packed",
-    ):
-        stats = graph._new_stats()
-        stats.backend = "packed"
-        stats.workers = max(1, workers)
-        try:
-            with recorder.span("solver.encode"):
-                system = packed_system_for(graph)
-        except CodecError as exc:
-            return _fallback(graph, overrides, presolve, str(exc))
-        codec = system.codec
-        stats.encode_ms = system.encode_ms
-        stats.waves = system.wave_count
-        stats.max_wave_width = system.max_wave_width
-        stats.clusters = len(system.cluster_members)
-
-        values: List[int] = [0] * len(graph.variables)
-        for var, label in (overrides or {}).items():
-            index = system.var_index.get(var)
-            if index is not None:
-                values[index] |= codec.encode(label)
-        skip: Optional[Set[int]] = None
-        if presolve:
-            from repro.analysis.presolve import presolve_graph
-
-            reduction = presolve_graph(graph, overrides)
-            for var, label in reduction.values.items():
-                values[system.var_index[var]] = codec.encode(label)
-            skip = reduction.resolved_components
-            stats.presolve_resolved_vars = reduction.resolved_count
-            stats.presolve_pruned_edges = reduction.pruned_edges
-            stats.presolve_ms = reduction.elapsed_ms
-
-        use_workers = stats.workers > 1 and len(system.cluster_members) > 1
-        with recorder.span(
-            "solver.packed",
-            clusters=len(system.cluster_members),
-            waves=system.wave_count,
-            workers=stats.workers if use_workers else 1,
-        ):
-            if use_workers:
-                _solve_parallel(system, values, skip, stats)
-            else:
-                pops, sweeps, max_passes, comps = _run_plan(
-                    system.plan(skip), values, system.height
-                )
-                stats.worklist_pops += pops
-                stats.sweeps += sweeps
-                stats.max_passes = max(stats.max_passes, max_passes)
-                stats.components_solved += comps
-        if skip:
-            stats.edges_visited = len(system.edge_specs) - sum(
-                len(system.comp_edges[i]) for i in skip
-            )
-        else:
-            stats.edges_visited = len(system.edge_specs)
-
-        with recorder.span("solver.decode"):
-            assignment = system.decode_assignment(values)
-        conflicts = [c for c in graph.check_conflicts(assignment) if c is not None]
-    stats.solve_ms = (time.perf_counter() - start) * 1000.0
-    if recorder.enabled:
-        recorder.count("solver.solves")
-        recorder.count("solver.packed.solves")
-        recorder.count("solver.packed.sweeps", stats.sweeps)
-        recorder.count("solver.edges_visited", stats.edges_visited)
-        recorder.count("solver.worklist_pops", stats.worklist_pops)
-        recorder.count("solver.conflicts", len(conflicts))
-    solution = Solution(
-        lattice,
-        assignment,
-        conflicts,
-        iterations=stats.worklist_pops,
-        propagation_count=len(graph.edges),
-        check_count=len(graph.checks),
-    )
-    solution.stats = stats
-    solution.graph = graph
-    return solution
-
-
-def _solve_parallel(
-    system: PackedSystem, values: List[int], skip: Optional[Set[int]], stats
-) -> None:
-    """Dispatch independent cluster batches across a process pool.
-
-    Floors (override pins and pre-solved values) ship with each batch;
-    workers return their batch's solved bits, merged in completion-safe
-    batch order.  Any pool failure (fork unavailable, pickling trouble)
-    degrades to the serial plan -- same results, one process.
-    """
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    tasks = _parallel_tasks(system, values, skip, stats.workers)
-    if not tasks:
-        return
-    try:
-        context = multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-posix platforms
-        context = multiprocessing.get_context()
-    try:
-        with ProcessPoolExecutor(
-            max_workers=min(stats.workers, len(tasks)),
-            mp_context=context,
-            initializer=_worker_init,
-            initargs=(system.worker_payload(),),
-        ) as pool:
-            outcomes = list(pool.map(_worker_solve, tasks))
-    except (OSError, ValueError) as exc:  # pragma: no cover - pool unavailable
-        current_recorder().count("solver.packed.pool_failures")
-        stats.fallback_reason = f"process pool unavailable ({exc}); solved serially"
-        pops, sweeps, max_passes, comps = _run_plan(
-            system.plan(skip), values, system.height
-        )
-        stats.worklist_pops += pops
-        stats.sweeps += sweeps
-        stats.max_passes = max(stats.max_passes, max_passes)
-        stats.components_solved += comps
-        return
-    for results, (pops, sweeps, max_passes, comps) in outcomes:
-        for var_index, bits in results:
-            values[var_index] = bits
-        stats.worklist_pops += pops
-        stats.sweeps += sweeps
-        stats.max_passes = max(stats.max_passes, max_passes)
-        stats.components_solved += comps

@@ -26,14 +26,17 @@ by slicing backwards through the propagation edges that raised the
 offending variables, giving the chain of source spans from the annotated
 secret to the too-low sink.
 
-Scheduling lives in :mod:`repro.inference.graph`: :func:`solve` builds a
+There is one solving engine.  :func:`solve` builds a
 :class:`~repro.inference.graph.PropagationGraph` (edges deduplicated,
 condensed into SCCs via Tarjan) and runs the Kleene iteration in
 topological component order, so acyclic regions are solved in one pass and
-iteration is confined to genuine cycles.  :func:`solve_worklist` keeps the
-original single global worklist as the reference implementation -- the
-property tests assert both produce identical least solutions and conflict
-sets, and the scaling benchmark compares their iteration counts.
+iteration is confined to genuine cycles; the persistent
+:class:`~repro.inference.engine.Solver` runs the same schedule over an
+edit's cone of influence.  :func:`solve_worklist` keeps the original
+single global worklist as the test oracle -- the property tests assert
+both produce identical least solutions and conflict sets, and the scaling
+benchmark compares their iteration counts.  It is not selectable from the
+pipeline, the CLI or the server.
 """
 
 from __future__ import annotations
@@ -175,58 +178,17 @@ def _normalise(
     checks.append((lhs, rhs, constraint))
 
 
-#: Names :func:`solve` accepts for its ``backend`` parameter.
-SOLVER_BACKENDS = ("graph", "packed", "worklist")
-
-
-def solve(
-    lattice: Lattice,
-    constraints: List[Constraint],
-    *,
-    presolve: bool = False,
-    backend: str = "graph",
-    workers: int = 1,
-) -> Solution:
+def solve(lattice: Lattice, constraints: List[Constraint]) -> Solution:
     """Solve ``constraints`` over ``lattice``; least solution plus conflicts.
 
     Builds the propagation graph, condenses it into SCCs and schedules the
     Kleene iteration in topological component order (see
-    :mod:`repro.inference.graph`).  ``presolve=True`` additionally runs the
-    constant-label reduction of :mod:`repro.analysis.presolve` first, so
-    trivially fixed variables and their edges never enter the Kleene
-    iteration (the least solution and conflict set are unchanged).
-
-    ``backend`` selects the solving engine over that same graph:
-
-    * ``"graph"`` (default) -- the SCC-scheduled object-label solver;
-    * ``"packed"`` -- the bit-packed array backend
-      (:mod:`repro.inference.packed`): labels encoded as machine ints,
-      batched Kleene sweeps, and -- with ``workers > 1`` -- independent
-      component clusters dispatched across a process pool.  Falls back to
-      ``"graph"`` automatically for lattices without a faithful int
-      encoding (see :attr:`SolverStats.fallback_reason`).  Identical
-      solutions, conflicts, cores and witnesses by construction;
-    * ``"worklist"`` -- the original single-worklist reference solver
-      (no ``presolve``/``workers`` support).
-
-    For a persistent graph that supports incremental re-solving, use
-    :class:`repro.inference.engine.Solver`.
+    :mod:`repro.inference.graph`).  For a persistent graph that supports
+    incremental re-solving, use :class:`repro.inference.engine.Solver`.
     """
-    if backend not in SOLVER_BACKENDS:
-        raise ValueError(
-            f"unknown solver backend {backend!r}; expected one of {SOLVER_BACKENDS}"
-        )
-    if backend == "worklist":
-        if presolve:
-            raise ValueError("the worklist reference backend does not support presolve")
-        return solve_worklist(lattice, constraints)
-    if backend == "packed":
-        from repro.inference.packed import solve_packed
-
-        return solve_packed(lattice, constraints, presolve=presolve, workers=workers)
     from repro.inference.graph import PropagationGraph
 
-    return PropagationGraph(lattice, constraints).solve(presolve=presolve)
+    return PropagationGraph(lattice, constraints).solve()
 
 
 def solve_worklist(lattice: Lattice, constraints: List[Constraint]) -> Solution:

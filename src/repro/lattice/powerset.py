@@ -27,8 +27,8 @@ class PowersetLattice(Lattice):
 
     @property
     def principals(self) -> tuple:
-        """The principals in declaration order (the canonical bit order for
-        the packed solver backend's bitset encoding)."""
+        """The principals in declaration order (the canonical bit order of
+        the packed label codec's bitset encoding)."""
         return self._ordered_principals
 
     def labels(self) -> Iterable[FrozenSet[str]]:

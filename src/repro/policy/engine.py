@@ -17,10 +17,10 @@ read-heavy: consent changes are rare, requests are not.
 
 * **explain** — a denied request is re-phrased as a tiny constraint
   system (the demand propagates up the derivation lineage; every
-  contributing subject's grant is a check obligation) and solved with
-  the graph backend, so the PR 7 leak-witness machinery reports the
-  *shortest policy-violation chain*: request → derivation hops → the
-  consent bound it breaks.
+  contributing subject's grant is a check obligation) and solved by
+  :func:`~repro.inference.solve.solve`, so the leak-witness machinery
+  reports the *shortest policy-violation chain*: request → derivation
+  hops → the consent bound it breaks.
 """
 
 from __future__ import annotations
@@ -229,6 +229,7 @@ class PolicyEngine:
         """Apply a consent grant/revocation; returns the datasets whose
         effective bound was re-compiled (the subject's lineage fan-out)."""
         recorder = current_recorder()
+        started = time.perf_counter_ns() if recorder.enabled else 0
         with recorder.span("policy.regrant", subject=subject):
             self.universe.set_grant(subject, bound)
             affected = self._subject_datasets.get(subject, ())
@@ -237,6 +238,10 @@ class PolicyEngine:
             self.revocations += 1
             recorder.count("policy.revocations")
             recorder.count("policy.recompiled_bounds", len(affected))
+        if recorder.enabled:
+            recorder.observe(
+                "policy.regrant_us", (time.perf_counter_ns() - started) / 1000.0
+            )
         return affected
 
     # -- explanations -------------------------------------------------------
@@ -309,14 +314,15 @@ class PolicyEngine:
     def explain(self, request: Request) -> Explanation:
         """Explain ``request``; denies get shortest policy-violation chains.
 
-        Always uses the graph backend — explanations need the propagation
-        graph the witness BFS walks, and they are cold-path by design."""
+        Explanations solve the request's lineage system and walk the
+        propagation graph with the witness BFS; they are cold-path by
+        design."""
         with current_recorder().span("policy.explain", request=request.uid):
             decision = self.decide(request)
             if decision.permit:
                 return Explanation(decision, (), ())
             constraints, _ = self._lineage_system(request)
-            solution = solve(self.universe.lattice, constraints, backend="graph")
+            solution = solve(self.universe.lattice, constraints)
             witnesses = tuple(witnesses_for_solution(solution))
             violated = sorted(
                 {
@@ -329,27 +335,13 @@ class PolicyEngine:
 
     # -- audits -------------------------------------------------------------
 
-    def audit(
-        self,
-        requests: List[Request],
-        *,
-        backend: Optional[str] = None,
-        workers: int = 1,
-    ) -> Solution:
-        """Solve every request's lineage system as *one* batch.
-
-        This is the bulk path the parallel packed scheduler was built for
-        (independent requests are independent clusters), and the surface
-        the determinism suite pins across backends and worker counts."""
+    def audit(self, requests: List[Request]) -> Solution:
+        """Solve every request's lineage system as *one* batch (the surface
+        the determinism suite pins across hash seeds)."""
         constraints: List[Constraint] = []
         for request in requests:
             constraints.extend(self._lineage_system(request)[0])
-        return solve(
-            self.universe.lattice,
-            constraints,
-            backend=backend or ("packed" if self.backend == "packed" else "graph"),
-            workers=workers,
-        )
+        return solve(self.universe.lattice, constraints)
 
     # -- stats --------------------------------------------------------------
 

@@ -7,15 +7,13 @@ to benchmark seconds of solving.  :func:`mega_constraint_system` therefore
 builds :class:`~repro.inference.constraints.Constraint` lists directly, in
 the exact shapes the generator emits (variable-to-variable propagation
 chains, join fan-ins, occasional cycles, constant sources, upper-bound
-checks), so ``benchmarks/test_solver_scaling.py`` can push the solver
-backends from 10k to 1M constraints and record an ops/sec curve.
+checks), so solver tests and timings can run at 10k to 1M constraints.
 
 The system is deterministic for a given argument tuple (seeded
 :class:`random.Random`, no set iteration), and its propagation graph has
-the structure the parallel packed backend exploits: ``chains`` mostly
-independent constant-seeded chains (= independent clusters for the
-process-pool dispatch), sparse cross-links inside a chain's own cluster,
-and optional small cycles to exercise the iterating schedule.
+``chains`` mostly independent constant-seeded chains, sparse cross-links
+inside a chain, and optional small cycles to exercise the iterating
+schedule.
 """
 
 from __future__ import annotations

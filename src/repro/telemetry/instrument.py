@@ -8,9 +8,8 @@ accumulate in plain integer attributes (one add per call, no recorder
 traffic in the loop) and :meth:`CountingLattice.flush` reports them as
 ``lattice.<op>[<name>]`` counters when the instrumented region finishes.
 
-This is the data-layout probe the parallel bit-packed backend needs: how
-many lattice operations a solve performs, per lattice, is exactly the
-quantity a bitset encoding (join = ``|``) would amortise.
+How many lattice operations a solve performs, per lattice, is exactly
+the quantity a bitset encoding (join = ``|``) would amortise.
 """
 
 from __future__ import annotations

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 from typing import List, Optional, Sequence
 
@@ -98,37 +99,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
         help=(
             "write every diagnostic and lint finding as a SARIF 2.1.0 log "
             "(rule metadata plus physical locations with start/end regions)"
-        ),
-    )
-    parser.add_argument(
-        "--presolve",
-        action="store_true",
-        help=(
-            "with --infer, fold trivially fixed label variables before "
-            "Kleene iteration (same verdicts; smaller live graph, see "
-            "--solver-stats)"
-        ),
-    )
-    parser.add_argument(
-        "--backend",
-        choices=("graph", "packed", "worklist"),
-        default="graph",
-        help=(
-            "with --infer, select the constraint-solver backend: 'graph' "
-            "(SCC-scheduled object solver, default), 'packed' (bit-packed "
-            "int arrays with batched sweeps; falls back to 'graph' for "
-            "lattices without an int encoding), or 'worklist' (the "
-            "reference solver)"
-        ),
-    )
-    parser.add_argument(
-        "--solver-workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help=(
-            "with --backend packed, dispatch independent constraint "
-            "clusters across N worker processes (default 1: in-process)"
         ),
     )
     parser.add_argument(
@@ -256,24 +226,6 @@ def build_serve_arg_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="honour the audited declassify()/endorse() primitives",
     )
-    parser.add_argument(
-        "--presolve",
-        action="store_true",
-        help="fold trivially fixed label variables before Kleene iteration",
-    )
-    parser.add_argument(
-        "--backend",
-        choices=("graph", "packed", "worklist"),
-        default="graph",
-        help="constraint-solver backend for the workspace (default: graph)",
-    )
-    parser.add_argument(
-        "--solver-workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker processes for the packed backend (default 1)",
-    )
     return parser
 
 
@@ -283,16 +235,9 @@ def serve_main(argv: Optional[Sequence[str]] = None) -> int:
 
     parser = build_serve_arg_parser()
     args = parser.parse_args(argv)
-    if args.solver_workers < 1:
-        parser.error("--solver-workers must be at least 1")
-    if args.solver_workers > 1 and args.backend != "packed":
-        parser.error("--solver-workers needs --backend packed")
     options = {
         "lattice": args.lattice,
         "allow_declassification": args.allow_declassify,
-        "presolve": args.presolve,
-        "backend": args.backend,
-        "solver_workers": args.solver_workers,
     }
     if args.tcp:
         host, _, port_text = args.tcp.rpartition(":")
@@ -316,16 +261,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.error("--infer requires the security pass; drop --core-only")
     if args.solver_stats and not args.infer:
         parser.error("--solver-stats reports on the inference solver; add --infer")
-    if args.presolve and not args.infer:
-        parser.error("--presolve tunes the inference solver; add --infer")
-    if args.backend != "graph" and not args.infer:
-        parser.error("--backend selects the inference solver; add --infer")
-    if args.solver_workers < 1:
-        parser.error("--solver-workers must be at least 1")
-    if args.solver_workers > 1 and args.backend != "packed":
-        parser.error("--solver-workers needs --backend packed")
-    if args.backend == "worklist" and args.presolve:
-        parser.error("the worklist reference backend does not support --presolve")
     if (args.lint or args.explain_flows) and args.core_only:
         parser.error("static analysis needs the security pass; drop --core-only")
     if args.explain_flows:
@@ -343,51 +278,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"p4bid: cannot read {file_name}: {exc}", file=sys.stderr)
             return 2
         run_lint = args.lint or bool(args.sarif)
-        if recorder is not None:
-            with use_recorder(recorder):
-                report = check_source(
-                    source,
-                    args.lattice,
-                    include_ifc=not args.core_only,
-                    infer=args.infer,
-                    allow_declassification=args.allow_declassify,
-                    presolve=args.presolve,
-                    backend=args.backend,
-                    solver_workers=args.solver_workers,
-                    lint=run_lint,
-                    explain_released_flows=args.explain_flows,
-                    filename=str(path),
-                    name=path.stem,
-                )
-        else:
+        with use_recorder(recorder) if recorder is not None else nullcontext():
             report = check_source(
                 source,
                 args.lattice,
                 include_ifc=not args.core_only,
                 infer=args.infer,
                 allow_declassification=args.allow_declassify,
-                presolve=args.presolve,
-                backend=args.backend,
-                solver_workers=args.solver_workers,
                 lint=run_lint,
                 explain_released_flows=args.explain_flows,
                 filename=str(path),
                 name=path.stem,
             )
-        if args.backend == "packed":
-            stats = (
-                report.inference_result.solution.stats
-                if report.inference_result is not None
-                else None
-            )
-            if stats is not None and stats.backend != "packed" and stats.fallback_reason:
-                # Silent fallback would let a benchmark read graph numbers
-                # as packed numbers; always say so, once, on stderr.
-                print(
-                    f"p4bid: note: {file_name}: packed backend fell back to "
-                    f"{stats.backend} -- {stats.fallback_reason}",
-                    file=sys.stderr,
-                )
         if args.sarif:
             sarif_artifacts.append((str(path), _collect_findings(report, path)))
         if args.json:

@@ -367,9 +367,6 @@ def check_program(
     include_ifc: bool = True,
     infer: bool = False,
     allow_declassification: bool = False,
-    presolve: bool = False,
-    backend: str = "graph",
-    solver_workers: int = 1,
     lint: bool = False,
     explain_released_flows: bool = False,
     name: Optional[str] = None,
@@ -382,13 +379,9 @@ def check_program(
     When the constraint system is unsatisfiable the conflicts are reported
     as the report's diagnostics and the IFC phase is skipped (re-checking a
     partially solved program would only restate the same conflicts).
-    ``presolve=True`` runs the constant-label reduction before Kleene
-    iteration (same verdicts, smaller live graph).  ``backend`` selects the
-    solving engine (``"graph"``, ``"packed"``, ``"worklist"`` -- see
-    :func:`repro.inference.solve.solve`) and ``solver_workers`` the packed
-    backend's process count.  ``lint=True`` and
-    ``explain_released_flows=True`` add the static-analysis phase
-    (:mod:`repro.analysis`) and populate :attr:`CheckReport.analysis`.
+    ``lint=True`` and ``explain_released_flows=True`` add the
+    static-analysis phase (:mod:`repro.analysis`) and populate
+    :attr:`CheckReport.analysis`.
     """
     if infer and not include_ifc:
         raise ValueError(
@@ -399,9 +392,6 @@ def check_program(
     workspace = Workspace(
         resolved,
         allow_declassification=allow_declassification,
-        presolve=presolve,
-        backend=backend,
-        solver_workers=solver_workers,
         name=name,
     )
     workspace.open_program(program)
@@ -423,9 +413,6 @@ def check_source(
     include_ifc: bool = True,
     infer: bool = False,
     allow_declassification: bool = False,
-    presolve: bool = False,
-    backend: str = "graph",
-    solver_workers: int = 1,
     lint: bool = False,
     explain_released_flows: bool = False,
     filename: str = "<input>",
@@ -451,9 +438,6 @@ def check_source(
     workspace = Workspace(
         resolved,
         allow_declassification=allow_declassification,
-        presolve=presolve,
-        backend=backend,
-        solver_workers=solver_workers,
         name=name,
     )
     report = CheckReport(name or filename, lattice_name=resolved.name)

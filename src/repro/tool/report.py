@@ -97,16 +97,6 @@ def format_report(
         if stats is None:
             lines.append("  (not recorded by this solver)")
         else:
-            backend_line = f"  backend: {stats.backend}"
-            if stats.backend == "packed":
-                backend_line += (
-                    f" (encode {stats.encode_ms:.2f} ms, {stats.sweeps} "
-                    f"sweep(s), {stats.clusters} cluster(s) over "
-                    f"{stats.waves} wave(s), {stats.workers} worker(s))"
-                )
-            if stats.fallback_reason:
-                backend_line += f" -- fallback: {stats.fallback_reason}"
-            lines.append(backend_line)
             lines.append(
                 f"  propagation edges: {stats.edge_count} "
                 f"({stats.edges_visited} visited), checks: {stats.check_count}"

@@ -1,3 +1,3 @@
 """Package version, kept in sync with ``pyproject.toml``."""
 
-__version__ = "1.8.0"
+__version__ = "1.9.0"

@@ -100,16 +100,10 @@ class WorkspaceServer:
         *,
         lattice: str = "two-point",
         allow_declassification: bool = False,
-        presolve: bool = False,
-        backend: str = "graph",
-        solver_workers: int = 1,
     ) -> None:
         self.options = {
             "lattice": lattice,
             "allow_declassification": allow_declassification,
-            "presolve": presolve,
-            "backend": backend,
-            "solver_workers": solver_workers,
         }
         self.workspace = self._new_workspace()
         self.running = True
@@ -121,9 +115,6 @@ class WorkspaceServer:
         return Workspace(
             self.options["lattice"],
             allow_declassification=self.options["allow_declassification"],
-            presolve=self.options["presolve"],
-            backend=self.options["backend"],
-            solver_workers=self.options["solver_workers"],
         )
 
     # ------------------------------------------------------------------ dispatch

@@ -73,9 +73,6 @@ class Workspace:
         lattice: Union[Lattice, str, None] = None,
         *,
         allow_declassification: bool = False,
-        presolve: bool = False,
-        backend: str = "graph",
-        solver_workers: int = 1,
         name: Optional[str] = None,
     ) -> None:
         if lattice is None:
@@ -86,9 +83,6 @@ class Workspace:
             resolved = lattice
         self.lattice = resolved
         self.allow_declassification = allow_declassification
-        self.presolve = presolve
-        self.backend = backend
-        self.solver_workers = solver_workers
         self.name = name
         self.filename = "<workspace>"
         #: Bumped on every :meth:`open` / :meth:`edit`; caches key off it.
@@ -241,17 +235,13 @@ class Workspace:
         """The persistent solver, built lazily at the first warm operation."""
         if self._solver is None:
             # The cold solve already built a propagation graph over exactly
-            # these constraints (graph backend); hand it over rather than
-            # constructing it a second time.
+            # these constraints; hand it over rather than constructing it a
+            # second time.
             graph = self._solved.graph if self._solved is not None else None
-            if not isinstance(graph, PropagationGraph):
-                graph = None
             self._solver = Solver(
                 self.lattice,
                 self._solved_constraints,
                 cache=self._cache,
-                backend=self.backend,
-                workers=self.solver_workers,
                 graph=graph,
             )
             if self._solved is not None:
@@ -270,13 +260,7 @@ class Workspace:
                 self._solved_constraints = list(generation.constraints)
                 solution = self._ensure_solver().resolve(self._pins_for(generation))
             else:
-                solution = solve(
-                    self.lattice,
-                    generation.constraints,
-                    presolve=self.presolve,
-                    backend=self.backend,
-                    workers=self.solver_workers,
-                )
+                solution = solve(self.lattice, generation.constraints)
         else:
             solver = self._ensure_solver()
             solution = solver.rebase(
@@ -289,7 +273,7 @@ class Workspace:
 
     def _solution_graph(self, generation: GenerationResult) -> PropagationGraph:
         """A propagation graph over the current constraints, reusing the
-        solver's when it is current (packed first solves have none)."""
+        solver's or the last solution's when it is current."""
         if (
             self._solver is not None
             and self._solved_generation is generation
@@ -370,13 +354,7 @@ class Workspace:
             with recorder.span(
                 "infer.maximise-pc", pcs=len(generation.control_pc_vars)
             ):
-                solution = _maximise_control_pcs(
-                    self.lattice,
-                    generation,
-                    solution,
-                    backend=self.backend,
-                    workers=self.solver_workers,
-                )
+                solution = _maximise_control_pcs(self.lattice, generation, solution)
         inferred = [
             InferredLabel(
                 site.hint,
@@ -503,7 +481,6 @@ class Workspace:
         return {
             "name": self.display_name,
             "lattice": self.lattice.name,
-            "backend": self.backend,
             "revision": self.revision,
             "parsed": self.program is not None,
             "parse_error": self.parse_error,

@@ -213,11 +213,6 @@ class TestCliSarif:
         assert "released flow(s)" in text
         assert "leak path" in text
 
-    def test_presolve_requires_infer(self, tmp_path):
-        program = self._write(tmp_path, "p.p4", LEAKY)
-        with pytest.raises(SystemExit):
-            cli_main([str(program), "--presolve"])
-
     def test_lint_conflicts_with_core_only(self, tmp_path):
         program = self._write(tmp_path, "p.p4", LEAKY)
         with pytest.raises(SystemExit):

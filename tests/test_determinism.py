@@ -49,13 +49,9 @@ from repro.frontend.parser import parse_program
 from repro.inference import infer_labels
 from repro.lattice.registry import get_lattice
 
-backend = sys.argv[1] if len(sys.argv) > 1 else "graph"
-workers = int(sys.argv[2]) if len(sys.argv) > 2 else 1
 source = sys.stdin.read()
 lattice = get_lattice("two-point")
-result = infer_labels(
-    parse_program(source), lattice, backend=backend, solver_workers=workers
-)
+result = infer_labels(parse_program(source), lattice)
 for conflict in result.solution.conflicts:
     print("conflict:", conflict)
     for constraint in conflict.core:
@@ -67,12 +63,12 @@ for diag in result.diagnostics:
 """
 
 
-def _run(seed: str, backend: str = "graph", workers: int = 1) -> str:
+def _run(seed: str) -> str:
     env = dict(os.environ)
     env["PYTHONHASHSEED"] = seed
     env["PYTHONPATH"] = str(SRC_DIR)
     completed = subprocess.run(
-        [sys.executable, "-c", SCRIPT, backend, str(workers)],
+        [sys.executable, "-c", SCRIPT],
         input=PROGRAM,
         capture_output=True,
         text=True,
@@ -91,29 +87,6 @@ def test_conflicts_cores_and_witnesses_are_hashseed_stable():
         assert output == baseline, f"PYTHONHASHSEED={seed} changed solver output"
 
 
-def test_packed_backend_is_hashseed_stable_and_matches_graph():
-    """The packed backend's conflicts, cores, and witnesses are byte-identical
-    across hash seeds *and* byte-identical to the graph backend's output (the
-    bitset encoding is declaration-ordered, never hash-ordered)."""
-    graph_baseline = _run("0", backend="graph")
-    outputs = {seed: _run(seed, backend="packed") for seed in ("0", "1", "42")}
-    baseline = outputs["0"]
-    assert "conflict:" in baseline and "core:" in baseline
-    assert "leak path" in baseline
-    assert baseline == graph_baseline, "packed output diverged from graph"
-    for seed, output in outputs.items():
-        assert output == baseline, f"PYTHONHASHSEED={seed} changed packed output"
-
-
-def test_packed_backend_is_worker_count_stable():
-    """Byte-identical output whether clusters are solved serially or merged
-    back from a pool of worker processes."""
-    baseline = _run("0", backend="packed", workers=1)
-    for workers in (2, 4):
-        output = _run("0", backend="packed", workers=workers)
-        assert output == baseline, f"workers={workers} changed packed output"
-
-
 #: The compliance workload end to end: scenario generation, replay
 #: decisions, one deny explained with witness chains.  Every line printed
 #: is part of the byte-stability contract BENCH_policy.json's differential
@@ -126,7 +99,6 @@ from repro.policy import PolicyEngine, replay
 from repro.synth import policy_traffic, scenario_universe
 
 backend = sys.argv[1] if len(sys.argv) > 1 else "packed"
-workers = int(sys.argv[2]) if len(sys.argv) > 2 else 1
 lattice = get_lattice("policy-12-8-4")
 universe = scenario_universe(lattice, subjects=10, datasets=14, seed=7)
 events = policy_traffic(universe, events=150, revoke_every=30, seed=7)
@@ -137,20 +109,18 @@ for line in report.decision_log():
 denied = next(d for d in report.decisions if not d.permit)
 explanation = engine.explain(denied.request)
 print(explanation.describe(engine))
-solution = engine.audit(
-    [d.request for d in report.decisions[:40]], backend=backend, workers=workers
-)
+solution = engine.audit([d.request for d in report.decisions[:40]])
 for conflict in solution.conflicts:
     print("conflict:", conflict.constraint.describe())
 """
 
 
-def _run_policy(seed: str, backend: str = "packed", workers: int = 1) -> str:
+def _run_policy(seed: str, backend: str = "packed") -> str:
     env = dict(os.environ)
     env["PYTHONHASHSEED"] = seed
     env["PYTHONPATH"] = str(SRC_DIR)
     completed = subprocess.run(
-        [sys.executable, "-c", POLICY_SCRIPT, backend, str(workers)],
+        [sys.executable, "-c", POLICY_SCRIPT, backend],
         capture_output=True,
         text=True,
         env=env,
@@ -161,7 +131,7 @@ def _run_policy(seed: str, backend: str = "packed", workers: int = 1) -> str:
 
 def test_policy_decisions_and_witnesses_are_hashseed_stable():
     """Policy decision logs, deny explanations, and audit conflicts are
-    byte-identical across hash seeds, backends, and worker counts -- the
+    byte-identical across hash seeds and decision backends -- the
     powerset components of a policy label are frozensets, so any unsorted
     iteration would surface here."""
     baseline = _run_policy("0", backend="packed")
@@ -172,7 +142,4 @@ def test_policy_decisions_and_witnesses_are_hashseed_stable():
         assert output == baseline, f"PYTHONHASHSEED={seed} changed policy output"
     assert _run_policy("0", backend="graph") == baseline, (
         "graph backend diverged from packed on the policy workload"
-    )
-    assert _run_policy("0", backend="packed", workers=2) == baseline, (
-        "worker pool changed policy audit output"
     )

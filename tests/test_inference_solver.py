@@ -32,7 +32,7 @@ from repro.lattice.chain import ChainLattice
 from repro.lattice.powerset import PowersetLattice
 from repro.lattice.product import ProductLattice
 from repro.lattice.registry import available_lattices, get_lattice
-from repro.synth import random_straightline_program
+from repro.synth import mega_constraint_system, random_straightline_program
 
 #: Every registered lattice, plus chains tall enough to exercise joins that
 #: are neither ⊥ nor ⊤.
@@ -492,3 +492,85 @@ def test_checks_do_not_disturb_the_assignment(data, name):
     solution = solve(lattice, with_checks)
     for var in variables:
         assert solution.value_of(var) == baseline.value_of(var)
+
+
+# ---------------------------------------------------------------------------
+# more oracle inputs: checks and meets, edge cases, mega-scale systems
+
+
+def _checked_systems(draw, lattice, n_vars):
+    """:func:`_constraint_systems` plus checks (conflicts, cores) and a meet
+    on a left side."""
+    variables, constraints = _constraint_systems(draw, lattice, n_vars)
+    labels = list(lattice.labels())
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        constraints.append(
+            Constraint(
+                VarTerm(draw(st.sampled_from(variables))),
+                ConstTerm(draw(st.sampled_from(labels))),
+            )
+        )
+    if draw(st.booleans()):
+        constraints.append(
+            Constraint(
+                MeetTerm((VarTerm(variables[0]), VarTerm(variables[1]))),
+                VarTerm(draw(st.sampled_from(variables))),
+            )
+        )
+    return variables, constraints
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), name=st.sampled_from(LATTICE_NAMES))
+def test_scc_solver_matches_worklist_with_checks_and_meets(data, name):
+    lattice = get_lattice(name)
+    _, constraints = _checked_systems(data.draw, lattice, n_vars=4)
+    _assert_solvers_agree(lattice, constraints)
+
+
+def test_empty_system():
+    solution = _assert_solvers_agree(get_lattice("two-point"), [])
+    assert solution.ok
+    assert solution.assignment == {}
+
+
+def test_cyclic_system_converges_identically():
+    lattice = get_lattice("diamond")
+    supply = VarSupply()
+    a, b, c = (supply.fresh(h) for h in "abc")
+    constraints = [
+        Constraint(ConstTerm("A"), VarTerm(a)),
+        Constraint(VarTerm(a), VarTerm(b)),
+        Constraint(VarTerm(b), VarTerm(c)),
+        Constraint(VarTerm(c), VarTerm(a)),  # genuine SCC
+        Constraint(ConstTerm("B"), VarTerm(b)),
+    ]
+    solution = _assert_solvers_agree(lattice, constraints)
+    assert solution.value_of(a) == "top"
+
+
+def test_join_lhs_with_cover_matches():
+    """A join on the left side, and a check that fails with a core."""
+    lattice = get_lattice("diamond")
+    supply = VarSupply()
+    a, b = supply.fresh("a"), supply.fresh("b")
+    constraints = [
+        Constraint(ConstTerm("A"), VarTerm(a)),
+        Constraint(JoinTerm((VarTerm(a), ConstTerm("B"))), VarTerm(b)),
+        Constraint(VarTerm(b), ConstTerm("A")),  # fails: top ⋢ A
+    ]
+    solution = _assert_solvers_agree(lattice, constraints)
+    assert not solution.ok
+    assert len(solution.conflicts) == 1
+
+
+@pytest.mark.parametrize("name", ["two-point", "diamond", "chain-5"])
+def test_scc_solver_matches_worklist_on_mega_systems(name):
+    lattice = get_lattice(name)
+    constraints, tails = mega_constraint_system(
+        3_000, lattice, seed=7, chains=16, cycle_every=41
+    )
+    solution = _assert_solvers_agree(lattice, constraints)
+    assert any(
+        not lattice.equal(solution.value_of(tail), lattice.bottom) for tail in tails
+    )

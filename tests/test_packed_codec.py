@@ -1,13 +1,13 @@
-"""Round-trip and algebra tests for the packed backend's label codecs.
+"""Round-trip and algebra tests for the packed label codecs.
 
-The packed solver is only as correct as the embedding of labels into
-machine integers, so this suite pins the codec contract directly: for
-every lattice with a codec, ``decode(encode(x)) == x`` and the object
+Packed policy decisions are only as correct as the embedding of labels
+into machine integers, so this suite pins the codec contract directly:
+for every lattice with a codec, ``decode(encode(x)) == x`` and the object
 lattice's ``leq`` / ``join`` / ``meet`` agree with subset-test / ``|`` /
 ``&`` on the encoded bits.  Powersets are exercised up to 64 principals
 (sampled -- the carrier is 2^64), products and chains exhaustively, and
-a non-distributive lattice (M3) is pinned to *reject* encoding so the
-solver falls back to the object backend instead of computing wrong joins.
+a non-distributive lattice (M3) is pinned to *reject* encoding so callers
+fall back to the object lattice instead of computing wrong joins.
 """
 
 from __future__ import annotations
@@ -18,9 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.inference import CodecError, codec_for, solve
-from repro.inference.constraints import Constraint
-from repro.inference.terms import ConstTerm, VarSupply, VarTerm
+from repro.inference import CodecError, codec_for
 from repro.lattice.chain import ChainLattice
 from repro.lattice.finite import FiniteLattice
 from repro.lattice.powerset import PowersetLattice
@@ -143,39 +141,8 @@ def test_codec_rejects_foreign_bits():
 
 
 # ---------------------------------------------------------------------------
-# unencodable lattices fall back to the object backend
+# unencodable lattices have no codec
 
 
 def test_non_distributive_lattice_has_no_codec():
     assert codec_for(_m3()) is None
-
-
-def test_packed_solve_falls_back_on_unencodable_lattice():
-    """``backend="packed"`` on M3 silently degrades to the graph backend
-    and still returns the correct least solution."""
-    lattice = _m3()
-    supply = VarSupply()
-    x, y = supply.fresh("x"), supply.fresh("y")
-    constraints = [
-        Constraint(ConstTerm("a"), VarTerm(x)),
-        Constraint(VarTerm(x), VarTerm(y)),
-        Constraint(ConstTerm("b"), VarTerm(y)),
-    ]
-    solution = solve(lattice, constraints, backend="packed")
-    assert solution.ok
-    assert solution.value_of(x) == "a"
-    assert solution.value_of(y) == "top"
-    assert solution.stats.backend == "graph"
-    assert "m3" in solution.stats.fallback_reason
-
-
-def test_packed_solve_uses_codec_when_available():
-    lattice = get_lattice("diamond")
-    supply = VarSupply()
-    x = supply.fresh("x")
-    solution = solve(
-        lattice, [Constraint(ConstTerm("A"), VarTerm(x))], backend="packed"
-    )
-    assert solution.stats.backend == "packed"
-    assert solution.stats.fallback_reason == ""
-    assert solution.value_of(x) == "A"

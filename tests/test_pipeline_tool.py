@@ -201,23 +201,17 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["--solver-stats", path])
 
-    def test_packed_fallback_prints_a_notice(self, tmp_path, capsys, monkeypatch):
-        """When the packed backend silently solves on the graph, the CLI
-        must say so -- otherwise benchmark runs read graph numbers as
-        packed numbers."""
-        import repro.inference.packed as packed_module
-
-        def refuse(graph):
-            raise packed_module.CodecError("codec disabled for this test")
-
-        monkeypatch.setattr(packed_module, "packed_system_for", refuse)
+    @pytest.mark.parametrize(
+        "flags",
+        [["--presolve"], ["--backend", "graph"], ["--solver-workers", "1"]],
+        ids=["presolve", "backend", "solver-workers"],
+    )
+    def test_there_are_no_solver_options(self, tmp_path, capsys, flags):
+        """One constraint solver: neither ``p4bid`` nor ``p4bid serve``
+        takes an option that selects or tunes it."""
         path = self.write(tmp_path, "deep.p4", deep_dataflow_program(6))
-        assert main(["--infer", "--backend", "packed", path]) == 0
-        err = capsys.readouterr().err
-        assert "packed backend fell back to graph" in err
-        assert "codec disabled for this test" in err
-
-    def test_packed_without_fallback_prints_no_notice(self, tmp_path, capsys):
-        path = self.write(tmp_path, "deep.p4", deep_dataflow_program(6))
-        assert main(["--infer", "--backend", "packed", path]) == 0
-        assert "fell back" not in capsys.readouterr().err
+        for argv in (["--infer", *flags, path], ["serve", *flags]):
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv)
+            assert excinfo.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err

@@ -209,9 +209,8 @@ def test_explain_deny_walks_derivation_lineage():
 # audits and stats
 
 
-def test_audit_is_deterministic_across_backends_and_workers():
+def test_audit_is_deterministic_across_decision_backends():
     universe = small_universe()
-    engine = PolicyEngine(universe)
     requests = [
         Request(uid, dataset, purpose, "store", "t0")
         for uid, (dataset, purpose) in enumerate(
@@ -219,15 +218,15 @@ def test_audit_is_deterministic_across_backends_and_workers():
         )
     ]
     outcomes = []
-    for backend, workers in (("graph", 1), ("packed", 1), ("packed", 2)):
-        solution = engine.audit(requests, backend=backend, workers=workers)
+    for backend in ("graph", "packed"):
+        solution = PolicyEngine(universe, backend=backend).audit(requests)
         outcomes.append(
             [
                 (str(c.constraint.lhs.describe()), str(c.constraint.rhs.describe()))
                 for c in solution.conflicts
             ]
         )
-    assert outcomes[0] == outcomes[1] == outcomes[2]
+    assert outcomes[0] and outcomes[0] == outcomes[1]
 
 
 def test_stats_and_telemetry_counters():

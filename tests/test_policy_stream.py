@@ -140,3 +140,28 @@ def test_replay_emits_telemetry():
     # decide spans nest under the replay via the ambient recorder, and the
     # per-decision latency histogram is populated.
     assert "policy.decide_us" in recorder.histograms
+
+
+def test_traced_replay_records_regrant_latency():
+    universe, stream = scenario(events=120, revoke_every=20)
+    recorder = TraceRecorder()
+    with use_recorder(recorder):
+        report = replay(PolicyEngine(universe), stream)
+    assert report.revocations > 0
+    regrants = recorder.histograms["policy.regrant_us"]
+    assert regrants.count == report.revocations
+    assert regrants.minimum >= 0.0
+
+
+def test_untraced_replay_observes_nothing(monkeypatch):
+    from repro.telemetry.recorder import current_recorder
+
+    disabled = current_recorder()
+    assert not disabled.enabled
+
+    def observe(*args):
+        raise AssertionError("a histogram reached the disabled recorder")
+
+    monkeypatch.setattr(type(disabled), "observe", observe)
+    universe, stream = scenario(events=120, revoke_every=20)
+    assert replay(PolicyEngine(universe), stream).revocations > 0

@@ -139,20 +139,19 @@ def _mutate(source: str, rng: random.Random) -> str:
 
 class TestDifferentialRandomEdits:
     """Randomised edit scripts over synthesized programs, across every
-    registered lattice and both solver backends."""
+    registered lattice."""
 
     @pytest.mark.parametrize("lattice", sorted(available_lattices()))
-    @pytest.mark.parametrize("backend", ["graph", "packed"])
-    def test_edit_script_matches_cold(self, lattice, backend):
-        rng = random.Random(f"{lattice}/{backend}")
+    def test_edit_script_matches_cold(self, lattice):
+        rng = random.Random(f"{lattice}/graph")
         source = sharded_dataflow_program(4, depth=3)
-        workspace = Workspace(get_lattice(lattice), backend=backend)
+        workspace = Workspace(get_lattice(lattice))
         assert workspace.open(source, filename="<input>")
         for _ in range(6):
             source = _mutate(source, rng)
             assert workspace.edit(source)
             warm = _snapshot(workspace)
-            cold = _cold_snapshot(source, lattice=lattice, backend=backend)
+            cold = _cold_snapshot(source, lattice=lattice)
             assert warm == cold
 
     def test_save_load_mid_script(self, tmp_path):
@@ -197,8 +196,7 @@ class TestIncrementality:
     re-solves only the cone of influence -- asserted through counters and
     solver statistics, never timing."""
 
-    @pytest.mark.parametrize("backend", ["graph", "packed"])
-    def test_single_shard_edit_is_localised(self, backend):
+    def test_single_shard_edit_is_localised(self):
         shards, depth = 6, 4
         source = sharded_dataflow_program(shards, depth=depth)
         edited = source.replace(
@@ -206,7 +204,7 @@ class TestIncrementality:
             "header shard3_t {\n    <bit<8>, low> seed;",
         )
         assert edited != source
-        workspace = Workspace(backend=backend)
+        workspace = Workspace()
         assert workspace.open(source, filename="<input>")
         workspace.check(infer=True)
         total_vars = workspace.check(infer=True).inference_result.variable_count
@@ -234,7 +232,7 @@ class TestIncrementality:
         assert (
             warm.inference_result.assignment_by_hint()
             == check_source(
-                edited, infer=True, backend=backend, filename="<input>"
+                edited, infer=True, filename="<input>"
             ).inference_result.assignment_by_hint()
         )
 
