@@ -33,7 +33,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from repro.ifc.context import SecurityTypeDefs
 from repro.ifc.convert import TypeLabeler
@@ -186,6 +186,22 @@ class LabelAlgebra(ABC):
         arguments, unsupported constructs).  The checker owns these; the
         symbolic algebra leaves them to the re-run checker, so the default
         is a no-op."""
+
+    # ------------------------------------------------------------------ per-unit outputs
+
+    @abstractmethod
+    def begin_unit(self) -> None:
+        """Route the outputs of the next top-level unit's walk to fresh
+        containers (see :func:`repro.flow.units.drive_units`)."""
+
+    @abstractmethod
+    def end_unit(self) -> object:
+        """The outputs captured since :meth:`begin_unit`."""
+
+    @abstractmethod
+    def merge_units(self, outputs: Sequence[object]) -> None:
+        """Install the unit-order concatenation of per-unit ``outputs``
+        as the algebra's outputs for the whole program."""
 
     # ------------------------------------------------------------------ declassification
 

@@ -32,14 +32,27 @@ hold by lattice laws -- except at declassify sites, whose ``pc ⊑ ⊥``
 condition does involve ``pc_fn``; those are flagged via
 ``RuleSite.pc_obligation`` and the symbolic algebra emits them against
 ``pc_fn`` when the body walk finishes.
+
+Per-unit driving
+----------------
+
+:meth:`FlowAnalysis.run` does not loop over the program itself: it hands
+the top-level units to :func:`repro.flow.units.drive_units`, which walks
+them one at a time with each unit's top-level effects recorded and the
+algebra's outputs captured per unit (``begin_unit`` / ``end_unit``), then
+concatenates them in unit order (``merge_units``).  Given a cache, the
+loop replays the effects of units whose products are still valid
+instead of walking them -- the incremental constraint generator and the
+workspace's IFC re-check are this one loop with a cache; the one-shot
+checker and generator are it without one.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from repro.flow.algebra import LabelAlgebra, RuleSite
-from repro.ifc.context import SecurityContext, SecurityTypeDefs
+from repro.ifc.context import SecurityContext
 from repro.ifc.convert import LabelResolutionError, TypeLabeler
 from repro.ifc.declassify import DECLASSIFY_FUNCTIONS
 from repro.ifc.errors import ViolationKind
@@ -68,7 +81,9 @@ from repro.syntax.declarations import Direction
 from repro.syntax.program import Program
 from repro.syntax.source import SourceSpan
 from repro.syntax.types import AnnotatedType, HeaderType, RecordType
-from repro.typechecker.checker import DEFAULT_MATCH_KINDS
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.flow.units import UnitCache
 
 
 def binary_result_body(op: str, left: SecurityBody, right: SecurityBody) -> SecurityBody:
@@ -113,20 +128,21 @@ class FlowAnalysis:
 
     # ------------------------------------------------------------------ entry point
 
-    def run(self, program: Program) -> None:
-        """Walk the whole program (named declarations, then controls)."""
-        algebra = self.algebra
-        delta = SecurityTypeDefs()
-        labeler = algebra.make_labeler(delta)
-        gamma = SecurityContext()
-        kind = SecurityType(SMatchKind(), algebra.bottom)
-        for member in DEFAULT_MATCH_KINDS:
-            gamma.bind(member, kind)
-        self._suggest_declaration_hints(program)
-        for decl in program.declarations:
-            gamma = self.check_declaration(decl, gamma, labeler, algebra.bottom)
-        for control in program.controls:
-            self.check_control(control, gamma, labeler)
+    def run(self, program: Program, cache: Optional["UnitCache"] = None) -> None:
+        """Walk the whole program (named declarations, then controls).
+
+        The walk goes through the per-unit loop
+        (:func:`repro.flow.units.drive_units`): each top-level unit's
+        outputs are captured separately and concatenated in unit order
+        into the algebra's outputs.  With a ``cache``, units it holds
+        valid products for are replayed instead of walked.
+        """
+        from repro.flow.units import FlowUnits, drive_units, program_units
+
+        products = drive_units(
+            FlowUnits(self, program), program_units(program), cache
+        )
+        self.algebra.merge_units([unit.outputs for unit in products])
 
     def _suggest_declaration_hints(self, program: Program) -> None:
         """Attach readable hints to the annotation slots of declared types."""

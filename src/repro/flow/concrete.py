@@ -17,7 +17,7 @@ silent walk so nothing is reported twice.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Iterable, Iterator, List
+from typing import Iterable, Iterator, List, Sequence
 
 from repro.flow.algebra import LabelAlgebra, RuleSite
 from repro.ifc.context import SecurityTypeDefs
@@ -35,6 +35,20 @@ from repro.lattice.base import Label, Lattice
 from repro.syntax import declarations as d
 from repro.syntax.source import SourceSpan
 from repro.syntax.types import inference_marker_guidance, is_inference_marker
+
+
+class ConcreteUnit:
+    """What the concrete walk of one top-level unit reported."""
+
+    __slots__ = ("diagnostics", "declassifications")
+
+    def __init__(
+        self,
+        diagnostics: List[IfcDiagnostic],
+        declassifications: List[DeclassificationEvent],
+    ) -> None:
+        self.diagnostics = diagnostics
+        self.declassifications = declassifications
 
 
 class ConcreteAlgebra(LabelAlgebra):
@@ -163,6 +177,21 @@ class ConcreteAlgebra(LabelAlgebra):
                     span,
                 )
             )
+
+    # ------------------------------------------------------------------ per-unit outputs
+
+    def begin_unit(self) -> None:
+        self.diagnostics = []
+        self.declassifications = []
+
+    def end_unit(self) -> ConcreteUnit:
+        return ConcreteUnit(self.diagnostics, self.declassifications)
+
+    def merge_units(self, outputs: Sequence[ConcreteUnit]) -> None:
+        self.diagnostics = [diag for unit in outputs for diag in unit.diagnostics]
+        self.declassifications = [
+            event for unit in outputs for event in unit.declassifications
+        ]
 
     # ------------------------------------------------------------------ traversal hooks
 

@@ -26,7 +26,7 @@ symbolic ``pc_fn`` when the body finishes (see
 
 from __future__ import annotations
 
-from typing import Iterable, List, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 from repro.flow.algebra import LabelAlgebra, RuleSite
 from repro.ifc.context import SecurityTypeDefs
@@ -35,6 +35,7 @@ from repro.ifc.security_types import SHeader, SRecord, SStack, SecurityType
 from repro.inference.constraints import Constraint, ConstraintSet
 from repro.inference.generate import (
     InferenceLabeler,
+    InferenceSite,
     SiteRegistry,
     term_read_label,
     term_write_label,
@@ -53,6 +54,28 @@ from repro.lattice.base import Lattice, LatticeError
 from repro.syntax import declarations as d
 from repro.syntax.source import SourceSpan
 from repro.syntax.types import AnnotatedType, is_inference_marker
+
+
+class SymbolicUnit:
+    """What the symbolic walk of one top-level unit generated.
+
+    ``touches`` lists every annotation site the walk resolved (fresh or
+    memoised), in order -- the sites this unit keeps alive.
+    """
+
+    __slots__ = ("constraints", "errors", "pc_vars", "touches")
+
+    def __init__(
+        self,
+        constraints: List[Constraint],
+        errors: List[IfcDiagnostic],
+        pc_vars: List[Tuple[d.ControlDecl, LabelVar]],
+        touches: List[InferenceSite],
+    ) -> None:
+        self.constraints = constraints
+        self.errors = errors
+        self.pc_vars = pc_vars
+        self.touches = touches
 
 
 class SymbolicAlgebra(LabelAlgebra):
@@ -180,6 +203,38 @@ class SymbolicAlgebra(LabelAlgebra):
         self, kind: ViolationKind, message: str, span: SourceSpan, rule: str
     ) -> None:
         self.errors.append(IfcDiagnostic(kind, message, span, rule))
+
+    # ------------------------------------------------------------------ per-unit outputs
+
+    def begin_unit(self) -> None:
+        self.constraints = ConstraintSet()
+        self.errors = []
+        self.control_pc_vars = []
+        self.registry.begin_touch_log()
+
+    def end_unit(self) -> SymbolicUnit:
+        return SymbolicUnit(
+            self.constraints.as_list(),
+            self.errors,
+            self.control_pc_vars,
+            self.registry.end_touch_log(),
+        )
+
+    def merge_units(self, outputs: Sequence[SymbolicUnit]) -> None:
+        # Re-deduplicated in unit order, exactly as one walk would have
+        # emitted them: the dedup key includes the span, so per-unit
+        # capture cannot manufacture cross-unit collisions.
+        merged = ConstraintSet()
+        errors: List[IfcDiagnostic] = []
+        pc_vars: List[Tuple[d.ControlDecl, LabelVar]] = []
+        for unit in outputs:
+            for constraint in unit.constraints:
+                merged.add(constraint)
+            errors.extend(unit.errors)
+            pc_vars.extend(unit.pc_vars)
+        self.constraints = merged
+        self.errors = errors
+        self.control_pc_vars = pc_vars
 
     # ------------------------------------------------------------------ traversal hooks
 

@@ -482,25 +482,30 @@ class Parser:
         without backtracking.  A statement starts a declaration when it
         begins with ``<`` (an annotated type), a type keyword, or an
         identifier immediately followed by another identifier (``ipv4_t x``)
-        or by ``[n] ident`` (a stack-typed variable).
+        or by any number of ``[n]`` suffixes and then an identifier (a
+        stack-typed variable, ``h_t[2][3] y``).  The type parser itself
+        caps the suffix count (:data:`MAX_TYPE_DEPTH`).
         """
         token = self._peek()
         if token.is_punct("<"):
             return True
         if token.kind is TokenKind.KEYWORD and token.text in _TYPE_KEYWORDS:
             return True
-        if token.kind is TokenKind.IDENT:
-            nxt = self._peek(1)
-            if nxt.kind is TokenKind.IDENT:
-                return True
-            if (
-                nxt.is_punct("[")
-                and self._peek(2).kind is TokenKind.INT
-                and self._peek(3).is_punct("]")
-                and self._peek(4).kind is TokenKind.IDENT
-            ):
-                return True
-        return False
+        if token.kind is not TokenKind.IDENT:
+            return False
+        nxt = self._peek(1)
+        if nxt.kind is TokenKind.IDENT:
+            return True
+        ahead = 1
+        # Each lookahead follows a non-EOF token, so it stays in bounds.
+        while (
+            nxt.is_punct("[")
+            and self._peek(ahead + 1).kind is TokenKind.INT
+            and self._peek(ahead + 2).is_punct("]")
+        ):
+            ahead += 3
+            nxt = self._peek(ahead)
+        return ahead > 1 and nxt.kind is TokenKind.IDENT
 
     # ------------------------------------------------------------------ statements
 

@@ -15,6 +15,14 @@ labels, ``⊑`` evaluated immediately).  The constraint generator of
 :mod:`repro.inference` runs the *same* traversal with a symbolic algebra,
 so the two interpretations cannot drift.
 
+The walk runs one top-level unit at a time through the per-unit loop
+(:func:`repro.flow.units.drive_units`).  :func:`check_ifc` without a
+``cache`` checks every unit; a long-lived
+:class:`~repro.workspace.Workspace` passes one, so re-checking an edited
+program's elaboration replays the recorded effects of the units whose
+elaborated nodes (and declarers) did not change and re-checks only the
+rest -- the same unmodified rules, over fewer units.
+
 Write-effect inference
 ----------------------
 
@@ -31,7 +39,7 @@ bounds and the labels of the table keys.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.ifc.context import SecurityContext
 from repro.ifc.convert import TypeLabeler
@@ -52,6 +60,9 @@ from repro.syntax import declarations as d
 from repro.syntax import expressions as e
 from repro.syntax import statements as s
 from repro.syntax.program import Program
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.flow.units import UnitCache
 
 
 @dataclass
@@ -122,9 +133,14 @@ class IfcChecker:
 
     # ------------------------------------------------------------------ entry points
 
-    def check_program(self, program: Program) -> IfcCheckResult:
+    def check_program(
+        self, program: Program, cache: Optional["UnitCache"] = None
+    ) -> IfcCheckResult:
+        """Check ``program`` one top-level unit at a time; with a
+        ``cache`` (:class:`repro.flow.units.UnitCache`), units it holds
+        valid products for are replayed instead of re-checked."""
         self._fresh()
-        self._analysis.run(program)
+        self._analysis.run(program, cache)
         return IfcCheckResult(
             program,
             self._lattice,
@@ -176,8 +192,14 @@ def check_ifc(
     lattice: Optional[Lattice] = None,
     *,
     allow_declassification: bool = False,
+    cache: Optional["UnitCache"] = None,
 ) -> IfcCheckResult:
-    """Run the IFC checker over ``program`` under ``lattice`` (default two-point)."""
+    """Run the IFC checker over ``program`` under ``lattice`` (default two-point).
+
+    ``cache`` is for long-lived callers re-checking successive revisions
+    (:meth:`repro.workspace.Workspace.recheck_cache`); without one every
+    unit is checked.
+    """
     return IfcChecker(
         lattice, allow_declassification=allow_declassification
-    ).check_program(program)
+    ).check_program(program, cache)

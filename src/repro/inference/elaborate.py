@@ -13,12 +13,14 @@ soundness of inference rests on that unmodified checker, not on the solver.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional
 
+from repro.flow.units import UnitCache, program_units
 from repro.inference.generate import GenerationResult
 from repro.inference.solve import Solution
 from repro.syntax import declarations as d
 from repro.syntax import statements as s
+from repro.syntax.digest import Unit
 from repro.syntax.program import Program
 from repro.syntax.types import (
     AnnotatedType,
@@ -31,6 +33,23 @@ from repro.syntax.types import (
 )
 
 
+class Elaboration:
+    """One top-level unit with its solved labels written in.
+
+    ``slots`` are the unit's annotation slots, in the order elaboration
+    read them, and ``key`` what it read for them (then for the control's
+    pc) from the solution: the elaborated ``node`` is a function of the
+    unit and the key.
+    """
+
+    __slots__ = ("node", "slots", "key")
+
+    def __init__(self, node: Unit, slots: List[AnnotatedType], key: tuple) -> None:
+        self.node = node
+        self.slots = slots
+        self.key = key
+
+
 class _Elaborator:
     def __init__(self, generation: GenerationResult, solution: Solution) -> None:
         self._registry = generation.registry
@@ -39,13 +58,48 @@ class _Elaborator:
         }
         self._solution = solution
         self._lattice = generation.lattice
+        #: The slots read (and what was read for them) by the current unit.
+        self._slots: List[AnnotatedType] = []
+        self._key: list = []
+
+    # -- units ----------------------------------------------------------------
+
+    def unit(self, unit: Unit) -> Elaboration:
+        self._slots, self._key = [], []
+        if isinstance(unit, d.ControlDecl):
+            node: Unit = self.control(unit)
+            self._key.append(self._pc_value(unit))
+        else:
+            node = self.declaration(unit)
+        return Elaboration(node, self._slots, tuple(self._key))
+
+    def still_valid(self, elaboration: Elaboration, unit: Unit) -> bool:
+        """Whether ``elaboration`` is what :meth:`unit` would build now."""
+        key = [self._slot_value(node) for node in elaboration.slots]
+        if isinstance(unit, d.ControlDecl):
+            key.append(self._pc_value(unit))
+        return tuple(key) == elaboration.key
+
+    def _slot_value(self, node: AnnotatedType):
+        site = self._registry.site_of(node) if self._registry is not None else None
+        if site is None:
+            return None
+        return site.augments, self._solution.value_of(site.var)
+
+    def _pc_value(self, control: d.ControlDecl):
+        var = self._control_pc_vars.get(id(control))
+        return None if var is None else self._solution.value_of(var)
 
     # -- types ---------------------------------------------------------------
 
     def _label_text(self, node: AnnotatedType) -> Optional[str]:
         site = self._registry.site_of(node) if self._registry is not None else None
-        if site is not None:
+        self._slots.append(node)
+        if site is None:
+            self._key.append(None)
+        else:
             label = self._solution.value_of(site.var)
+            self._key.append((site.augments, label))
             if site.augments and self._lattice.equal(label, self._lattice.bottom):
                 # A ⊥ augmentation adds nothing to the underlying label;
                 # leave the slot unannotated rather than writing a label
@@ -151,13 +205,37 @@ class _Elaborator:
         )
 
 
-def elaborate_program(generation: GenerationResult, solution: Solution) -> Program:
-    """The program with every inferred label written into its slot."""
+def elaborate_program(
+    generation: GenerationResult,
+    solution: Solution,
+    cache: Optional[UnitCache] = None,
+) -> Program:
+    """The program with every inferred label written into its slot.
+
+    Elaborates one top-level unit at a time.  ``cache`` works like the
+    per-unit loop's (:class:`repro.flow.units.UnitCache`), over
+    :class:`Elaboration` records: it offers each unit's last elaboration, and
+    one whose slots (and control pc) ``solution`` still assigns the labels
+    it read keeps its elaborated node; the cache then receives every
+    unit's elaboration.
+    """
     elaborator = _Elaborator(generation, solution)
     program = generation.program
+    units = program_units(program)
+    cached = cache.reuse() if cache is not None else None
+    elaborations: List[Elaboration] = []
+    for index, unit in enumerate(units):
+        previous = cached[index] if cached is not None else None
+        if previous is not None and elaborator.still_valid(previous, unit):
+            elaborations.append(previous)
+        else:
+            elaborations.append(elaborator.unit(unit))
+    if cache is not None:
+        cache.store(elaborations)
+    split = len(program.declarations)
     return Program(
-        tuple(elaborator.declaration(decl) for decl in program.declarations),
-        tuple(elaborator.control(control) for control in program.controls),
+        tuple(e.node for e in elaborations[:split]),
+        tuple(e.node for e in elaborations[split:]),
         span=program.span,
         name=program.name,
     )

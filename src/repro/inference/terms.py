@@ -95,7 +95,10 @@ class VarTerm(Term):
     var: LabelVar
 
     def describe(self) -> str:
-        return f"?{self.var.uid}"
+        # The slot's name, not the uid: uids count every variable a
+        # session ever allocated, so they differ between a warm session
+        # and a cold check of the same source.
+        return self.var.describe()
 
 
 @dataclass(frozen=True)

@@ -111,7 +111,9 @@ def declared_names(unit: Unit) -> Tuple[str, ...]:
     in a child scope), so they return ``()``.
     """
     if isinstance(unit, d.MatchKindDecl):
-        return tuple(unit.members)
+        # The latest match_kind declaration is also what ``match_kind``
+        # names: the kinds a table key may use.
+        return (*unit.members, "match_kind")
     if isinstance(
         unit,
         (d.VarDecl, d.TypedefDecl, d.HeaderDecl, d.StructDecl, d.FunctionDecl, d.TableDecl),
@@ -137,6 +139,7 @@ def referenced_names(unit: Unit) -> FrozenSet[str]:
             names.add(node.name)
         elif isinstance(node, d.TableKey):
             names.add(node.match_kind)
+            names.add("match_kind")
         elif isinstance(node, TypeName):
             names.add(node.name)
     return frozenset(names)

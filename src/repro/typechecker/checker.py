@@ -14,7 +14,7 @@ the CLI can report every problem in a file, matching p4c's behaviour.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from repro.syntax import declarations as d
 from repro.syntax import expressions as e
@@ -39,10 +39,18 @@ from repro.syntax.types import (
     UnitType,
 )
 from repro.typechecker.compat import types_compatible
-from repro.typechecker.environment import TypeContext, TypeDefinitions
+from repro.typechecker.environment import (
+    RecordingTypeContext,
+    RecordingTypeDefinitions,
+    TypeContext,
+    TypeDefinitions,
+)
 from repro.typechecker.errors import CoreTypeError, TypeDiagnostic
 from repro.typechecker.operators import binary_result_type, unary_result_type
 from repro.typechecker.unfold import UnfoldError, unfold_type
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.flow.units import UnitCache
 
 #: Directionality of an expression: read-only or readable-and-writable.
 DIR_IN = "in"
@@ -79,15 +87,16 @@ class CoreTypeChecker:
 
     # ------------------------------------------------------------------ entry points
 
-    def check_program(self, program: Program) -> CoreCheckResult:
-        self._diagnostics = []
-        delta = TypeDefinitions()
-        gamma = TypeContext()
-        self._install_default_match_kinds(delta, gamma)
-        for decl in program.declarations:
-            gamma, delta = self.check_declaration(decl, gamma, delta)
-        for control in program.controls:
-            self.check_control(control, gamma, delta)
+    def check_program(
+        self, program: Program, cache: Optional["UnitCache"] = None
+    ) -> CoreCheckResult:
+        """Check every top-level unit through the per-unit loop
+        (:func:`repro.flow.units.drive_units`); with a ``cache``, units it
+        holds valid products for are replayed instead of re-checked."""
+        from repro.flow.units import drive_units, program_units
+
+        products = drive_units(_CoreUnits(self), program_units(program), cache)
+        self._diagnostics = [diag for unit in products for diag in unit.outputs]
         return CoreCheckResult(program, list(self._diagnostics))
 
     def check_control(
@@ -593,6 +602,37 @@ class CoreTypeChecker:
         return self._unfold(callee_type.return_type.ty, delta, expr.span), DIR_IN
 
 
-def check_core_types(program: Program) -> CoreCheckResult:
-    """Run the ordinary type checker over ``program``."""
-    return CoreTypeChecker().check_program(program)
+class _CoreUnits:
+    """The :func:`~repro.flow.units.drive_units` walker of the Core P4
+    checker: one recorded top-level Γ/Δ, diagnostics captured per unit."""
+
+    def __init__(self, checker: CoreTypeChecker) -> None:
+        self.checker = checker
+        self.gamma = RecordingTypeContext()
+        self.delta = RecordingTypeDefinitions()
+        checker._install_default_match_kinds(self.delta, self.gamma)
+        self.recorders = (self.gamma, self.delta)
+        self.sinks = {"gamma": self.gamma.bind, "delta": self.delta.define}
+
+    def begin_unit(self) -> None:
+        self.checker._diagnostics = []
+
+    def end_unit(self) -> List[TypeDiagnostic]:
+        return self.checker._diagnostics
+
+    def walk(self, unit) -> None:
+        if isinstance(unit, d.ControlDecl):
+            self.checker.check_control(unit, self.gamma, self.delta)
+        else:
+            self.checker.check_declaration(unit, self.gamma, self.delta)
+
+
+def check_core_types(
+    program: Program, cache: Optional["UnitCache"] = None
+) -> CoreCheckResult:
+    """Run the ordinary type checker over ``program``.
+
+    A ``cache`` (:class:`repro.flow.units.UnitCache`) lets a long-lived
+    caller re-check only the units an edit invalidated.
+    """
+    return CoreTypeChecker().check_program(program, cache)

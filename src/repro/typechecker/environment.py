@@ -83,3 +83,26 @@ class TypeContext:
                     seen.add(name)
                     yield name
             scope = scope._parent
+
+
+class RecordingTypeDefinitions(TypeDefinitions):
+    """Δ that logs ``define`` calls while a log is installed (see
+    :func:`repro.flow.units.drive_units`)."""
+
+    effects: Optional[list] = None
+
+    def define(self, name: str, ty: Type) -> None:
+        if self.effects is not None:
+            self.effects.append(("delta", name, ty))
+        super().define(name, ty)
+
+
+class RecordingTypeContext(TypeContext):
+    """Γ that logs ``bind`` calls while a log is installed."""
+
+    effects: Optional[list] = None
+
+    def bind(self, name: str, ty: Type) -> None:
+        if self.effects is not None:
+            self.effects.append(("gamma", name, ty))
+        super().bind(name, ty)

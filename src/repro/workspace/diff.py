@@ -5,9 +5,10 @@ without re-walking it wholesale.  The units of reuse are the *top-level
 units* of a :class:`~repro.syntax.program.Program`: its named declarations
 and its control blocks, in program order.  For each unit the workspace
 keeps a :class:`UnitState` -- the AST node whose identities anchor the
-cached label variables, plus everything the last symbolic walk of the
-unit produced (constraints, diagnostics, context effects, touched
-annotation sites).
+cached label variables, plus what each phase's last walk of the unit
+produced (the symbolic walk's constraints and touched annotation sites,
+the Core P4 diagnostics, the elaborated node, the IFC re-check's
+diagnostics; each with the context effects it replays).
 
 Diffing a new revision against the cached states proceeds in three steps,
 all span-insensitive:
@@ -24,9 +25,12 @@ all span-insensitive:
    position-independent -- a unit that merely moved still matches.
 2. **Classify** by environment signature: a matched unit is *clean* only
    if the names it references still resolve to byte-identical earlier
-   declarations (:func:`environment_signatures`).  A unit whose own text
+   declarations (:func:`environment_signatures`) -- and to the very same
+   declaring units as before, themselves clean.  A unit whose own text
    is untouched but whose referenced ``header`` changed is re-walked, so
-   cross-unit label variables are re-allocated consistently.
+   cross-unit label variables are re-allocated consistently; so is one
+   whose declarer was swapped for a content-identical stand-in (the
+   later of two equal declarations deleted), whose variables differ.
 3. **Re-span**: only a unit matched by fingerprint -- that is, one that
    was re-parsed -- has its cached AST rewritten in place to the new
    revision's positions (:func:`repro.syntax.digest.respan`), so cached
@@ -44,10 +48,8 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from repro.ifc.errors import IfcDiagnostic
-from repro.inference.constraints import Constraint
-from repro.inference.generate import InferenceSite
-from repro.inference.terms import LabelVar
+from repro.flow.units import UnitProducts, program_units
+from repro.inference.elaborate import Elaboration
 from repro.syntax import declarations as d
 from repro.syntax.digest import (
     RespanMismatch,
@@ -59,16 +61,14 @@ from repro.syntax.digest import (
 )
 from repro.syntax.program import Program
 
-#: One recorded top-level effect of a unit's walk, replayed verbatim when
-#: the unit is reused: ``("gamma", name, SecurityType)`` for Γ bindings,
-#: ``("delta", name, AnnotatedType)`` for Δ definitions, ``("fn", name,
-#: Term)`` / ``("tbl", name, Term)`` for inferred write bounds.
-Effect = Tuple[str, str, object]
-
-
 @dataclass
 class UnitState:
-    """One top-level unit with everything its last walk produced."""
+    """One top-level unit with the products of its last walk by each phase.
+
+    Each cache is ``None`` until its phase first runs over the unit, and
+    is dropped again when the unit's diff verdict voids it (see
+    :meth:`repro.workspace.regen.IncrementalGenerator.plan`).
+    """
 
     node: Unit
     fingerprint: str
@@ -78,16 +78,53 @@ class UnitState:
     #: name resolves to nothing); the unit must be re-walked when this map
     #: changes, even if its own text did not.
     signature: Dict[str, Optional[str]] = field(default_factory=dict)
-    #: Cached products of the unit's last symbolic walk.
-    constraints: List[Constraint] = field(default_factory=list)
-    errors: List[IfcDiagnostic] = field(default_factory=list)
-    pc_vars: List[Tuple[d.ControlDecl, LabelVar]] = field(default_factory=list)
-    touches: List[InferenceSite] = field(default_factory=list)
-    effects: List[Effect] = field(default_factory=list)
+    #: Per referenced name (signature order), the index of its declaring
+    #: unit in the plan that made this state's signature (``None``:
+    #: resolves to nothing).
+    declarers: Tuple[Optional[int], ...] = ()
+    #: The symbolic walk: constraints, errors, pc vars, touched sites.
+    generated: Optional[UnitProducts] = None
+    #: The Core P4 check: diagnostics.
+    core: Optional[UnitProducts] = None
+    #: The unit with its solved labels written in.
+    elaborated: Optional[Elaboration] = None
+    #: The concrete IFC re-check of ``ifc_node``: diagnostics and
+    #: declassification events ...
+    ifc: Optional[UnitProducts] = None
+    ifc_node: Optional[Unit] = None
+    #: ... made against these products of the unit's declarers, one per
+    #: referenced name in :attr:`signature` order (``None``: unresolved).
+    ifc_deps: Tuple[Optional[UnitProducts], ...] = ()
 
     @property
     def is_control(self) -> bool:
         return isinstance(self.node, d.ControlDecl)
+
+
+class StateSlots:
+    """One products slot of the unit states, as a per-unit cache
+    (:class:`repro.flow.units.UnitCache`): each unit is offered what its
+    state holds in ``slot``, and keeps what the walk hands back."""
+
+    def __init__(self, states: List[UnitState], slot: str) -> None:
+        self.states = states
+        self.slot = slot
+        #: Per unit, whether the last :meth:`store` brought new products.
+        self.fresh: List[bool] = []
+        self.walked = 0
+
+    def reuse(self) -> list:
+        return [getattr(state, self.slot) for state in self.states]
+
+    def store(self, products: list) -> None:
+        slot = self.slot
+        self.fresh = [
+            unit is not getattr(state, slot)
+            for state, unit in zip(self.states, products)
+        ]
+        self.walked = sum(self.fresh)
+        for state, unit in zip(self.states, products):
+            setattr(state, slot, unit)
 
 
 @dataclass
@@ -105,16 +142,11 @@ class UnitPlan:
     span_map: Dict[object, object] = field(default_factory=dict)
 
 
-def program_units(program: Program) -> List[Unit]:
-    """The top-level units of ``program`` in walk order: declarations
-    first (in order), then control blocks (in order)."""
-    return [*program.declarations, *program.controls]
-
-
 def environment_signatures(
     units: List[Unit],
     fingerprints: List[str],
     referenced: List[FrozenSet[str]],
+    declarers: Optional[List[Tuple[Optional[int], ...]]] = None,
 ) -> List[Dict[str, Optional[str]]]:
     """The environment signature of every unit, in unit order.
 
@@ -129,16 +161,27 @@ def environment_signatures(
     when their own text is untouched.  ``None`` records "resolves to
     nothing", so a deleted or newly introduced declaration changes the
     signature exactly like an edited one.
+
+    A ``declarers`` list, when given, receives per unit the index of the
+    declaring unit of each referenced name, in signature order (``None``:
+    resolves to nothing).
     """
     env: Dict[str, str] = {}
+    #: name -> index of the unit declaring it.
+    owner: Dict[str, int] = {}
     signatures: List[Dict[str, Optional[str]]] = [dict() for _ in units]
+    if declarers is not None:
+        declarers[:] = [()] * len(units)
     control_indices: List[int] = []
     for index, unit in enumerate(units):
         if isinstance(unit, d.ControlDecl):
             control_indices.append(index)
             continue
-        signature = {name: env.get(name) for name in sorted(referenced[index])}
+        names = sorted(referenced[index])
+        signature = {name: env.get(name) for name in names}
         signatures[index] = signature
+        if declarers is not None:
+            declarers[index] = tuple(owner.get(name) for name in names)
         declared = declared_names(unit)
         if declared:
             deep = hashlib.sha256(
@@ -148,10 +191,12 @@ def environment_signatures(
             ).hexdigest()
             for name in declared:
                 env[name] = deep
+                owner[name] = index
     for index in control_indices:
-        signatures[index] = {
-            name: env.get(name) for name in sorted(referenced[index])
-        }
+        names = sorted(referenced[index])
+        signatures[index] = {name: env.get(name) for name in names}
+        if declarers is not None:
+            declarers[index] = tuple(owner.get(name) for name in names)
     return signatures
 
 
@@ -211,33 +256,48 @@ def diff_program(old_states: List[UnitState], program: Program) -> List[UnitPlan
         else referenced_names(unit)
         for index, unit in enumerate(units)
     ]
-    signatures = environment_signatures(units, fingerprints, referenced)
+    declarers: List[Tuple[Optional[int], ...]] = []
+    signatures = environment_signatures(units, fingerprints, referenced, declarers)
 
+    states = [
+        old
+        if old is not None
+        else UnitState(
+            node=unit,
+            fingerprint=fingerprints[index],
+            declared=declared_names(unit),
+            referenced=referenced[index],
+        )
+        for index, (unit, old) in enumerate(zip(units, matches))
+    ]
     plans: List[UnitPlan] = []
-    for index, unit in enumerate(units):
+    for index, state in enumerate(states):
+        # Clean only when every referenced name resolves to a declaration
+        # with the same deep content *and* to the very same unit as
+        # before, itself clean: a content-identical stand-in (deleting
+        # the later of two equal declarations) carries other variables.
         old = matches[index]
-        if old is not None:
-            dirty = old.signature != signatures[index]
-            old.signature = signatures[index]
-            plans.append(
-                UnitPlan(
-                    old,
-                    dirty,
-                    respanned=bool(span_maps[index]),
-                    span_map=span_maps[index],
+        dirty = (
+            old is None
+            or old.signature != signatures[index]
+            or len(old.declarers) != len(declarers[index])
+            or any(
+                (was is None) != (now is None)
+                or (
+                    now is not None
+                    and (plans[now].dirty or old_states[was] is not states[now])
                 )
+                for was, now in zip(old.declarers, declarers[index])
             )
-            continue
+        )
+        state.signature = signatures[index]
+        state.declarers = declarers[index]
         plans.append(
             UnitPlan(
-                UnitState(
-                    node=unit,
-                    fingerprint=fingerprints[index],
-                    declared=declared_names(unit),
-                    referenced=referenced[index],
-                    signature=signatures[index],
-                ),
-                dirty=True,
+                state,
+                dirty,
+                respanned=bool(span_maps[index]),
+                span_map=span_maps[index],
             )
         )
     return plans

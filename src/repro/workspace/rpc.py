@@ -41,7 +41,9 @@ Methods (``params`` is always an object):
 Error codes follow the JSON-RPC 2.0 spec: ``-32700`` parse error,
 ``-32600`` invalid request, ``-32601`` method not found, ``-32602``
 invalid params, ``-32000`` workspace errors (no program open, unknown
-slot, ...).
+slot, ...), ``-32001`` I/O errors (``save`` / ``load`` on a path the
+server cannot write or read).  A failed request changes nothing: the
+session keeps its workspace and answers the next request.
 """
 
 from __future__ import annotations
@@ -58,6 +60,7 @@ INVALID_REQUEST = -32600
 METHOD_NOT_FOUND = -32601
 INVALID_PARAMS = -32602
 WORKSPACE_ERROR = -32000
+IO_ERROR = -32001
 
 
 class _RpcError(Exception):
@@ -153,6 +156,10 @@ class WorkspaceServer:
             return self._encode_error(request_id, exc.code, exc.message)
         except WorkspaceError as exc:
             return self._encode_error(request_id, WORKSPACE_ERROR, str(exc))
+        except OSError as exc:
+            # ``save`` / ``load`` on a path the server cannot write or read:
+            # the request fails, the session and its workspace stay up.
+            return self._encode_error(request_id, IO_ERROR, f"{method}: {exc}")
         if request_id is None:
             return None  # notification: no response
         return json.dumps({"jsonrpc": "2.0", "id": request_id, "result": result})

@@ -23,6 +23,29 @@ across edits:
   solved state (:mod:`repro.workspace.persist`), so a later session warms
   up without a cold solve.
 
+Past generation, a warm check redoes only the units it must.  Each
+:class:`~repro.workspace.diff.UnitState` caches, next to its generated
+constraints, three per-unit products that live and die with it:
+
+* the **Core P4 products** (diagnostics, recorded Γ/Δ effects) --
+  reused while the diff finds the unit clean and unmoved;
+* the **elaborated node** -- reused while the unit is clean, unmoved,
+  and the solution still assigns its annotation slots (and its
+  control's pc) the labels it was elaborated with;
+* the **IFC re-check products** (diagnostics, declassification events,
+  effects) -- reused while the unit keeps the very elaborated node they
+  were made for and every referenced declarer's products were reused
+  too, decided in unit order so the rule is transitive
+  (:class:`RecheckSlots`).
+
+An edit that moves a unit (lines inserted above it) re-spans it without
+re-walking it, but its diagnostics and elaborated node embed positions,
+so core, elaboration and the IFC re-check redo it.  How many units the
+last run of each phase redid is in ``stats()["rechecks"]`` and, under a
+tracing recorder, in the ``workspace.units_core_checked`` /
+``workspace.units_elaborated`` / ``workspace.units_ifc_checked``
+counters.
+
 The first check of a freshly opened workspace is the *cold* path run
 verbatim -- same walk, same solver entry point, same spans and counters
 -- so a one-shot :func:`repro.check_source` built on a throwaway
@@ -41,6 +64,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Union
 
+from repro.flow.units import program_units
 from repro.frontend.errors import FrontendError
 from repro.frontend.parser import ParseIndex, parse_program
 from repro.inference.elaborate import elaborate_program
@@ -58,11 +82,82 @@ from repro.lattice.registry import get_lattice
 from repro.lattice.two_point import TwoPointLattice
 from repro.syntax.program import Program
 from repro.telemetry.recorder import current_recorder
+from repro.workspace.diff import StateSlots, UnitState
 from repro.workspace.regen import IncrementalGenerator, RegenStats
 
 
 class WorkspaceError(Exception):
     """An operation the workspace's current state cannot support."""
+
+
+class HeldProducts:
+    """A per-unit cache with nothing to offer that keeps what it is
+    handed: the products of a check that ran before any unit state."""
+
+    def __init__(self, program: Program) -> None:
+        self.program = program
+        self.products: list = []
+        self.walked = 0
+
+    def reuse(self) -> None:
+        return None
+
+    def store(self, products: list) -> None:
+        self.products = products
+        self.walked = len(products)
+
+
+class RecheckSlots(StateSlots):
+    """The units' IFC re-check products, as a per-unit cache.
+
+    A unit's products are reused when they were made for the very
+    elaborated node the unit has now, and against the very products its
+    declarers keep this time: every name the unit references resolves to
+    the same declaring unit, itself reused.  Deciding in unit order makes
+    that transitive, as :func:`~repro.workspace.diff.environment_signatures`
+    does for the source.
+    """
+
+    def __init__(self, states: List[UnitState], elaborated: Program, note) -> None:
+        super().__init__(states, "ifc")
+        self.nodes = program_units(elaborated)
+        self._note = note
+        self.declarers = [
+            tuple(None if index is None else states[index] for index in state.declarers)
+            for state in states
+        ]
+
+    def reuse(self) -> list:
+        reused: set = set()
+        cached = []
+        for state, node, declarers in zip(self.states, self.nodes, self.declarers):
+            valid = (
+                state.ifc is not None
+                and state.ifc_node is node
+                and len(declarers) == len(state.ifc_deps)
+                and all(
+                    (declarer is None and made_with is None)
+                    or (
+                        declarer is not None
+                        and id(declarer) in reused
+                        and declarer.ifc is made_with
+                    )
+                    for declarer, made_with in zip(declarers, state.ifc_deps)
+                )
+            )
+            if valid:
+                reused.add(id(state))
+            cached.append(state.ifc if valid else None)
+        return cached
+
+    def store(self, products: list) -> None:
+        super().store(products)
+        for state, node, declarers in zip(self.states, self.nodes, self.declarers):
+            state.ifc_node = node
+            state.ifc_deps = tuple(
+                None if declarer is None else declarer.ifc for declarer in declarers
+            )
+        self._note("units_ifc_checked", self.walked)
 
 
 class Workspace:
@@ -108,6 +203,16 @@ class Workspace:
         self._core_rev = -1
         self._lints = None
         self._lints_rev = -1
+        #: The revision the unit states were last diffed against.
+        self._planned_rev = -1
+        #: Core P4 products checked before the first plan made any states.
+        self._first_core: Optional[HeldProducts] = None
+        #: How many units the last run of each per-unit phase re-did.
+        self._rechecked: Dict[str, int] = {
+            "units_core_checked": 0,
+            "units_elaborated": 0,
+            "units_ifc_checked": 0,
+        }
         #: Interactive pins, keyed by slot *hint* (stable across the var
         #: re-allocation a structural edit may cause).
         self._pin_hints: Dict[str, Label] = {}
@@ -189,8 +294,36 @@ class Workspace:
 
     # ------------------------------------------------------------------ generation
 
+    def _ensure_plan(self) -> Program:
+        """Diff the current revision against the unit states, once.
+
+        Every per-unit phase (core, generation, elaboration, IFC re-check)
+        reads the states this settles.  Matched units keep their original
+        AST nodes; the assembled program (identical to the parse on a
+        first plan) is what every phase must see, and what the next
+        edit's parse hands back for the units it leaves alone.
+        """
+        program = self._require_program()
+        if self._planned_rev != self.revision:
+            held, self._first_core = self._first_core, None
+            assembled = self._generator.plan(program)
+            if held is not None and held.program is assembled:
+                for state, unit in zip(self._generator.units, held.products):
+                    state.core = unit
+            self._parse_index.relink(program, assembled)
+            self.program = program = assembled
+            self._planned_rev = self.revision
+        return program
+
+    def _note(self, counter: str, units: int) -> None:
+        """Record how many units a per-unit phase re-did."""
+        self._rechecked[counter] = units
+        recorder = current_recorder()
+        if recorder.enabled:
+            recorder.count("workspace." + counter, units)
+
     def _ensure_generation(self) -> GenerationResult:
-        self._require_program()
+        self._ensure_plan()
         if self._generation is not None and self._generation_rev == self.revision:
             return self._generation
         recorder = current_recorder()
@@ -210,12 +343,6 @@ class Workspace:
             recorder.count("workspace.sites_live", stats.sites_live)
             recorder.count("parse.units_reused", self._parse_index.reused)
             recorder.count("parse.units_reparsed", self._parse_index.reparsed)
-        # Matched units keep their original AST nodes; the assembled
-        # program (identical to the parse on a first refresh) is what
-        # every downstream phase must see, and what the next edit's
-        # parse hands back for the units it leaves alone.
-        self._parse_index.relink(self.program, generation.program)
-        self.program = generation.program
         self._generation = generation
         self._generation_rev = self.revision
         return generation
@@ -321,12 +448,26 @@ class Workspace:
     # ------------------------------------------------------------------ phases
 
     def core(self):
-        """The Core P4 (non-security) check, cached per revision."""
+        """The Core P4 (non-security) check, cached per revision.
+
+        Re-checks only the units the edits since their last check made
+        dirty or re-spanned; the others replay their recorded Γ/Δ effects
+        and keep their diagnostics.
+        """
         from repro.typechecker.checker import check_core_types
 
-        program = self._require_program()
         if self._core is None or self._core_rev != self.revision:
-            self._core = check_core_types(program)
+            if self._generator.units:
+                program = self._ensure_plan()
+                cache = StateSlots(self._generator.units, "core")
+            else:
+                # Nothing to reuse yet: check the parse as it stands and
+                # hand the products to the states the first plan makes, so
+                # a one-shot check that never infers pays for no diff.
+                program = self._require_program()
+                cache = self._first_core = HeldProducts(program)
+            self._core = check_core_types(program, cache)
+            self._note("units_core_checked", cache.walked)
             self._core_rev = self.revision
         return self._core
 
@@ -370,7 +511,9 @@ class Workspace:
             conflict.as_diagnostic(self.lattice) for conflict in solution.conflicts
         )
         with recorder.span("infer.elaborate"):
-            elaborated = elaborate_program(generation, solution)
+            cache = StateSlots(self._generator.units, "elaborated")
+            elaborated = elaborate_program(generation, solution, cache)
+        self._note("units_elaborated", cache.walked)
         result = InferenceResult(
             self.program,
             self.lattice,
@@ -383,6 +526,12 @@ class Workspace:
         self._inference = result
         self._inference_rev = self.revision
         return result
+
+    def recheck_cache(self, elaborated: Program) -> RecheckSlots:
+        """The per-unit cache of the IFC re-check of ``elaborated``, the
+        program :meth:`infer` elaborated: pass it to
+        :func:`repro.ifc.checker.check_ifc` as ``cache``."""
+        return RecheckSlots(self._generator.units, elaborated, self._note)
 
     def lint(self) -> list:
         """The :mod:`repro.analysis` lints over the warm constraint graph."""
@@ -506,6 +655,7 @@ class Workspace:
                 if self._solved is not None
                 else None,
             },
+            "rechecks": dict(self._rechecked),
             "regen": {
                 "units_total": regen.units_total,
                 "units_reused": regen.units_reused,

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.frontend.errors import ParserError
-from repro.frontend.parser import parse_expression, parse_program
+from repro.frontend.parser import MAX_TYPE_DEPTH, parse_expression, parse_program
 from repro.syntax import (
     Assign,
     BinaryOp,
@@ -298,6 +298,39 @@ class TestStatements:
         (stmt,) = self.wrap("h_t copy;")
         assert isinstance(stmt, VarDeclStmt)
         assert isinstance(stmt.declaration.ty.ty, TypeName)
+
+    def test_multi_stack_local_declaration(self):
+        """Any number of ``[n]`` suffixes start a declaration, and the
+        local gets the very type the parameter form does."""
+        source = (
+            "header h_t { bit<8> x; }\n"
+            "control C(in h_t[2][3] p) {\n"
+            "    h_t[2][3] local;\n"
+            "    apply { h_t[2][3] y; h_t[4] z; }\n"
+            "}"
+        )
+        control = parse_program(source).controls[0]
+        expected = control.params[0].ty.ty
+        assert isinstance(expected, StackType) and expected.size == 3
+        assert isinstance(expected.element.ty, StackType)
+        assert control.local_declarations[0].ty.ty == expected
+        y, z = control.apply_block.statements
+        assert isinstance(y, VarDeclStmt) and y.declaration.name == "y"
+        assert y.declaration.ty.ty == expected
+        assert isinstance(z, VarDeclStmt) and z.declaration.ty.ty.size == 4
+
+    def test_indexed_assignments_stay_statements(self):
+        for body in ("a[1][2] = b;", "x[0] = y;", "a[1][2][3] = b[0];"):
+            (stmt,) = self.wrap(body)
+            assert isinstance(stmt, Assign)
+            assert isinstance(stmt.target, Index)
+
+    def test_stack_suffixes_past_the_type_cap(self):
+        deep = "[1]" * (MAX_TYPE_DEPTH + 1)
+        with pytest.raises(ParserError, match=f"deeper than {MAX_TYPE_DEPTH} levels"):
+            self.wrap(f"h_t{deep} y;")
+        (stmt,) = self.wrap("h_t" + "[1]" * MAX_TYPE_DEPTH + " y;")
+        assert isinstance(stmt, VarDeclStmt)
 
     def test_expression_statement_must_be_call(self):
         with pytest.raises(ParserError):

@@ -21,6 +21,7 @@ from repro.casestudies import get_case_study
 from repro.casestudies.base import strip_body_annotations
 from repro.lattice.registry import available_lattices, get_lattice
 from repro.synth import sharded_dataflow_program
+from repro.syntax.printer import pretty_print
 from repro.telemetry import TraceRecorder, use_recorder
 from repro.tool.pipeline import check_source
 from repro.tool.report import report_to_dict
@@ -33,9 +34,25 @@ def _snapshot(workspace: Workspace) -> dict:
     report = workspace.check(infer=True, lint=True)
     inference = report.inference_result
     lattice = workspace.lattice
+    ifc = report.ifc_result
     return {
         "ok": report.ok,
         "diagnostics": [str(x) for x in report.diagnostics],
+        "core": [str(x) for x in report.core_diagnostics],
+        "ifc": None
+        if ifc is None
+        else {
+            "function_bounds": {
+                name: lattice.format_label(label)
+                for name, label in ifc.function_bounds.items()
+            },
+            "table_bounds": {
+                name: lattice.format_label(label)
+                for name, label in ifc.table_bounds.items()
+            },
+            "declassifications": [str(event) for event in ifc.declassifications],
+        },
+        "elaborated": pretty_print(inference.elaborated),
         "assignment": {
             hint: lattice.format_label(label)
             for hint, label in inference.assignment_by_hint().items()
@@ -51,11 +68,20 @@ def _snapshot(workspace: Workspace) -> dict:
     }
 
 
-def _cold_snapshot(source: str, *, lattice: str = "two-point", **options) -> dict:
+def _cold_snapshot(
+    source: str, *, lattice: str = "two-point", pins=None, **options
+) -> dict:
     """The same snapshot taken by a fresh workspace that never saw any
-    other revision -- the cold baseline."""
+    other revision -- the cold baseline.  ``pins`` (hint -> label) are
+    set before its first solve, skipping hints the revision no longer
+    has, exactly as a warm session ignores them."""
     workspace = Workspace(get_lattice(lattice), **options)
     assert workspace.open(source, filename="<input>")
+    for hint, label in (pins or {}).items():
+        try:
+            workspace.pin(hint, label)
+        except WorkspaceError:
+            pass  # no such slot in this revision
     return _snapshot(workspace)
 
 
@@ -137,6 +163,37 @@ def _mutate(source: str, rng: random.Random) -> str:
     return "\n\n".join(blocks)
 
 
+def _pin_step(workspace: Workspace, rng: random.Random) -> None:
+    """Pin a random slot to the lattice's top, or unpin a pinned one."""
+    pinned = sorted(workspace.pins)
+    if pinned and rng.random() < 0.4:
+        workspace.pin(rng.choice(pinned), None)
+        return
+    hints = sorted(site.hint for site in workspace.infer().generation.sites)
+    if hints:
+        workspace.pin(rng.choice(hints), workspace.lattice.top)
+
+
+def _toggle_declassify(source: str, rng: random.Random) -> str:
+    """Wrap one copy in a shard's chain in ``declassify``, or unwrap one."""
+    lines = source.split("\n")
+    wrapped = [i for i, line in enumerate(lines) if "declassify(" in line]
+    if wrapped and rng.random() < 0.5:
+        index = rng.choice(wrapped)
+        line = lines[index]
+        lines[index] = line.replace("declassify(", "").replace(");", ";")
+        return "\n".join(lines)
+    copies = [
+        i
+        for i, line in enumerate(lines)
+        if line.strip().startswith("hdr.data.s") and "declassify(" not in line
+    ]
+    index = rng.choice(copies)
+    target, value = lines[index].split(" = ")
+    lines[index] = f"{target} = declassify({value.rstrip(';')});"
+    return "\n".join(lines)
+
+
 class TestDifferentialRandomEdits:
     """Randomised edit scripts over synthesized programs, across every
     registered lattice."""
@@ -144,6 +201,7 @@ class TestDifferentialRandomEdits:
     @pytest.mark.parametrize("lattice", sorted(available_lattices()))
     def test_edit_script_matches_cold(self, lattice):
         rng = random.Random(f"{lattice}/graph")
+        pin_rng = random.Random(f"{lattice}/pins")
         source = sharded_dataflow_program(4, depth=3)
         workspace = Workspace(get_lattice(lattice))
         assert workspace.open(source, filename="<input>")
@@ -151,7 +209,37 @@ class TestDifferentialRandomEdits:
             source = _mutate(source, rng)
             assert workspace.edit(source)
             warm = _snapshot(workspace)
-            cold = _cold_snapshot(source, lattice=lattice)
+            cold = _cold_snapshot(source, lattice=lattice, pins=workspace.pins)
+            assert warm == cold
+            # A pin or unpin over the same revision, warm against cold.
+            _pin_step(workspace, pin_rng)
+            warm = _snapshot(workspace)
+            cold = _cold_snapshot(source, lattice=lattice, pins=workspace.pins)
+            assert warm == cold
+
+    @pytest.mark.parametrize("lattice", sorted(available_lattices()))
+    def test_declassifying_edit_script_matches_cold(self, lattice):
+        """The same scripts with audited releases honoured: declassify
+        calls come and go, and the release events, write bounds and
+        elaborated program stay the cold ones."""
+        rng = random.Random(f"{lattice}/declassify")
+        source = sharded_dataflow_program(4, depth=3)
+        workspace = Workspace(get_lattice(lattice), allow_declassification=True)
+        assert workspace.open(source, filename="<input>")
+        for _ in range(6):
+            if rng.random() < 0.5:
+                source = _toggle_declassify(source, rng)
+            else:
+                source = _mutate(source, rng)
+            assert workspace.edit(source)
+            _pin_step(workspace, rng)
+            warm = _snapshot(workspace)
+            cold = _cold_snapshot(
+                source,
+                lattice=lattice,
+                pins=workspace.pins,
+                allow_declassification=True,
+            )
             assert warm == cold
 
     def test_save_load_mid_script(self, tmp_path):

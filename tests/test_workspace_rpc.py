@@ -17,6 +17,7 @@ from repro.synth import sharded_dataflow_program
 from repro.tool.pipeline import check_source
 from repro.workspace.rpc import (
     INVALID_PARAMS,
+    IO_ERROR,
     INVALID_REQUEST,
     METHOD_NOT_FOUND,
     PARSE_ERROR,
@@ -47,6 +48,11 @@ def result_of(server: WorkspaceServer, method: str, params=None):
     response = call(server, method, params)
     assert "error" not in response, response
     return response["result"]
+
+
+def _verdict(report: dict) -> dict:
+    """A served check report without its timings."""
+    return {key: value for key, value in report.items() if key != "timing_ms"}
 
 
 class TestProtocol:
@@ -397,6 +403,28 @@ class TestServedAnswers:
         loaded = result_of(fresh, "load", {"path": path})
         assert loaded["revision"] == 1
         assert result_of(fresh, "infer") == before
+
+    def test_save_to_an_unwritable_path_is_an_error_response(self, tmp_path):
+        server = WorkspaceServer()
+        result_of(server, "open", {"source": LEAKY, "filename": "<input>"})
+        before = _verdict(result_of(server, "check", {"infer": True}))
+        missing_dir = str(tmp_path / "no-such-dir" / "served.p4bidws")
+        for path in (missing_dir, str(tmp_path)):  # a missing parent; a directory
+            response = call(server, "save", {"path": path})
+            assert response["error"]["code"] == IO_ERROR
+            assert response["error"]["message"].startswith("save: ")
+        # The session is still up and answers from the previous revision.
+        assert _verdict(result_of(server, "check", {"infer": True})) == before
+
+    def test_load_of_a_missing_file_is_an_error_response(self, tmp_path):
+        server = WorkspaceServer()
+        result_of(server, "open", {"source": LEAKY, "filename": "<input>"})
+        before = _verdict(result_of(server, "check", {"infer": True}))
+        response = call(server, "load", {"path": str(tmp_path / "absent.p4bidws")})
+        assert response["error"]["code"] == IO_ERROR
+        assert "absent.p4bidws" in response["error"]["message"]
+        assert _verdict(result_of(server, "check", {"infer": True})) == before
+        assert result_of(server, "stats")["revision"] == 1
 
     def test_lint_findings_serialised(self):
         server = WorkspaceServer()
