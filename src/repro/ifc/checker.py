@@ -19,9 +19,9 @@ The walk runs one top-level unit at a time through the per-unit loop
 (:func:`repro.flow.units.drive_units`).  :func:`check_ifc` without a
 ``cache`` checks every unit; a long-lived
 :class:`~repro.workspace.Workspace` passes one, so re-checking an edited
-program's elaboration replays the recorded effects of the units whose
-elaborated nodes (and declarers) did not change and re-checks only the
-rest -- the same unmodified rules, over fewer units.
+program (or its elaboration) replays the recorded effects of the units
+whose checked nodes (and declarers) did not change and re-checks only
+the rest -- the same unmodified rules, over fewer units.
 
 Write-effect inference
 ----------------------

@@ -54,11 +54,22 @@ def unit_fingerprint(unit: Unit) -> str:
     return hashlib.sha256(pretty_print(unit).encode("utf-8")).hexdigest()
 
 
+#: Per value type, whether its values are AST nodes.  The tree walks here
+#: ask once per field of every node; a dict hit is far cheaper than
+#: ``dataclasses.is_dataclass`` plus an ``isinstance`` check each time.
+_NODE_TYPES: Dict[type, bool] = {}
+
+
 def _is_node(value: object) -> bool:
     """Whether ``value`` is an AST node (vs. a scalar or a span)."""
-    return dataclasses.is_dataclass(value) and not isinstance(
-        value, (SourceSpan, Position)
-    )
+    kind = type(value)
+    known = _NODE_TYPES.get(kind)
+    if known is None:
+        known = dataclasses.is_dataclass(kind) and not issubclass(
+            kind, (SourceSpan, Position)
+        )
+        _NODE_TYPES[kind] = known
+    return known
 
 
 #: Field names per node type.  ``dataclasses.fields`` allocates a fresh

@@ -296,7 +296,7 @@ def _run_phases(
                 target,
                 lattice,
                 allow_declassification=workspace.allow_declassification,
-                cache=workspace.recheck_cache(target) if infer else None,
+                cache=workspace.recheck_cache(target),
             )
     if lint or explain_released_flows:
         # Analyses run over the *original* program: annotation lints reason

@@ -9,10 +9,10 @@ per-unit states of the last revision.
 :meth:`IncrementalGenerator.plan` diffs a new revision against those
 states (:mod:`repro.workspace.diff`) and settles them: matched units are
 re-spanned, and every per-unit cache the diff verdict voids is dropped
--- the generated constraints of a *dirty* unit; the Core P4 products and
-the elaborated node of a dirty or *re-spanned* one.  The workspace plans
-once per revision, before its first phase, so core, generation,
-elaboration and the IFC re-check all read the same verdicts.
+-- the generated constraints of a *dirty* unit; the Core P4 products, the
+elaborated node and the IFC products of a dirty or *re-spanned* one.
+The workspace plans once per revision, before its first phase, so core,
+generation, elaboration and the IFC check all read the same verdicts.
 
 :meth:`IncrementalGenerator.refresh` then runs the real
 :class:`~repro.flow.analysis.FlowAnalysis` walk through the per-unit
@@ -22,7 +22,7 @@ recorded context effects (Γ bindings, Δ definitions, inferred write
 bounds) and reuses its constraints, diagnostics and touched annotation
 sites verbatim; every other unit is re-walked, its outputs captured on
 their own.  The same loop, with the concrete algebra, runs the IFC
-re-check of the elaborated program.
+check of the elaborated program (or of the source, without inference).
 
 The merge of per-unit products reproduces what a cold
 :func:`~repro.inference.generate.generate_constraints` over the same
@@ -140,9 +140,11 @@ class IncrementalGenerator:
         runs at -- re-walks exactly the units still lacking products:
 
         * a *dirty* unit loses its generated constraints, its Core P4
-          products and its elaborated node;
-        * a *re-spanned* unit loses its Core P4 products and its
-          elaborated node, whose diagnostics and nodes embed positions.
+          products, its elaborated node and its IFC products;
+        * a *re-spanned* unit loses its Core P4 products, its elaborated
+          node and its IFC products, whose diagnostics and nodes embed
+          positions (the source node itself is re-spanned in place, so an
+          IFC check of the source would otherwise find it unchanged).
 
         Returns the assembled revision: the states' nodes in unit order,
         which every later phase must see.
@@ -157,12 +159,14 @@ class IncrementalGenerator:
                 state.generated = None
                 state.core = None
                 state.elaborated = None
+                state.ifc = None
             if plan.span_map:
                 self._apply_respan(state, plan.span_map)
             if plan.respanned:
                 respanned += 1
                 state.core = None
                 state.elaborated = None
+                state.ifc = None
         self._respanned = respanned
         if not first:
             program = Program(

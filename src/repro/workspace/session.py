@@ -32,11 +32,15 @@ constraints, three per-unit products that live and die with it:
 * the **elaborated node** -- reused while the unit is clean, unmoved,
   and the solution still assigns its annotation slots (and its
   control's pc) the labels it was elaborated with;
-* the **IFC re-check products** (diagnostics, declassification events,
-  effects) -- reused while the unit keeps the very elaborated node they
-  were made for and every referenced declarer's products were reused
-  too, decided in unit order so the rule is transitive
-  (:class:`RecheckSlots`).
+* the **IFC products** (diagnostics, declassification events,
+  effects) -- reused while the unit is clean, unmoved, keeps the very
+  node they were made for (elaborated, or the source on a check without
+  inference) and every referenced declarer's products were reused too,
+  decided in unit order so the rule is transitive (:class:`RecheckSlots`).
+
+Every phase reads the diff plan the first phase of a revision takes
+(:meth:`Workspace._ensure_plan`), so a session that never infers reuses
+core and IFC products all the same.
 
 An edit that moves a unit (lines inserted above it) re-spans it without
 re-walking it, but its diagnostics and elaborated node embed positions,
@@ -90,37 +94,21 @@ class WorkspaceError(Exception):
     """An operation the workspace's current state cannot support."""
 
 
-class HeldProducts:
-    """A per-unit cache with nothing to offer that keeps what it is
-    handed: the products of a check that ran before any unit state."""
-
-    def __init__(self, program: Program) -> None:
-        self.program = program
-        self.products: list = []
-        self.walked = 0
-
-    def reuse(self) -> None:
-        return None
-
-    def store(self, products: list) -> None:
-        self.products = products
-        self.walked = len(products)
-
-
 class RecheckSlots(StateSlots):
     """The units' IFC re-check products, as a per-unit cache.
 
-    A unit's products are reused when they were made for the very
-    elaborated node the unit has now, and against the very products its
-    declarers keep this time: every name the unit references resolves to
-    the same declaring unit, itself reused.  Deciding in unit order makes
+    A unit's products are reused when they were made for the very node
+    the unit has now in the checked program (its elaborated node, or its
+    source node on a check without inference), and against the very
+    products its declarers keep this time: every name the unit references
+    resolves to the same declaring unit, itself reused.  Deciding in unit order makes
     that transitive, as :func:`~repro.workspace.diff.environment_signatures`
     does for the source.
     """
 
-    def __init__(self, states: List[UnitState], elaborated: Program, note) -> None:
+    def __init__(self, states: List[UnitState], program: Program, note) -> None:
         super().__init__(states, "ifc")
-        self.nodes = program_units(elaborated)
+        self.nodes = program_units(program)
         self._note = note
         self.declarers = [
             tuple(None if index is None else states[index] for index in state.declarers)
@@ -205,8 +193,6 @@ class Workspace:
         self._lints_rev = -1
         #: The revision the unit states were last diffed against.
         self._planned_rev = -1
-        #: Core P4 products checked before the first plan made any states.
-        self._first_core: Optional[HeldProducts] = None
         #: How many units the last run of each per-unit phase re-did.
         self._rechecked: Dict[str, int] = {
             "units_core_checked": 0,
@@ -305,11 +291,7 @@ class Workspace:
         """
         program = self._require_program()
         if self._planned_rev != self.revision:
-            held, self._first_core = self._first_core, None
             assembled = self._generator.plan(program)
-            if held is not None and held.program is assembled:
-                for state, unit in zip(self._generator.units, held.products):
-                    state.core = unit
             self._parse_index.relink(program, assembled)
             self.program = program = assembled
             self._planned_rev = self.revision
@@ -457,15 +439,8 @@ class Workspace:
         from repro.typechecker.checker import check_core_types
 
         if self._core is None or self._core_rev != self.revision:
-            if self._generator.units:
-                program = self._ensure_plan()
-                cache = StateSlots(self._generator.units, "core")
-            else:
-                # Nothing to reuse yet: check the parse as it stands and
-                # hand the products to the states the first plan makes, so
-                # a one-shot check that never infers pays for no diff.
-                program = self._require_program()
-                cache = self._first_core = HeldProducts(program)
+            program = self._ensure_plan()
+            cache = StateSlots(self._generator.units, "core")
             self._core = check_core_types(program, cache)
             self._note("units_core_checked", cache.walked)
             self._core_rev = self.revision
@@ -527,11 +502,11 @@ class Workspace:
         self._inference_rev = self.revision
         return result
 
-    def recheck_cache(self, elaborated: Program) -> RecheckSlots:
-        """The per-unit cache of the IFC re-check of ``elaborated``, the
-        program :meth:`infer` elaborated: pass it to
-        :func:`repro.ifc.checker.check_ifc` as ``cache``."""
-        return RecheckSlots(self._generator.units, elaborated, self._note)
+    def recheck_cache(self, program: Program) -> RecheckSlots:
+        """The per-unit cache of the IFC check of ``program`` -- the
+        current revision, or the program :meth:`infer` elaborated from
+        it: pass it to :func:`repro.ifc.checker.check_ifc` as ``cache``."""
+        return RecheckSlots(self._generator.units, program, self._note)
 
     def lint(self) -> list:
         """The :mod:`repro.analysis` lints over the warm constraint graph."""

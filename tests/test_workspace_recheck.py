@@ -11,8 +11,12 @@ re-check skipped while the revision had conflicts).
 
 from __future__ import annotations
 
-from test_workspace import _cold_snapshot, _snapshot
+import random
 
+import pytest
+from test_workspace import _cold_snapshot, _mutate, _snapshot, _toggle_declassify
+
+from repro.lattice.registry import available_lattices, get_lattice
 from repro.synth import sharded_dataflow_program
 from repro.telemetry import TraceRecorder, use_recorder
 from repro.tool.pipeline import check_source
@@ -40,6 +44,30 @@ def _session(shards: int = 6, depth: int = 4):
     assert workspace.open(source, filename="<input>")
     workspace.check(infer=True)
     return workspace, source
+
+
+def _plain(report) -> dict:
+    """A check without inference, rendered to comparable data."""
+    ifc = report.ifc_result
+    lattice = get_lattice(report.lattice_name)
+    return {
+        "ok": report.ok,
+        "diagnostics": [str(x) for x in report.diagnostics],
+        "core": [str(x) for x in report.core_diagnostics],
+        "ifc": None
+        if ifc is None
+        else {
+            "function_bounds": {
+                name: lattice.format_label(label)
+                for name, label in ifc.function_bounds.items()
+            },
+            "table_bounds": {
+                name: lattice.format_label(label)
+                for name, label in ifc.table_bounds.items()
+            },
+            "declassifications": [str(event) for event in ifc.declassifications],
+        },
+    }
 
 
 class TestRecheckCounters:
@@ -116,7 +144,58 @@ class TestRecheckCounters:
         }
 
 
+    def test_session_without_inference_rechecks_only_the_edit(self):
+        """Core and the IFC check reuse per-unit products in a session
+        that never infers, as the served ``check`` does by default."""
+        source = sharded_dataflow_program(6, depth=4, source_level="low")
+        workspace = Workspace()
+        assert workspace.open(source, filename="<input>")
+        workspace.check()
+        raised = source.replace(SEED, SEED.replace("low", "high"))
+        counted = _counted(lambda: (workspace.edit(raised), workspace.check()))
+        assert counted == {
+            "units_rewalked": 0,
+            "units_core_checked": 3,
+            "units_elaborated": 0,
+            "units_ifc_checked": 3,
+        }
+        # Moved units are re-spanned in place: the same node objects at
+        # new positions, so their IFC diagnostics must still be redone.
+        counted = _counted(
+            lambda: (workspace.edit("// a new first line\n" + raised), workspace.check())
+        )
+        assert counted["units_core_checked"] == 18
+        assert counted["units_ifc_checked"] == 18
+
+
 class TestRecheckMatchesCold:
+    @pytest.mark.parametrize("declassify", [False, True])
+    @pytest.mark.parametrize("lattice", sorted(available_lattices()))
+    def test_edit_script_without_inference_matches_cold(self, lattice, declassify):
+        """Random edits checked without inference, every other revision
+        also with it (the checked nodes swap between source and
+        elaborated ones): each plain check is the cold one's."""
+        rng = random.Random(f"{lattice}/plain/{declassify}")
+        source = sharded_dataflow_program(4, depth=3)
+        workspace = Workspace(get_lattice(lattice), allow_declassification=declassify)
+        assert workspace.open(source, filename="<input>")
+        workspace.check()
+        for step in range(6):
+            if declassify and rng.random() < 0.5:
+                source = _toggle_declassify(source, rng)
+            else:
+                source = _mutate(source, rng)
+            assert workspace.edit(source)
+            if step % 2:
+                workspace.check(infer=True)
+            cold = check_source(
+                source,
+                lattice=lattice,
+                allow_declassification=declassify,
+                filename="<input>",
+            )
+            assert _plain(workspace.check()) == _plain(cold)
+
     def test_recheck_after_skipped_recheck(self):
         """A revision whose inference fails skips the IFC re-check; the
         next good revision must not reuse products made before it."""
