@@ -2,9 +2,9 @@
 
 The typing rules only ever compare, join, and meet labels, so the cost of
 checking a fixed program should grow slowly with the size of the lattice
-(our finite lattices precompute join/meet tables, so lookups are O(1); the
-quadratic precomputation happens once per lattice construction).  The
-benchmark separates the two costs and reports both series.
+(a chain orders its labels by rank, so every operation is O(1) and
+construction is linear in the height).  The benchmark separates the two
+costs and reports both series.
 """
 
 from __future__ import annotations
@@ -71,6 +71,6 @@ def test_lattice_size_series(benchmark, record_table):
         lines.append(f"{height:>8} {construct_ms:>16.2f} {matched_ms:>36.2f}")
     record_table("ablation_lattice_size.txt", "\n".join(lines))
 
-    # Shape: label operations are table lookups, so a 16x taller lattice on a
+    # Shape: label operations are rank comparisons, so a 16x taller lattice on a
     # proportionally larger program must stay well under quadratic blow-up.
     assert check_times[32] < check_times[2] * 100

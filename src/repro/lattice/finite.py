@@ -3,7 +3,7 @@
 Most concrete lattices in this package are small and finite, so they are
 implemented by closing a user-supplied covering relation under reflexivity
 and transitivity and computing joins/meets by search.  This keeps the
-concrete lattice classes (two-point, diamond, chain, ...) tiny.
+concrete lattice classes (two-point, diamond, ...) tiny.
 """
 
 from __future__ import annotations

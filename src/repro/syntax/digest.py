@@ -122,8 +122,8 @@ def declared_names(unit: Unit) -> Tuple[str, ...]:
     in a child scope), so they return ``()``.
     """
     if isinstance(unit, d.MatchKindDecl):
-        # The latest match_kind declaration is also what ``match_kind``
-        # names: the kinds a table key may use.
+        # A match_kind declaration also defines ``match_kind``: the kinds
+        # a table key may use, its own members and every earlier one's.
         return (*unit.members, "match_kind")
     if isinstance(
         unit,
@@ -150,6 +150,9 @@ def referenced_names(unit: Unit) -> FrozenSet[str]:
             names.add(node.name)
         elif isinstance(node, d.TableKey):
             names.add(node.match_kind)
+            names.add("match_kind")
+        elif isinstance(node, d.MatchKindDecl):
+            # Its members extend the earlier declaration's.
             names.add("match_kind")
         elif isinstance(node, TypeName):
             names.add(node.name)

@@ -157,7 +157,11 @@ class CoreTypeChecker:
             delta.define(decl.name, RecordType(decl.fields))
             return gamma, delta
         if isinstance(decl, d.MatchKindDecl):
-            kind_type = MatchKindType(decl.members)
+            # P4 match_kind declarations accumulate: each adds its members
+            # to the kinds declared before it.
+            earlier = delta.lookup("match_kind")
+            members = earlier.members if isinstance(earlier, MatchKindType) else ()
+            kind_type = MatchKindType(tuple(dict.fromkeys(members + decl.members)))
             delta.define("match_kind", kind_type)
             for member in decl.members:
                 gamma.bind(member, kind_type)

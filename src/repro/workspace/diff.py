@@ -38,6 +38,16 @@ all span-insensitive:
    source would.  A unit matched by identity already carries the right
    spans.
 
+A *first* plan -- a diff against no states, as every one-shot check
+takes -- has nothing to match and nothing to classify: every unit is new
+and dirty.  It computes no fingerprint, no reference set and no
+signature; its states carry their node and declared names only, and
+:func:`settle_states` fills in the rest from the very same nodes the
+first time something reads it (the next plan, or an IFC re-check that
+could reuse products; see :class:`~repro.workspace.session.RecheckSlots`).
+Re-spanning only rewrites spans, so the deferred values equal the ones
+an eager first plan would have stored.
+
 Everything here is pure bookkeeping over the syntax layer; the walk that
 consumes the plan lives in :mod:`repro.workspace.regen`.
 """
@@ -71,17 +81,19 @@ class UnitState:
     """
 
     node: Unit
-    fingerprint: str
     declared: Tuple[str, ...]
-    referenced: FrozenSet[str]
+    #: The rest of the diff's view of the unit is ``None`` while the
+    #: first plan that made the state deferred it (:func:`settle_states`).
+    fingerprint: Optional[str] = None
+    referenced: Optional[FrozenSet[str]] = None
     #: referenced name -> fingerprint of the declaring unit (None when the
     #: name resolves to nothing); the unit must be re-walked when this map
     #: changes, even if its own text did not.
-    signature: Dict[str, Optional[str]] = field(default_factory=dict)
+    signature: Optional[Dict[str, Optional[str]]] = None
     #: Per referenced name (signature order), the index of its declaring
     #: unit in the plan that made this state's signature (``None``:
     #: resolves to nothing).
-    declarers: Tuple[Optional[int], ...] = ()
+    declarers: Optional[Tuple[Optional[int], ...]] = None
     #: The symbolic walk: constraints, errors, pc vars, touched sites.
     generated: Optional[UnitProducts] = None
     #: The Core P4 check: diagnostics.
@@ -89,12 +101,9 @@ class UnitState:
     #: The unit with its solved labels written in.
     elaborated: Optional[Elaboration] = None
     #: The concrete IFC re-check of ``ifc_node``: diagnostics and
-    #: declassification events ...
+    #: declassification events.
     ifc: Optional[UnitProducts] = None
     ifc_node: Optional[Unit] = None
-    #: ... made against these products of the unit's declarers, one per
-    #: referenced name in :attr:`signature` order (``None``: unresolved).
-    ifc_deps: Tuple[Optional[UnitProducts], ...] = ()
 
     @property
     def is_control(self) -> bool:
@@ -200,6 +209,33 @@ def environment_signatures(
     return signatures
 
 
+def settle_states(states: List[UnitState]) -> None:
+    """Fill in what a first plan deferred, for ``states`` in unit order.
+
+    Computes each state's fingerprint, reference set, signature and
+    declarers from its node, exactly as an eager plan of the same units
+    would have.  Does nothing when every state is settled already.
+    """
+    if all(state.signature is not None for state in states):
+        return
+    units = [state.node for state in states]
+    for state in states:
+        if state.fingerprint is None:
+            state.fingerprint = unit_fingerprint(state.node)
+        if state.referenced is None:
+            state.referenced = referenced_names(state.node)
+    declarers: List[Tuple[Optional[int], ...]] = []
+    signatures = environment_signatures(
+        units,
+        [state.fingerprint for state in states],
+        [state.referenced for state in states],
+        declarers,
+    )
+    for state, signature, indices in zip(states, signatures, declarers):
+        state.signature = signature
+        state.declarers = indices
+
+
 def diff_program(old_states: List[UnitState], program: Program) -> List[UnitPlan]:
     """Diff ``program`` against the cached ``old_states``.
 
@@ -210,8 +246,18 @@ def diff_program(old_states: List[UnitState], program: Program) -> List[UnitPlan
     new positions.  Old states that no new unit claims are dropped --
     their annotation sites disappear from the registry once the walk's
     touch union is recomputed.
+
+    Against no states (a first plan) every unit is new and dirty, and
+    the states' fingerprints, references and signatures are left for
+    :func:`settle_states`.
     """
     units = program_units(program)
+    if not old_states:
+        return [
+            UnitPlan(UnitState(node=unit, declared=declared_names(unit)), dirty=True)
+            for unit in units
+        ]
+    settle_states(old_states)
 
     # A unit that *is* a cached node (the parser handed it back unchanged)
     # is a clean match as it stands: same content, spans already right.

@@ -40,7 +40,13 @@ constraints, three per-unit products that live and die with it:
 
 Every phase reads the diff plan the first phase of a revision takes
 (:meth:`Workspace._ensure_plan`), so a session that never infers reuses
-core and IFC products all the same.
+core and IFC products all the same.  The first plan of a workspace has
+no states to diff against, so it only lists the units: their
+fingerprints, reference sets and dependency signatures, which nothing
+but a later edit reads, are computed at the next plan -- or by an IFC
+re-check of the same revision that finds products it could reuse
+(:func:`~repro.workspace.diff.settle_states`).  A one-shot check never
+computes them.
 
 An edit that moves a unit (lines inserted above it) re-spans it without
 re-walking it, but its diagnostics and elaborated node embed positions,
@@ -86,7 +92,7 @@ from repro.lattice.registry import get_lattice
 from repro.lattice.two_point import TwoPointLattice
 from repro.syntax.program import Program
 from repro.telemetry.recorder import current_recorder
-from repro.workspace.diff import StateSlots, UnitState
+from repro.workspace.diff import StateSlots, UnitState, settle_states
 from repro.workspace.regen import IncrementalGenerator, RegenStats
 
 
@@ -99,52 +105,52 @@ class RecheckSlots(StateSlots):
 
     A unit's products are reused when they were made for the very node
     the unit has now in the checked program (its elaborated node, or its
-    source node on a check without inference), and against the very
-    products its declarers keep this time: every name the unit references
-    resolves to the same declaring unit, itself reused.  Deciding in unit order makes
-    that transitive, as :func:`~repro.workspace.diff.environment_signatures`
-    does for the source.
+    source node on a check without inference), and every name it
+    references resolves to a declaring unit whose products are reused
+    too.  Deciding in unit order makes that transitive, as
+    :func:`~repro.workspace.diff.environment_signatures` does for the
+    source.  A reused declarer then holds the very products the unit was
+    checked against: every run stores all units' products, so a unit
+    whose declarer was re-checked was re-checked in the same run, and a
+    plan keeps a unit's products only while its declarers are the same
+    states as before, themselves clean
+    (:func:`~repro.workspace.diff.diff_program`).
+
+    The declarers come from the diff, which a first plan defers
+    (:func:`~repro.workspace.diff.settle_states`); only a run that finds
+    products it could reuse reads them.
     """
 
     def __init__(self, states: List[UnitState], program: Program, note) -> None:
         super().__init__(states, "ifc")
         self.nodes = program_units(program)
         self._note = note
-        self.declarers = [
-            tuple(None if index is None else states[index] for index in state.declarers)
-            for state in states
-        ]
 
-    def reuse(self) -> list:
+    def reuse(self) -> Optional[list]:
+        states = self.states
+        if all(state.ifc is None for state in states):
+            return None
+        settle_states(states)
         reused: set = set()
         cached = []
-        for state, node, declarers in zip(self.states, self.nodes, self.declarers):
+        for index, (state, node) in enumerate(zip(states, self.nodes)):
             valid = (
                 state.ifc is not None
                 and state.ifc_node is node
-                and len(declarers) == len(state.ifc_deps)
                 and all(
-                    (declarer is None and made_with is None)
-                    or (
-                        declarer is not None
-                        and id(declarer) in reused
-                        and declarer.ifc is made_with
-                    )
-                    for declarer, made_with in zip(declarers, state.ifc_deps)
+                    declarer is None or declarer in reused
+                    for declarer in state.declarers
                 )
             )
             if valid:
-                reused.add(id(state))
+                reused.add(index)
             cached.append(state.ifc if valid else None)
         return cached
 
     def store(self, products: list) -> None:
         super().store(products)
-        for state, node, declarers in zip(self.states, self.nodes, self.declarers):
+        for state, node in zip(self.states, self.nodes):
             state.ifc_node = node
-            state.ifc_deps = tuple(
-                None if declarer is None else declarer.ifc for declarer in declarers
-            )
         self._note("units_ifc_checked", self.walked)
 
 

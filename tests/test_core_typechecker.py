@@ -135,6 +135,17 @@ class TestTypeErrors:
         )
         assert any("unknown match kind" in d for d in diagnostics(in_control("t.apply();", locals_)))
 
+    def test_match_kinds_accumulate(self):
+        # Each match_kind declaration adds to the kinds declared before it.
+        declared = "match_kind { foo }\nmatch_kind { bar }\n"
+        for kind, known in (("foo", True), ("bar", True), ("lpm", True), ("qux", False)):
+            locals_ = (
+                "  action nop() { }\n"
+                f"  table t {{ key = {{ hdr.h.small: {kind}; }} actions = {{ nop; }} }}\n"
+            )
+            found = diagnostics(declared + in_control("t.apply();", locals_))
+            assert (f"unknown match kind {kind!r}" in " ".join(found)) is not known
+
     def test_call_wrong_argument_type(self):
         locals_ = "  action set_flag(bool v) { hdr.h.flag = v; }\n"
         assert not check(in_control("set_flag(3);", locals_)).ok

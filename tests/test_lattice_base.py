@@ -123,6 +123,26 @@ class TestChain:
         with pytest.raises(LatticeError):
             ChainLattice(["a", "a"])
 
+    @pytest.mark.parametrize("height", range(2, 9))
+    def test_rank_order_matches_the_closed_covering_edges(self, height):
+        """The structural chain against a ``FiniteLattice`` closed from
+        the same covering edges, over every pair of labels."""
+        chain = ChainLattice.of_height(height)
+        levels = list(chain.levels)
+        oracle = FiniteLattice(levels, list(zip(levels, levels[1:])), name="oracle")
+        assert tuple(chain.labels()) == tuple(oracle.labels())
+        assert (chain.bottom, chain.top) == (oracle.bottom, oracle.top)
+        for a in levels:
+            for b in levels:
+                assert chain.leq(a, b) == oracle.leq(a, b)
+                assert chain.join(a, b) == oracle.join(a, b)
+                assert chain.meet(a, b) == oracle.meet(a, b)
+        for operation in (chain.leq, chain.join, chain.meet):
+            with pytest.raises(LatticeError):
+                operation(levels[0], "absent")
+            with pytest.raises(LatticeError):
+                operation("absent", levels[0])
+
 
 class TestProduct:
     def test_pointwise_order(self, two_point):

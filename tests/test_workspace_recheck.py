@@ -20,7 +20,7 @@ from repro.lattice.registry import available_lattices, get_lattice
 from repro.synth import sharded_dataflow_program
 from repro.telemetry import TraceRecorder, use_recorder
 from repro.tool.pipeline import check_source
-from repro.workspace import Workspace
+from repro.workspace import Workspace, diff
 
 RECHECKS = ("units_core_checked", "units_elaborated", "units_ifc_checked")
 SEED = "header shard3_t {\n    <bit<8>, low> seed;"
@@ -269,11 +269,13 @@ class TestRecheckMatchesCold:
             assert _snapshot(workspace) == _cold_snapshot(revision)
 
     def test_redeclared_match_kind_reaches_the_table(self):
-        """A table's known match kinds are the latest ``match_kind``
-        declaration's: redeclaring it on the same line (no unit moves)
-        re-checks the control holding the table."""
+        """A table's known match kinds are every ``match_kind``
+        declaration's: adding a second declaration keeps ``foo`` known,
+        and editing the first one away re-checks the second (whose kinds
+        extend it) and the control holding the table, though neither
+        moves nor changes its own text."""
         base = (
-            "match_kind { foo }{extra}\n"
+            "match_kind { FIRST }EXTRA\n"
             "header h_t { bit<8> a; }\n\n"
             "struct hs { h_t h; }\n\n"
             "control C(inout hs hdr) {\n"
@@ -286,18 +288,25 @@ class TestRecheckMatchesCold:
             "}\n"
         )
         workspace = Workspace()
-        assert workspace.open(base.replace("{extra}", ""), filename="<input>")
+        revision = base.replace("FIRST", "foo").replace("EXTRA", "")
+        assert workspace.open(revision, filename="<input>")
         assert workspace.check(infer=True).core_ok
-        for extra in (" match_kind { bar }", ""):
-            revision = base.replace("{extra}", extra)
+        for first, extra in (
+            ("foo", "\nmatch_kind { bar }"),
+            ("baz", "\nmatch_kind { bar }"),
+            ("foo", "\nmatch_kind { bar }"),
+            ("foo", ""),
+        ):
+            revision = base.replace("FIRST", first).replace("EXTRA", extra)
             assert workspace.edit(revision)
             warm = workspace.check(infer=True)
             cold = check_source(revision, infer=True, filename="<input>")
             assert [str(x) for x in warm.core_diagnostics] == [
                 str(x) for x in cold.core_diagnostics
             ]
-            # Only the redeclaration leaves ``foo`` unknown to the table.
-            assert warm.core_ok == (extra == "")
+            # Only dropping ``foo`` from the first declaration leaves it
+            # unknown to the table.
+            assert warm.core_ok == (first == "foo")
 
     def test_moved_core_errors_render_at_their_new_lines(self):
         source = sharded_dataflow_program(3, depth=2).replace(
@@ -333,3 +342,96 @@ class TestRecheckMatchesCold:
             warm = _snapshot(workspace)
             assert warm == _cold_snapshot(revision, allow_declassification=True)
         assert len(warm["ifc"]["declassifications"]) == 3
+
+
+class TestDeferredFirstPlan:
+    """A first plan computes no fingerprint, reference set or signature;
+    what a later edit or IFC run reads is filled in from the same nodes,
+    and every answer stays the cold one."""
+
+    @pytest.mark.parametrize("infer", [False, True])
+    def test_one_shot_check_computes_no_diff(self, monkeypatch, infer):
+        calls = []
+
+        def counted(function):
+            def wrapper(unit):
+                calls.append(function.__name__)
+                return function(unit)
+
+            return wrapper
+
+        for name in ("unit_fingerprint", "referenced_names"):
+            target = "repro.workspace.diff." + name
+            monkeypatch.setattr(target, counted(getattr(diff, name)))
+        source = sharded_dataflow_program(3, depth=3)
+        report = check_source(source, infer=infer, lint=True, filename="<input>")
+        assert report.ifc_result is not None
+        assert calls == []
+
+    def test_settled_first_plan_equals_an_eager_plan(self):
+        """What :func:`diff.settle_states` fills in is what an eager plan
+        computes, and a pin in the first revision -- the first IFC run
+        that could reuse products -- still re-checks the units typed
+        against the re-elaborated header."""
+        workspace, source = _session(shards=3)
+        states = workspace._generator.units
+        assert all(state.signature is None for state in states)
+        units = [state.node for state in states]
+        fingerprints = [diff.unit_fingerprint(unit) for unit in units]
+        referenced = [diff.referenced_names(unit) for unit in units]
+        declarers = []
+        signatures = diff.environment_signatures(
+            units, fingerprints, referenced, declarers
+        )
+        diff.settle_states(states)
+        assert [state.fingerprint for state in states] == fingerprints
+        assert [state.referenced for state in states] == referenced
+        assert [state.signature for state in states] == signatures
+        assert [state.declarers for state in states] == declarers
+
+        workspace, source = _session(shards=3)
+
+        def pin():
+            workspace.pin("field shard2_t.s1", "high")
+            workspace.check(infer=True)
+
+        counted = _counted(pin)
+        assert counted["units_elaborated"] == 1
+        assert counted["units_ifc_checked"] == 3
+        assert _snapshot(workspace) == _cold_snapshot(
+            source, pins={"field shard2_t.s1": "high"}
+        )
+
+    def test_plain_then_inferred_check_in_one_revision(self):
+        """The inferred check's IFC run is the first to find products it
+        could reuse; it settles the deferred declarers, and a unit whose
+        declarer it re-checks is re-checked too."""
+        rng = random.Random("deferred")
+        source = sharded_dataflow_program(4, depth=3)
+        workspace = Workspace()
+        assert workspace.open(source, filename="<input>")
+        cold_plain = _plain(check_source(source, filename="<input>"))
+        assert _plain(workspace.check()) == cold_plain
+        assert _snapshot(workspace) == _cold_snapshot(source)
+        assert _plain(workspace.check()) == cold_plain
+        for _ in range(3):
+            source = _mutate(source, rng)
+            assert workspace.edit(source)
+            assert _snapshot(workspace) == _cold_snapshot(source)
+            assert _plain(workspace.check()) == _plain(
+                check_source(source, filename="<input>")
+            )
+
+    @pytest.mark.parametrize("infer", [False, True])
+    def test_save_load_never_edited_then_edit(self, tmp_path, infer):
+        rng = random.Random(f"deferred-persist/{infer}")
+        source = sharded_dataflow_program(3, depth=3)
+        workspace = Workspace()
+        assert workspace.open(source, filename="<input>")
+        workspace.check(infer=infer)
+        path = tmp_path / "never-edited.p4bidws"
+        workspace.save(path)
+        loaded = Workspace.load(path)
+        source = _mutate(source, rng)
+        assert loaded.edit(source)
+        assert _snapshot(loaded) == _cold_snapshot(source)
