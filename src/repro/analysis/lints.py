@@ -144,7 +144,7 @@ def _annotation_findings(
         return []
     # Every explicit annotation stays pinned (the solved system must agree
     # with the annotated program); only the local slots are probed.
-    solver = Solver(lattice, algebra.constraints.as_list())
+    solver = Solver(lattice, algebra.constraints)
     solver.resolve(dict(algebra.pins))
     findings: List[Finding] = []
     for var in sorted(pins, key=lambda v: v.uid):
@@ -273,14 +273,14 @@ def probe_declassifications(
     baseline = ProbeAlgebra(lattice)
     with recorder.span("analysis.declassify-baseline"):
         FlowAnalysis(baseline).run(program)
-        baseline_solution = solve(lattice, baseline.constraints.as_list())
+        baseline_solution = solve(lattice, baseline.constraints)
     baseline_keys = {_conflict_key(c) for c in baseline_solution.conflicts}
     releases: Dict[int, List[ReleasedFlow]] = {}
     for site in baseline.sites:
         with recorder.span("analysis.declassify-probe", site=str(site.span)):
             probe = ProbeAlgebra(lattice, neutralize=site.index)
             FlowAnalysis(probe).run(program)
-            solution = solve(lattice, probe.constraints.as_list())
+            solution = solve(lattice, probe.constraints)
         released = [
             conflict
             for conflict in solution.conflicts

@@ -1,8 +1,8 @@
 """The symbolic instance: Figure 5–7 over label *terms*.
 
 ``SymbolicAlgebra`` interprets every ``require_*`` hook by appending the
-side condition -- unevaluated, with full provenance -- to a
-:class:`~repro.inference.constraints.ConstraintSet` over
+side condition -- unevaluated, with full provenance -- to the current
+unit's :class:`~repro.inference.constraints.ConstraintSet` over
 :class:`~repro.inference.terms.Term`\\ s.  Running
 :class:`~repro.flow.analysis.FlowAnalysis` with this algebra is the
 label-inference constraint generator;
@@ -88,7 +88,12 @@ class SymbolicAlgebra(LabelAlgebra):
         super().__init__(lattice, allow_declassification=allow_declassification)
         self.supply = VarSupply()
         self.registry = SiteRegistry(self.supply)
-        self.constraints = ConstraintSet()
+        #: The constraints of the unit being walked, duplicate-free.
+        self._unit_constraints = ConstraintSet()
+        #: After a whole-program walk: the constraints per top-level unit,
+        #: in unit order, and their concatenation.
+        self.buckets: List[List[Constraint]] = []
+        self.constraints: List[Constraint] = []
         self.errors: List[IfcDiagnostic] = []
         #: Label variables standing for ``@pc(infer)`` control annotations,
         #: as (control, variable) pairs -- keyed by the declaration itself,
@@ -155,7 +160,7 @@ class SymbolicAlgebra(LabelAlgebra):
         recorder = self.telemetry
         if recorder.enabled:
             recorder.count("constraints.emitted." + site.rule)
-        self.constraints.add(
+        self._unit_constraints.add(
             Constraint(lhs_term, rhs_term, site.span, site.rule, site.kind, site.reason)
         )
 
@@ -207,32 +212,31 @@ class SymbolicAlgebra(LabelAlgebra):
     # ------------------------------------------------------------------ per-unit outputs
 
     def begin_unit(self) -> None:
-        self.constraints = ConstraintSet()
+        self._unit_constraints = ConstraintSet()
         self.errors = []
         self.control_pc_vars = []
         self.registry.begin_touch_log()
 
     def end_unit(self) -> SymbolicUnit:
         return SymbolicUnit(
-            self.constraints.as_list(),
+            self._unit_constraints.as_list(),
             self.errors,
             self.control_pc_vars,
             self.registry.end_touch_log(),
         )
 
     def merge_units(self, outputs: Sequence[SymbolicUnit]) -> None:
-        # Re-deduplicated in unit order, exactly as one walk would have
-        # emitted them: the dedup key includes the span, so per-unit
-        # capture cannot manufacture cross-unit collisions.
-        merged = ConstraintSet()
+        # Each unit's constraints are already duplicate-free, and the dedup
+        # key includes the span, so no two units emit the same constraint:
+        # the buckets concatenate, in unit order, into exactly what one
+        # deduplicating walk would have emitted.
+        self.buckets = [unit.constraints for unit in outputs]
+        self.constraints = [c for bucket in self.buckets for c in bucket]
         errors: List[IfcDiagnostic] = []
         pc_vars: List[Tuple[d.ControlDecl, LabelVar]] = []
         for unit in outputs:
-            for constraint in unit.constraints:
-                merged.add(constraint)
             errors.extend(unit.errors)
             pc_vars.extend(unit.pc_vars)
-        self.constraints = merged
         self.errors = errors
         self.control_pc_vars = pc_vars
 

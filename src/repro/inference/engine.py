@@ -8,22 +8,23 @@ satisfiable -- a fully annotated program ready for independent
 re-verification by the stock checker.
 
 :class:`Solver` is the persistent counterpart for interactive use (an
-IDE/LSP-style annotation assistant): it builds the propagation graph once
-and, after an annotation edit, :meth:`Solver.resolve` recomputes only the
-edit's cone of influence instead of restarting from scratch.
+IDE/LSP-style annotation assistant): it builds the propagation graph once;
+after an annotation edit :meth:`Solver.resolve`, and after a code edit
+:meth:`Solver.rebase` (which patches the graph per unit), recompute only
+the edit's cone of influence instead of restarting from scratch.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.ifc.errors import IfcDiagnostic
 from repro.inference.constraints import Constraint
 from repro.inference.elaborate import elaborate_program
 from repro.inference.generate import GenerationResult, generate_constraints
-from repro.inference.graph import NormalisationCache, PropagationGraph
+from repro.inference.graph import PropagationGraph
 from repro.inference.solve import InferenceConflict, Solution, solve
 from repro.inference.terms import ConstTerm, LabelVar, VarTerm, evaluate, free_vars
 from repro.lattice.base import Label, Lattice
@@ -158,43 +159,47 @@ class Solver:
     """A persistent solver over one constraint system.
 
     Construction builds the :class:`~repro.inference.graph.PropagationGraph`
-    once (normalisation, edge deduplication, SCC condensation).
-    :meth:`solve` produces the least solution; after an edit,
-    :meth:`resolve` recomputes *only the cone of influence* of the edited
-    label slots -- everything the edit cannot reach keeps its converged
-    value and its cached check verdicts.  This is the reasoning core an
-    IDE-style annotation assistant needs: per-keystroke cost proportional
-    to what the keystroke can change, not to the program.
+    (normalisation, edge deduplication, SCC condensation), or takes over
+    one already built over the system.  :meth:`solve` produces the least
+    solution; after an edit, only what the edit can change is redone --
+    everything else keeps its converged value and its cached check
+    verdicts.  This is the reasoning core an IDE-style annotation
+    assistant needs: per-keystroke cost proportional to what the
+    keystroke can change, not to the program.  Two kinds of edit:
 
-    Edits are modelled as *pins*: ``resolve({slot: label})`` makes ``label``
-    a floor of ``slot`` (as if the user wrote the annotation), and
-    ``resolve({slot: None})`` removes the pin again.  Both raising and
-    lowering are supported; the cone is reset to ``⊥`` (plus pins) and the
-    SCC schedule is replayed over the cone's components only, which yields
-    exactly the assignment a from-scratch solve with the same pins would.
+    * *pins* (:meth:`resolve`): ``resolve({slot: label})`` makes ``label``
+      a floor of ``slot`` (as if the user wrote the annotation), and
+      ``resolve({slot: None})`` removes the pin again.  Both raising and
+      lowering are supported; the cone is reset to ``⊥`` (plus pins) and
+      the SCC schedule is replayed over the cone's components only, which
+      yields exactly the assignment a from-scratch solve with the same
+      pins would;
+    * *structural* edits (:meth:`rebase`): the system, held as per-unit
+      buckets, swaps some buckets for others.  The graph is patched in
+      place (:meth:`~repro.inference.graph.PropagationGraph.patch`) and
+      the cone of what changed is re-solved.
+
+    The graph is shared with the solutions this solver returns, so a
+    solution's ``graph`` describes the solver's latest system.
     """
 
     def __init__(
         self,
         lattice: Lattice,
-        constraints: Sequence[Constraint],
+        constraints: Sequence[Constraint] = (),
         *,
-        cache: Optional[NormalisationCache] = None,
+        buckets: Optional[Sequence[Sequence[Constraint]]] = None,
         graph: Optional[PropagationGraph] = None,
     ) -> None:
         self.lattice = lattice
-        self._cache = cache
         #: ``graph`` lets a caller that already built the propagation graph
-        #: over exactly these constraints (e.g. a workspace adopting a cold
+        #: over exactly this system (e.g. a workspace adopting a cold
         #: solution) hand it over instead of paying a second construction.
-        self.graph = graph or PropagationGraph(lattice, constraints, cache=cache)
+        self.graph = graph or PropagationGraph(lattice, constraints, buckets=buckets)
         self._pins: Dict[LabelVar, Label] = {}
         self._assignment: Optional[Dict[LabelVar, Label]] = None
         #: Cached per-check verdicts, aligned with ``graph.checks``.
         self._check_results: List[Optional[InferenceConflict]] = []
-        self._check_vars: List[FrozenSet[LabelVar]] = [
-            free_vars(lhs) | free_vars(rhs) for lhs, rhs, _ in self.graph.checks
-        ]
         self._solution: Optional[Solution] = None
 
     @property
@@ -210,7 +215,7 @@ class Solver:
             with recorder.span(
                 "solver.solve",
                 edges=len(self.graph.edges),
-                variables=len(self.graph.variables),
+                variables=self.graph.variable_count,
                 persistent=True,
             ):
                 stats = self.graph._new_stats()
@@ -253,11 +258,7 @@ class Solver:
             # Reset the cone to ⊥ (plus pins) and replay the schedule over its
             # components; an SCC is entirely inside or outside the cone, so the
             # restricted schedule sees exactly the edges it must revisit.
-            for var in cone:
-                self._assignment[var] = self.lattice.bottom
-                pin = self._pins.get(var)
-                if pin is not None:
-                    self._assignment[var] = pin
+            self._reset(cone)
             graph.propagate(self._assignment, stats, components)
             # Slots outside the graph (never constrained) still surface edits.
             for var, label in changes.items():
@@ -266,11 +267,7 @@ class Solver:
                         self._assignment.pop(var, None)
                     else:
                         self._assignment[var] = label
-            affected = [
-                index
-                for index, variables in enumerate(self._check_vars)
-                if variables & cone
-            ]
+            affected = graph.checks_touching(cone)
             for index, verdict in zip(
                 affected, graph.check_conflicts(self._assignment, affected)
             ):
@@ -283,7 +280,7 @@ class Solver:
             recorder.count("solver.resolve.calls")
             recorder.count("solver.resolve.cone_vars", len(cone))
             recorder.count(
-                "solver.resolve.vars_reused", len(graph.variables) - len(cone)
+                "solver.resolve.vars_reused", graph.variable_count - len(cone)
             )
             recorder.count(
                 "solver.resolve.edges_skipped",
@@ -317,33 +314,36 @@ class Solver:
 
     def rebase(
         self,
-        constraints: Sequence[Constraint],
+        buckets: Sequence[Sequence[Constraint]],
         *,
         pins: Optional[Mapping[LabelVar, Label]] = None,
     ) -> Solution:
         """Re-anchor the solver on an edited constraint system.
 
         Where :meth:`resolve` handles *pin* edits over a fixed system,
-        ``rebase`` handles *structural* edits: the constraint list itself
-        changed (a workspace re-generated some declarations).  The new
-        propagation graph is built (through the shared
-        :class:`~repro.inference.graph.NormalisationCache`, so surviving
-        constraints skip term decomposition), and only the cone of
-        influence of what actually changed is re-solved:
+        ``rebase`` handles *structural* edits: ``buckets`` is the new
+        system, one constraint sequence per unit in unit order, and a
+        unit that changed (a workspace re-generated it) comes as a new
+        sequence.  The graph is patched by bucket identity: the dropped
+        buckets' edges and checks leave it, only the added buckets'
+        constraints are normalised, and only the region whose components
+        can have changed is re-condensed
+        (:meth:`~repro.inference.graph.PropagationGraph.patch`).  Then only
+        the cone of influence of what changed is re-solved:
 
-        * seeds are the targets of *added or removed* edges (by the
-          ``(lhs, target, cover)`` dedup key), variables new to the
-          system, and variables whose pin changed;
+        * seeds are that region -- the forward closure of the targets of
+          edges that appeared or vanished and of variables new to the
+          system -- and the variables whose pin changed;
         * every surviving variable outside the cone keeps its converged
           value -- correct because a variable none of whose in-edges
           changed, and none of whose sources changed value, is still at
           its least fixpoint (a changed source would put it in the
           forward closure);
-        * check verdicts migrate: a check that previously *passed* and
-          whose variables lie outside the cone keeps its verdict;
-          failing or cone-touching checks are re-evaluated against the
-          new graph (conflicts embed provenance and cores, which must
-          reflect the new system).
+        * check verdicts migrate with their buckets: a check that passed
+          and whose variables lie outside the cone keeps its verdict;
+          failing, new and cone-touching checks are re-evaluated
+          (conflicts embed provenance and cores, which must reflect the
+          new system).
 
         ``pins`` optionally replaces the pin set wholesale (the workspace
         re-keys pins across re-allocated slot variables); ``None`` keeps
@@ -353,109 +353,93 @@ class Solver:
         """
         recorder = current_recorder()
         start = time.perf_counter()
-        old_graph = self.graph
+        graph = self.graph
         old_pins = self._pins
         new_pins = dict(pins) if pins is not None else dict(old_pins)
-        cache_hits_before = self._cache.hits if self._cache is not None else 0
-        new_graph = PropagationGraph(self.lattice, constraints, cache=self._cache)
+        patch = graph.patch(buckets)
+        self._pins = new_pins
         if self._assignment is None:
-            self.graph = new_graph
-            self._pins = new_pins
             self._check_results = []
-            self._check_vars = [
-                free_vars(lhs) | free_vars(rhs) for lhs, rhs, _ in new_graph.checks
-            ]
             self._solution = None
             return self.solve()
-        old_assignment = self._assignment
-        old_keys = {(e.lhs, e.target, e.cover) for e in old_graph.edges}
-        new_keys = {(e.lhs, e.target, e.cover) for e in new_graph.edges}
-        added = new_keys - old_keys
-        removed = old_keys - new_keys
-        seeds = set()
-        for _lhs, target, _cover in added:
-            seeds.add(target)
-        for _lhs, target, _cover in removed:
-            if target in new_graph.component_of:
-                seeds.add(target)
-        carried: Dict[LabelVar, Label] = {}
-        for var in new_graph.variables:
-            value = old_assignment.get(var)
-            if value is None:
-                seeds.add(var)
-                value = self.lattice.bottom
-            carried[var] = value
-        for var in set(old_pins) | set(new_pins):
-            if var not in new_graph.component_of:
-                continue
+        assignment = self._assignment
+        component_of = graph.component_of
+        pinned = old_pins.keys() | new_pins.keys()
+        changed_pins = []
+        for var in pinned:
             before, after = old_pins.get(var), new_pins.get(var)
             if (before is None) != (after is None) or (
                 before is not None and not self.lattice.equal(before, after)
             ):
-                seeds.add(var)
-        self._pins = new_pins
-        cone = new_graph.cone_of(seeds)
-        components = {new_graph.component_of[var] for var in cone}
+                changed_pins.append(var)
+        cone = graph.cone_of(changed_pins)
+        cone |= patch.region
+        components = {component_of[var] for var in cone}
         with recorder.span(
             "solver.rebase",
-            edges_added=len(added),
-            edges_removed=len(removed),
-            seeds=len(seeds),
+            edges_added=patch.edges_added,
+            edges_removed=patch.edges_removed,
             cone=len(cone),
             components=len(components),
         ):
-            stats = new_graph._new_stats()
-            for var in cone:
-                pin = self._pins.get(var)
-                carried[var] = pin if pin is not None else self.lattice.bottom
+            stats = graph._new_stats()
+            for var in patch.removed_vars:
+                assignment.pop(var, None)
+            self._reset(cone)
             if components:
-                new_graph.propagate(carried, stats, components)
-            for var, label in self._pins.items():
-                if var not in new_graph.component_of:
-                    carried[var] = label
-            passed = {
-                (lhs, rhs)
-                for (lhs, rhs, _origin), verdict in zip(
-                    old_graph.checks, self._check_results
-                )
-                if verdict is None
-            }
-            self._check_vars = [
-                free_vars(lhs) | free_vars(rhs) for lhs, rhs, _ in new_graph.checks
-            ]
-            results: List[Optional[InferenceConflict]] = [None] * len(new_graph.checks)
-            affected = [
-                index
-                for index, (lhs, rhs, _origin) in enumerate(new_graph.checks)
-                if (lhs, rhs) not in passed or (self._check_vars[index] & cone)
-            ]
-            self.graph = new_graph
-            self._assignment = carried
-            for index, verdict in zip(
-                affected, new_graph.check_conflicts(carried, affected)
-            ):
+                graph.propagate(assignment, stats, components)
+            # Pinned slots outside the graph carry just their pin.
+            for var in pinned:
+                if var not in component_of:
+                    label = new_pins.get(var)
+                    if label is None:
+                        assignment.pop(var, None)
+                    else:
+                        assignment[var] = label
+            old_results = self._check_results
+            results: List[Optional[InferenceConflict]] = [None] * len(graph.checks)
+            for new_offset, old_offset, count in patch.check_moves:
+                results[new_offset : new_offset + count] = old_results[
+                    old_offset : old_offset + count
+                ]
+            affected = set(patch.fresh_checks)
+            affected.update(
+                index for index, verdict in enumerate(results) if verdict is not None
+            )
+            affected.update(graph.checks_touching(cone))
+            ordered = sorted(affected)
+            for index, verdict in zip(ordered, graph.check_conflicts(assignment, ordered)):
                 results[index] = verdict
             self._check_results = results
         stats.solve_ms = (time.perf_counter() - start) * 1000.0
         if recorder.enabled:
             recorder.count("solver.rebase.calls")
-            recorder.count("solver.rebase.edges_added", len(added))
-            recorder.count("solver.rebase.edges_removed", len(removed))
+            recorder.count("solver.rebase.units_patched", patch.units_patched)
+            recorder.count(
+                "solver.rebase.constraints_normalised", patch.constraints_normalised
+            )
+            recorder.count("solver.rebase.vars_recondensed", len(patch.region))
+            recorder.count("solver.rebase.edges_added", patch.edges_added)
+            recorder.count("solver.rebase.edges_removed", patch.edges_removed)
             recorder.count("solver.rebase.cone_vars", len(cone))
             recorder.count(
-                "solver.rebase.vars_reused", len(new_graph.variables) - len(cone)
+                "solver.rebase.vars_reused", graph.variable_count - len(cone)
             )
-            recorder.count("solver.rebase.checks_reevaluated", len(affected))
+            recorder.count("solver.rebase.checks_reevaluated", len(ordered))
             recorder.count(
-                "solver.rebase.checks_cached", len(results) - len(affected)
+                "solver.rebase.checks_cached", len(results) - len(ordered)
             )
-            if self._cache is not None:
-                recorder.count(
-                    "solver.rebase.normalisations_cached",
-                    self._cache.hits - cache_hits_before,
-                )
         self._solution = self._snapshot(stats)
         return self._solution
+
+    def _reset(self, cone) -> None:
+        """Every variable of ``cone`` back to ``⊥``, or to its pin."""
+        assignment = self._assignment
+        bottom = self.lattice.bottom
+        pins = self._pins
+        for var in cone:
+            pin = pins.get(var)
+            assignment[var] = bottom if pin is None else pin
 
     def _apply_pin(self, var: LabelVar, label: Optional[Label]) -> None:
         if label is None:

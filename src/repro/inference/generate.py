@@ -323,6 +323,10 @@ class GenerationResult:
     control_pc_vars: List[Tuple[d.ControlDecl, LabelVar]] = dataclass_field(
         default_factory=list
     )
+    #: ``constraints`` split per top-level unit, in unit order (they
+    #: concatenate to it).  A re-generated unit comes as a new list, so a
+    #: persistent solver can patch its graph per unit by identity.
+    buckets: List[List[Constraint]] = dataclass_field(default_factory=list)
 
 
 class ConstraintGenerator:
@@ -353,13 +357,14 @@ class ConstraintGenerator:
         return GenerationResult(
             program,
             self._lattice,
-            algebra.constraints.as_list(),
+            algebra.constraints,
             algebra.registry.sites(),
             algebra.registry,
             list(algebra.errors),
             dict(self._analysis.function_bounds),
             dict(self._analysis.table_bounds),
             list(algebra.control_pc_vars),
+            algebra.buckets,
         )
 
 

@@ -178,17 +178,25 @@ def _normalise(
     checks.append((lhs, rhs, constraint))
 
 
-def solve(lattice: Lattice, constraints: List[Constraint]) -> Solution:
+def solve(
+    lattice: Lattice,
+    constraints: List[Constraint],
+    *,
+    buckets: Optional[List[List[Constraint]]] = None,
+) -> Solution:
     """Solve ``constraints`` over ``lattice``; least solution plus conflicts.
 
     Builds the propagation graph, condenses it into SCCs and schedules the
     Kleene iteration in topological component order (see
-    :mod:`repro.inference.graph`).  For a persistent graph that supports
-    incremental re-solving, use :class:`repro.inference.engine.Solver`.
+    :mod:`repro.inference.graph`).  ``buckets``, when given, is the same
+    system split per unit (concatenating to ``constraints``): the
+    solution's graph is then built over them, so a
+    :class:`repro.inference.engine.Solver` taking it over can patch it
+    per unit.
     """
     from repro.inference.graph import PropagationGraph
 
-    return PropagationGraph(lattice, constraints).solve()
+    return PropagationGraph(lattice, constraints, buckets=buckets).solve()
 
 
 def solve_worklist(lattice: Lattice, constraints: List[Constraint]) -> Solution:

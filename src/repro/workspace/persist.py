@@ -25,7 +25,7 @@ from repro.telemetry.recorder import NULL_RECORDER, current_recorder
 from repro.version import __version__
 
 FORMAT = "p4bid-workspace"
-VERSION = 3
+VERSION = 4
 
 
 def save_workspace(workspace, path: Union[str, Path]) -> None:

@@ -26,9 +26,13 @@ check of the elaborated program (or of the source, without inference).
 
 The merge of per-unit products reproduces what a cold
 :func:`~repro.inference.generate.generate_constraints` over the same
-source would build: the global constraint list re-deduplicates in unit
-order (the dedup key includes the span, so per-unit capture cannot
-manufacture cross-unit collisions), and the live site list is the
+source would build.  The constraints stay in per-unit buckets: the
+global list is their concatenation in unit order, with no second
+deduplication (each unit's list is duplicate-free and the dedup key
+includes the span, so no two units emit the same constraint), and a
+unit that kept its products hands the solver the very bucket it did
+last time, so :meth:`~repro.inference.engine.Solver.rebase` patches
+only the buckets that changed.  The live site list is the
 first-occurrence union of the units' touch logs -- which on a fully
 dirty refresh *is* allocation order.  A matched unit keeps its old AST
 node (so its sites keep their variables); one the parser re-parsed is
@@ -225,11 +229,12 @@ class IncrementalGenerator:
         return GenerationResult(
             program,
             self.lattice,
-            algebra.constraints.as_list(),
+            algebra.constraints,
             registry.sites(),
             registry,
             list(algebra.errors),
             dict(analysis.function_bounds),
             dict(analysis.table_bounds),
             list(algebra.control_pc_vars),
+            algebra.buckets,
         )

@@ -85,7 +85,7 @@ from repro.inference.engine import (
     _maximise_control_pcs,
 )
 from repro.inference.generate import GenerationResult
-from repro.inference.graph import NormalisationCache, PropagationGraph
+from repro.inference.graph import PropagationGraph
 from repro.inference.solve import Solution, solve
 from repro.lattice.base import Label, Lattice
 from repro.lattice.registry import get_lattice
@@ -184,13 +184,11 @@ class Workspace:
         self._generator = IncrementalGenerator(
             resolved, allow_declassification=allow_declassification
         )
-        self._cache = NormalisationCache(resolved)
         self._generation: Optional[GenerationResult] = None
         self._generation_rev = -1
         self._solver: Optional[Solver] = None
         self._solved: Optional[Solution] = None
         self._solved_generation: Optional[GenerationResult] = None
-        self._solved_constraints: list = []
         self._inference: Optional[InferenceResult] = None
         self._inference_rev = -1
         self._core = None
@@ -346,21 +344,19 @@ class Workspace:
                     pins[site.var] = label
         return pins
 
-    def _ensure_solver(self) -> Solver:
-        """The persistent solver, built lazily at the first warm operation."""
+    def _ensure_solver(self, generation: GenerationResult) -> Solver:
+        """The persistent solver, built lazily at the first warm operation.
+
+        It takes over the last solution's graph (built over that
+        solution's buckets, which :meth:`Solver.rebase` then patches), or,
+        before any solve, builds one over ``generation``'s buckets.
+        """
         if self._solver is None:
-            # The cold solve already built a propagation graph over exactly
-            # these constraints; hand it over rather than constructing it a
-            # second time.
-            graph = self._solved.graph if self._solved is not None else None
-            self._solver = Solver(
-                self.lattice,
-                self._solved_constraints,
-                cache=self._cache,
-                graph=graph,
-            )
             if self._solved is not None:
+                self._solver = Solver(self.lattice, graph=self._solved.graph)
                 self._solver.adopt(self._solved)
+            else:
+                self._solver = Solver(self.lattice, buckets=generation.buckets)
         return self._solver
 
     def _ensure_solution(self) -> Solution:
@@ -372,18 +368,20 @@ class Workspace:
             # spans/counters to the cold pipeline) unless pins already
             # exist, which only the persistent solver can honour.
             if self._pin_hints:
-                self._solved_constraints = list(generation.constraints)
-                solution = self._ensure_solver().resolve(self._pins_for(generation))
+                solution = self._ensure_solver(generation).resolve(
+                    self._pins_for(generation)
+                )
             else:
-                solution = solve(self.lattice, generation.constraints)
+                solution = solve(
+                    self.lattice, generation.constraints, buckets=generation.buckets
+                )
         else:
-            solver = self._ensure_solver()
+            solver = self._ensure_solver(generation)
             solution = solver.rebase(
-                generation.constraints, pins=self._pins_for(generation)
+                generation.buckets, pins=self._pins_for(generation)
             )
         self._solved = solution
         self._solved_generation = generation
-        self._solved_constraints = list(generation.constraints)
         return solution
 
     def _solution_graph(self, generation: GenerationResult) -> PropagationGraph:
@@ -401,7 +399,7 @@ class Workspace:
             and self._solved.graph is not None
         ):
             return self._solved.graph
-        return PropagationGraph(self.lattice, generation.constraints, cache=self._cache)
+        return PropagationGraph(self.lattice, generation.constraints)
 
     # ------------------------------------------------------------------ pinning
 
@@ -426,7 +424,7 @@ class Workspace:
         self._inference = None
         self._inference_rev = -1
         if self._solved is not None and self._solved_generation is generation:
-            self._solved = self._ensure_solver().resolve({site.var: label})
+            self._solved = self._ensure_solver(generation).resolve({site.var: label})
 
     @property
     def pins(self) -> Dict[str, Label]:
@@ -645,10 +643,5 @@ class Workspace:
                 "constraints_reused": regen.constraints_reused,
                 "constraints_regenerated": regen.constraints_regenerated,
                 "sites_live": regen.sites_live,
-            },
-            "normalisation_cache": {
-                "entries": len(self._cache),
-                "hits": self._cache.hits,
-                "misses": self._cache.misses,
             },
         }

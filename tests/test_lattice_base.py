@@ -69,6 +69,26 @@ class TestDiamond:
     def test_validate(self, diamond):
         diamond.validate()
 
+    def test_tables_match_a_closed_finite_lattice(self):
+        """The class-constant tables against a ``FiniteLattice`` closed
+        from the diamond's covering edges."""
+        oracle = FiniteLattice(
+            [BOT, ALICE, BOB, TOP],
+            [(BOT, ALICE), (BOT, BOB), (ALICE, TOP), (BOB, TOP)],
+            name="oracle",
+        )
+        diamond = DiamondLattice()
+        assert diamond.name == "diamond"
+        assert tuple(diamond.labels()) == tuple(oracle.labels())
+        assert (diamond.bottom, diamond.top) == (oracle.bottom, oracle.top)
+        assert dict(diamond._leq) == oracle._leq
+        assert dict(diamond._join_table) == oracle._join_table
+        assert dict(diamond._meet_table) == oracle._meet_table
+        # Built once: every diamond shares the same immutable tables.
+        assert DiamondLattice()._join_table is diamond._join_table
+        with pytest.raises(TypeError):
+            diamond._join_table[(BOT, BOT)] = TOP
+
     def test_incomparable_tenants(self, diamond):
         assert not diamond.leq(ALICE, BOB)
         assert not diamond.leq(BOB, ALICE)
@@ -127,21 +147,33 @@ class TestChain:
     def test_rank_order_matches_the_closed_covering_edges(self, height):
         """The structural chain against a ``FiniteLattice`` closed from
         the same covering edges, over every pair of labels."""
-        chain = ChainLattice.of_height(height)
-        levels = list(chain.levels)
-        oracle = FiniteLattice(levels, list(zip(levels, levels[1:])), name="oracle")
-        assert tuple(chain.labels()) == tuple(oracle.labels())
-        assert (chain.bottom, chain.top) == (oracle.bottom, oracle.top)
-        for a in levels:
-            for b in levels:
-                assert chain.leq(a, b) == oracle.leq(a, b)
-                assert chain.join(a, b) == oracle.join(a, b)
-                assert chain.meet(a, b) == oracle.meet(a, b)
-        for operation in (chain.leq, chain.join, chain.meet):
-            with pytest.raises(LatticeError):
-                operation(levels[0], "absent")
-            with pytest.raises(LatticeError):
-                operation("absent", levels[0])
+        _assert_matches_closed_chain(ChainLattice.of_height(height))
+
+    def test_two_point_is_the_two_level_chain(self):
+        two_point = TwoPointLattice()
+        assert isinstance(two_point, ChainLattice)
+        assert two_point.name == "two-point"
+        _assert_matches_closed_chain(two_point)
+        assert two_point.parse_label("secret") == "high"
+        assert two_point.parse_label("Public") == "low"
+        assert two_point.parse_label("top") == "high"
+
+
+def _assert_matches_closed_chain(chain) -> None:
+    levels = list(chain.levels)
+    oracle = FiniteLattice(levels, list(zip(levels, levels[1:])), name="oracle")
+    assert tuple(chain.labels()) == tuple(oracle.labels())
+    assert (chain.bottom, chain.top) == (oracle.bottom, oracle.top)
+    for a in levels:
+        for b in levels:
+            assert chain.leq(a, b) == oracle.leq(a, b)
+            assert chain.join(a, b) == oracle.join(a, b)
+            assert chain.meet(a, b) == oracle.meet(a, b)
+    for operation in (chain.leq, chain.join, chain.meet):
+        with pytest.raises(LatticeError):
+            operation(levels[0], "absent")
+        with pytest.raises(LatticeError):
+            operation("absent", levels[0])
 
 
 class TestProduct:

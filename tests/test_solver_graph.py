@@ -313,7 +313,7 @@ class TestSolverRebase:
         solver.solve()
         # Edit: a new source feeding the middle of the chain.
         edited = constraints + [Constraint(ConstTerm("A"), VarTerm(variables[4]))]
-        warm = solver.rebase(edited)
+        warm = solver.rebase([edited])
         scratch = solve(lattice, edited)
         for var in variables:
             assert lattice.equal(warm.value_of(var), scratch.value_of(var))
@@ -325,7 +325,7 @@ class TestSolverRebase:
         solver = Solver(lattice, seeded)
         assert solver.solve().value_of(variables[-1]) == "high"
         # Drop the source constraint: everything must fall back to bottom.
-        lowered = solver.rebase(constraints)
+        lowered = solver.rebase([constraints])
         for var in variables:
             assert lowered.value_of(var) == "low"
 
@@ -341,7 +341,7 @@ class TestSolverRebase:
         solver = Solver(lattice, base)
         solver.solve()
         edited = base + [Constraint(ConstTerm("high"), VarTerm(right[0]))]
-        warm = solver.rebase(edited)
+        warm = solver.rebase([edited])
         # Only the right chain is in the cone; the left chain's edges are
         # never revisited.
         assert warm.stats.edges_visited <= len(chain(right)) + 1
@@ -353,10 +353,10 @@ class TestSolverRebase:
         variables, constraints = self._chain(lattice)
         solver = Solver(lattice, constraints)
         baseline = solver.solve()
-        pinned = solver.rebase(constraints, pins={variables[2]: "B"})
+        pinned = solver.rebase([constraints], pins={variables[2]: "B"})
         assert pinned.value_of(variables[-1]) == "B"
         # Removing the pin through a rebase restores the least solution.
-        unpinned = solver.rebase(constraints, pins={})
+        unpinned = solver.rebase([constraints], pins={})
         for var in variables:
             assert lattice.equal(
                 unpinned.value_of(var), baseline.value_of(var)
@@ -366,11 +366,11 @@ class TestSolverRebase:
         lattice = get_lattice("two-point")
         variables, constraints = self._chain(lattice, length=6)
         solver = Solver(lattice, constraints)
-        solver.rebase(constraints, pins={variables[0]: "high"})
+        solver.rebase([constraints], pins={variables[0]: "high"})
         edited = constraints + [
             Constraint(VarTerm(variables[-1]), ConstTerm("low"), rule="T-Assign")
         ]
-        warm = solver.rebase(edited, pins={variables[0]: "high"})
+        warm = solver.rebase([edited], pins={variables[0]: "high"})
         scratch_solver = Solver(lattice, edited)
         scratch = scratch_solver.resolve({variables[0]: "high"})
         assert warm.ok == scratch.ok
@@ -383,7 +383,7 @@ class TestSolverRebase:
         solver = Solver(lattice, constraints)
         solver.adopt(cold)
         edited = constraints + [Constraint(ConstTerm("high"), VarTerm(variables[3]))]
-        warm = solver.rebase(edited)
+        warm = solver.rebase([edited])
         scratch = solve(lattice, edited)
         for var in variables:
             assert lattice.equal(warm.value_of(var), scratch.value_of(var))

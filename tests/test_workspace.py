@@ -434,7 +434,15 @@ class TestIncrementalParse:
             # key tuple can take a second pass to leave the count.
             gc.collect()
             gc.collect()
-            return len(gc.get_objects()), len(registry._hints), len(workspace._cache)
+            graph = workspace._solver.graph
+            return (
+                len(gc.get_objects()),
+                len(registry._hints),
+                len(graph.edges),
+                len(graph._edge_index),
+                graph.variable_count,
+                len(graph.components),
+            )
 
         for cycle in range(80):
             for revision in (raised, source):
