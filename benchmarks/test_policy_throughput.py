@@ -1,27 +1,18 @@
-"""Sustained compliance throughput: packed vs graph decisions at scale.
+"""Consent updates at policy scale: regrants recompile only their fan-out.
 
-The compliance workload's claim is the paper's claim transplanted: label
-checking is cheap enough to run inline per request, *at policy scale*.
-This benchmark pins it:
+The lattice is ``policy-120-96-8`` — **216 powerset principals** plus an
+8-class retention chain.  The check is structural, not timed: revoking
+one subject's consent recompiles the effective bounds of the datasets in
+that subject's lineage closure and no others.  The recompiled count
+lands in ``benchmarks/results/BENCH_policy.json``.
 
-* the lattice is ``policy-120-96-8`` — **216 powerset principals** plus
-  an 8-class retention chain (the ``>= 200`` principals the roadmap item
-  asks for);
-* the workload is the deterministic scenario generator's stream —
-  access / cross-purpose reuse / retention-expiry requests with
-  mid-stream consent revocations — replayed identically on the packed
-  and the graph backend;
-* **hard failures**: the two decision logs must be byte-identical, and
-  the packed backend must beat the graph backend on checks/sec (best of
-  ``REPETITIONS`` replays each, so shared-runner noise cannot flip the
-  verdict spuriously).
-
-Results — checks/sec plus p50/p95/p99 decision latency for both
-backends — land in ``benchmarks/results/BENCH_policy.json``.
+Decision throughput is measured by ``p4bid policy check`` (checks/sec
+and p50/p95/p99) and by the ``policy_stream`` workload of
+``perfbench/run.py``.
 
 Set ``P4BID_SOLVER_BENCH_SMOKE=1`` (the CI ``policy-smoke`` job does) to
-replay a shorter stream; the lattice keeps its 216 principals even in
-smoke runs because the principal count *is* the claim.
+build a smaller universe; the lattice keeps its 216 principals even in
+smoke runs.
 """
 
 from __future__ import annotations
@@ -29,79 +20,14 @@ from __future__ import annotations
 import os
 
 from repro.lattice.registry import get_lattice
-from repro.policy import PolicyEngine, replay
-from repro.synth import policy_traffic, scenario_universe
+from repro.policy import PolicyEngine
+from repro.synth import scenario_universe
 
 SMOKE = os.environ.get("P4BID_SOLVER_BENCH_SMOKE", "") not in {"", "0"}
 LATTICE = "policy-120-96-8"
 SUBJECTS = 24 if SMOKE else 96
 DATASETS = 16 if SMOKE else 48
-EVENTS = 2_000 if SMOKE else 20_000
-REVOKE_EVERY = 250
 SEED = 2022
-REPETITIONS = 2 if SMOKE else 3
-
-
-def _replay_on(backend: str):
-    """Best-of-N replay of the identical scenario on one backend."""
-    best = None
-    for _ in range(REPETITIONS):
-        universe = scenario_universe(
-            get_lattice(LATTICE), subjects=SUBJECTS, datasets=DATASETS, seed=SEED
-        )
-        events = policy_traffic(
-            universe, events=EVENTS, revoke_every=REVOKE_EVERY, seed=SEED
-        )
-        engine = PolicyEngine(universe, backend=backend)
-        assert engine.backend == backend, engine.fallback_reason
-        report = replay(engine, events)
-        if best is None or report.checks_per_sec > best.checks_per_sec:
-            best = report
-    return best
-
-
-def test_policy_throughput_packed_beats_graph(record_json):
-    lattice = get_lattice(LATTICE)
-    assert lattice.principal_count >= 200, lattice.principal_count
-
-    packed = _replay_on("packed")
-    graph = _replay_on("graph")
-
-    # Decisions are the product; they must not depend on the backend.
-    assert packed.decision_log() == graph.decision_log()
-    assert packed.denies > 0 and packed.permits > 0, (
-        "the scenario mix should exercise both verdicts"
-    )
-
-    speedup = packed.checks_per_sec / graph.checks_per_sec
-    record_json(
-        "BENCH_policy.json",
-        {
-            "throughput": {
-                "lattice": LATTICE,
-                "principals": lattice.principal_count,
-                "subjects": SUBJECTS,
-                "datasets": DATASETS,
-                "events": EVENTS,
-                "smoke": SMOKE,
-                "speedup": speedup,
-                "packed": packed.as_dict(),
-                "graph": graph.as_dict(),
-            }
-        },
-    )
-    print(
-        f"\npolicy throughput ({lattice.principal_count} principals): "
-        f"packed {packed.checks_per_sec:,.0f} vs graph "
-        f"{graph.checks_per_sec:,.0f} checks/sec ({speedup:.2f}x)\n"
-        f"packed latency: {packed.as_dict()['latency_us']}\n"
-        f"graph  latency: {graph.as_dict()['latency_us']}"
-    )
-    # The hard gate: the packed decision path must win at policy scale.
-    assert speedup > 1.0, (
-        f"packed backend did not beat graph: {packed.checks_per_sec:,.0f} vs "
-        f"{graph.checks_per_sec:,.0f} checks/sec"
-    )
 
 
 def test_policy_compile_scales_with_lineage(record_json):
@@ -109,10 +35,15 @@ def test_policy_compile_scales_with_lineage(record_json):
     universe = scenario_universe(
         get_lattice(LATTICE), subjects=SUBJECTS, datasets=DATASETS, seed=SEED
     )
-    engine = PolicyEngine(universe, backend="packed")
+    engine = PolicyEngine(universe)
     subject = universe.subjects[0]
     affected = engine.set_grant(subject, universe.lattice.bottom)
     assert 0 < len(affected) <= len(universe.datasets)
+    assert set(affected) == {
+        name
+        for name in universe.datasets
+        if subject in universe.contributing_subjects(name)
+    }
     record_json(
         "BENCH_policy.json",
         {

@@ -13,8 +13,8 @@ meet of every contributing data subject's consent grant.
 
 This example builds a deterministic scenario (subjects with varied
 grants, datasets with derivation lineage), replays a generated traffic
-stream through a :class:`~repro.policy.PolicyEngine` on the bit-packed
-backend, revokes one subject's consent mid-stream, and asks the witness
+stream through a :class:`~repro.policy.PolicyEngine` (each decision one
+OR and one compare over int-packed labels), revokes one subject's consent mid-stream, and asks the witness
 machinery *why* a denied request is denied -- the shortest chain from the
 request through the derivation lineage to the consent bound it breaks.
 """
@@ -26,8 +26,9 @@ from repro.synth import policy_traffic, scenario_universe
 
 def main() -> None:
     # A policy lattice: 6 purposes, 4 recipients, 3 retention classes.
-    # (`policy-mini` or any `policy-P-R-T` name works; the packed codec
-    # scales to hundreds of principals -- see `p4bid policy bench`.)
+    # (`policy-mini` or any `policy-P-R-T` name works; the int codec
+    # scales to hundreds of principals -- try `p4bid policy check
+    # --lattice policy-120-96-8`.)
     lattice = get_lattice("policy-6-4-3")
     print(f"lattice {lattice.name}: {lattice.principal_count} principals")
 
@@ -43,8 +44,8 @@ def main() -> None:
     )
 
     # Replay a generated traffic stream (access / reuse / expiry requests
-    # with mid-stream revocations) through the packed decision engine.
-    engine = PolicyEngine(universe, backend="auto")
+    # with mid-stream revocations) through the decision engine.
+    engine = PolicyEngine(universe)
     events = policy_traffic(universe, events=2000, revoke_every=400, seed=11)
     report = replay(engine, events)
     print(report.describe())

@@ -21,9 +21,6 @@ fully annotated program that the unmodified checker re-verifies.
 * :mod:`repro.inference.graph` -- the one solving engine: edges
   deduplicated and condensed into SCCs (Tarjan), the Kleene iteration
   scheduled in topological component order, cone-of-influence queries.
-* :mod:`repro.inference.packed` -- verified int codecs for labels
-  (``join = |``, ``leq`` as one compare), which the policy decision
-  engine uses on its hot path.
 * :mod:`repro.inference.elaborate` -- substitution of solved labels back
   into the AST.
 * :mod:`repro.inference.engine` -- the generate → solve → elaborate
@@ -52,7 +49,6 @@ from repro.inference.generate import (
     generate_constraints,
 )
 from repro.inference.graph import PropagationEdge, PropagationGraph, SolverStats
-from repro.inference.packed import CodecError, LabelCodec, codec_for
 from repro.inference.solve import (
     InferenceConflict,
     InferenceError,
@@ -75,7 +71,6 @@ from repro.inference.terms import (
 )
 
 __all__ = [
-    "CodecError",
     "Constraint",
     "ConstraintSet",
     "ConstraintGenerator",
@@ -87,7 +82,6 @@ __all__ = [
     "InferenceResult",
     "InferredLabel",
     "JoinTerm",
-    "LabelCodec",
     "LabelVar",
     "MeetTerm",
     "PropagationEdge",
@@ -98,7 +92,6 @@ __all__ = [
     "Term",
     "VarSupply",
     "VarTerm",
-    "codec_for",
     "elaborate_program",
     "evaluate",
     "free_vars",

@@ -43,9 +43,9 @@ class LabelVar:
 
     def __hash__(self) -> int:
         # The generated dataclass hash recurses into ``hint`` and ``span``,
-        # which dominates dict construction when the packed solver decodes
-        # 100k+ variables; ``uid`` alone is (at worst) an equally good hash
-        # and is PYTHONHASHSEED-independent.  Equality stays field-based.
+        # which dominates dict construction when the solver keys 100k+
+        # variables; ``uid`` alone is (at worst) an equally good hash and
+        # is PYTHONHASHSEED-independent.  Equality stays field-based.
         return self.uid
 
     def describe(self) -> str:

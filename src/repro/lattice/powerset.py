@@ -25,12 +25,6 @@ class PowersetLattice(Lattice):
         self._ordered_principals = tuple(principals)
         self.name = name or f"powerset-{len(principals)}"
 
-    @property
-    def principals(self) -> tuple:
-        """The principals in declaration order (the canonical bit order of
-        the packed label codec's bitset encoding)."""
-        return self._ordered_principals
-
     def labels(self) -> Iterable[FrozenSet[str]]:
         items = self._ordered_principals
         return tuple(

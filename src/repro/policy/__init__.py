@@ -4,8 +4,8 @@ The second domain served by the shared core (the first is P4 IFC
 checking): purpose/consent/retention policies are labels of a
 :class:`~repro.lattice.policy.PolicyLattice`, a processing request
 *demands* a label, and compliance is one ``demand ⊑ bound`` comparison
-— evaluated through the bit-packed int codecs of
-:mod:`repro.inference.packed` with a pure object-lattice fallback.
+— evaluated as one OR and one compare over the ints of the lattice's
+:class:`~repro.lattice.policy.PolicyCodec`.
 
 * :mod:`repro.policy.model` — the universe: data subjects with consent
   grants, datasets with derivation lineage, processing requests.
@@ -15,8 +15,7 @@ checking): purpose/consent/retention policies are labels of a
 * :mod:`repro.policy.stream` — replays the deterministic scenario
   traffic from :mod:`repro.synth.policy_traffic` through an engine and
   reports sustained checks/sec with p50/p95/p99 latency.
-* :mod:`repro.policy.cli` — the ``p4bid policy check|bench|explain``
-  verbs.
+* :mod:`repro.policy.cli` — the ``p4bid policy check|explain`` verbs.
 """
 
 from repro.policy.model import (

@@ -1,21 +1,17 @@
-"""The ``p4bid policy`` verbs: check, bench, explain.
+"""The ``p4bid policy`` verbs: check, explain.
 
 * ``p4bid policy check`` — generate the deterministic scenario universe
   and traffic stream, replay it through a :class:`PolicyEngine`, and
-  print (or emit as JSON) the decision summary — optionally the full
-  decision log, which is byte-identical across backends and machines.
-* ``p4bid policy bench`` — the sustained-throughput comparison: the same
-  universe and stream replayed on the packed *and* the graph backend,
-  reporting checks/sec and p50/p95/p99 latency for both, and failing
-  (exit 1) if the decision logs diverge or, with ``--require-speedup``,
-  if packed does not beat graph on checks/sec.
+  print (or emit as JSON) the decision summary with checks/sec and
+  p50/p95/p99 latency — optionally the full decision log, which is
+  byte-identical across hash seeds and machines.
 * ``p4bid policy explain`` — decide one request of the stream and, when
   denied, print the shortest policy-violation chains (request →
   derivation lineage → the consent bound it breaks).
 
 Exit status follows the checker's conventions: 0 ok, 1 the verb's
-verdict is negative (bench guard failed, explained request denied with
-``--deny-exit``), 2 usage errors.
+verdict is negative (explained request denied with ``--deny-exit``),
+2 usage errors.
 """
 
 from __future__ import annotations
@@ -23,13 +19,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.lattice.policy import PolicyLattice
 from repro.lattice.registry import available_lattices, get_lattice
 from repro.policy.engine import PolicyEngine
 from repro.policy.model import PolicyError
-from repro.policy.stream import ReplayReport, replay
+from repro.policy.stream import replay
 from repro.synth.policy_traffic import policy_traffic, scenario_universe
 
 
@@ -82,31 +78,12 @@ def build_policy_arg_parser() -> argparse.ArgumentParser:
     )
     common(check)
     check.add_argument(
-        "--backend",
-        choices=("auto", "packed", "graph"),
-        default="auto",
-        help=(
-            "decision backend: packed int codec, object-lattice graph, or "
-            "auto (packed when the lattice has a verified codec)"
-        ),
-    )
-    check.add_argument(
         "--rate", type=float, metavar="R",
         help="pace the replay at R events/sec (default: full speed)",
     )
     check.add_argument(
         "--log", action="store_true",
         help="also print the per-decision log (deterministic, diffable)",
-    )
-
-    bench = verbs.add_parser(
-        "bench", help="replay on both backends and compare checks/sec"
-    )
-    common(bench)
-    bench.add_argument(
-        "--require-speedup",
-        action="store_true",
-        help="exit 1 unless the packed backend beats graph on checks/sec",
     )
 
     explain = verbs.add_parser(
@@ -143,19 +120,9 @@ def _build_scenario(args: argparse.Namespace):
     return universe, events
 
 
-def _notice_fallback(engine: PolicyEngine) -> None:
-    if engine.fallback_reason:
-        print(
-            f"p4bid policy: note: packed decisions unavailable -- "
-            f"{engine.fallback_reason}",
-            file=sys.stderr,
-        )
-
-
 def _check(args: argparse.Namespace) -> int:
     universe, events = _build_scenario(args)
-    engine = PolicyEngine(universe, backend=args.backend)
-    _notice_fallback(engine)
+    engine = PolicyEngine(universe)
     report = replay(engine, events, rate=args.rate)
     if args.json:
         payload = report.as_dict()
@@ -169,63 +136,9 @@ def _check(args: argparse.Namespace) -> int:
     return 0
 
 
-def _bench(args: argparse.Namespace) -> int:
-    reports: List[ReplayReport] = []
-    for backend in ("packed", "graph"):
-        universe, events = _build_scenario(args)
-        engine = PolicyEngine(universe, backend=backend)
-        if backend == "packed" and engine.backend != "packed":
-            _notice_fallback(engine)
-            print(
-                "p4bid policy: bench needs a packed-codec lattice to compare "
-                "backends",
-                file=sys.stderr,
-            )
-            return 2
-        reports.append(replay(engine, events))
-    packed, graph = reports
-    identical = packed.decision_log() == graph.decision_log()
-    speedup = (
-        packed.checks_per_sec / graph.checks_per_sec
-        if graph.checks_per_sec
-        else 0.0
-    )
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "packed": packed.as_dict(),
-                    "graph": graph.as_dict(),
-                    "decisions_identical": identical,
-                    "speedup": speedup,
-                },
-                indent=2,
-            )
-        )
-    else:
-        print(packed.describe())
-        print(graph.describe())
-        print(
-            f"decisions identical: {identical}; packed/graph speedup: "
-            f"{speedup:.2f}x"
-        )
-    if not identical:
-        print("p4bid policy: backends disagree on decisions", file=sys.stderr)
-        return 1
-    if args.require_speedup and speedup <= 1.0:
-        print(
-            f"p4bid policy: packed did not beat graph "
-            f"({packed.checks_per_sec:,.0f} vs {graph.checks_per_sec:,.0f} "
-            f"checks/sec)",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
 def _explain(args: argparse.Namespace) -> int:
     universe, events = _build_scenario(args)
-    engine = PolicyEngine(universe, backend="graph")
+    engine = PolicyEngine(universe)
     target = None
     # Replay the stream up to the target uid so mid-stream revocations are
     # in effect, exactly as they were when the stream decided it.
@@ -276,8 +189,6 @@ def policy_main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         if args.verb == "check":
             return _check(args)
-        if args.verb == "bench":
-            return _bench(args)
         return _explain(args)
     except PolicyError as exc:
         print(f"p4bid policy: {exc}", file=sys.stderr)

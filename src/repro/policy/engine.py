@@ -4,16 +4,16 @@ Compilation and decision are separate stages because the workload is
 read-heavy: consent changes are rare, requests are not.
 
 * **compile** — every dataset's effective consent bound (the meet over
-  its lineage closure) is computed once and, when the lattice has a
-  verified int codec (:func:`repro.inference.packed.codec_for`), packed
-  into an int.  A consent update re-compiles only the datasets whose
-  closure contains the updated subject.
+  its lineage closure) is computed once and packed into an int by the
+  lattice's :class:`~repro.lattice.policy.PolicyCodec`.  A consent
+  update re-compiles only the datasets whose closure contains the
+  updated subject.
 
-* **decide** — one ``⊑`` check.  On the packed path that is literally
-  ``demand | bound == bound`` over two cached ints; the pure-graph
-  fallback evaluates :meth:`~repro.lattice.policy.PolicyLattice.leq`
-  on the object labels.  Both paths produce byte-identical decisions —
-  the differential suites pin this.
+* **decide** — one ``⊑`` check: ``demand | bound == bound`` over cached
+  ints, where the demand's int is three table lookups.  No label object
+  is built; :attr:`Decision.demand` is built only when read.  The
+  differential suites pin every decision to the object lattice's
+  :meth:`~repro.lattice.policy.PolicyLattice.leq` as the oracle.
 
 * **explain** — a denied request is re-phrased as a tiny constraint
   system (the demand propagates up the derivation lineage; every
@@ -26,16 +26,15 @@ read-heavy: consent changes are rare, requests are not.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.analysis.witness import LeakWitness, witnesses_for_solution
 from repro.ifc.errors import ViolationKind
 from repro.inference.constraints import Constraint
-from repro.inference.packed import LabelCodec, codec_for
 from repro.inference.solve import Solution, solve
 from repro.inference.terms import ConstTerm, LabelVar, VarSupply, VarTerm
-from repro.lattice.policy import PolicyLabel
+from repro.lattice.policy import PolicyCodec, PolicyLabel
 from repro.policy.model import PolicyError, PolicyUniverse, Request
 from repro.telemetry.recorder import current_recorder
 
@@ -46,9 +45,17 @@ class Decision:
 
     request: Request
     permit: bool
-    demand: PolicyLabel
     bound: PolicyLabel
-    backend: str
+
+    @property
+    def demand(self) -> PolicyLabel:
+        """The label the request demands, built when something reads it."""
+        request = self.request
+        return PolicyLabel(
+            frozenset((request.purpose,)),
+            frozenset((request.recipient,)),
+            request.retention,
+        )
 
     def as_dict(self, engine: "PolicyEngine") -> Dict[str, Any]:
         lattice = engine.universe.lattice
@@ -59,7 +66,6 @@ class Decision:
             "permit": self.permit,
             "demand": lattice.format_label(self.demand),
             "bound": lattice.format_label(self.bound),
-            "backend": self.backend,
         }
 
     def describe(self, engine: "PolicyEngine") -> str:
@@ -97,47 +103,27 @@ class Explanation:
 class PolicyEngine:
     """Decides compliance requests against one :class:`PolicyUniverse`."""
 
-    def __init__(self, universe: PolicyUniverse, *, backend: str = "auto") -> None:
-        if backend not in ("auto", "packed", "graph"):
-            raise PolicyError(
-                f"unknown policy backend {backend!r}; expected 'auto', "
-                f"'packed' or 'graph'"
-            )
+    def __init__(self, universe: PolicyUniverse) -> None:
         self.universe = universe
-        self.requested_backend = backend
-        self._codec: Optional[LabelCodec] = None
-        self.fallback_reason: Optional[str] = None
-        if backend in ("auto", "packed"):
-            self._codec = codec_for(universe.lattice)
-            if self._codec is None:
-                self.fallback_reason = (
-                    f"lattice {universe.lattice.name!r} has no verified int "
-                    f"codec; deciding on the object lattice"
-                )
-                current_recorder().count("policy.fallbacks")
-        self.backend = "packed" if self._codec is not None else "graph"
+        lattice = universe.lattice
+        self._codec = PolicyCodec(lattice)
         self._bounds: Dict[str, PolicyLabel] = {}
         self._bound_bits: Dict[str, int] = {}
         self._subject_datasets: Dict[str, Tuple[str, ...]] = {}
-        # Per-component demand bit tables: on the packed path a request
-        # encodes as three dict lookups and one OR, no object labels.
-        lattice = universe.lattice
-        self._purpose_bits: Dict[str, int] = {}
-        self._recipient_bits: Dict[str, int] = {}
-        self._retention_bits: Dict[str, int] = {}
-        if self._codec is not None:
-            for name in lattice.purposes:
-                self._purpose_bits[name] = self._codec.encode(
-                    lattice.label([name])
-                )
-            for name in lattice.recipients:
-                self._recipient_bits[name] = self._codec.encode(
-                    lattice.label(recipients=[name])
-                )
-            for name in lattice.retention_classes:
-                self._retention_bits[name] = self._codec.encode(
-                    lattice.label(retention=name)
-                )
+        # Per-component demand bit tables: a request encodes as three dict
+        # lookups and two ORs, no label objects.
+        encode = self._codec.encode
+        self._purpose_bits = {
+            name: encode(lattice.label([name])) for name in lattice.purposes
+        }
+        self._recipient_bits = {
+            name: encode(lattice.label(recipients=[name]))
+            for name in lattice.recipients
+        }
+        self._retention_bits = {
+            name: encode(lattice.label(retention=name))
+            for name in lattice.retention_classes
+        }
         self.decisions = 0
         self.permits = 0
         self.denies = 0
@@ -148,11 +134,7 @@ class PolicyEngine:
 
     def _compile_all(self) -> None:
         recorder = current_recorder()
-        with recorder.span(
-            "policy.compile",
-            lattice=self.universe.lattice.name,
-            backend=self.backend,
-        ):
+        with recorder.span("policy.compile", lattice=self.universe.lattice.name):
             by_subject: Dict[str, List[str]] = {}
             for name in self.universe.datasets:
                 for subject in self.universe.contributing_subjects(name):
@@ -166,46 +148,28 @@ class PolicyEngine:
     def _compile_dataset(self, name: str) -> None:
         bound = self.universe.effective_bound(name)
         self._bounds[name] = bound
-        if self._codec is not None:
-            self._bound_bits[name] = self._codec.encode(bound)
-
-    def bound_for(self, dataset: str) -> PolicyLabel:
-        bound = self._bounds.get(dataset)
-        if bound is None:
-            raise PolicyError(f"unknown dataset {dataset!r}")
-        return bound
+        self._bound_bits[name] = self._codec.encode(bound)
 
     # -- decisions ----------------------------------------------------------
 
     def decide(self, request: Request) -> Decision:
         recorder = current_recorder()
         started = time.perf_counter_ns() if recorder.enabled else 0
-        if self._codec is not None:
-            # The packed hot path: demand validation *is* the bit lookup,
-            # the ⊑ check is one OR and one compare over cached ints.
-            try:
-                demand_bits = (
-                    self._purpose_bits[request.purpose]
-                    | self._recipient_bits[request.recipient]
-                    | self._retention_bits[request.retention]
-                )
-                bound_bits = self._bound_bits[request.dataset]
-            except KeyError as exc:
-                raise PolicyError(
-                    f"{request.describe()} names unknown dataset or labels "
-                    f"outside lattice {self.universe.lattice.name!r}"
-                ) from exc
-            permit = demand_bits | bound_bits == bound_bits
-            demand = PolicyLabel(
-                frozenset((request.purpose,)),
-                frozenset((request.recipient,)),
-                request.retention,
+        # Demand validation *is* the bit lookup; the ⊑ check is one OR and
+        # one compare over cached ints.
+        try:
+            demand_bits = (
+                self._purpose_bits[request.purpose]
+                | self._recipient_bits[request.recipient]
+                | self._retention_bits[request.retention]
             )
-            bound = self._bounds[request.dataset]
-        else:
-            demand = self.universe.demand(request)
-            bound = self.bound_for(request.dataset)
-            permit = self.universe.lattice.leq(demand, bound)
+            bound_bits = self._bound_bits[request.dataset]
+        except KeyError as exc:
+            raise PolicyError(
+                f"{request.describe()} names unknown dataset or labels "
+                f"outside lattice {self.universe.lattice.name!r}"
+            ) from exc
+        permit = demand_bits | bound_bits == bound_bits
         self.decisions += 1
         if permit:
             self.permits += 1
@@ -217,11 +181,7 @@ class PolicyEngine:
             recorder.observe(
                 "policy.decide_us", (time.perf_counter_ns() - started) / 1000.0
             )
-        return Decision(request, permit, demand, bound, self.backend)
-
-    def decide_batch(self, requests: List[Request]) -> List[Decision]:
-        with current_recorder().span("policy.decide", batch=len(requests)):
-            return [self.decide(request) for request in requests]
+        return Decision(request, permit, self._bounds[request.dataset])
 
     # -- consent updates ----------------------------------------------------
 
@@ -246,9 +206,7 @@ class PolicyEngine:
 
     # -- explanations -------------------------------------------------------
 
-    def _lineage_system(
-        self, request: Request
-    ) -> Tuple[List[Constraint], Dict[LabelVar, str]]:
+    def _lineage_system(self, request: Request) -> List[Constraint]:
         """The request as a constraint system over its lineage.
 
         One variable per dataset on the lineage paths ("the use demanded of
@@ -259,14 +217,12 @@ class PolicyEngine:
         universe = self.universe
         supply = VarSupply()
         use_of: Dict[str, LabelVar] = {}
-        var_dataset: Dict[LabelVar, str] = {}
 
         def use_var(name: str) -> LabelVar:
             var = use_of.get(name)
             if var is None:
                 var = supply.fresh(hint=f"use({name})")
                 use_of[name] = var
-                var_dataset[var] = name
             return var
 
         constraints: List[Constraint] = []
@@ -309,7 +265,7 @@ class PolicyEngine:
                         reason=f"consent bound of subject {subject!r} on {name!r}",
                     )
                 )
-        return constraints, var_dataset
+        return constraints
 
     def explain(self, request: Request) -> Explanation:
         """Explain ``request``; denies get shortest policy-violation chains.
@@ -321,7 +277,7 @@ class PolicyEngine:
             decision = self.decide(request)
             if decision.permit:
                 return Explanation(decision, (), ())
-            constraints, _ = self._lineage_system(request)
+            constraints = self._lineage_system(request)
             solution = solve(self.universe.lattice, constraints)
             witnesses = tuple(witnesses_for_solution(solution))
             violated = sorted(
@@ -340,7 +296,7 @@ class PolicyEngine:
         the determinism suite pins across hash seeds)."""
         constraints: List[Constraint] = []
         for request in requests:
-            constraints.extend(self._lineage_system(request)[0])
+            constraints.extend(self._lineage_system(request))
         return solve(self.universe.lattice, constraints)
 
     # -- stats --------------------------------------------------------------
@@ -349,9 +305,6 @@ class PolicyEngine:
         return {
             "lattice": self.universe.lattice.name,
             "principals": self.universe.lattice.principal_count,
-            "backend": self.backend,
-            "requested_backend": self.requested_backend,
-            "fallback_reason": self.fallback_reason,
             "subjects": len(self.universe.subjects),
             "datasets": len(self.universe.datasets),
             "decisions": self.decisions,

@@ -5,17 +5,16 @@
 things a throughput harness must never conflate:
 
 * the **decision log** — deterministic, byte-identical for a given
-  ``(universe, stream)`` regardless of backend, worker count, hash seed
-  or machine load; this is what the differential and determinism suites
-  compare;
+  ``(universe, stream)`` regardless of hash seed or machine load; this
+  is what the differential and determinism suites compare;
 * the **timing report** — checks/sec plus p50/p95/p99 latency from a
   local power-of-two :class:`~repro.telemetry.recorder.Histogram` of
-  per-decision microseconds; this is what ``BENCH_policy.json`` records
-  and the CI guard thresholds.
+  per-decision microseconds; this is what ``p4bid policy check``
+  reports.
 
 ``rate`` (requests/sec) paces the replay with monotonic-clock sleeps for
-soak runs; the default ``None`` replays at full speed, which is what the
-sustained-throughput benchmark wants.
+soak runs; the default ``None`` replays at full speed, which is what a
+throughput measurement wants.
 """
 
 from __future__ import annotations
@@ -59,9 +58,8 @@ class ReplayReport:
     def decision_log(self) -> List[str]:
         """One deterministic line per decision — the byte-stability surface.
 
-        Contains no timing, no backend name, nothing environmental: two
-        replays of the same stream must produce identical logs whatever
-        backend or machine decided them.
+        Contains no timing, nothing environmental: two replays of the same
+        stream must produce identical logs whatever machine decided them.
         """
         lattice = self.engine.universe.lattice
         return [
@@ -75,7 +73,6 @@ class ReplayReport:
     def as_dict(self) -> Dict[str, Any]:
         quantiles = self.latency_us.percentiles()
         return {
-            "backend": self.engine.backend,
             "lattice": self.engine.universe.lattice.name,
             "principals": self.engine.universe.lattice.principal_count,
             "events": len(self.decisions) + self.revocations,
@@ -100,8 +97,8 @@ class ReplayReport:
         return (
             f"{payload['decisions']} decisions "
             f"({payload['permits']} permit / {payload['denies']} deny, "
-            f"{payload['revocations']} revocation(s)) on {payload['backend']} "
-            f"over {payload['lattice']}: {payload['checks_per_sec']:,.0f} "
+            f"{payload['revocations']} revocation(s)) over "
+            f"{payload['lattice']}: {payload['checks_per_sec']:,.0f} "
             f"checks/sec, latency p50={quantiles['p50']:.1f}us "
             f"p95={quantiles['p95']:.1f}us p99={quantiles['p99']:.1f}us"
         )

@@ -16,9 +16,9 @@ differential suites:
   so the stream is byte-identical for a given ``(lattice, sizes, seed)``
   on any platform, hash seed, or worker count.
 
-Events are plain data (:class:`TrafficEvent`), not engine calls: the same
-stream replays against the packed and the graph backend and must produce
-identical decision sequences — that equality is the differential pin.
+Events are plain data (:class:`TrafficEvent`), not engine calls: the
+differential suites replay a stream through the engine and through the
+object-lattice oracle and require identical decision sequences.
 """
 
 from __future__ import annotations

@@ -24,7 +24,7 @@ Methods (``params`` is always an object):
 ``save`` / ``load``   ``{path}`` -- persist / restore the solved state
 ``shutdown``          acknowledge and close the session
 ``policy.open``       ``{lattice?, subjects?, datasets?, events?,
-                      revoke_every?, seed?, backend?}`` -- build the
+                      revoke_every?, seed?}`` -- build the
                       deterministic compliance scenario + decision engine
 ``policy.decide``     ``{dataset, purpose, recipient, retention, kind?}``
                       or ``{request: uid}`` -- one permit/deny decision
@@ -315,11 +315,6 @@ class WorkspaceServer:
         name = params.get("lattice", "policy-mini")
         if not isinstance(name, str):
             raise _RpcError(INVALID_PARAMS, "lattice must be a string")
-        backend = params.get("backend", "auto")
-        if backend not in ("auto", "packed", "graph"):
-            raise _RpcError(
-                INVALID_PARAMS, "backend must be 'auto', 'packed' or 'graph'"
-            )
         sizes = {}
         for key, default in (
             ("subjects", 24),
@@ -352,7 +347,7 @@ class WorkspaceServer:
                 revoke_every=sizes["revoke_every"],
                 seed=sizes["seed"],
             )
-            engine = PolicyEngine(universe, backend=backend)
+            engine = PolicyEngine(universe)
         except _RpcError:
             raise
         except (PolicyError, ValueError, LatticeError) as exc:

@@ -89,20 +89,16 @@ def test_conflicts_cores_and_witnesses_are_hashseed_stable():
 
 #: The compliance workload end to end: scenario generation, replay
 #: decisions, one deny explained with witness chains.  Every line printed
-#: is part of the byte-stability contract BENCH_policy.json's differential
-#: guard relies on.
+#: is part of the policy engine's byte-stability contract.
 POLICY_SCRIPT = """\
-import sys
-
 from repro.lattice.registry import get_lattice
 from repro.policy import PolicyEngine, replay
 from repro.synth import policy_traffic, scenario_universe
 
-backend = sys.argv[1] if len(sys.argv) > 1 else "packed"
 lattice = get_lattice("policy-12-8-4")
 universe = scenario_universe(lattice, subjects=10, datasets=14, seed=7)
 events = policy_traffic(universe, events=150, revoke_every=30, seed=7)
-engine = PolicyEngine(universe, backend=backend)
+engine = PolicyEngine(universe)
 report = replay(engine, events)
 for line in report.decision_log():
     print(line)
@@ -115,12 +111,12 @@ for conflict in solution.conflicts:
 """
 
 
-def _run_policy(seed: str, backend: str = "packed") -> str:
+def _run_policy(seed: str) -> str:
     env = dict(os.environ)
     env["PYTHONHASHSEED"] = seed
     env["PYTHONPATH"] = str(SRC_DIR)
     completed = subprocess.run(
-        [sys.executable, "-c", POLICY_SCRIPT, backend],
+        [sys.executable, "-c", POLICY_SCRIPT],
         capture_output=True,
         text=True,
         env=env,
@@ -131,15 +127,12 @@ def _run_policy(seed: str, backend: str = "packed") -> str:
 
 def test_policy_decisions_and_witnesses_are_hashseed_stable():
     """Policy decision logs, deny explanations, and audit conflicts are
-    byte-identical across hash seeds and decision backends -- the
-    powerset components of a policy label are frozensets, so any unsorted
-    iteration would surface here."""
-    baseline = _run_policy("0", backend="packed")
+    byte-identical across hash seeds -- the powerset components of a
+    policy label are frozensets, so any unsorted iteration would surface
+    here."""
+    baseline = _run_policy("0")
     assert " DENY " in baseline and " PERMIT " in baseline
     assert "leak path" in baseline
     for seed in ("1", "42"):
-        output = _run_policy(seed, backend="packed")
+        output = _run_policy(seed)
         assert output == baseline, f"PYTHONHASHSEED={seed} changed policy output"
-    assert _run_policy("0", backend="graph") == baseline, (
-        "graph backend diverged from packed on the policy workload"
-    )

@@ -4,8 +4,10 @@ import json
 
 import pytest
 
-import repro.policy.cli as policy_cli
+from repro.lattice import get_lattice
+from repro.policy import PolicyEngine, replay
 from repro.policy.cli import policy_main
+from repro.synth import policy_traffic, scenario_universe
 from repro.tool.cli import main
 
 SMALL = [
@@ -31,46 +33,36 @@ class TestCheck:
         assert payload["decisions"] == len(payload["log"])
         assert set(payload["latency_us"]) == {"mean", "p50", "p95", "p99", "max"}
 
-    def test_log_is_deterministic_across_backends(self, capsys):
-        logs = {}
-        for backend in ("packed", "graph"):
-            assert (
-                policy_main(["check", "--json", "--log", "--backend", backend, *SMALL])
-                == 0
+    def test_log_matches_the_oracle(self, capsys):
+        assert policy_main(["check", "--json", "--log", *SMALL]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert "backend" not in payload
+        universe = scenario_universe(
+            get_lattice("policy-mini"), subjects=6, datasets=8, seed=0
+        )
+        stream = policy_traffic(universe, events=80, revoke_every=25, seed=0)
+        # The library replay spells the same log, and every verdict in it
+        # is the object lattice's ``demand ⊑ bound``.
+        engine = PolicyEngine(universe)
+        assert payload["log"] == replay(engine, stream).decision_log()
+        oracle = scenario_universe(
+            get_lattice("policy-mini"), subjects=6, datasets=8, seed=0
+        )
+        verdicts = []
+        for event in stream:
+            if event.regrant is not None:
+                oracle.set_grant(*event.regrant)
+                continue
+            permit = oracle.lattice.leq(
+                oracle.demand(event.request),
+                oracle.effective_bound(event.request.dataset),
             )
-            payload = json.loads(capsys.readouterr().out)
-            assert payload["backend"] == backend
-            logs[backend] = payload["log"]
-        assert logs["packed"] == logs["graph"]
-
-    def test_fallback_notice_when_codec_unavailable(self, capsys, monkeypatch):
-        import repro.policy.engine as engine_module
-
-        monkeypatch.setattr(engine_module, "codec_for", lambda lattice: None)
-        assert policy_main(["check", "--backend", "packed", *SMALL]) == 0
-        err = capsys.readouterr().err
-        assert "packed decisions unavailable" in err
+            verdicts.append("PERMIT" if permit else "DENY")
+        assert [line.split()[3] for line in payload["log"]] == verdicts
 
     def test_dispatched_from_p4bid_main(self, capsys):
         assert main(["policy", "check", *SMALL]) == 0
         assert "checks/sec" in capsys.readouterr().out
-
-
-class TestBench:
-    def test_compares_backends(self, capsys):
-        assert policy_main(["bench", "--json", *SMALL]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["decisions_identical"] is True
-        assert payload["packed"]["backend"] == "packed"
-        assert payload["graph"]["backend"] == "graph"
-        assert payload["speedup"] > 0.0
-
-    def test_without_codec_is_usage_error(self, capsys, monkeypatch):
-        import repro.policy.engine as engine_module
-
-        monkeypatch.setattr(engine_module, "codec_for", lambda lattice: None)
-        assert policy_main(["bench", *SMALL]) == 2
-        assert "packed-codec lattice" in capsys.readouterr().err
 
 
 class TestExplain:
@@ -124,3 +116,9 @@ class TestUsageErrors:
     def test_verb_required(self):
         with pytest.raises(SystemExit):
             policy_main([])
+
+    def test_no_implementation_selector(self):
+        with pytest.raises(SystemExit):
+            policy_main(["bench", *SMALL])
+        with pytest.raises(SystemExit):
+            policy_main(["check", "--backend", "graph", *SMALL])

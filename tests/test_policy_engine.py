@@ -1,8 +1,7 @@
-"""The policy model and decision engine: semantics, parity, witnesses."""
+"""The policy model and decision engine: semantics, oracle parity, witnesses."""
 
 import pytest
 
-import repro.policy.engine as engine_module
 from repro.lattice import get_lattice, mini_policy_lattice
 from repro.policy import (
     Dataset,
@@ -88,51 +87,72 @@ def decide_brute_force(universe, request):
     )
 
 
-def test_decide_matches_brute_force_on_both_backends():
-    for backend in ("packed", "graph"):
-        universe = small_universe()
-        engine = PolicyEngine(universe, backend=backend)
-        assert engine.backend == backend
-        uid = 0
-        lattice = universe.lattice
-        for dataset in universe.datasets:
-            for purpose in lattice.purposes:
-                for recipient in lattice.recipients:
-                    for retention in lattice.retention_classes:
-                        request = Request(uid, dataset, purpose, recipient, retention)
-                        uid += 1
-                        decision = engine.decide(request)
-                        assert decision.permit == decide_brute_force(
-                            universe, request
-                        ), request.describe()
+def every_request(universe):
+    """One request per dataset and demand label of the universe."""
+    lattice = universe.lattice
+    return [
+        Request(uid, dataset, purpose, recipient, retention)
+        for uid, (dataset, purpose, recipient, retention) in enumerate(
+            (d, p, r, t)
+            for d in universe.datasets
+            for p in lattice.purposes
+            for r in lattice.recipients
+            for t in lattice.retention_classes
+        )
+    ]
+
+
+def test_decide_matches_brute_force():
+    universe = small_universe()
+    engine = PolicyEngine(universe)
+    for request in every_request(universe):
+        decision = engine.decide(request)
+        assert decision.permit == decide_brute_force(
+            universe, request
+        ), request.describe()
+        assert decision.demand == universe.demand(request)
+        assert decision.bound == universe.effective_bound(request.dataset)
 
 
 def test_decide_rejects_unknown_names():
-    for backend in ("packed", "graph"):
-        engine = PolicyEngine(small_universe(), backend=backend)
+    engine = PolicyEngine(small_universe())
+    for request in (
+        Request(0, "nope", "analytics", "store", "t0"),
+        Request(1, "clicks", "nope", "store", "t0"),
+        Request(2, "clicks", "analytics", "nope", "t0"),
+        Request(3, "clicks", "analytics", "store", "nope"),
+    ):
         with pytest.raises(PolicyError):
-            engine.decide(Request(0, "nope", "analytics", "store", "t0"))
+            engine.decide(request)
+        # The oracle rejects the same requests.
         with pytest.raises(PolicyError):
-            engine.decide(Request(1, "clicks", "nope", "store", "t0"))
+            decide_brute_force(engine.universe, request)
+    assert engine.decisions == 0
 
 
-def test_backend_parity_on_generated_scenarios():
+def test_decide_matches_oracle_on_generated_scenarios():
     lattice = get_lattice("policy-mini")
     for seed in (0, 1, 7):
-        decisions = {}
-        for backend in ("packed", "graph"):
-            universe = scenario_universe(lattice, subjects=8, datasets=10, seed=seed)
-            engine = PolicyEngine(universe, backend=backend)
-            stream = policy_traffic(universe, events=300, revoke_every=50, seed=seed)
-            log = []
-            for event in stream:
-                if event.regrant is not None:
-                    engine.set_grant(*event.regrant)
-                    continue
-                decision = engine.decide(event.request)
-                log.append((event.uid, decision.permit, str(decision.demand)))
-            decisions[backend] = log
-        assert decisions["packed"] == decisions["graph"]
+        universe = scenario_universe(lattice, subjects=8, datasets=10, seed=seed)
+        engine = PolicyEngine(universe)
+        stream = policy_traffic(universe, events=300, revoke_every=50, seed=seed)
+        regrants = 0
+        for event in stream:
+            if event.regrant is not None:
+                engine.set_grant(*event.regrant)
+                regrants += 1
+                # After every regrant every compiled bound must still be
+                # the oracle's -- not only the ones the stream requests.
+                for probe in every_request(universe):
+                    assert engine.decide(probe).permit == decide_brute_force(
+                        universe, probe
+                    ), (seed, event.uid, probe.describe())
+                continue
+            decision = engine.decide(event.request)
+            assert decision.permit == decide_brute_force(
+                universe, event.request
+            ), (seed, event.uid)
+        assert regrants == (300 - 1) // 50
 
 
 def test_revocation_tightens_bounds_monotonically():
@@ -149,21 +169,6 @@ def test_revocation_tightens_bounds_monotonically():
     # Re-granting restores the permit.
     engine.set_grant("alice", universe.lattice.label(["analytics"], ["store"], "t1"))
     assert engine.decide(request).permit
-
-
-def test_graph_fallback_when_codec_unavailable(monkeypatch):
-    monkeypatch.setattr(engine_module, "codec_for", lambda lattice: None)
-    recorder = TraceRecorder()
-    with use_recorder(recorder):
-        engine = PolicyEngine(small_universe(), backend="packed")
-    assert engine.backend == "graph"
-    assert engine.fallback_reason
-    assert recorder.counters.get("policy.fallbacks") == 1
-    # Decisions still work (and still match the spec).
-    request = Request(0, "clicks", "analytics", "store", "t0")
-    assert engine.decide(request).permit == decide_brute_force(
-        engine.universe, request
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -209,17 +214,18 @@ def test_explain_deny_walks_derivation_lineage():
 # audits and stats
 
 
-def test_audit_is_deterministic_across_decision_backends():
+def test_audit_conflicts_match_the_oracle():
     universe = small_universe()
+    lattice = universe.lattice
     requests = [
         Request(uid, dataset, purpose, "store", "t0")
         for uid, (dataset, purpose) in enumerate(
-            (d, p) for d in universe.datasets for p in universe.lattice.purposes
+            (d, p) for d in universe.datasets for p in lattice.purposes
         )
     ]
     outcomes = []
-    for backend in ("graph", "packed"):
-        solution = PolicyEngine(universe, backend=backend).audit(requests)
+    for _ in range(2):
+        solution = PolicyEngine(universe).audit(requests)
         outcomes.append(
             [
                 (str(c.constraint.lhs.describe()), str(c.constraint.rhs.describe()))
@@ -227,6 +233,37 @@ def test_audit_is_deterministic_across_decision_backends():
             ]
         )
     assert outcomes[0] and outcomes[0] == outcomes[1]
+
+    # The batch joins every demand that reaches a dataset, so a subject's
+    # consent on a dataset conflicts exactly when some request at or below
+    # that dataset in the lineage demands more than the subject granted.
+    def reaches(request, name):
+        pending = [request.dataset]
+        while pending:
+            current = pending.pop()
+            if current == name:
+                return True
+            pending.extend(universe.dataset(current).parents)
+        return False
+
+    expected = {
+        (subject, name)
+        for name in universe.datasets
+        for subject in universe.dataset(name).subjects
+        if any(
+            reaches(request, name)
+            and not lattice.leq(universe.demand(request), universe.grant(subject))
+            for request in requests
+        )
+    }
+    conflicts = {
+        (
+            conflict.constraint.reason.split("'")[1],
+            conflict.constraint.reason.split("'")[3],
+        )
+        for conflict in solution.conflicts
+    }
+    assert conflicts == expected
 
 
 def test_stats_and_telemetry_counters():

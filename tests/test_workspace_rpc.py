@@ -196,7 +196,7 @@ class TestPolicyMethods:
         assert opened["opened"] is True
         assert opened["events"] == 60
         assert opened["lattice"] == "policy-mini"
-        assert opened["backend"] == "packed"
+        assert "backend" not in opened
         assert opened["subjects"] == 6 and opened["datasets"] == 8
 
     def test_open_rejects_non_policy_lattice_and_bad_sizes(self):
@@ -206,8 +206,6 @@ class TestPolicyMethods:
         response = call(server, "policy.open", {"lattice": "no-such"})
         assert response["error"]["code"] == WORKSPACE_ERROR
         response = call(server, "policy.open", {"subjects": "many"})
-        assert response["error"]["code"] == INVALID_PARAMS
-        response = call(server, "policy.open", {"backend": "quantum"})
         assert response["error"]["code"] == INVALID_PARAMS
         response = call(server, "policy.open", {"subjects": 0})
         assert response["error"]["code"] == WORKSPACE_ERROR
@@ -219,7 +217,7 @@ class TestPolicyMethods:
         assert by_uid["request"] == 1
         assert isinstance(by_uid["permit"], bool)
         assert set(by_uid) == {
-            "request", "kind", "dataset", "permit", "demand", "bound", "backend",
+            "request", "kind", "dataset", "permit", "demand", "bound",
         }
         adhoc = result_of(
             server,
