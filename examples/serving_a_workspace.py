@@ -13,8 +13,9 @@ edit, not the program.
 
 This script drives the exact server class the CLI runs -- request by
 request, the way an editor plugin or CI harness would -- through an
-edit-introduce-a-leak-and-fix-it session, then shows ``save``/``load``
-persistence of the solved state.
+edit-introduce-a-leak-and-fix-it session, then ``save``s it and ``load``s
+the snapshot -- JSON holding the source, options and pins -- into a fresh
+server, whose first check is a cold check of the saved source.
 """
 
 import json
@@ -91,12 +92,12 @@ def main() -> None:
 
     with tempfile.TemporaryDirectory() as scratch:
         path = str(Path(scratch) / "session.p4bidws")
-        print("\n== save / load: the solved state round-trips ==")
+        print("\n== save / load: source, options and pins round-trip ==")
         rpc(server, 10, "save", path=path)
         fresh = WorkspaceServer()
         loaded = rpc(fresh, 11, "load", path=path)
         print(f"loaded revision={loaded['revision']} lattice={loaded['lattice']}")
-        print(f"ok={rpc(fresh, 12, 'infer')['ok']} (no re-solve needed)")
+        print(f"ok={rpc(fresh, 12, 'infer')['ok']} (a cold check of the saved source)")
 
     rpc(server, 13, "shutdown")
     print("\nsession closed")

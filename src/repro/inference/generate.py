@@ -199,20 +199,6 @@ class SiteRegistry:
             key: hinted for key, hinted in self._hints.items() if key in self._sites
         }
 
-    def __getstate__(self) -> dict:
-        return {
-            "supply": self._supply,
-            "order": self._order,
-            "hints": list(self._hints.values()),
-        }
-
-    def __setstate__(self, state: dict) -> None:
-        self._supply = state["supply"]
-        self._order = list(state["order"])
-        self._sites = {id(site.node): site for site in self._order}
-        self._hints = {id(node): (node, hint) for node, hint in state["hints"]}
-        self._touch_log = None
-
 
 class InferenceLabeler(TypeLabeler):
     """A :class:`TypeLabeler` producing term labels and label variables."""

@@ -186,6 +186,8 @@ def policy_main(argv: Optional[Sequence[str]] = None) -> int:
         parser.error("--subjects, --datasets and --events must be at least 1")
     if args.revoke_every < 0:
         parser.error("--revoke-every must be non-negative")
+    if getattr(args, "rate", None) is not None and not args.rate > 0:
+        parser.error("--rate must be positive")
     try:
         if args.verb == "check":
             return _check(args)

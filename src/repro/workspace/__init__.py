@@ -10,8 +10,8 @@ state *warm* across edits:
 * :mod:`repro.workspace.diff` / :mod:`repro.workspace.regen` --
   declaration-level structural diffing and the incremental constraint
   re-generation built on it;
-* :mod:`repro.workspace.persist` -- versioned save/load of the solved
-  state (:func:`save_workspace` / :func:`load_workspace`);
+* :mod:`repro.workspace.persist` -- JSON snapshots of the source,
+  options and pins (:func:`save_workspace` / :func:`load_workspace`);
 * :mod:`repro.workspace.rpc` -- the JSON-RPC serving front end behind
   ``p4bid serve``.
 """

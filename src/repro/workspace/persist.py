@@ -1,83 +1,95 @@
-"""Versioned persistence for solved workspaces.
+"""Workspace snapshots: the source, the options and the pins, as JSON.
 
-:func:`save_workspace` pickles the whole :class:`~repro.workspace.session.Workspace`
--- program, per-unit caches, registry, solver, solved assignment -- inside
-a versioned envelope; :func:`load_workspace` validates the envelope and
-rebinds the ambient telemetry recorder (recorders are session state, never
-persisted).  Because pickling preserves referential identity across the
-object graph (the same :class:`~repro.inference.terms.LabelVar` object is
-one object on load, wherever it was referenced), a loaded workspace
-produces *byte-identical* results to the session that saved it.
-
-The format is a trusted-input cache, exactly like compiler ``.o`` /
-incremental-build artifacts: load only files your own sessions wrote
-(pickle executes no validation against adversarial inputs).
+A snapshot holds nothing of the checker's state: loading opens the source
+in a fresh workspace and replays the pins, so its first check is cold.
 """
 
 from __future__ import annotations
 
-import pickle
+import json
 from pathlib import Path
-from typing import Union
 
-from repro.frontend.parser import ParseIndex
-from repro.telemetry.recorder import NULL_RECORDER, current_recorder
-from repro.version import __version__
+from repro.lattice.base import LatticeError
+from repro.lattice.registry import get_lattice
+from repro.workspace.session import Workspace, WorkspaceError
 
 FORMAT = "p4bid-workspace"
-VERSION = 4
+VERSION = 5
+#: The fields of a snapshot and the JSON type of each (``name`` may be null).
+SHAPE = {
+    "format": "str",
+    "version": "int",
+    "lattice": "str",
+    "allow_declassification": "bool",
+    "name": "str",
+    "filename": "str",
+    "revision": "int",
+    "source": "str",
+    "pins": "dict",
+}
 
 
-def save_workspace(workspace, path: Union[str, Path]) -> None:
-    """Persist ``workspace`` (with its solved state) to ``path``."""
-    from repro.workspace.session import Workspace
-
-    if not isinstance(workspace, Workspace):
-        raise TypeError(f"expected a Workspace, got {type(workspace).__name__}")
-    algebra = workspace._generator.algebra
-    live_recorder = algebra.telemetry
-    # Recorders hold session-local trace state (and a TraceRecorder an
-    # unbounded span list); persisted workspaces always carry the no-op
-    # recorder and re-capture the ambient one on load / next refresh.
-    algebra.telemetry = NULL_RECORDER
+def save_workspace(workspace: Workspace, path: str | Path) -> None:
+    """Write the text of ``workspace``'s latest ``open``/``edit`` (parsed or
+    not), its lattice name, options and pins to ``path`` as UTF-8 JSON."""
+    lattice = workspace.lattice
+    if workspace.source is None:
+        raise WorkspaceError("cannot save a workspace opened without source text")
     try:
-        payload = {
-            "format": FORMAT,
-            "version": VERSION,
-            "tool_version": __version__,
-            "lattice": workspace.lattice.name,
-            "revision": workspace.revision,
-            "workspace": workspace,
-        }
-        with open(path, "wb") as handle:
-            pickle.dump(payload, handle, protocol=4)
-    finally:
-        algebra.telemetry = live_recorder
+        rebuilt = get_lattice(lattice.name)
+    except LatticeError:
+        rebuilt = None
+    if type(rebuilt) is not type(lattice) or rebuilt.top != lattice.top:
+        raise WorkspaceError(f"the lattice registry cannot rebuild {lattice.name!r}")
+    pins = workspace.pins
+    if workspace.program is not None:  # leave out pins no answer reads
+        hints = {site.hint for site in workspace._ensure_generation().sites}
+        pins = {hint: label for hint, label in pins.items() if hint in hints}
+    snapshot = dict(
+        format=FORMAT,
+        version=VERSION,
+        lattice=lattice.name,
+        allow_declassification=workspace.allow_declassification,
+        name=workspace.name,
+        filename=workspace.filename,
+        revision=workspace.revision,
+        source=workspace.source,
+        pins={hint: lattice.format_label(pins[hint]) for hint in sorted(pins)},
+    )
+    Path(path).write_text(json.dumps(snapshot, indent=1) + "\n", encoding="utf-8")
 
 
-def load_workspace(path: Union[str, Path]):
-    """Restore a workspace persisted by :func:`save_workspace`.
-
-    The restored workspace starts a fresh parse index, so its first edit
-    parses the whole source.
-    """
-    from repro.workspace.session import Workspace, WorkspaceError
-
+def load_workspace(path: str | Path) -> Workspace:
+    """Open a snapshot's source in a fresh workspace, replay its pins and
+    restore its revision; malformed input raises :class:`WorkspaceError`."""
     try:
-        with open(path, "rb") as handle:
-            payload = pickle.load(handle)
-    except (pickle.UnpicklingError, EOFError, AttributeError, ImportError) as exc:
+        snapshot = json.loads(Path(path).read_bytes().decode("utf-8"))
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON
         raise WorkspaceError(f"{path}: not a {FORMAT} file ({exc})") from exc
-    if not isinstance(payload, dict) or payload.get("format") != FORMAT:
+    if not isinstance(snapshot, dict) or snapshot.get("format") != FORMAT:
         raise WorkspaceError(f"{path}: not a {FORMAT} file")
-    if payload.get("version") != VERSION:
-        raise WorkspaceError(
-            f"{path}: workspace format version {payload.get('version')!r} "
-            f"is not supported (expected {VERSION})"
-        )
-    workspace = payload["workspace"]
-    if not isinstance(workspace, Workspace):
-        raise WorkspaceError(f"{path}: malformed workspace payload")
-    workspace._generator.algebra.telemetry = current_recorder()
-    workspace._parse_index = ParseIndex()
+    if snapshot.get("version") != VERSION:
+        raise WorkspaceError(f"{path}: format version is not {VERSION}")
+    shape = {key: type(value).__name__ for key, value in snapshot.items()}
+    if shape not in (SHAPE, {**SHAPE, "name": "NoneType"}):
+        raise WorkspaceError(f"{path}: malformed snapshot, expected fields {SHAPE}")
+    pins = snapshot["pins"]
+    if snapshot["revision"] < 1 or not all(isinstance(t, str) for t in pins.values()):
+        raise WorkspaceError(f"{path}: malformed revision or pins")
+    try:
+        lattice = get_lattice(snapshot["lattice"])
+        labels = {hint: lattice.parse_label(text) for hint, text in pins.items()}
+    except LatticeError as exc:
+        raise WorkspaceError(f"{path}: {exc}") from exc
+    workspace = Workspace(
+        lattice,
+        allow_declassification=snapshot["allow_declassification"],
+        name=snapshot["name"],
+    )
+    workspace.revision = snapshot["revision"] - 1  # ``open`` installs the next
+    if workspace.open(snapshot["source"], filename=snapshot["filename"]):
+        for hint in sorted(labels):
+            workspace.pin(hint, labels[hint])
+    else:  # no slots to check the pins against: they wait, as when saved
+        workspace._pin_hints.update(labels)
     return workspace

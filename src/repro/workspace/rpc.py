@@ -21,7 +21,7 @@ Methods (``params`` is always an object):
 ``witnesses``         leak-path witnesses for the current conflicts
 ``lint``              static-analysis findings over the warm graph
 ``stats``             workspace/cache/solver counters snapshot
-``save`` / ``load``   ``{path}`` -- persist / restore the solved state
+``save`` / ``load``   ``{path}`` -- JSON snapshot of source, options, pins
 ``shutdown``          acknowledge and close the session
 ``policy.open``       ``{lattice?, subjects?, datasets?, events?,
                       revoke_every?, seed?}`` -- build the
@@ -41,9 +41,9 @@ Methods (``params`` is always an object):
 Error codes follow the JSON-RPC 2.0 spec: ``-32700`` parse error,
 ``-32600`` invalid request, ``-32601`` method not found, ``-32602``
 invalid params, ``-32000`` workspace errors (no program open, unknown
-slot, ...), ``-32001`` I/O errors (``save`` / ``load`` on a path the
-server cannot write or read).  A failed request changes nothing: the
-session keeps its workspace and answers the next request.
+slot, malformed snapshot, ...), ``-32001`` I/O errors (``save`` / ``load``
+on a path the server cannot write or read).  A failed request changes
+nothing: the session keeps its workspace and answers the next request.
 """
 
 from __future__ import annotations
@@ -104,21 +104,13 @@ class WorkspaceServer:
         lattice: str = "two-point",
         allow_declassification: bool = False,
     ) -> None:
-        self.options = {
-            "lattice": lattice,
-            "allow_declassification": allow_declassification,
-        }
-        self.workspace = self._new_workspace()
+        self.workspace = Workspace(
+            lattice, allow_declassification=allow_declassification
+        )
         self.running = True
         #: The compliance session: ``(engine, events)`` after ``policy.open``.
         self._policy = None
         self._policy_next_uid = 0
-
-    def _new_workspace(self) -> Workspace:
-        return Workspace(
-            self.options["lattice"],
-            allow_declassification=self.options["allow_declassification"],
-        )
 
     # ------------------------------------------------------------------ dispatch
 

@@ -19,9 +19,9 @@ across edits:
 * :meth:`Workspace.pin` models an interactive annotation edit over the
   current revision (:meth:`~repro.inference.engine.Solver.resolve`);
   pinning a slot back to ``None`` restores its inferred least label;
-* :meth:`Workspace.save` / :meth:`Workspace.load` persist the whole
-  solved state (:mod:`repro.workspace.persist`), so a later session warms
-  up without a cold solve.
+* :meth:`Workspace.save` / :meth:`Workspace.load` persist the source,
+  options and pins (:mod:`repro.workspace.persist`); the first check
+  after a load is a cold check.
 
 Past generation, a warm check redoes only the units it must.  Each
 :class:`~repro.workspace.diff.UnitState` caches, next to its generated
@@ -93,7 +93,7 @@ from repro.lattice.two_point import TwoPointLattice
 from repro.syntax.program import Program
 from repro.telemetry.recorder import current_recorder
 from repro.workspace.diff import StateSlots, UnitState, settle_states
-from repro.workspace.regen import IncrementalGenerator, RegenStats
+from repro.workspace.regen import IncrementalGenerator
 
 
 class WorkspaceError(Exception):
@@ -176,6 +176,9 @@ class Workspace:
         self.filename = "<workspace>"
         #: Bumped on every :meth:`open` / :meth:`edit`; caches key off it.
         self.revision = 0
+        #: The text of the latest :meth:`open` / :meth:`edit` (``None``
+        #: after :meth:`open_program`).
+        self.source: Optional[str] = None
         self.program: Optional[Program] = None
         self.parse_error: Optional[str] = None
         #: The last successful parse, from which an edit re-parses only
@@ -213,11 +216,6 @@ class Workspace:
     def display_name(self) -> str:
         return self.name or self.filename
 
-    @property
-    def regen_stats(self) -> RegenStats:
-        """What the last re-generation reused (for tests and ``stats``)."""
-        return self._generator.last
-
     # ------------------------------------------------------------------ revisions
 
     def open(
@@ -236,6 +234,7 @@ class Workspace:
         if name is not None:
             self.name = name
         self.revision += 1
+        self.source = source
         self._invalidate()
         try:
             program = parse_program(
@@ -258,6 +257,7 @@ class Workspace:
         if name is not None:
             self.name = name
         self.revision += 1
+        self.source = None
         self._invalidate()
         self._parse_index = ParseIndex()
         self.parse_error = None
@@ -589,14 +589,14 @@ class Workspace:
     # ------------------------------------------------------------------ persistence
 
     def save(self, path) -> None:
-        """Persist the solved workspace state to ``path``."""
+        """Write the source, options and pins to ``path`` (JSON)."""
         from repro.workspace.persist import save_workspace
 
         save_workspace(self, path)
 
     @classmethod
     def load(cls, path) -> "Workspace":
-        """Restore a workspace persisted with :meth:`save`."""
+        """Open the source saved with :meth:`save` and replay its pins."""
         from repro.workspace.persist import load_workspace
 
         return load_workspace(path)

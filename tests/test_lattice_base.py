@@ -276,3 +276,12 @@ class TestRegistry:
         register_lattice("custom-for-test", lambda: ChainLattice.of_height(3))
         assert "custom-for-test" in available_lattices()
         assert isinstance(get_lattice("custom-for-test"), ChainLattice)
+
+    @pytest.mark.parametrize(
+        "name", sorted({*available_lattices(), "chain-5", "policy-2-2-2"})
+    )
+    def test_labels_round_trip_through_their_spelling(self, name):
+        # A workspace snapshot stores its pins as ``format_label`` text.
+        lattice = get_lattice(name)
+        for label in lattice.labels():
+            assert lattice.parse_label(lattice.format_label(label)) == label

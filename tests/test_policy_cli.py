@@ -112,6 +112,10 @@ class TestUsageErrors:
             policy_main(["check", "--subjects", "0"])
         with pytest.raises(SystemExit):
             policy_main(["check", "--revoke-every", "-1"])
+        for rate in ("0", "-5", "nan"):
+            with pytest.raises(SystemExit) as exc:
+                policy_main(["check", "--rate", rate, *SMALL])
+            assert exc.value.code == 2
 
     def test_verb_required(self):
         with pytest.raises(SystemExit):

@@ -13,12 +13,20 @@ the incrementality.
 from __future__ import annotations
 
 import gc
+import json
+import pickle
 import random
 
 import pytest
 
 from repro.casestudies import get_case_study
 from repro.casestudies.base import strip_body_annotations
+from repro.lattice import (
+    ChainLattice,
+    DiamondLattice,
+    ProductLattice,
+    TwoPointLattice,
+)
 from repro.lattice.registry import available_lattices, get_lattice
 from repro.synth import sharded_dataflow_program
 from repro.syntax.printer import pretty_print
@@ -242,24 +250,31 @@ class TestDifferentialRandomEdits:
             )
             assert warm == cold
 
-    def test_save_load_mid_script(self, tmp_path):
+    @pytest.mark.parametrize("lattice", ["two-point", "diamond"])
+    def test_save_load_mid_script(self, tmp_path, lattice):
         rng = random.Random("persist")
         source = sharded_dataflow_program(3, depth=3)
-        workspace = Workspace()
+        workspace = Workspace(get_lattice(lattice))
         assert workspace.open(source, filename="<input>")
         for _ in range(2):
             source = _mutate(source, rng)
             assert workspace.edit(source)
+        hint = sorted(workspace.infer().assignment_by_hint())[0]
+        workspace.pin(hint, workspace.lattice.top)
         before = _snapshot(workspace)
         path = tmp_path / "session.p4bidws"
         workspace.save(path)
         loaded = Workspace.load(path)
-        # The loaded workspace answers identically without re-solving...
+        # The loaded workspace answers identically, pins included...
+        assert loaded.pins == workspace.pins
+        assert loaded.revision == workspace.revision
         assert _snapshot(loaded) == before
-        # ...and further edits continue warm from the restored state.
+        # ...and further edits diff against the loaded state.
         source = _mutate(source, rng)
         assert loaded.edit(source)
-        assert _snapshot(loaded) == _cold_snapshot(source)
+        assert _snapshot(loaded) == _cold_snapshot(
+            source, lattice=lattice, pins=loaded.pins
+        )
         stats = loaded.stats()["regen"]
         assert stats["units_reused"] > 0
 
@@ -403,7 +418,7 @@ class TestIncrementalParse:
         regen = workspace.stats()["regen"]
         assert (regen["units_rewalked"], regen["units_respanned"]) == (0, 12)
 
-    def test_open_program_and_load_reset_the_index(self, tmp_path):
+    def test_open_program_resets_and_load_keeps_the_index(self, tmp_path):
         source = sharded_dataflow_program(4, depth=3, source_level="low")
         raised = source.replace(self.SEED, self.SEED.replace("low", "high"))
         workspace = Workspace()
@@ -411,9 +426,11 @@ class TestIncrementalParse:
         workspace.check(infer=True)
         path = tmp_path / "session.p4bidws"
         workspace.save(path)
+        # A load opens the saved source, so its first edit re-parses only
+        # the unit it touched, as in the session that saved it.
         loaded = Workspace.load(path)
         assert loaded.edit(raised)
-        assert loaded.stats()["parse"] == {"units_reused": 0, "units_reparsed": 12}
+        assert loaded.stats()["parse"] == {"units_reused": 11, "units_reparsed": 1}
         workspace.open_program(loaded.program)
         assert workspace.edit(source)
         assert workspace.stats()["parse"] == {"units_reused": 0, "units_reparsed": 12}
@@ -493,12 +510,150 @@ class TestPins:
             workspace.pin("no-such-slot", "high")
 
 
+SAVED = sharded_dataflow_program(2, depth=2)
+
+
+def _saved_snapshot(tmp_path) -> dict:
+    """The snapshot of a session over ``SAVED`` with one pin, decoded."""
+    workspace = Workspace(name="saved")
+    assert workspace.open(SAVED, filename="s.p4")
+    workspace.pin("field shard0_t.s0", "high")
+    path = tmp_path / "saved.p4bidws"
+    workspace.save(path)
+    return json.loads(path.read_bytes().decode("utf-8"))
+
+
+_DROP = object()
+
+
+def _with(**fields):
+    """A snapshot edit setting ``fields`` (``_DROP`` removes one)."""
+
+    def edit(snapshot: dict) -> bytes:
+        for key, value in fields.items():
+            if value is _DROP:
+                del snapshot[key]
+            else:
+                snapshot[key] = value
+        return json.dumps(snapshot).encode("utf-8")
+
+    return edit
+
+
+#: One malformed snapshot per way a load rejects one: each turns a good
+#: snapshot's decoded fields into the bytes written.
+MALFORMED = {
+    "not-utf8": lambda snapshot: b"\xff\xfe" + json.dumps(snapshot).encode(),
+    "not-json": lambda snapshot: b"not a workspace",
+    "deep-json": lambda snapshot: b"[" * 100_000,
+    "not-an-object": lambda snapshot: b"[1, 2, 3]",
+    "wrong-format": _with(format="p4bid-trace"),
+    "wrong-version": _with(version=4),
+    "missing-field": _with(pins=_DROP),
+    "extra-field": _with(workspace="anything"),
+    "unknown-lattice": _with(lattice="no-such-lattice"),
+    "bad-label": _with(pins={"field shard0_t.s0": "ultra"}),
+    "hint-without-slot": _with(pins={"no-such-slot": "high"}),
+    "source-not-text": _with(source=7),
+    "revision-not-int": _with(revision="3"),
+    "revision-bool": _with(revision=True),
+    "revision-zero": _with(revision=0),
+    "option-not-bool": _with(allow_declassification="yes"),
+    "name-not-text": _with(name=5),
+    "filename-null": _with(filename=None),
+    "lattice-not-text": _with(lattice=["two-point"]),
+    "pins-not-object": _with(pins=[["field shard0_t.s0", "high"]]),
+    "pin-not-text": _with(pins={"field shard0_t.s0": 1}),
+}
+
+
+class _Touch:
+    """Unpickling this opens, so creates, ``path``."""
+
+    def __init__(self, path) -> None:
+        self.path = str(path)
+
+    def __reduce__(self):
+        return (open, (self.path, "w"))
+
+
 class TestPersistenceFormat:
-    def test_rejects_foreign_payloads(self, tmp_path):
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_rejects_foreign_payloads(self, tmp_path, case):
         path = tmp_path / "bogus.p4bidws"
-        path.write_bytes(b"not a workspace")
+        path.write_bytes(MALFORMED[case](_saved_snapshot(tmp_path)))
         with pytest.raises(WorkspaceError):
             Workspace.load(path)
+
+    @pytest.mark.parametrize("protocol", [0, 4])
+    def test_never_unpickles(self, tmp_path, protocol):
+        marker = tmp_path / "marker"
+        path = tmp_path / "session.p4bidws"
+        path.write_bytes(pickle.dumps(_Touch(marker), protocol=protocol))
+        with pytest.raises(WorkspaceError):
+            Workspace.load(path)
+        assert not marker.exists()
+
+    def test_snapshot_is_source_options_and_pins(self, tmp_path):
+        assert _saved_snapshot(tmp_path) == {
+            "format": "p4bid-workspace",
+            "version": 5,
+            "lattice": "two-point",
+            "allow_declassification": False,
+            "name": "saved",
+            "filename": "s.p4",
+            "revision": 1,
+            "source": SAVED,
+            "pins": {"field shard0_t.s0": "high"},
+        }
+
+    def test_unsaveable_workspaces(self, tmp_path):
+        path = tmp_path / "session.p4bidws"
+        with pytest.raises(WorkspaceError, match="without source text"):
+            Workspace().save(path)
+        opened = Workspace()
+        assert opened.open(SAVED, filename="s.p4")
+        from_program = Workspace()
+        from_program.open_program(opened.program)
+        with pytest.raises(WorkspaceError, match="without source text"):
+            from_program.save(path)
+        # A product has no registry name; a chain over its own levels
+        # shares the name of the registry's chain over L0 .. L2.
+        for lattice in (
+            ProductLattice(TwoPointLattice(), DiamondLattice()),
+            ChainLattice(["public", "internal", "secret"]),
+        ):
+            unregistered = Workspace(lattice)
+            assert unregistered.open(SAVED, filename="s.p4")
+            with pytest.raises(WorkspaceError, match="registry cannot rebuild"):
+                unregistered.save(path)
+        assert not path.exists()
+
+    def test_unparsed_source_keeps_its_pins(self, tmp_path):
+        workspace = Workspace()
+        assert workspace.open(SAVED, filename="<input>")
+        workspace.pin("field shard0_t.s0", "high")
+        assert not workspace.edit("header broken {{{")
+        path = tmp_path / "session.p4bidws"
+        workspace.save(path)
+        loaded = Workspace.load(path)
+        assert loaded.parse_error == workspace.parse_error
+        assert loaded.pins == workspace.pins
+        assert loaded.edit(SAVED)
+        assert _snapshot(loaded) == _cold_snapshot(SAVED, pins=workspace.pins)
+
+    def test_stale_pins_are_left_out(self, tmp_path):
+        workspace = Workspace()
+        assert workspace.open(SAVED, filename="s.p4")
+        workspace.pin("field shard1_t.s0", "high")
+        # An edit drops the pinned slot's shard; the pin names no slot now.
+        assert workspace.edit(sharded_dataflow_program(1, depth=2))
+        before = _snapshot(workspace)
+        path = tmp_path / "session.p4bidws"
+        workspace.save(path)
+        loaded = Workspace.load(path)
+        assert loaded.pins == {}
+        assert _snapshot(loaded) == before
 
     def test_stats_shape(self):
         workspace = Workspace(name="session-under-test")

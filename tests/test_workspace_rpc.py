@@ -11,6 +11,7 @@ from __future__ import annotations
 import gc
 import io
 import json
+import pickle
 import weakref
 
 from repro.synth import sharded_dataflow_program
@@ -29,6 +30,16 @@ from repro.workspace.rpc import (
 SECURE = sharded_dataflow_program(2, depth=3)
 # Make shard0 leak: annotate its last sink field low while the seed is high.
 LEAKY = SECURE.replace("bit<8> s2;\n}", "<bit<8>, low> s2;\n}", 1)
+
+
+class _Touch:
+    """Unpickling this opens, so creates, ``path``."""
+
+    def __init__(self, path) -> None:
+        self.path = str(path)
+
+    def __reduce__(self):
+        return (open, (self.path, "w"))
 
 
 def call(server: WorkspaceServer, method: str, params=None, request_id=1):
@@ -423,6 +434,34 @@ class TestServedAnswers:
         assert "absent.p4bidws" in response["error"]["message"]
         assert _verdict(result_of(server, "check", {"infer": True})) == before
         assert result_of(server, "stats")["revision"] == 1
+
+    def test_load_never_unpickles(self, tmp_path):
+        marker = tmp_path / "marker"
+        path = tmp_path / "served.p4bidws"
+        path.write_bytes(pickle.dumps(_Touch(marker), protocol=4))
+        response = call(WorkspaceServer(), "load", {"path": str(path)})
+        assert response["error"]["code"] == WORKSPACE_ERROR
+        assert not marker.exists()
+
+    def test_bad_load_keeps_the_session(self, tmp_path):
+        server = WorkspaceServer()
+        result_of(server, "open", {"source": LEAKY, "filename": "<input>"})
+        result_of(server, "edit", {"source": SECURE})
+        before = _verdict(result_of(server, "check", {"infer": True}))
+        path = tmp_path / "served.p4bidws"
+        result_of(server, "save", {"path": str(path)})
+        snapshot = json.loads(path.read_text(encoding="utf-8"))
+        for bad in (
+            b"\x80\x04not json",
+            json.dumps({**snapshot, "version": 4}).encode(),
+            json.dumps({**snapshot, "lattice": "no-such-lattice"}).encode(),
+            json.dumps({**snapshot, "pins": {"no-such-slot": "high"}}).encode(),
+        ):
+            path.write_bytes(bad)
+            response = call(server, "load", {"path": str(path)})
+            assert response["error"]["code"] == WORKSPACE_ERROR
+            assert _verdict(result_of(server, "check", {"infer": True})) == before
+            assert result_of(server, "stats")["revision"] == 2
 
     def test_lint_findings_serialised(self):
         server = WorkspaceServer()
