@@ -6,10 +6,10 @@ from repro.syntax.source import SourceSpan
 
 
 class FrontendError(Exception):
-    """Base class for lexing and parsing failures."""
+    """Base class for lexing and parsing failures, located for good."""
 
     def __init__(self, message: str, span: SourceSpan | None = None) -> None:
-        self.span = span or SourceSpan.unknown()
+        self.span = SourceSpan(span.start, span.end, span.filename) if span else SourceSpan.unknown()
         super().__init__(f"{self.span}: {message}")
         self.message = message
 

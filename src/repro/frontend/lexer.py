@@ -2,25 +2,25 @@
 
 One compiled master pattern matches the trivia before a token together
 with the token, and :func:`tokenize` walks the source with it in a single
-loop.  The loop keeps the current line number and line start, counting
-newlines with ``str.count`` over the skipped trivia (whitespace, line and
-block comments) -- tokens never span lines.  :func:`scan` runs the same
-loop over a slice of the source from a known line, for re-parsing the
-region an edit touched.  A :class:`Token` stores its line and column; its
-:class:`SourceSpan` is built only when the parser reads ``.span``.  All
-context-sensitive decisions -- e.g. whether ``<`` opens a security
-annotation or is a comparison -- are made by the parser.
+loop that records offsets and never counts lines.  :func:`scan` runs the
+same loop over a region of the source, for re-parsing the text an edit
+touched.  A :class:`Token` stores its offset and the parse's
+:class:`~repro.syntax.source.LineTable`, which turns it into a
+:class:`SourceSpan` only when ``.span`` is read -- most tokens never need
+one.  All context-sensitive decisions -- e.g. whether ``<`` opens a
+security annotation or is a comparison -- are made by the parser.
 """
 
 from __future__ import annotations
 
 import enum
 import re
+from array import array
 from collections import namedtuple
-from typing import List
+from typing import List, Tuple
 
 from repro.frontend.errors import LexerError
-from repro.syntax.source import Position, SourceSpan
+from repro.syntax.source import LineTable, SourceSpan
 
 #: Keywords of the dialect.  Identifiers are never allowed to shadow them.
 KEYWORDS = frozenset(
@@ -39,22 +39,24 @@ class TokenKind(enum.Enum):
     EOF = "end-of-file"
 
 
-class Token(namedtuple("_TokenFields", "kind text value width line column filename")):
-    """A single token: its kind, source text, value, and position.
+class Token(namedtuple("_TokenFields", "kind text value width offset index lines")):
+    """A single token: its kind, source text, value, and where it sits.
 
-    Immutable (a named tuple).  A token never spans lines, so its line
-    and 1-based column fix its :class:`SourceSpan`, which is built only
-    when :attr:`span` is read -- most tokens never need one.
+    Immutable (a named tuple).  ``offset`` is where the token starts in
+    its source, ``index`` where it sits in its token list, and ``lines``
+    the source's line table; the :class:`SourceSpan` is built only when
+    :attr:`span` is read -- most tokens never need one.
     """
 
     __slots__ = ()
 
     @property
     def span(self) -> SourceSpan:
+        lines = self.lines
         return SourceSpan(
-            Position(self.line, self.column),
-            Position(self.line, self.column + len(self.text)),
-            self.filename,
+            lines.position(self.offset),
+            lines.position(self.offset + len(self.text)),
+            lines.filename,
         )
 
     def is_punct(self, text: str) -> bool:
@@ -95,65 +97,66 @@ def _parse_number(text: str) -> tuple[int, int | None]:
 
 def tokenize(source: str, filename: str = "<input>") -> List[Token]:
     """Lex ``source`` into a token list ending in an EOF token."""
-    return scan(source, filename, 0, len(source), 1, 0)
+    return scan(LineTable(source, filename), 0, len(source))[0]
 
 
-def scan(
-    source: str, filename: str, pos: int, stop: int, line: int, line_start: int
-) -> List[Token]:
-    """Lex ``source[pos:stop]`` as if ``stop`` were the end of the input.
+def scan(lines: LineTable, pos: int, stop: int) -> Tuple[List[Token], "array[int]"]:
+    """Lex the tokens of ``lines.source`` that start in ``[pos, stop)``.
 
-    ``pos`` must be where a token may start, on line ``line``, which
-    starts at offset ``line_start``; the EOF token sits at ``stop``.  A
-    block comment that closes only after ``stop`` is unterminated here.
+    ``pos`` must be where a token may start.  The EOF token sits at
+    ``stop``, which must be the end of the source or where the whole
+    source has a token start: a token or comment that runs past ``stop``
+    is a :class:`LexerError`.  Returns the tokens and their offsets, a
+    start and an end per token.
     """
+    source = lines.source
     match = _MASTER.match
-    count = source.count
     ident, keyword, punct = TokenKind.IDENT, TokenKind.KEYWORD, TokenKind.PUNCT
     tokens: List[Token] = []
     append = tokens.append
+    offsets = array("l")
+    push = offsets.extend
     new = Token._make
+    index = 0
     while True:
-        m = match(source, pos, stop)
+        m = match(source, pos)
         start = m.end() if m.lastindex is None else m.start(m.lastindex)
-        newlines = count("\n", pos, start)
-        if newlines:
-            line += newlines
-            line_start = source.rindex("\n", pos, start) + 1
-        column = start - line_start + 1
+        if start >= stop:
+            if start > stop:
+                raise LexerError("a token runs past the end of the region", _point(lines, stop))
+            append(new((TokenKind.EOF, "", None, None, stop, index, lines)))
+            push((stop, stop))
+            return tokens, offsets
+        pos = m.end()
         word, op = m.groups()
         if op is not None:
-            append(new((punct, op, None, None, line, column, filename)))
+            append(new((punct, op, None, None, start, index, lines)))
         elif word is not None:
             first = word[0]
             if first.isalpha() or first == "_":
                 kind = keyword if word in KEYWORDS else ident
-                append(new((kind, word, None, None, line, column, filename)))
+                append(new((kind, word, None, None, start, index, lines)))
             elif first.isdigit():
-                token = new((TokenKind.INT, word, None, None, line, column, filename))
+                token = new((TokenKind.INT, word, None, None, start, index, lines))
                 try:
                     value, width = _parse_number(word)
                 except ValueError as exc:
                     raise LexerError(f"malformed literal {word!r}", token.span) from exc
                 append(token._replace(value=value, width=width))
             else:
-                _unexpected(first, line, column, filename)
-        elif start == stop:
-            append(new((TokenKind.EOF, "", None, None, line, column, filename)))
-            return tokens
+                raise LexerError(f"unexpected character {first!r}", _point(lines, start))
         elif source.startswith("/*", start):
-            # The span runs to the end of the input, as far as the scan got.
-            end = Position(
-                line + count("\n", start, stop), stop - source.rfind("\n", 0, stop)
-            )
+            # The span runs to the end of the region.
             raise LexerError(
                 "unterminated block comment",
-                SourceSpan(Position(line, column), end, filename),
+                SourceSpan(lines.position(start), lines.position(stop), lines.filename),
             )
         else:
-            _unexpected(source[start], line, column, filename)
-        pos = m.end()
+            raise LexerError(f"unexpected character {source[start]!r}", _point(lines, start))
+        push((start, pos))
+        index += 1
 
 
-def _unexpected(char: str, line: int, column: int, filename: str) -> None:
-    raise LexerError(f"unexpected character {char!r}", SourceSpan.point(line, column, filename))
+def _point(lines: LineTable, offset: int) -> SourceSpan:
+    position = lines.position(offset)
+    return SourceSpan(position, position, lines.filename)

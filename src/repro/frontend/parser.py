@@ -16,19 +16,21 @@ Binary operators are parsed by precedence climbing, and input nested
 deeper than :data:`MAX_DEPTH`, or types nested deeper than
 :data:`MAX_TYPE_DEPTH`, is rejected with a located error.
 
-Given a :class:`ParseIndex` of the previous revision, :func:`parse_program`
-lexes and parses only the text around an edit and hands back the other
-top-level units as the previous parse's node objects.
+Every span a unit's nodes carry is relative to the unit's
+:class:`~repro.syntax.source.Anchor`: indices into the offsets of its
+tokens.  Given a :class:`ParseIndex` of the previous revision,
+:func:`parse_program` lexes and parses only the text around an edit and
+hands back the other top-level units as the previous parse's node
+objects, their anchors moved to where the units sit now.
 """
 
 from __future__ import annotations
 
 from array import array
-from itertools import accumulate
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.frontend.errors import FrontendError, ParserError
-from repro.frontend.lexer import Token, TokenKind, scan, tokenize
+from repro.frontend.lexer import Token, TokenKind, scan
 from repro.syntax.declarations import (
     ActionRef,
     ControlDecl,
@@ -58,7 +60,7 @@ from repro.syntax.expressions import (
 )
 from repro.syntax.digest import Unit
 from repro.syntax.program import Program
-from repro.syntax.source import Position, SourceSpan
+from repro.syntax.source import Anchor, LineTable, SourceSpan, span_at
 from repro.syntax.statements import (
     Assign,
     Block,
@@ -121,28 +123,40 @@ _TYPE_KEYWORDS = frozenset({"bit", "bool", "int", "void"})
 
 
 def _cover(first: SourceSpan, last: SourceSpan) -> SourceSpan:
-    """From the start of ``first`` to the end of ``last``, which follows it."""
-    return SourceSpan(first.start, last.end, first.filename)
-
-
-def _between(first: Token, last: Token) -> SourceSpan:
-    """The span from token ``first`` through token ``last``."""
-    return SourceSpan(
-        Position(first.line, first.column),
-        Position(last.line, last.column + len(last.text)),
-        first.filename,
-    )
+    """From the start of ``first`` to the end of ``last``, which follows it
+    in the same unit."""
+    return span_at(first.anchor, first.lo, last.hi)
 
 
 class Parser:
     """Parses a token stream into the Core P4 AST."""
 
-    def __init__(self, tokens: List[Token], filename: str = "<input>") -> None:
+    def __init__(self, tokens: List[Token], offsets: "array[int]") -> None:
         self._tokens = tokens
-        self._filename = filename
         self._index = 0
         #: Depth of the innermost open statement or expression (MAX_DEPTH).
         self._depth = 0
+        #: The anchor of the unit being parsed: its spans index the
+        #: offsets from its first token on.
+        self._anchor = Anchor(offsets, tokens[0].lines)
+
+    # ------------------------------------------------------------------ spans
+
+    def _between(self, first: Token, last: Token) -> SourceSpan:
+        """The span from token ``first`` through token ``last``."""
+        anchor = self._anchor
+        base = anchor.base
+        return span_at(anchor, 2 * first.index - base, 2 * last.index + 1 - base)
+
+    def _from(self, first: Token, last: SourceSpan) -> SourceSpan:
+        """From token ``first`` to the end of ``last``."""
+        anchor = self._anchor
+        return span_at(anchor, 2 * first.index - anchor.base, last.hi)
+
+    def _upto(self, first: SourceSpan, last: Token) -> SourceSpan:
+        """From the start of ``first`` through token ``last``."""
+        anchor = self._anchor
+        return span_at(anchor, first.lo, 2 * last.index + 1 - anchor.base)
 
     # ------------------------------------------------------------------ utils
 
@@ -197,21 +211,18 @@ class Parser:
 
     # ------------------------------------------------------------------ program
 
-    def parse_units(self) -> Tuple[List[Unit], "array[int]"]:
-        """Every top-level unit up to EOF, in source order, and its bounds.
+    def parse_units(self) -> List[Unit]:
+        """Every top-level unit up to EOF, in source order.
 
-        The bounds hold four ints per unit: the line and column of the
-        first token it consumed and of the end of the last one.  An
-        ``@pc(...)`` prefix is part of its control, a trailing optional
-        ``;`` part of its declaration.  Plain ints, not the tokens, so
-        what a :class:`ParseIndex` keeps does not pin the token list's
-        memory.
+        Each unit gets its own anchor, which spans every token the unit
+        consumed: an ``@pc(...)`` prefix is part of its control, a
+        trailing optional ``;`` part of its declaration.
         """
         units: List[Unit] = []
-        bounds = array("l")
-        tokens = self._tokens
+        tokens, offsets, lines = self._tokens, self._anchor.offsets, self._anchor.lines
         while not self._at_end():
             first = self._peek()
+            self._anchor = Anchor(offsets, lines, 2 * first.index)
             pc_label = self._parse_optional_pc_annotation()
             token = self._peek()
             unit: Unit
@@ -236,10 +247,9 @@ class Parser:
                 raise ParserError(
                     f"unexpected token {token} at top level", token.span
                 )
-            last = tokens[self._index - 1]
+            self._anchor.stop = 2 * tokens[self._index - 1].index + 2
             units.append(unit)
-            bounds.extend((first.line, first.column, last.line, last.column + len(last.text)))
-        return units, bounds
+        return units
 
     def _parse_optional_pc_annotation(self) -> Optional[str]:
         if not self._check_punct("@"):
@@ -270,7 +280,7 @@ class Parser:
             fields.append(Field(field_name.text, field_type))
         close = self._expect_punct("}", f"to close {keyword.text} {name.text}")
         self._match_punct(";")
-        span = _between(keyword, close)
+        span = self._between(keyword, close)
         if header:
             return HeaderDecl(name.text, tuple(fields), span=span)
         return StructDecl(name.text, tuple(fields), span=span)
@@ -280,7 +290,7 @@ class Parser:
         ty = self._parse_annotated_type()
         name = self._expect_ident("as the typedef name")
         semi = self._expect_punct(";", "after a typedef")
-        return TypedefDecl(ty, name.text, span=_between(keyword, semi))
+        return TypedefDecl(ty, name.text, span=self._between(keyword, semi))
 
     def _parse_match_kind(self) -> MatchKindDecl:
         keyword = self._advance()
@@ -293,7 +303,7 @@ class Parser:
                 break
         close = self._expect_punct("}", "to close match_kind")
         self._match_punct(";")
-        return MatchKindDecl(tuple(members), span=_between(keyword, close))
+        return MatchKindDecl(tuple(members), span=self._between(keyword, close))
 
     # ------------------------------------------------------------------ controls
 
@@ -326,14 +336,14 @@ class Parser:
                 )
         close = self._expect_punct("}", f"to close control {name.text!r}")
         if apply_block is None:
-            apply_block = Block((), span=close.span)
+            apply_block = Block((), span=self._between(close, close))
         return ControlDecl(
             name.text,
             tuple(params),
             tuple(locals_),
             apply_block,
             pc_label=pc_label,
-            span=_between(keyword, close),
+            span=self._between(keyword, close),
         )
 
     def _parse_param_list(self) -> List[Param]:
@@ -346,7 +356,7 @@ class Parser:
                 return params
 
     def _parse_param(self) -> Param:
-        start = self._peek().span
+        start = self._peek()
         direction = Direction.NONE
         token = self._peek()
         if token.is_keyword("in"):
@@ -360,7 +370,7 @@ class Parser:
             self._advance()
         ty = self._parse_annotated_type()
         name = self._expect_ident("as a parameter name")
-        return Param(direction, name.text, ty, span=_cover(start, name.span))
+        return Param(direction, name.text, ty, span=self._between(start, name))
 
     # ------------------------------------------------------------------ actions / functions
 
@@ -377,7 +387,7 @@ class Parser:
             body,
             return_type=None,
             is_action=True,
-            span=_cover(keyword.span, body.span),
+            span=self._from(keyword, body.span),
         )
 
     def _parse_function(self) -> FunctionDecl:
@@ -398,7 +408,7 @@ class Parser:
             body,
             return_type=return_type,
             is_action=False,
-            span=_cover(keyword.span, body.span),
+            span=self._from(keyword, body.span),
         )
 
     # ------------------------------------------------------------------ tables
@@ -421,7 +431,7 @@ class Parser:
                     kind = self._expect_ident("as a match kind")
                     self._match_punct(";")
                     keys.append(
-                        TableKey(key_expr, kind.text, span=_cover(key_expr.span, kind.span))
+                        TableKey(key_expr, kind.text, span=self._upto(key_expr.span, kind))
                     )
                 self._expect_punct("}", "to close the key list")
                 self._match_punct(";")
@@ -444,13 +454,13 @@ class Parser:
         close = self._expect_punct("}", f"to close table {name.text!r}")
         self._match_punct(";")
         return TableDecl(
-            name.text, tuple(keys), tuple(actions), span=_between(keyword, close)
+            name.text, tuple(keys), tuple(actions), span=self._between(keyword, close)
         )
 
     def _parse_action_ref(self) -> ActionRef:
         name = self._expect_ident("as an action reference")
         arguments: List[Expression] = []
-        span = name.span
+        span = self._between(name, name)
         if self._match_punct("("):
             if not self._check_punct(")"):
                 while True:
@@ -458,13 +468,13 @@ class Parser:
                     if not self._match_punct(","):
                         break
             close = self._expect_punct(")", "to close action arguments")
-            span = _cover(span, close.span)
+            span = self._between(name, close)
         return ActionRef(name.text, tuple(arguments), span=span)
 
     # ------------------------------------------------------------------ variable declarations
 
     def _parse_var_decl(self, *, allow_const: bool = False) -> VarDecl:
-        start = self._peek().span
+        start = self._peek()
         if allow_const and self._check_keyword("const"):
             self._advance()
         ty = self._parse_annotated_type()
@@ -473,7 +483,7 @@ class Parser:
         if self._match_punct("="):
             init = self.parse_expression()
         semi = self._expect_punct(";", "after a variable declaration")
-        return VarDecl(ty, name.text, init, span=_cover(start, semi.span))
+        return VarDecl(ty, name.text, init, span=self._between(start, semi))
 
     def _looks_like_type_start(self) -> bool:
         """Decide whether the upcoming tokens begin a (possibly annotated) type.
@@ -517,7 +527,7 @@ class Parser:
             statements.append(self._parse_statement())
         self._depth -= 1
         close = self._expect_punct("}", "to close a block")
-        return Block(tuple(statements), span=_between(open_brace, close))
+        return Block(tuple(statements), span=self._between(open_brace, close))
 
     def _parse_statement(self) -> Statement:
         token = self._peek()
@@ -530,15 +540,15 @@ class Parser:
             if token.is_keyword("exit"):
                 self._advance()
                 semi = self._expect_punct(";", "after 'exit'")
-                return Exit(span=_between(token, semi))
+                return Exit(span=self._between(token, semi))
             if token.is_keyword("return"):
                 self._advance()
                 if self._check_punct(";"):
                     semi = self._advance()
-                    return Return(None, span=_between(token, semi))
+                    return Return(None, span=self._between(token, semi))
                 value = self.parse_expression()
                 semi = self._expect_punct(";", "after a return value")
-                return Return(value, span=_between(token, semi))
+                return Return(value, span=self._between(token, semi))
             if self._looks_like_type_start() or token.is_keyword("const"):
                 decl = self._parse_var_decl(allow_const=True)
                 return VarDeclStmt(decl, span=decl.span)
@@ -566,7 +576,7 @@ class Parser:
             condition,
             then_branch,
             else_branch,
-            span=_cover(keyword.span, else_branch.span),
+            span=self._from(keyword, else_branch.span),
         )
 
     def _parse_expression_statement(self) -> Statement:
@@ -574,10 +584,10 @@ class Parser:
         if self._match_punct("="):
             value = self.parse_expression()
             semi = self._expect_punct(";", "after an assignment")
-            return Assign(expr, value, span=_cover(expr.span, semi.span))
+            return Assign(expr, value, span=self._upto(expr.span, semi))
         semi = self._expect_punct(";", "after an expression statement")
         if isinstance(expr, Call):
-            return CallStmt(expr, span=_cover(expr.span, semi.span))
+            return CallStmt(expr, span=self._upto(expr.span, semi))
         raise ParserError(
             f"expression {expr.describe()!r} cannot be used as a statement",
             expr.span,
@@ -632,13 +642,13 @@ class Parser:
         kind, text = token.kind, token.text
         if kind is TokenKind.IDENT:
             self._index += 1
-            expr, height = Var(text, span=token.span), 1
+            expr, height = Var(text, span=self._between(token, token)), 1
         elif kind is TokenKind.INT:
             self._index += 1
-            expr, height = IntLiteral(token.value or 0, token.width, span=token.span), 1
+            expr, height = IntLiteral(token.value or 0, token.width, span=self._between(token, token)), 1
         elif token.is_keyword("true") or token.is_keyword("false"):
             self._index += 1
-            expr, height = BoolLiteral(text == "true", span=token.span), 1
+            expr, height = BoolLiteral(text == "true", span=self._between(token, token)), 1
         elif token.is_punct("("):
             self._index += 1
             self._nest(token)
@@ -661,7 +671,7 @@ class Parser:
                     break
             self._depth -= 1
             close = self._expect_punct("}", "to close a record literal")
-            expr, height = RecordLiteral(tuple(fields), span=_between(token, close)), height + 1
+            expr, height = RecordLiteral(tuple(fields), span=self._between(token, close)), height + 1
         else:
             raise ParserError(f"expected an expression, found {token}", token.span)
 
@@ -687,14 +697,14 @@ class Parser:
                             break
                 self._depth -= 1
                 close = self._expect_punct(")", "to close a call")
-                expr = Call(expr, tuple(arguments), span=_cover(expr.span, close.span))
+                expr = Call(expr, tuple(arguments), span=self._upto(expr.span, close))
                 height = 1 + max(height, inner)
             elif token.is_punct("."):
                 field = tokens[self._index + 1]
                 if field.kind is not TokenKind.IDENT:
                     raise ParserError(f"expected a field name after '.', found {field}", field.span)
                 self._index += 2
-                expr = FieldAccess(expr, field.text, span=_cover(expr.span, field.span))
+                expr = FieldAccess(expr, field.text, span=self._upto(expr.span, field))
                 height += 1
             elif token.is_punct("["):
                 self._index += 1
@@ -702,13 +712,13 @@ class Parser:
                 index, index_height = self._parse_binary(0)
                 self._depth -= 1
                 close = self._expect_punct("]", "to close an index expression")
-                expr = Index(expr, index, span=_cover(expr.span, close.span))
+                expr = Index(expr, index, span=self._upto(expr.span, close))
                 height = 1 + max(height, index_height)
             else:
                 break
 
         for token in reversed(prefix):
-            expr = UnaryOp(token.text, expr, span=_cover(token.span, expr.span))
+            expr = UnaryOp(token.text, expr, span=self._from(token, expr.span))
         self._depth -= len(prefix)
         return expr, height + len(prefix)
 
@@ -722,14 +732,13 @@ class Parser:
             self._expect_punct(",", "between a type and its security label")
             label = self._parse_label_text(">")
             close = self._expect_punct(">", "to close a security annotation")
-            return AnnotatedType(inner, label, span=_between(open_angle, close))
-        span_start = token.span
+            return AnnotatedType(inner, label, span=self._between(open_angle, close))
         ty = self._parse_type()
         # Span the whole type, not just its first token: ``bit<8>`` and
         # ``ipv4_t[4]`` span through the last consumed token, so SARIF
         # regions cover the full type expression.
-        span_end = self._tokens[self._index - 1].span
-        return AnnotatedType(ty, None, span=_cover(span_start, span_end))
+        last = self._tokens[self._index - 1]
+        return AnnotatedType(ty, None, span=self._between(token, last))
 
     def _parse_type(self) -> Type:
         token = self._peek()
@@ -807,9 +816,9 @@ class ParseIndex:
     successive revisions of a file: each successful parse records its
     source and units here, and the next one hands back the units the
     edit cannot have touched.  A failed parse leaves the index as it
-    was.  A caller that swaps a parsed unit for an equal one with the
-    same spans (a workspace keeps its cached nodes) records the swap
-    with :meth:`relink`, so the next parse hands back the kept node.
+    was.  A caller that swaps a parsed unit for an equal one re-based
+    onto its anchor (a workspace keeps its cached nodes) records the
+    swap with :meth:`relink`, so the next parse hands back the kept node.
     """
 
     def __init__(self) -> None:
@@ -817,20 +826,9 @@ class ParseIndex:
         self.filename: Optional[str] = None
         #: The units of the last parse, in source order.
         self.units: List[Unit] = []
-        #: Their bounds, four ints per unit (see :meth:`Parser.parse_units`).
-        self.bounds = array("l")
         #: How many units the last parse reused and how many it parsed.
         self.reused = 0
         self.reparsed = 0
-        self._line_starts: Optional[List[int]] = None
-
-    def offset(self, line: int, column: int) -> int:
-        """The offset of ``line``:``column`` in :attr:`source`."""
-        if self._line_starts is None:
-            self._line_starts = list(
-                accumulate((len(text) + 1 for text in self.source.split("\n")), initial=0)
-            )
-        return self._line_starts[line - 1] + column - 1
 
     def relink(self, parsed: Program, kept: Program) -> None:
         """Record ``kept``'s units in place of ``parsed``'s, pairing them
@@ -858,18 +856,19 @@ def parse_program(
 
     With an ``index`` holding an earlier parse of ``filename``, only the
     text around the edit is lexed and parsed; the units before and after
-    it are the earlier parse's node objects, whose spans are exactly what
-    a full parse would give:
+    it are the earlier parse's node objects, whose anchors are moved to
+    where the units sit now, so their spans render exactly as a full
+    parse's would:
 
     * every unit that ends at or before the first changed character;
-    * when the edit keeps the changed region's line count, every unit
-      that starts after a newline inside the common suffix.
+    * every unit that lies in the common suffix, wherever it moved.
 
     Between them the text is parsed as top-level units.  If that fails,
     or does not end exactly at the first reused suffix unit, the whole
-    source is parsed, so errors are always the full parse's.  The lex
-    and parse run in the ``parse.lex`` and ``parse.descend`` spans of
-    the ambient telemetry recorder.
+    source is parsed, so errors are always the full parse's.  Anchors
+    move only once the parse has succeeded.  The lex and parse run in
+    the ``parse.lex`` and ``parse.descend`` spans of the ambient
+    telemetry recorder.
     """
     plan = _reuse_plan(index, source, filename) if index is not None else None
     if plan is not None:
@@ -877,7 +876,7 @@ def parse_program(
             return _parse(source, filename, name, index, *plan)
         except FrontendError:
             pass  # the edit reaches into a reused unit
-    return _parse(source, filename, name, index, 0, 0, 0, len(source), 1, 0)
+    return _parse(source, filename, name, index, 0, 0, 0, len(source))
 
 
 def _parse(
@@ -889,33 +888,36 @@ def _parse(
     tail: int,
     start: int,
     stop: int,
-    line: int,
-    line_start: int,
 ) -> Program:
     """Parse ``source[start:stop]`` between the first ``head`` and the
     last ``tail`` units of ``index``, which are reused."""
     recorder = current_recorder()
+    lines = LineTable(source, filename)
     with recorder.span("parse.lex"):
-        tokens = scan(source, filename, start, stop, line, line_start)
+        tokens, offsets = scan(lines, start, stop)
     with recorder.span("parse.descend"):
-        units, bounds = Parser(tokens, filename).parse_units()
+        units = Parser(tokens, offsets).parse_units()
     reparsed = len(units)
     if head or tail:
         kept = len(index.units) - tail
+        delta = len(source) - len(index.source)
         units = index.units[:head] + units + index.units[kept:]
-        bounds = index.bounds[: 4 * head] + bounds + index.bounds[4 * kept :]
     _check_type_depth(units)
-    end = Position(source.count("\n") + 1, len(source) - source.rfind("\n"))
-    begin = Position(bounds[0], bounds[1]) if units else end
+    if head or tail:
+        for unit in units[:head]:
+            unit.span.anchor.move(lines, 0)
+        for unit in units[len(units) - tail :]:
+            unit.span.anchor.move(lines, delta)
     if index is not None:
         index.source, index.filename = source, filename
-        index.units, index.bounds = units, bounds
+        index.units = units
         index.reused, index.reparsed = len(units) - reparsed, reparsed
-        index._line_starts = None
+    # The program runs from its first unit to the end of the source.
+    ends = array("l", (units[0].span.anchor.start if units else len(source), len(source)))
     return Program(
         tuple(unit for unit in units if not isinstance(unit, ControlDecl)),
         tuple(unit for unit in units if isinstance(unit, ControlDecl)),
-        span=SourceSpan(begin, end, filename),
+        span=span_at(Anchor(ends, lines), 0, 1),
         name=name or filename,
     )
 
@@ -977,44 +979,30 @@ def _check_type_depth(units: List[Unit]) -> None:
 
 def _reuse_plan(
     index: ParseIndex, source: str, filename: str
-) -> Optional[Tuple[int, int, int, int, int, int]]:
+) -> Optional[Tuple[int, int, int, int]]:
     """What :func:`_parse` may reuse of ``index`` for ``source``: how many
     units at the head and at the tail, and the region between them
-    (start, stop, and the line and line start at start), or None when
-    nothing is reusable."""
-    old, bounds, count = index.source, index.bounds, len(index.units)
+    (start and stop offsets), or None when nothing is reusable."""
+    old, count = index.source, len(index.units)
     if old is None or index.filename != filename:
         return None
+    anchors = [unit.span.anchor for unit in index.units]
+    if any(anchor.lines.source is not old for anchor in anchors):
+        return None  # another parse re-based a unit this index shares
     limit = min(len(old), len(source))
     changed = _common_prefix(old, source, limit)
     suffix = _common_prefix(old[::-1], source[::-1], limit - changed)
-    # Units that end at or before the first changed character.
-    changed_at = (old.count("\n", 0, changed) + 1, changed - old.rfind("\n", 0, changed))
     head = 0
-    while head < count and (bounds[4 * head + 2], bounds[4 * head + 3]) <= changed_at:
+    while head < count and anchors[head].end <= changed:
         head += 1
-    # Units that start after a newline in the common suffix keep their
-    # line and column if the changed region keeps its line count.
-    tail = count
-    old_stop, new_stop = len(old) - suffix, len(source) - suffix
-    newline = old.find("\n", old_stop)
-    if newline >= 0 and old.count("\n", changed, old_stop) == source.count(
-        "\n", changed, new_stop
-    ):
-        boundary = changed_at[0] + old.count("\n", changed, newline)
-        while tail > head and bounds[4 * (tail - 1)] > boundary:
-            tail -= 1
+    tail, old_stop = count, len(old) - suffix
+    while tail > head and anchors[tail - 1].start >= old_stop:
+        tail -= 1
     if head == 0 and tail == count:
         return None
-    start, line, line_start = 0, 1, 0
-    if head:
-        line = bounds[4 * head - 2]
-        line_start = index.offset(line, 1)
-        start = line_start + bounds[4 * head - 1] - 1
-    stop = len(source)
-    if tail < count:
-        stop = index.offset(bounds[4 * tail], bounds[4 * tail + 1]) + len(source) - len(old)
-    return head, count - tail, start, stop, line, line_start
+    start = anchors[head - 1].end if head else 0
+    stop = anchors[tail].start + len(source) - len(old) if tail < count else len(source)
+    return head, count - tail, start, stop
 
 
 def _common_prefix(a: str, b: str, limit: int) -> int:
@@ -1031,8 +1019,7 @@ def _common_prefix(a: str, b: str, limit: int) -> int:
 
 def parse_expression(source: str, filename: str = "<expr>") -> Expression:
     """Parse a standalone expression (used by tests and builders)."""
-    tokens = tokenize(source, filename)
-    parser = Parser(tokens, filename)
+    parser = Parser(*scan(LineTable(source, filename), 0, len(source)))
     expr = parser.parse_expression()
     trailing = parser._peek()
     if trailing.kind is not TokenKind.EOF:

@@ -23,7 +23,7 @@ marked ``infer``.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 from repro.ifc.context import SecurityTypeDefs
 from repro.ifc.security_types import (
@@ -43,7 +43,6 @@ from repro.syntax.types import (
     AnnotatedType,
     BitType,
     BoolType,
-    Field,
     HeaderType,
     IntType,
     MatchKindType,
@@ -115,14 +114,6 @@ class TypeLabeler:
                 return join_into(self._lattice, base, label)
             return base
         return SecurityType(base.body, self._lattice.join(base.label, label))
-
-    def security_type_of_fields(self, fields: Sequence[Field], *, header: bool) -> SecurityType:
-        """Security type of a header/struct declaration's field list."""
-        converted = tuple(
-            (field.name, self.security_type(field.ty)) for field in fields
-        )
-        body = SHeader(converted) if header else SRecord(converted)
-        return SecurityType(body, self._lattice.bottom)
 
     def _body_of(self, ty: Type, seen: frozenset) -> SecurityType:
         bottom = self._lattice.bottom

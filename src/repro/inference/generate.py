@@ -122,9 +122,12 @@ class InferenceSite:
 
     var: LabelVar
     node: AnnotatedType
-    hint: str
     augments: bool = False
     floor: Optional[object] = None
+
+    @property
+    def hint(self) -> str:
+        return self.var.hint
 
     @property
     def span(self) -> SourceSpan:
@@ -164,10 +167,12 @@ class SiteRegistry:
     ) -> LabelVar:
         site = self._sites.get(id(node))
         if site is None:
+            # Without a suggested hint the variable names the slot by its
+            # position, rendered when read.
             hinted = self._hints.get(id(node))
-            hint = hinted[1] if hinted is not None else f"annotation at {node.span}"
+            hint = hinted[1] if hinted is not None else None
             site = InferenceSite(
-                self._supply.fresh(hint, node.span), node, hint, augments, floor
+                self._supply.fresh(hint, node.span), node, augments, floor
             )
             self._sites[id(node)] = site
             self._order.append(site)

@@ -21,7 +21,7 @@ during constraint generation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.lattice.base import Label, Lattice
 from repro.syntax.source import SourceSpan
@@ -31,18 +31,25 @@ from repro.syntax.source import SourceSpan
 class LabelVar:
     """An unknown security label, tied to the annotation slot it stands for.
 
-    ``uid`` makes the variable unique; ``hint`` is a human readable
-    description of the slot (``"field bfs_t.num_hops"``) and ``span`` points
-    at it in the source, so solved assignments and conflict diagnostics can
-    be reported in terms the programmer wrote.
+    ``uid`` makes the variable unique; ``note`` is a human readable
+    description of the slot (``"field bfs_t.num_hops"``), or None for a
+    slot described by its position, and ``span`` points at it in the
+    source, so solved assignments and conflict diagnostics can be reported
+    in terms the programmer wrote.
     """
 
     uid: int
-    hint: str = ""
+    note: Optional[str] = ""
     span: SourceSpan = field(default_factory=SourceSpan.unknown)
 
+    @property
+    def hint(self) -> str:
+        """The slot's description; a position is rendered when read."""
+        note = self.note
+        return f"annotation at {self.span}" if note is None else note
+
     def __hash__(self) -> int:
-        # The generated dataclass hash recurses into ``hint`` and ``span``,
+        # The generated dataclass hash recurses into ``note`` and ``span``,
         # which dominates dict construction when the solver keys 100k+
         # variables; ``uid`` alone is (at worst) an equally good hash and
         # is PYTHONHASHSEED-independent.  Equality stays field-based.
@@ -61,7 +68,7 @@ class VarSupply:
     def __init__(self) -> None:
         self._next = 0
 
-    def fresh(self, hint: str = "", span: SourceSpan | None = None) -> LabelVar:
+    def fresh(self, hint: Optional[str] = "", span: SourceSpan | None = None) -> LabelVar:
         var = LabelVar(self._next, hint, span or SourceSpan.unknown())
         self._next += 1
         return var

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple, TYPE_CHECKING
 
 from repro.syntax.types import (
-    AnnotatedType,
     BitType,
     BoolType,
     HeaderType,
@@ -217,8 +216,3 @@ def havoc_value(ty: Type, lookup_type) -> Value:
     non-interference harness: both runs must havoc identically).
     """
     return init_value(ty, lookup_type)
-
-
-def value_of_annotated(annotated: AnnotatedType, lookup_type) -> Value:
-    """Default value for an annotated syntactic type."""
-    return init_value(annotated.ty, lookup_type)

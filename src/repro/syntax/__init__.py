@@ -74,11 +74,9 @@ from repro.syntax.program import Program
 from repro.syntax.visitor import AstVisitor, walk
 from repro.syntax.printer import pretty_print
 from repro.syntax.digest import (
-    RespanMismatch,
     declared_names,
     iter_tree,
     referenced_names,
-    respan,
     unit_fingerprint,
 )
 
@@ -141,10 +139,8 @@ __all__ = [
     "walk",
     "pretty_print",
     # structural digests (incremental workspaces)
-    "RespanMismatch",
     "declared_names",
     "iter_tree",
     "referenced_names",
-    "respan",
     "unit_fingerprint",
 ]

@@ -2,7 +2,7 @@
 
 A :class:`~repro.workspace.session.Workspace` re-checks an edited program
 by diffing it against the previous revision *per top-level unit* (a named
-declaration or a control block).  The diff needs three ingredients, all
+declaration or a control block).  The diff needs two ingredients, both
 provided here:
 
 * :func:`unit_fingerprint` -- a content hash of one unit, computed over
@@ -14,18 +14,11 @@ provided here:
   exports to later units and the names it (conservatively) depends on,
   from which the diff derives an *environment signature* so a unit is
   re-walked when a declaration it references changed, even if its own
-  text did not;
-* :func:`respan` -- when a unit's content is unchanged but its position
-  shifted, the previous revision's AST (whose node identities anchor the
-  cached constraints and label variables) is *re-spanned* in place to the
-  new positions, so diagnostics and witnesses render exactly as a cold
-  parse of the new source would.
+  text did not.
 
-Re-spanning walks the old and new trees in lockstep.  The shapes are
-guaranteed equal -- both parse to the same pretty-printed text -- but the
-walk still verifies every node type and scalar field and raises
-:class:`RespanMismatch` on any disagreement, letting the caller fall back
-to a full re-walk of the unit rather than corrupt cached state.
+Nothing here depends on positions: a unit that merely moved keeps its
+spans, whose anchor the parser or the diff re-bases
+(:class:`~repro.syntax.source.Anchor`).
 """
 
 from __future__ import annotations
@@ -37,7 +30,6 @@ from typing import Dict, FrozenSet, Iterator, List, Tuple, Union
 from repro.syntax import declarations as d
 from repro.syntax import expressions as e
 from repro.syntax.printer import pretty_print
-from repro.syntax.source import Position, SourceSpan
 from repro.syntax.types import TypeName
 
 #: One top-level unit of a program: a named declaration or a control block.
@@ -65,9 +57,7 @@ def _is_node(value: object) -> bool:
     kind = type(value)
     known = _NODE_TYPES.get(kind)
     if known is None:
-        known = dataclasses.is_dataclass(kind) and not issubclass(
-            kind, (SourceSpan, Position)
-        )
+        known = dataclasses.is_dataclass(kind)
         _NODE_TYPES[kind] = known
     return known
 
@@ -157,58 +147,3 @@ def referenced_names(unit: Unit) -> FrozenSet[str]:
         elif isinstance(node, TypeName):
             names.add(node.name)
     return frozenset(names)
-
-
-class RespanMismatch(Exception):
-    """The old and new trees disagree structurally; re-spanning is unsafe."""
-
-
-def respan(old: Unit, new: Unit) -> Dict[SourceSpan, SourceSpan]:
-    """Rewrite ``old``'s spans in place to ``new``'s, returning the map.
-
-    ``old`` and ``new`` must be structurally identical (equal
-    :func:`unit_fingerprint`); every node of ``old`` receives the span of
-    its counterpart in ``new``, via ``object.__setattr__`` (the nodes are
-    frozen dataclasses, but slot descriptors honour it, and no node's hash
-    or equality depends on its span in a way the rewrite could corrupt:
-    spans only feed diagnostics).  The returned dict maps each *changed*
-    old span to its replacement, so cached values that embed spans
-    (constraints, diagnostics) can be rebuilt with
-    ``span_map.get(span, span)``.
-    """
-    span_map: Dict[SourceSpan, SourceSpan] = {}
-    # An explicit stack of node pairs: deep trees cost no recursion.
-    pending: List[Tuple[object, object]] = [(old, new)]
-    while pending:
-        old_node, new_node = pending.pop()
-        if type(old_node) is not type(new_node):
-            raise RespanMismatch(f"{type(old_node).__name__} vs {type(new_node).__name__}")
-        for name in _field_names(old_node):
-            old_value = getattr(old_node, name)
-            new_value = getattr(new_node, name)
-            if isinstance(old_value, SourceSpan):
-                if not isinstance(new_value, SourceSpan):
-                    raise RespanMismatch(f"span field {name} became {new_value!r}")
-                if old_value != new_value:
-                    span_map[old_value] = new_value
-                    object.__setattr__(old_node, name, new_value)
-            elif _is_node(old_value) or _is_node(new_value):
-                pending.append((old_value, new_value))
-            elif isinstance(old_value, tuple) and isinstance(new_value, tuple):
-                _pair_items(old_value, new_value, pending)
-            elif old_value != new_value:
-                raise RespanMismatch(f"field {name}: {old_value!r} != {new_value!r}")
-    return span_map
-
-
-def _pair_items(old: tuple, new: tuple, pending: List[Tuple[object, object]]) -> None:
-    """Queue the node pairs of two tuple fields; raise if they differ otherwise."""
-    if len(old) != len(new):
-        raise RespanMismatch(f"tuple length {len(old)} vs {len(new)}")
-    for old_item, new_item in zip(old, new):
-        if _is_node(old_item) or _is_node(new_item):
-            pending.append((old_item, new_item))
-        elif isinstance(old_item, tuple) and isinstance(new_item, tuple):
-            _pair_items(old_item, new_item, pending)
-        elif old_item != new_item:
-            raise RespanMismatch(f"tuple item {old_item!r} != {new_item!r}")

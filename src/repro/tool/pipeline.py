@@ -155,16 +155,6 @@ class AnalysisOutcome:
     findings: List["Finding"] = field(default_factory=list)
     released_flows: List["ReleasedFlow"] = field(default_factory=list)
 
-    @property
-    def worst_severity(self) -> Optional[str]:
-        order = {"note": 0, "warning": 1, "error": 2}
-        worst = None
-        for finding in self.findings:
-            level = finding.severity.value
-            if worst is None or order[level] > order[worst]:
-                worst = level
-        return worst
-
 
 @dataclass
 class CheckReport:

@@ -52,21 +52,3 @@ def types_compatible(delta: TypeDefinitions, expected: Type, actual: Type) -> bo
     if isinstance(expected, MatchKindType) and isinstance(actual, MatchKindType):
         return True
     return False
-
-
-def record_compatible_with_literal(
-    delta: TypeDefinitions, expected: Type, literal_fields: list[tuple[str, Type]]
-) -> bool:
-    """Whether a record literal with the given field types fits ``expected``."""
-    expected = unfold_type(delta, expected)
-    if not isinstance(expected, (RecordType, HeaderType)):
-        return False
-    if len(expected.fields) != len(literal_fields):
-        return False
-    expected_by_name = {f.name: f.ty.ty for f in expected.fields}
-    for name, ty in literal_fields:
-        if name not in expected_by_name:
-            return False
-        if not types_compatible(delta, expected_by_name[name], ty):
-            return False
-    return True

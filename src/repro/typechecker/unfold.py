@@ -37,8 +37,3 @@ def _unfold(delta: TypeDefinitions, ty: Type, seen: Set[str]) -> Type:
         element = _unfold(delta, ty.element.ty, seen)
         return StackType(AnnotatedType(element, ty.element.label, ty.element.span), ty.size)
     return ty
-
-
-def unfold_annotated(delta: TypeDefinitions, annotated: AnnotatedType) -> AnnotatedType:
-    """Unfold the type component of an annotated type, keeping its label."""
-    return AnnotatedType(unfold_type(delta, annotated.ty), annotated.label, annotated.span)

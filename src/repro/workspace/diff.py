@@ -11,7 +11,7 @@ the Core P4 diagnostics, the elaborated node, the IFC re-check's
 diagnostics; each with the context effects it replays).
 
 Diffing a new revision against the cached states proceeds in three steps,
-all span-insensitive:
+all position-independent:
 
 1. **Match**, first by identity: a unit that *is* a cached state's node
    -- the incremental parser
@@ -20,9 +20,10 @@ all span-insensitive:
    stands, with its cached fingerprint.  Every other unit (one the
    parser re-parsed) is matched by content fingerprint
    (:func:`repro.syntax.digest.unit_fingerprint`): it claims the first
-   unclaimed old unit with the same fingerprint, in order (FIFO, so
-   duplicated units pair up positionally).  Fingerprint matching is
-   position-independent -- a unit that merely moved still matches.
+   unclaimed old unit with the same fingerprint and the same tokens, in
+   order (FIFO, so duplicated units pair up positionally).  A unit that
+   merely moved, or changed only the whitespace and comments between its
+   tokens, still matches.
 2. **Classify** by environment signature: a matched unit is *clean* only
    if the names it references still resolve to byte-identical earlier
    declarations (:func:`environment_signatures`) -- and to the very same
@@ -31,12 +32,11 @@ all span-insensitive:
    cross-unit label variables are re-allocated consistently; so is one
    whose declarer was swapped for a content-identical stand-in (the
    later of two equal declarations deleted), whose variables differ.
-3. **Re-span**: only a unit matched by fingerprint -- that is, one that
-   was re-parsed -- has its cached AST rewritten in place to the new
-   revision's positions (:func:`repro.syntax.digest.respan`), so cached
-   constraints and diagnostics render exactly as a cold parse of the new
-   source would.  A unit matched by identity already carries the right
-   spans.
+3. **Re-base**: a cached unit matched by fingerprint -- to one that was
+   re-parsed -- takes the re-parsed unit's anchor position
+   (:meth:`repro.syntax.source.Anchor.rebase`), so it and everything
+   cached from it render exactly as a cold parse of the new source
+   would.  A unit matched by identity was moved by the parser already.
 
 A *first* plan -- a diff against no states, as every one-shot check
 takes -- has nothing to match and nothing to classify: every unit is new
@@ -45,7 +45,7 @@ signature; its states carry their node and declared names only, and
 :func:`settle_states` fills in the rest from the very same nodes the
 first time something reads it (the next plan, or an IFC re-check that
 could reuse products; see :class:`~repro.workspace.session.RecheckSlots`).
-Re-spanning only rewrites spans, so the deferred values equal the ones
+None of them depends on positions, so the deferred values equal the ones
 an eager first plan would have stored.
 
 Everything here is pure bookkeeping over the syntax layer; the walk that
@@ -55,21 +55,15 @@ consumes the plan lives in :mod:`repro.workspace.regen`.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.flow.units import UnitProducts, program_units
 from repro.inference.elaborate import Elaboration
 from repro.syntax import declarations as d
-from repro.syntax.digest import (
-    RespanMismatch,
-    Unit,
-    declared_names,
-    referenced_names,
-    respan,
-    unit_fingerprint,
-)
+from repro.syntax.digest import Unit, declared_names, referenced_names, unit_fingerprint
 from repro.syntax.program import Program
+from repro.syntax.source import anchor_of
 
 @dataclass
 class UnitState:
@@ -94,6 +88,8 @@ class UnitState:
     #: unit in the plan that made this state's signature (``None``:
     #: resolves to nothing).
     declarers: Optional[Tuple[Optional[int], ...]] = None
+    #: Where the unit started when it was last planned (None: placed spans).
+    start: Optional[int] = None
     #: The symbolic walk: constraints, errors, pc vars, touched sites.
     generated: Optional[UnitProducts] = None
     #: The Core P4 check: diagnostics.
@@ -144,11 +140,6 @@ class UnitPlan:
     #: Whether the unit must be re-walked (new, content changed, or a
     #: referenced declaration changed).  Clean units replay their caches.
     dirty: bool
-    #: Whether a matched unit's spans were rewritten to new positions.
-    respanned: bool = False
-    #: The changed-span map of the re-span (old span -> new span), for
-    #: rebuilding cached values that embed spans.
-    span_map: Dict[object, object] = field(default_factory=dict)
 
 
 def environment_signatures(
@@ -241,9 +232,9 @@ def diff_program(old_states: List[UnitState], program: Program) -> List[UnitPlan
 
     Returns one :class:`UnitPlan` per unit of the new revision, in walk
     order.  Matched units *reuse the old state object* (and with it the
-    old AST nodes, whose identities anchor cached label variables); the
-    spans of those matched by fingerprint are rewritten in place to the
-    new positions.  Old states that no new unit claims are dropped --
+    old AST nodes, whose identities anchor cached label variables); those
+    matched by fingerprint are re-based onto the re-parsed unit's anchor.
+    Old states that no new unit claims are dropped --
     their annotation sites disappear from the registry once the walk's
     touch union is recomputed.
 
@@ -260,7 +251,7 @@ def diff_program(old_states: List[UnitState], program: Program) -> List[UnitPlan
     settle_states(old_states)
 
     # A unit that *is* a cached node (the parser handed it back unchanged)
-    # is a clean match as it stands: same content, spans already right.
+    # is a clean match as it stands: same content, anchor already moved.
     by_node = {id(state.node): state for state in old_states}
     matches: List[Optional[UnitState]] = [by_node.pop(id(unit), None) for unit in units]
     claimed = {id(state) for state in matches if state is not None}
@@ -269,32 +260,24 @@ def diff_program(old_states: List[UnitState], program: Program) -> List[UnitPlan
         if id(state) not in claimed:
             pool.setdefault(state.fingerprint, []).append(state)
 
-    # Match (and re-span) the rest by fingerprint, so reference sets of
+    # Match (and re-base) the rest by fingerprint, so reference sets of
     # matched units can be taken from the cached state instead of
     # re-walking their trees: equal fingerprints mean equal content,
     # hence equal referenced names.
     fingerprints: List[str] = []
-    span_maps: List[Dict[object, object]] = []
     for index, unit in enumerate(units):
         old = matches[index]
-        span_map: Dict[object, object] = {}
         if old is not None:
             fingerprint = old.fingerprint
         else:
             fingerprint = unit_fingerprint(unit)
-            bucket = pool.get(fingerprint)
-            old = bucket.pop(0) if bucket else None
+            bucket = pool.get(fingerprint, [])
+            old = next((state for state in bucket if _same_tokens(state.node, unit)), None)
             if old is not None:
-                try:
-                    span_map = respan(old.node, unit)
-                except RespanMismatch:
-                    # Identical fingerprints should guarantee identical
-                    # shapes; if they somehow do not, fall back to a full
-                    # re-walk of the fresh node rather than corrupt caches.
-                    old, span_map = None, {}
+                bucket.remove(old)
+                old.node.span.anchor.rebase(unit.span.anchor)
             matches[index] = old
         fingerprints.append(fingerprint)
-        span_maps.append(span_map)
 
     referenced = [
         matches[index].referenced
@@ -338,12 +321,13 @@ def diff_program(old_states: List[UnitState], program: Program) -> List[UnitPlan
         )
         state.signature = signatures[index]
         state.declarers = declarers[index]
-        plans.append(
-            UnitPlan(
-                state,
-                dirty,
-                respanned=bool(span_maps[index]),
-                span_map=span_maps[index],
-            )
-        )
+        plans.append(UnitPlan(state, dirty))
     return plans
+
+
+def _same_tokens(kept: Unit, parsed: Unit) -> bool:
+    """Whether ``parsed`` spells the very tokens of ``kept``, so that
+    ``kept``'s spans index ``parsed``'s anchor alike.  Equal fingerprints
+    do not imply it: redundant parentheses print alike."""
+    old, new = anchor_of(kept.span), anchor_of(parsed.span)
+    return old is not None and new is not None and old.tokens() == new.tokens()

@@ -7,12 +7,13 @@ identities anchor every label variable ever allocated -- and the
 per-unit states of the last revision.
 
 :meth:`IncrementalGenerator.plan` diffs a new revision against those
-states (:mod:`repro.workspace.diff`) and settles them: matched units are
-re-spanned, and every per-unit cache the diff verdict voids is dropped
--- the generated constraints of a *dirty* unit; the Core P4 products, the
-elaborated node and the IFC products of a dirty or *re-spanned* one.
-The workspace plans once per revision, before its first phase, so core,
-generation, elaboration and the IFC check all read the same verdicts.
+states (:mod:`repro.workspace.diff`) and settles them: every per-unit
+cache of a *dirty* unit is dropped -- its generated constraints, Core P4
+products, elaborated node and IFC products.  A unit that only moved
+keeps them all: their spans are relative to the unit's anchor, which the
+parser or the diff re-based.  The workspace plans once per revision,
+before its first phase, so core, generation, elaboration and the IFC
+check all read the same verdicts.
 
 :meth:`IncrementalGenerator.refresh` then runs the real
 :class:`~repro.flow.analysis.FlowAnalysis` walk through the per-unit
@@ -35,25 +36,21 @@ last time, so :meth:`~repro.inference.engine.Solver.rebase` patches
 only the buckets that changed.  The live site list is the
 first-occurrence union of the units' touch logs -- which on a fully
 dirty refresh *is* allocation order.  A matched unit keeps its old AST
-node (so its sites keep their variables); one the parser re-parsed is
-re-spanned in place to the new revision's positions, and its cached
-constraints, diagnostics, and variable spans are rewritten through the
-re-span map so warm output renders identically to a cold run.
+node, so its sites keep their variables, and warm output renders
+identically to a cold run.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace as dc_replace
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import List, Optional
 
 from repro.flow.analysis import FlowAnalysis
 from repro.flow.symbolic import SymbolicAlgebra
 from repro.inference.generate import GenerationResult, InferenceSite
 from repro.lattice.base import Lattice
-from repro.syntax.digest import iter_tree
 from repro.syntax.program import Program
-from repro.syntax.source import SourceSpan
-from repro.syntax.types import AnnotatedType
+from repro.syntax.source import anchor_of
 from repro.telemetry import current_recorder
 from repro.workspace.diff import StateSlots, UnitState, diff_program
 
@@ -65,6 +62,7 @@ class RegenStats:
     units_total: int = 0
     units_reused: int = 0
     units_rewalked: int = 0
+    #: Reused units whose start offset moved since the last plan.
     units_respanned: int = 0
     constraints_reused: int = 0
     constraints_regenerated: int = 0
@@ -85,70 +83,18 @@ class IncrementalGenerator:
         self.units: List[UnitState] = []
         #: The revision the unit states were last planned against.
         self.program: Optional[Program] = None
-        self._respanned = 0
+        self._moved = 0
         self.last = RegenStats()
-
-    # ------------------------------------------------------------------ re-span
-
-    def _apply_respan(
-        self, state: UnitState, span_map: Dict[SourceSpan, SourceSpan]
-    ) -> None:
-        """Rewrite everything the unit cached that embeds old spans.
-
-        The AST nodes themselves were already rewritten in place by
-        :func:`~repro.syntax.digest.respan`; what remains are the values
-        *derived* from them -- constraints and diagnostics (frozen, so
-        rebuilt), label-variable spans, and the default ``annotation at
-        <span>`` hints that bake a position into a string.
-        """
-        registry = self.algebra.registry
-        for node in iter_tree(state.node):
-            if not isinstance(node, AnnotatedType):
-                continue
-            site = registry.site_of(node)
-            if site is None:
-                continue
-            var = site.var
-            new_span = span_map.get(var.span)
-            if new_span is None:
-                continue
-            stale_hint = f"annotation at {var.span}"
-            object.__setattr__(var, "span", new_span)
-            if site.hint == stale_hint:
-                site.hint = f"annotation at {new_span}"
-            if var.hint == stale_hint:
-                object.__setattr__(var, "hint", f"annotation at {new_span}")
-        if state.generated is None:
-            return
-        outputs = state.generated.outputs
-        outputs.constraints = [
-            dc_replace(c, span=span_map[c.span]) if c.span in span_map else c
-            for c in outputs.constraints
-        ]
-        outputs.errors = [
-            dc_replace(err, span=span_map[err.span]) if err.span in span_map else err
-            for err in outputs.errors
-        ]
-        for control, var in outputs.pc_vars:
-            if var.span in span_map:
-                object.__setattr__(var, "span", span_map[var.span])
 
     # ------------------------------------------------------------------ plan
 
     def plan(self, program: Program) -> Program:
         """Diff ``program`` against the cached unit states and settle them.
 
-        Matched units are re-spanned (their cached products rewritten
-        through the span map); every cache a unit's diff verdict voids is
-        dropped here, so a later phase -- whichever revision it first
-        runs at -- re-walks exactly the units still lacking products:
-
-        * a *dirty* unit loses its generated constraints, its Core P4
-          products, its elaborated node and its IFC products;
-        * a *re-spanned* unit loses its Core P4 products, its elaborated
-          node and its IFC products, whose diagnostics and nodes embed
-          positions (the source node itself is re-spanned in place, so an
-          IFC check of the source would otherwise find it unchanged).
+        Every cache of a *dirty* unit is dropped here -- its generated
+        constraints, Core P4 products, elaborated node and IFC products --
+        so a later phase, whichever revision it first runs at, re-walks
+        exactly the units still lacking products.
 
         Returns the assembled revision: the states' nodes in unit order,
         which every later phase must see.
@@ -156,7 +102,7 @@ class IncrementalGenerator:
         first = not self.units
         plans = diff_program(self.units, program)
         self.units = [plan.state for plan in plans]
-        respanned = 0
+        moved = 0
         for plan in plans:
             state = plan.state
             if plan.dirty:
@@ -164,14 +110,12 @@ class IncrementalGenerator:
                 state.core = None
                 state.elaborated = None
                 state.ifc = None
-            if plan.span_map:
-                self._apply_respan(state, plan.span_map)
-            if plan.respanned:
-                respanned += 1
-                state.core = None
-                state.elaborated = None
-                state.ifc = None
-        self._respanned = respanned
+            anchor = anchor_of(state.node.span)
+            start = None if anchor is None else anchor.start
+            if not plan.dirty and start != state.start:
+                moved += 1
+            state.start = start
+        self._moved = moved
         if not first:
             program = Program(
                 tuple(state.node for state in self.units if not state.is_control),
@@ -206,7 +150,7 @@ class IncrementalGenerator:
             units_total=len(self.units),
             units_rewalked=cache.walked,
             units_reused=len(self.units) - cache.walked,
-            units_respanned=self._respanned,
+            units_respanned=self._moved,
         )
         # The live sites are the first-occurrence union of the units'
         # touch logs -- on a fully dirty refresh, allocation order.

@@ -124,11 +124,13 @@ class WorkspaceServer:
             request = json.loads(line)
         except json.JSONDecodeError as exc:
             return self._encode_error(None, PARSE_ERROR, f"parse error: {exc}")
-        if not isinstance(request, dict) or "method" not in request:
+        except RecursionError:
+            return self._encode_error(None, PARSE_ERROR, "parse error: nested too deeply")
+        if not isinstance(request, dict) or not isinstance(request.get("method"), str):
             return self._encode_error(
                 request.get("id") if isinstance(request, dict) else None,
                 INVALID_REQUEST,
-                "invalid request: expected an object with a 'method' member",
+                "invalid request: expected an object with a string 'method' member",
             )
         request_id = request.get("id")
         method = request.get("method")

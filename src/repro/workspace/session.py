@@ -9,8 +9,9 @@ across edits:
 * :meth:`Workspace.open` / :meth:`Workspace.edit` install a new source
   revision, re-parsing only the top-level units the edit touched (a
   :class:`~repro.frontend.parser.ParseIndex` of the last good parse);
-  the others come back as the cached nodes, which the diff matches by
-  identity, so only re-parsed units are fingerprinted and re-spanned.
+  the others come back as the cached nodes, moved to where they sit now,
+  which the diff matches by identity, so only re-parsed units are
+  fingerprinted.
   :meth:`Workspace.infer` (and everything downstream) then re-walks only
   the *changed* declarations
   (:class:`~repro.workspace.regen.IncrementalGenerator`) and re-solves
@@ -28,12 +29,12 @@ Past generation, a warm check redoes only the units it must.  Each
 constraints, three per-unit products that live and die with it:
 
 * the **Core P4 products** (diagnostics, recorded Γ/Δ effects) --
-  reused while the diff finds the unit clean and unmoved;
-* the **elaborated node** -- reused while the unit is clean, unmoved,
-  and the solution still assigns its annotation slots (and its
-  control's pc) the labels it was elaborated with;
+  reused while the diff finds the unit clean;
+* the **elaborated node** -- reused while the unit is clean and the
+  solution still assigns its annotation slots (and its control's pc)
+  the labels it was elaborated with;
 * the **IFC products** (diagnostics, declassification events,
-  effects) -- reused while the unit is clean, unmoved, keeps the very
+  effects) -- reused while the unit is clean, keeps the very
   node they were made for (elaborated, or the source on a check without
   inference) and every referenced declarer's products were reused too,
   decided in unit order so the rule is transitive (:class:`RecheckSlots`).
@@ -48,10 +49,11 @@ re-check of the same revision that finds products it could reuse
 (:func:`~repro.workspace.diff.settle_states`).  A one-shot check never
 computes them.
 
-An edit that moves a unit (lines inserted above it) re-spans it without
-re-walking it, but its diagnostics and elaborated node embed positions,
-so core, elaboration and the IFC re-check redo it.  How many units the
-last run of each phase redid is in ``stats()["rechecks"]`` and, under a
+An edit that only moves a unit (lines inserted above it) redoes it in no
+phase: its spans are relative to its anchor, which the parser or the
+diff re-based, so its products render at the new positions as they
+stand.  How many units the last run of each phase redid at the current
+revision is in ``stats()["rechecks"]`` and, under a
 tracing recorder, in the ``workspace.units_core_checked`` /
 ``workspace.units_elaborated`` / ``workspace.units_ifc_checked``
 counters.
@@ -200,7 +202,8 @@ class Workspace:
         self._lints_rev = -1
         #: The revision the unit states were last diffed against.
         self._planned_rev = -1
-        #: How many units the last run of each per-unit phase re-did.
+        #: How many units the last run of each per-unit phase re-did at
+        #: this revision (0 until it runs).
         self._rechecked: Dict[str, int] = {
             "units_core_checked": 0,
             "units_elaborated": 0,
@@ -264,6 +267,7 @@ class Workspace:
         self.program = program
 
     def _invalidate(self) -> None:
+        self._rechecked = dict.fromkeys(self._rechecked, 0)
         self._generation = None
         self._generation_rev = -1
         self._inference = None
@@ -409,12 +413,18 @@ class Workspace:
         Models the user writing (or deleting) an explicit annotation:
         the label becomes a floor of the slot; unpinning restores the
         inferred least label.  Over a warm solution only the pin's cone
-        of influence is re-solved.
+        of influence is re-solved.  Unpinning a slot that an edit removed
+        just drops the pin, which no longer reached the solver.
         """
         if isinstance(label, str):
             label = self.lattice.parse_label(label)
         generation = self._ensure_generation()
         site = next((s for s in generation.sites if s.hint == hint), None)
+        if site is None and label is None and hint in self._pin_hints:
+            del self._pin_hints[hint]
+            self._inference = None
+            self._inference_rev = -1
+            return
         if site is None:
             raise WorkspaceError(f"no annotation slot named {hint!r}")
         if label is None:
@@ -437,8 +447,8 @@ class Workspace:
         """The Core P4 (non-security) check, cached per revision.
 
         Re-checks only the units the edits since their last check made
-        dirty or re-spanned; the others replay their recorded Γ/Δ effects
-        and keep their diagnostics.
+        dirty; the others replay their recorded Γ/Δ effects and keep
+        their diagnostics.
         """
         from repro.typechecker.checker import check_core_types
 

@@ -60,11 +60,8 @@ def unit_texts(source: str) -> list:
         parse_program(source, "u.p4", index=index)
     except FrontendError:
         return []
-    bounds = index.bounds
-    return [
-        source[index.offset(*bounds[at : at + 2]) : index.offset(*bounds[at + 2 : at + 4])]
-        for at in range(0, len(bounds), 4)
-    ]
+    anchors = [unit.span.anchor for unit in index.units]
+    return [source[anchor.start : anchor.end] for anchor in anchors]
 
 
 def edit(data, source: str) -> str:
@@ -129,11 +126,23 @@ class TestReuse:
         assert len(shared) == 11
         assert repr(after) == repr(parse_program(raised, "s.p4"))
 
-    def test_a_line_inserted_at_the_top_reparses_every_unit(self):
+    def test_a_line_inserted_at_the_top_reparses_nothing(self):
+        index = ParseIndex()
+        before = parse_program(SHARDED, "s.p4", index=index)
+        shifted = "// first line\n" + SHARDED
+        after = parse_program(shifted, "s.p4", index=index)
+        assert (index.reused, index.reparsed) == (12, 0)
+        # The very nodes, moved a line down.
+        assert [id(unit) for unit in units_of(after)] == [id(unit) for unit in units_of(before)]
+        assert repr(after) == repr(parse_program(shifted, "s.p4"))
+
+    def test_a_line_inserted_inside_a_unit_reparses_only_that_unit(self):
         index = ParseIndex()
         parse_program(SHARDED, "s.p4", index=index)
-        parse_program("// first line\n" + SHARDED, "s.p4", index=index)
-        assert (index.reused, index.reparsed) == (0, 12)
+        spaced = SHARDED.replace(SEED, SEED + "\n")
+        program = parse_program(spaced, "s.p4", index=index)
+        assert (index.reused, index.reparsed) == (11, 1)
+        assert repr(program) == repr(parse_program(spaced, "s.p4"))
 
     def test_a_comment_between_units_reparses_nothing(self):
         index = ParseIndex()

@@ -48,7 +48,8 @@ class TestExpressions:
         assert expr.width == 8
 
     def test_bool_literals(self):
-        assert parse_expression("true") == BoolLiteral(True, span=parse_expression("true").span)
+        parsed = parse_expression("true")
+        assert parsed == BoolLiteral(True, span=parsed.span)
         assert isinstance(parse_expression("false"), BoolLiteral)
 
     def test_variable(self):

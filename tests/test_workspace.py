@@ -16,11 +16,15 @@ import gc
 import json
 import pickle
 import random
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.casestudies import get_case_study
 from repro.casestudies.base import strip_body_annotations
+from repro.frontend.errors import FrontendError
+from repro.frontend.parser import ParseIndex, parse_program
 from repro.lattice import (
     ChainLattice,
     DiamondLattice,
@@ -32,7 +36,9 @@ from repro.synth import sharded_dataflow_program
 from repro.syntax.printer import pretty_print
 from repro.telemetry import TraceRecorder, use_recorder
 from repro.tool.pipeline import check_source
-from repro.tool.report import report_to_dict
+from repro.tool.cli import _collect_findings
+from repro.tool.report import format_report, report_to_dict
+from repro.analysis.sarif import sarif_json
 from repro.workspace import Workspace, WorkspaceError
 
 
@@ -408,15 +414,19 @@ class TestIncrementalParse:
         assert workspace.stats()["parse"] == {"units_reused": 11, "units_reparsed": 1}
         assert recorder.counters["parse.units_reparsed"] == 1
         assert recorder.counters["parse.units_reused"] == 11
-        # The reused units are matched by identity: nothing is re-spanned.
+        # The reused units are matched by identity.  The five clean ones
+        # after the edit moved a character ("low" became "high").
         assert recorder.counters["workspace.units_rewalked"] == 3
-        assert recorder.counters.get("workspace.units_respanned", 0) == 0
+        assert recorder.counters["workspace.units_respanned"] == 5
 
+        # A line above every unit moves them all: each is reused as it
+        # stands, its anchor moved, and none is re-walked or re-checked.
         assert workspace.edit("// a new first line\n" + raised)
         workspace.check(infer=True)
-        assert workspace.stats()["parse"] == {"units_reused": 0, "units_reparsed": 12}
+        assert workspace.stats()["parse"] == {"units_reused": 12, "units_reparsed": 0}
         regen = workspace.stats()["regen"]
         assert (regen["units_rewalked"], regen["units_respanned"]) == (0, 12)
+        assert set(workspace.stats()["rechecks"].values()) == {0}
 
     def test_open_program_resets_and_load_keeps_the_index(self, tmp_path):
         source = sharded_dataflow_program(4, depth=3, source_level="low")
@@ -434,6 +444,24 @@ class TestIncrementalParse:
         workspace.open_program(loaded.program)
         assert workspace.edit(source)
         assert workspace.stats()["parse"] == {"units_reused": 0, "units_reparsed": 12}
+
+    def test_units_another_workspace_rebased_are_reparsed(self):
+        # Wide gaps, so that stale offsets would still fall on whitespace.
+        source = sharded_dataflow_program(4, depth=3, source_level="low") + "\n" * 20
+        first = Workspace()
+        assert first.open(source, filename="<input>")
+        first.check(infer=True)
+        # A second workspace adopts the first one's nodes, then re-bases
+        # them onto a revision of its own.
+        second = Workspace()
+        second.open_program(first.program)
+        second.check(infer=True)
+        assert second.edit("\n" * 5 + source)
+        second.check(infer=True)
+        edited = source + "\n"
+        assert first.edit(edited)
+        assert first.stats()["parse"] == {"units_reused": 0, "units_reparsed": 12}
+        assert _snapshot(first) == _cold_snapshot(edited)
 
     def test_edits_retain_nothing(self):
         """Raise/lower cycles return the session to the same state, and the
@@ -470,6 +498,94 @@ class TestIncrementalParse:
         assert counts() == first
 
 
+#: Programs and lattices for the line-edit differential: violations with
+#: witnesses, slots to infer, ``@pc`` controls and a core type error.
+LINE_EDIT_CORPUS = [
+    (get_case_study("cache").insecure_source, "two-point"),
+    (strip_body_annotations(get_case_study("d2r").secure_source), "two-point"),
+    (get_case_study("lattice").insecure_source, "diamond"),
+    (
+        sharded_dataflow_program(3, depth=3, source_level="low").replace(
+            "hdr.data.s1 = hdr.data.s0;", "hdr.data.s1 = true;", 1
+        ),
+        "two-point",
+    ),
+]
+
+
+def _line_edit(data, source: str) -> str:
+    """Insert or delete lines and blank lines before, inside and between
+    units, re-indent a line, split or join lines, or move a unit."""
+    lines = source.split("\n")
+    at = data.draw(st.integers(0, len(lines) - 1))
+    kind = data.draw(
+        st.sampled_from(["blank", "comment", "delete", "indent", "split", "join", "move"])
+    )
+    if kind == "blank":
+        lines.insert(at, "")
+    elif kind == "comment":
+        lines.insert(at, "// a note")
+    elif kind == "delete":
+        blank = [i for i, line in enumerate(lines) if not line.strip() or line.strip().startswith("//")]
+        if blank:
+            del lines[data.draw(st.sampled_from(blank))]
+    elif kind == "indent":
+        lines[at] = "  " + lines[at]
+    elif kind == "split":
+        spaces = [i for i, char in enumerate(lines[at]) if char == " "]
+        if spaces:
+            cut = data.draw(st.sampled_from(spaces))
+            lines[at : at + 1] = [lines[at][:cut], lines[at][cut + 1 :]]
+    elif kind == "join" and at + 1 < len(lines) and "//" not in lines[at]:
+        lines[at : at + 2] = [lines[at] + " " + lines[at + 1]]
+    elif kind == "move":
+        index = ParseIndex()
+        try:
+            parse_program(source, "<input>", index=index)
+        except FrontendError:
+            return "\n".join(lines)
+        units = [(unit.span.anchor.start, unit.span.anchor.end) for unit in index.units]
+        start, end = data.draw(st.sampled_from(units))
+        text, rest = source[start:end], source[:start] + source[end:]
+        starts = [0] + [b - (end - start if b > start else 0) for b, _ in units if b != start]
+        to = data.draw(st.sampled_from(starts))
+        return rest[:to] + text + "\n" + rest[to:]
+    return "\n".join(lines)
+
+
+def _rendered(report) -> tuple:
+    """A report as every output renders it: ``--json`` (minus timings and
+    solver statistics), the text report (minus its timing line) and SARIF."""
+    text = "\n".join(
+        line for line in format_report(report).splitlines() if not line.startswith("timing:")
+    )
+    sarif = sarif_json([("<input>", _collect_findings(report, Path("<input>")))])
+    return _report(report), text, sarif
+
+
+class TestLineEditsMatchCold:
+    """Edits that only add, remove or move lines move units: the warm
+    session re-bases their anchors instead of re-walking them, and every
+    rendered position must be the one a cold check of the same text gives
+    -- diagnostics, witnesses, slot locations and SARIF regions."""
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_line_edits_render_as_cold(self, data):
+        source, lattice = data.draw(st.sampled_from(LINE_EDIT_CORPUS))
+        workspace = Workspace(lattice, name="prog")
+        workspace.open(source, filename="<input>")
+        workspace.check(infer=True, lint=True)
+        for _ in range(data.draw(st.integers(1, 4))):
+            source = _line_edit(data, source)
+            workspace.edit(source)
+            warm = workspace.check(infer=True, lint=True)
+            cold = check_source(
+                source, lattice, infer=True, lint=True, filename="<input>", name="prog"
+            )
+            assert _rendered(warm) == _rendered(cold)
+
+
 class TestPins:
     def test_pin_and_unpin_restore_least_solution(self):
         source = sharded_dataflow_program(2, depth=2)
@@ -502,6 +618,23 @@ class TestPins:
             edited, infer=True, filename="<input>"
         ).inference_result.assignment_by_hint()
         assert workspace.infer().assignment_by_hint() == cold
+
+    def test_unpin_a_slot_an_edit_removed(self):
+        workspace = Workspace()
+        assert workspace.open(sharded_dataflow_program(2, depth=2), filename="<input>")
+        workspace.check(infer=True)
+        workspace.pin("field shard1_t.s0", "high")
+        one_shard = sharded_dataflow_program(1, depth=2)
+        assert workspace.edit(one_shard)
+        workspace.check(infer=True)
+        assert workspace.stats()["pins"] == {"field shard1_t.s0": "high"}
+        workspace.pin("field shard1_t.s0", None)
+        assert workspace.pins == {}
+        assert workspace.stats()["pins"] == {}
+        assert _snapshot(workspace) == _cold_snapshot(one_shard)
+        # A slot that was never pinned is still unknown.
+        with pytest.raises(WorkspaceError):
+            workspace.pin("field shard1_t.s0", None)
 
     def test_pin_unknown_hint_is_an_error(self):
         workspace = Workspace()

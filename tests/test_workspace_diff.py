@@ -14,10 +14,10 @@ from repro.frontend.parser import ParseIndex, parse_program
 from repro.syntax.digest import (
     declared_names,
     referenced_names,
-    respan,
     unit_fingerprint,
 )
 from repro.tool.pipeline import check_source
+from repro.tool.report import report_to_dict
 from repro.workspace import Workspace, diff_program, program_units
 from repro.workspace.diff import environment_signatures, settle_states
 
@@ -77,19 +77,26 @@ class TestDigest:
         assert "h_t" in referenced_names(struct)
         assert "headers" in referenced_names(control)
 
-    def test_respan_rewrites_positions_in_place(self):
+    def test_rebase_moves_a_unit_in_place(self):
         old = parse_program("header h_t { <bit<8>, low> a; }").declarations[0]
-        new = parse_program("\n\n\nheader h_t { <bit<8>, low> a; }").declarations[
-            0
-        ]
-        span_map = respan(old, new)
-        assert span_map
-        assert old.span == new.span
+        new = parse_program(
+            "\n\n\nheader   h_t {\n  <bit<8>, low> a; }"
+        ).declarations[0]
+        spans = [old.span, old.fields[0].ty.span]
+        assert repr(old) != repr(new)
+        old.span.anchor.rebase(new.span.anchor)
+        # The same span objects, equal as before, now render where the
+        # re-parsed unit sits.
+        assert [old.span, old.fields[0].ty.span] == spans
+        assert repr(old) == repr(new)
+        assert str(old.fields[0].ty.span) == "<input>:5:3"
 
-    def test_respan_noop_on_identical_positions(self):
+    def test_rebase_noop_on_identical_positions(self):
         old = parse_program(BASE).declarations[0]
         new = parse_program(BASE).declarations[0]
-        assert respan(old, new) == {}
+        before = repr(old)
+        old.span.anchor.rebase(new.span.anchor)
+        assert repr(old) == before == repr(new)
 
 
 def _signatures(source: str):
@@ -202,7 +209,7 @@ control A(inout headers hdr) { apply { } }
 
     def test_reused_nodes_match_by_identity(self, monkeypatch):
         # A unit the parser handed back unchanged *is* the cached node: it
-        # matches without a fingerprint or a re-span.
+        # matches without a fingerprint or a token comparison.
         index = ParseIndex()
         states = [
             plan.state
@@ -221,7 +228,7 @@ control A(inout headers hdr) { apply { } }
             return unit_fingerprint(unit)
 
         monkeypatch.setattr("repro.workspace.diff.unit_fingerprint", counting)
-        monkeypatch.setattr("repro.workspace.diff.respan", None)
+        monkeypatch.setattr("repro.workspace.diff._same_tokens", None)
         plans = diff_program(states, program)
         assert [plan.state for plan in plans[:2]] == states[:2]
         assert fingerprinted == [program.controls[0]]
@@ -235,9 +242,12 @@ control A(inout headers hdr) { apply { } }
         states = [plan.state for plan in diff_program([], parse_program(twin, index=index))]
         copied = twin.replace("\nstruct", "\ncontrol A(inout headers hdr) { apply { } } struct")
         program = parse_program(copied, index=index)
-        assert index.reused == 1
+        assert index.reused == 2
         struct, fresh, reused = diff_program(states, program)
-        assert struct.state is states[0] and struct.respanned
+        # The struct is reused too, moved onto the line it now shares
+        # with the copy.
+        assert struct.state is states[0] and not struct.dirty
+        assert str(struct.state.node.span) == "<input>:2:44"
         assert reused.state is states[1] and not reused.dirty
         assert fresh.state not in states and fresh.dirty
 
@@ -293,6 +303,31 @@ control A(inout a_headers hdr) { apply { hdr.data.x = 1; } }
         assert [str(x) for x in warm.inference_result.diagnostics] == [
             str(x) for x in cold.inference_result.diagnostics
         ]
+
+    def test_regrouped_parentheses_make_a_new_unit(self):
+        # Parentheses print alike, so the re-parsed control has the cached
+        # one's fingerprint and as many tokens -- but not the same ones:
+        # the cached spans would index the wrong tokens, so the control is
+        # matched to nothing.
+        released = BASE.replace("hdr.h.a = 1;", "hdr.h.a = ((declassify(hdr.h.b)));")
+        regrouped = "\n" + released.replace(
+            "((declassify(hdr.h.b)))", "(declassify((hdr.h.b)))"
+        )
+        workspace = self._open(released, allow_declassification=True)
+        workspace.check(infer=True)
+        assert workspace.edit(regrouped)
+        warm = workspace.check(infer=True, lint=True)
+        assert workspace.stats()["regen"]["units_rewalked"] == 1
+        cold = check_source(
+            regrouped, infer=True, lint=True, filename="<input>", allow_declassification=True
+        )
+        rendered = [report_to_dict(report) for report in (warm, cold)]
+        for payload in rendered:
+            payload.pop("timing_ms")
+            payload["inference"].pop("solver")
+        assert rendered[0] == rendered[1]
+        # The release is located at its call, inside the parentheses.
+        assert rendered[0]["declassifications"][0]["location"] == "<input>:7:20"
 
     def test_table_and_action_deletion(self):
         from repro.synth import wide_table_program

@@ -112,36 +112,57 @@ class TestRecheckCounters:
 
         assert _counted(unpin)["units_ifc_checked"] == 3
 
-    def test_line_shift_rechecks_every_respanned_unit(self):
-        """An edit that moves units re-spans them without re-walking
-        them; their diagnostics and elaborated nodes embed positions, so
-        core, elaboration and the IFC re-check redo every moved unit."""
+    def test_line_shift_rechecks_nothing(self):
+        """An edit that only moves units moves their anchors: they are
+        neither re-parsed nor re-walked, and their diagnostics and
+        elaborated nodes render at the new positions as they stand."""
         workspace, source = _session()
+        shifted = "// a new first line\n" + source
         recorder = TraceRecorder()
         with use_recorder(recorder):
-            assert workspace.edit("// a new first line\n" + source)
-            workspace.check(infer=True)
-        respanned = recorder.counters["workspace.units_respanned"]
-        assert respanned == 18
-        assert recorder.counters.get("workspace.units_rewalked", 0) == 0
-        for name in RECHECKS:
-            assert recorder.counters["workspace." + name] == respanned
+            assert workspace.edit(shifted)
+            warm = workspace.check(infer=True)
+        assert recorder.counters["workspace.units_respanned"] == 18
+        assert recorder.counters["parse.units_reparsed"] == 0
+        for name in ("units_rewalked", *RECHECKS):
+            assert recorder.counters.get("workspace." + name, 0) == 0
+        assert _snapshot(workspace) == _cold_snapshot(shifted)
 
     def test_comment_only_edit_in_place_rechecks_nothing(self):
         workspace, source = _session()
         control = source.index("control Shard4")
         noted = source[:control] + "/* reviewed */ " + source[control:]
-        counted = _counted(
-            lambda: (workspace.edit(noted), workspace.check(infer=True))
-        )
-        # Only the control that gained a comment is re-parsed; it is
-        # re-spanned (its columns moved), so it alone is re-checked.
-        assert counted == {
-            "units_rewalked": 0,
-            "units_core_checked": 1,
-            "units_elaborated": 1,
-            "units_ifc_checked": 1,
-        }
+        recorder = TraceRecorder()
+        with use_recorder(recorder):
+            assert workspace.edit(noted)
+            workspace.check(infer=True)
+        # The comment sits between units: the controls after it are reused
+        # as they stand, moved, and nothing is re-checked.
+        assert recorder.counters["parse.units_reparsed"] == 0
+        assert recorder.counters["workspace.units_respanned"] == 2
+        for name in ("units_rewalked", *RECHECKS):
+            assert recorder.counters.get("workspace." + name, 0) == 0
+
+    def test_blank_line_inside_a_unit_rechecks_nothing(self):
+        """A blank line after shard 0's seed re-parses its header; the
+        re-parsed header has the same tokens, so the cached one is
+        re-based onto it, and no phase redoes any unit."""
+        source = sharded_dataflow_program(20, depth=30, source_level="low")
+        workspace = Workspace()
+        assert workspace.open(source, filename="<input>")
+        workspace.check(infer=True)
+        seed = "header shard0_t {\n    <bit<8>, low> seed;\n"
+        spaced = source.replace(seed, seed + "\n")
+        for revision in (spaced, source):
+            recorder = TraceRecorder()
+            with use_recorder(recorder):
+                assert workspace.edit(revision)
+                warm = workspace.check(infer=True)
+            counters = recorder.counters
+            assert (counters["parse.units_reparsed"], counters["workspace.units_total"]) == (1, 60)
+            for name in ("units_rewalked", *RECHECKS):
+                assert counters.get("workspace." + name, 0) == 0
+            assert _snapshot(workspace) == _cold_snapshot(revision)
 
 
     def test_session_without_inference_rechecks_only_the_edit(self):
@@ -159,13 +180,13 @@ class TestRecheckCounters:
             "units_elaborated": 0,
             "units_ifc_checked": 3,
         }
-        # Moved units are re-spanned in place: the same node objects at
-        # new positions, so their IFC diagnostics must still be redone.
+        # Moved units are the same node objects at new positions: their
+        # products render there as they stand.
         counted = _counted(
             lambda: (workspace.edit("// a new first line\n" + raised), workspace.check())
         )
-        assert counted["units_core_checked"] == 18
-        assert counted["units_ifc_checked"] == 18
+        assert counted["units_core_checked"] == 0
+        assert counted["units_ifc_checked"] == 0
 
 
 class TestRecheckMatchesCold:

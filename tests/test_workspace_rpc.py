@@ -463,6 +463,32 @@ class TestServedAnswers:
             assert _verdict(result_of(server, "check", {"infer": True})) == before
             assert result_of(server, "stats")["revision"] == 2
 
+    def test_hostile_lines_leave_the_session_answering(self, tmp_path):
+        """Lines that used to escape ``handle_line`` -- deep nesting, a
+        method that is not a string, lattices of any size -- each get a
+        JSON-RPC error, and the session still answers from its revision."""
+        server = WorkspaceServer()
+        result_of(server, "open", {"source": LEAKY, "filename": "<input>"})
+        before = _verdict(result_of(server, "check", {"infer": True}))
+        path = tmp_path / "served.p4bidws"
+        result_of(server, "save", {"path": str(path)})
+        snapshot = json.loads(path.read_text(encoding="utf-8"))
+        path.write_text(json.dumps({**snapshot, "lattice": "chain-100000000"}))
+        probes = [
+            ("[" * 200000, PARSE_ERROR),
+            (json.dumps({"jsonrpc": "2.0", "id": 7, "method": ["x"]}), INVALID_REQUEST),
+            (json.dumps({"jsonrpc": "2.0", "id": 7, "method": {"a": 1}}), INVALID_REQUEST),
+            (json.dumps({"jsonrpc": "2.0", "id": 7, "method": "load", "params": {"path": str(path)}}), WORKSPACE_ERROR),
+        ]
+        for lattice in ("chain-100000000", "chain-" + "9" * 5000, "policy-100000-96-8"):
+            request = {"jsonrpc": "2.0", "id": 7, "method": "policy.open", "params": {"lattice": lattice}}
+            probes.append((json.dumps(request), WORKSPACE_ERROR))
+        for line, code in probes:
+            response = json.loads(server.handle_line(line))
+            assert response["error"]["code"] == code, line[:80]
+            assert _verdict(result_of(server, "check", {"infer": True})) == before
+        assert result_of(server, "stats")["revision"] == 1
+
     def test_lint_findings_serialised(self):
         server = WorkspaceServer()
         result_of(server, "open", {"source": SECURE, "filename": "<input>"})
