@@ -16,6 +16,11 @@ Binary operators are parsed by precedence climbing, and input nested
 deeper than :data:`MAX_DEPTH`, or types nested deeper than
 :data:`MAX_TYPE_DEPTH`, is rejected with a located error.
 
+The parser reads the columns :func:`~repro.frontend.lexer.scan` returns,
+and a token is a plain index into them: it compares ``texts[i]`` with
+the punctuator or keyword it expects, and its error messages name a token
+by its kind and text and locate it through the offsets.
+
 Every span a unit's nodes carry is relative to the unit's
 :class:`~repro.syntax.source.Anchor`: indices into the offsets of its
 tokens.  Given a :class:`ParseIndex` of the previous revision,
@@ -30,7 +35,7 @@ from array import array
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.frontend.errors import FrontendError, ParserError
-from repro.frontend.lexer import Token, TokenKind, scan
+from repro.frontend.lexer import TokenKind, scan
 from repro.syntax.declarations import (
     ActionRef,
     ControlDecl,
@@ -121,6 +126,10 @@ MAX_TYPE_DEPTH = 32
 
 _TYPE_KEYWORDS = frozenset({"bit", "bool", "int", "void"})
 
+_BASE_TYPES = {"bool": BoolType, "int": IntType, "void": UnitType}
+
+_DIRECTIONS = {"in": Direction.IN, "out": Direction.OUT, "inout": Direction.INOUT}
+
 
 def _cover(first: SourceSpan, last: SourceSpan) -> SourceSpan:
     """From the start of ``first`` to the end of ``last``, which follows it
@@ -129,85 +138,90 @@ def _cover(first: SourceSpan, last: SourceSpan) -> SourceSpan:
 
 
 class Parser:
-    """Parses a token stream into the Core P4 AST."""
+    """Parses the columns of a lexed region into the Core P4 AST.
 
-    def __init__(self, tokens: List[Token], offsets: "array[int]") -> None:
-        self._tokens = tokens
+    A token is its index into the columns :func:`scan` returns.  No
+    identifier, integer or EOF token spells a punctuator or a keyword, so
+    a token is one exactly when its text is.
+    """
+
+    def __init__(self, lines: LineTable, texts: List[str], kinds: List[TokenKind],
+                 offsets: "array[int]", values: Dict[str, Tuple[int, Optional[int]]]) -> None:
+        self._texts = texts
+        self._kinds = kinds
+        self._values = values
         self._index = 0
         #: Depth of the innermost open statement or expression (MAX_DEPTH).
         self._depth = 0
         #: The anchor of the unit being parsed: its spans index the
         #: offsets from its first token on.
-        self._anchor = Anchor(offsets, tokens[0].lines)
+        self._anchor = Anchor(offsets, lines)
 
     # ------------------------------------------------------------------ spans
 
-    def _between(self, first: Token, last: Token) -> SourceSpan:
+    def _between(self, first: int, last: int) -> SourceSpan:
         """The span from token ``first`` through token ``last``."""
         anchor = self._anchor
         base = anchor.base
-        return span_at(anchor, 2 * first.index - base, 2 * last.index + 1 - base)
+        return span_at(anchor, 2 * first - base, 2 * last + 1 - base)
 
-    def _from(self, first: Token, last: SourceSpan) -> SourceSpan:
+    def _from(self, first: int, last: SourceSpan) -> SourceSpan:
         """From token ``first`` to the end of ``last``."""
         anchor = self._anchor
-        return span_at(anchor, 2 * first.index - anchor.base, last.hi)
+        return span_at(anchor, 2 * first - anchor.base, last.hi)
 
-    def _upto(self, first: SourceSpan, last: Token) -> SourceSpan:
+    def _upto(self, first: SourceSpan, last: int) -> SourceSpan:
         """From the start of ``first`` through token ``last``."""
         anchor = self._anchor
-        return span_at(anchor, first.lo, 2 * last.index + 1 - anchor.base)
+        return span_at(anchor, first.lo, 2 * last + 1 - anchor.base)
 
     # ------------------------------------------------------------------ utils
 
-    def _peek(self, ahead: int = 0) -> Token:
-        # Lookahead past the current token only follows a non-EOF token,
-        # so it never runs off the end of the list.
-        return self._tokens[self._index + ahead]
+    def _show(self, at: int) -> str:
+        """Token ``at`` as error messages name it."""
+        return f"{self._kinds[at].value} {self._texts[at]!r}"
+
+    def _error(self, at: int, message: str) -> ParserError:
+        """``message``, located at token ``at``."""
+        return ParserError(message, self._between(at, at))
 
     def _at_end(self) -> bool:
-        return self._peek().kind is TokenKind.EOF
+        return self._kinds[self._index] is TokenKind.EOF
 
-    def _advance(self) -> Token:
-        token = self._tokens[self._index]
-        if token.kind is not TokenKind.EOF:
+    def _advance(self) -> int:
+        at = self._index
+        if self._kinds[at] is not TokenKind.EOF:
+            self._index = at + 1
+        return at
+
+    def _check(self, text: str) -> bool:
+        return self._texts[self._index] == text
+
+    def _match(self, text: str) -> bool:
+        if self._texts[self._index] == text:
             self._index += 1
-        return token
+            return True
+        return False
 
-    def _check_punct(self, text: str) -> bool:
-        return self._tokens[self._index].is_punct(text)
+    def _expect(self, text: str, context: str) -> int:
+        at = self._index
+        if self._texts[at] != text:
+            raise self._error(at, f"expected {text!r} {context}, found {self._show(at)}")
+        self._index = at + 1
+        return at
 
-    def _check_keyword(self, text: str) -> bool:
-        return self._tokens[self._index].is_keyword(text)
-
-    def _match_punct(self, text: str) -> Optional[Token]:
-        if self._check_punct(text):
-            return self._advance()
-        return None
-
-    def _expect_punct(self, text: str, context: str) -> Token:
-        token = self._peek()
-        if not token.is_punct(text):
-            raise ParserError(f"expected {text!r} {context}, found {token}", token.span)
-        return self._advance()
-
-    def _expect_keyword(self, text: str, context: str) -> Token:
-        token = self._peek()
-        if not token.is_keyword(text):
-            raise ParserError(f"expected keyword {text!r} {context}, found {token}", token.span)
-        return self._advance()
-
-    def _nest(self, token: Token) -> None:
-        """Open one nesting level at ``token``; close it with ``_depth -= 1``."""
+    def _nest(self, at: int) -> None:
+        """Open one nesting level at token ``at``; close it with ``_depth -= 1``."""
         self._depth += 1
         if self._depth > MAX_DEPTH:
-            raise ParserError(f"nesting deeper than {MAX_DEPTH} levels", token.span)
+            raise self._error(at, f"nesting deeper than {MAX_DEPTH} levels")
 
-    def _expect_ident(self, context: str) -> Token:
-        token = self._peek()
-        if token.kind is not TokenKind.IDENT:
-            raise ParserError(f"expected an identifier {context}, found {token}", token.span)
-        return self._advance()
+    def _expect_ident(self, context: str) -> int:
+        at = self._index
+        if self._kinds[at] is not TokenKind.IDENT:
+            raise self._error(at, f"expected an identifier {context}, found {self._show(at)}")
+        self._index = at + 1
+        return at
 
     # ------------------------------------------------------------------ program
 
@@ -219,271 +233,234 @@ class Parser:
         trailing optional ``;`` part of its declaration.
         """
         units: List[Unit] = []
-        tokens, offsets, lines = self._tokens, self._anchor.offsets, self._anchor.lines
+        texts, offsets, lines = self._texts, self._anchor.offsets, self._anchor.lines
         while not self._at_end():
-            first = self._peek()
-            self._anchor = Anchor(offsets, lines, 2 * first.index)
+            self._anchor = Anchor(offsets, lines, 2 * self._index)
             pc_label = self._parse_optional_pc_annotation()
-            token = self._peek()
+            at = self._index
+            text = texts[at]
             unit: Unit
-            if token.is_keyword("control"):
+            if text == "control":
                 unit = self._parse_control(pc_label)
             elif pc_label is not None:
-                raise ParserError(
-                    "@pc(...) annotations may only precede a control block",
-                    token.span,
-                )
-            elif token.is_keyword("header"):
+                raise self._error(at, "@pc(...) annotations may only precede a control block")
+            elif text == "header":
                 unit = self._parse_header_or_struct(header=True)
-            elif token.is_keyword("struct"):
+            elif text == "struct":
                 unit = self._parse_header_or_struct(header=False)
-            elif token.is_keyword("typedef"):
+            elif text == "typedef":
                 unit = self._parse_typedef()
-            elif token.is_keyword("match_kind"):
+            elif text == "match_kind":
                 unit = self._parse_match_kind()
-            elif token.is_keyword("const") or self._looks_like_type_start():
+            elif text == "const" or self._looks_like_type_start():
                 unit = self._parse_var_decl(allow_const=True)
             else:
-                raise ParserError(
-                    f"unexpected token {token} at top level", token.span
-                )
-            self._anchor.stop = 2 * tokens[self._index - 1].index + 2
+                raise self._error(at, f"unexpected token {self._show(at)} at top level")
+            self._anchor.stop = 2 * self._index
             units.append(unit)
         return units
 
     def _parse_optional_pc_annotation(self) -> Optional[str]:
-        if not self._check_punct("@"):
+        at = self._index
+        if not self._match("@"):
             return None
-        at_token = self._advance()
-        name = self._expect_ident("after '@'")
-        if name.text != "pc":
-            raise ParserError(
-                f"unknown annotation @{name.text}; only @pc(label) is supported",
-                at_token.span,
-            )
-        self._expect_punct("(", "after '@pc'")
+        name = self._texts[self._expect_ident("after '@'")]
+        if name != "pc":
+            raise self._error(at, f"unknown annotation @{name}; only @pc(label) is supported")
+        self._expect("(", "after '@pc'")
         label = self._parse_label_text(")")
-        self._expect_punct(")", "to close '@pc('")
+        self._expect(")", "to close '@pc('")
         return label
 
     # ------------------------------------------------------------------ type declarations
 
     def _parse_header_or_struct(self, *, header: bool) -> Declaration:
-        keyword = self._advance()
-        name = self._expect_ident("after 'header'/'struct'")
-        self._expect_punct("{", f"to open {keyword.text} {name.text}")
+        keyword = self._texts[self._index]
+        start = self._advance()
+        name = self._texts[self._expect_ident("after 'header'/'struct'")]
+        self._expect("{", f"to open {keyword} {name}")
         fields: List[Field] = []
-        while not self._check_punct("}"):
+        while not self._check("}"):
             field_type = self._parse_annotated_type()
             field_name = self._expect_ident("as a field name")
-            self._expect_punct(";", "after a field declaration")
-            fields.append(Field(field_name.text, field_type))
-        close = self._expect_punct("}", f"to close {keyword.text} {name.text}")
-        self._match_punct(";")
-        span = self._between(keyword, close)
+            self._expect(";", "after a field declaration")
+            fields.append(Field(self._texts[field_name], field_type))
+        close = self._expect("}", f"to close {keyword} {name}")
+        self._match(";")
+        span = self._between(start, close)
         if header:
-            return HeaderDecl(name.text, tuple(fields), span=span)
-        return StructDecl(name.text, tuple(fields), span=span)
+            return HeaderDecl(name, tuple(fields), span=span)
+        return StructDecl(name, tuple(fields), span=span)
 
     def _parse_typedef(self) -> TypedefDecl:
-        keyword = self._advance()
+        start = self._advance()
         ty = self._parse_annotated_type()
         name = self._expect_ident("as the typedef name")
-        semi = self._expect_punct(";", "after a typedef")
-        return TypedefDecl(ty, name.text, span=self._between(keyword, semi))
+        semi = self._expect(";", "after a typedef")
+        return TypedefDecl(ty, self._texts[name], span=self._between(start, semi))
 
     def _parse_match_kind(self) -> MatchKindDecl:
-        keyword = self._advance()
-        self._expect_punct("{", "after 'match_kind'")
+        start = self._advance()
+        self._expect("{", "after 'match_kind'")
         members: List[str] = []
-        while not self._check_punct("}"):
-            member = self._expect_ident("as a match_kind member")
-            members.append(member.text)
-            if not self._match_punct(","):
+        while not self._check("}"):
+            members.append(self._texts[self._expect_ident("as a match_kind member")])
+            if not self._match(","):
                 break
-        close = self._expect_punct("}", "to close match_kind")
-        self._match_punct(";")
-        return MatchKindDecl(tuple(members), span=self._between(keyword, close))
+        close = self._expect("}", "to close match_kind")
+        self._match(";")
+        return MatchKindDecl(tuple(members), span=self._between(start, close))
 
     # ------------------------------------------------------------------ controls
 
     def _parse_control(self, pc_label: Optional[str]) -> ControlDecl:
-        keyword = self._expect_keyword("control", "to start a control block")
-        name = self._expect_ident("as the control name")
-        self._expect_punct("(", "after the control name")
+        texts = self._texts
+        start = self._advance()
+        name = texts[self._expect_ident("as the control name")]
+        self._expect("(", "after the control name")
         params = self._parse_param_list()
-        self._expect_punct(")", "to close the control parameter list")
-        self._expect_punct("{", "to open the control body")
+        self._expect(")", "to close the control parameter list")
+        self._expect("{", "to open the control body")
         locals_: List[Declaration] = []
         apply_block: Optional[Block] = None
-        while not self._check_punct("}"):
-            token = self._peek()
-            if token.is_keyword("apply"):
-                self._advance()
+        while not self._check("}"):
+            at = self._index
+            text = texts[at]
+            if text == "apply":
+                self._index = at + 1
                 apply_block = self._parse_block()
-            elif token.is_keyword("action"):
-                locals_.append(self._parse_action())
-            elif token.is_keyword("function"):
-                locals_.append(self._parse_function())
-            elif token.is_keyword("table"):
+            elif text == "action" or text == "function":
+                locals_.append(self._parse_function(action=text == "action"))
+            elif text == "table":
                 locals_.append(self._parse_table())
-            elif self._looks_like_type_start() or token.is_keyword("const"):
+            elif self._looks_like_type_start() or text == "const":
                 locals_.append(self._parse_var_decl(allow_const=True))
             else:
-                raise ParserError(
-                    f"unexpected token {token} inside control {name.text!r}",
-                    token.span,
-                )
-        close = self._expect_punct("}", f"to close control {name.text!r}")
+                raise self._error(at, f"unexpected token {self._show(at)} inside control {name!r}")
+        close = self._expect("}", f"to close control {name!r}")
         if apply_block is None:
             apply_block = Block((), span=self._between(close, close))
         return ControlDecl(
-            name.text,
+            name,
             tuple(params),
             tuple(locals_),
             apply_block,
             pc_label=pc_label,
-            span=self._between(keyword, close),
+            span=self._between(start, close),
         )
 
     def _parse_param_list(self) -> List[Param]:
         params: List[Param] = []
-        if self._check_punct(")"):
+        if self._check(")"):
             return params
         while True:
             params.append(self._parse_param())
-            if not self._match_punct(","):
+            if not self._match(","):
                 return params
 
     def _parse_param(self) -> Param:
-        start = self._peek()
-        direction = Direction.NONE
-        token = self._peek()
-        if token.is_keyword("in"):
-            direction = Direction.IN
-            self._advance()
-        elif token.is_keyword("out"):
-            direction = Direction.OUT
-            self._advance()
-        elif token.is_keyword("inout"):
-            direction = Direction.INOUT
-            self._advance()
+        start = self._index
+        direction = _DIRECTIONS.get(self._texts[start], Direction.NONE)
+        if direction is not Direction.NONE:
+            self._index += 1
         ty = self._parse_annotated_type()
         name = self._expect_ident("as a parameter name")
-        return Param(direction, name.text, ty, span=self._between(start, name))
+        return Param(direction, self._texts[name], ty, span=self._between(start, name))
 
     # ------------------------------------------------------------------ actions / functions
 
-    def _parse_action(self) -> FunctionDecl:
-        keyword = self._advance()
-        name = self._expect_ident("as the action name")
-        self._expect_punct("(", "after the action name")
-        params = self._parse_param_list()
-        self._expect_punct(")", "to close the action parameter list")
-        body = self._parse_block()
-        return FunctionDecl(
-            name.text,
-            tuple(params),
-            body,
-            return_type=None,
-            is_action=True,
-            span=self._from(keyword, body.span),
-        )
-
-    def _parse_function(self) -> FunctionDecl:
-        keyword = self._advance()
-        if self._check_keyword("void"):
-            self._advance()
-            return_type: Optional[AnnotatedType] = None
-        else:
+    def _parse_function(self, *, action: bool) -> FunctionDecl:
+        start = self._advance()
+        return_type: Optional[AnnotatedType] = None
+        if not action and not self._match("void"):
             return_type = self._parse_annotated_type()
-        name = self._expect_ident("as the function name")
-        self._expect_punct("(", "after the function name")
+        what = "action" if action else "function"
+        name = self._texts[self._expect_ident(f"as the {what} name")]
+        self._expect("(", f"after the {what} name")
         params = self._parse_param_list()
-        self._expect_punct(")", "to close the function parameter list")
+        self._expect(")", f"to close the {what} parameter list")
         body = self._parse_block()
         return FunctionDecl(
-            name.text,
+            name,
             tuple(params),
             body,
             return_type=return_type,
-            is_action=False,
-            span=self._from(keyword, body.span),
+            is_action=action,
+            span=self._from(start, body.span),
         )
 
     # ------------------------------------------------------------------ tables
 
     def _parse_table(self) -> TableDecl:
-        keyword = self._advance()
-        name = self._expect_ident("as the table name")
-        self._expect_punct("{", "to open the table body")
+        texts = self._texts
+        start = self._advance()
+        name = texts[self._expect_ident("as the table name")]
+        self._expect("{", "to open the table body")
         keys: List[TableKey] = []
         actions: List[ActionRef] = []
-        while not self._check_punct("}"):
-            token = self._peek()
-            if token.is_keyword("key"):
-                self._advance()
-                self._expect_punct("=", "after 'key'")
-                self._expect_punct("{", "to open the key list")
-                while not self._check_punct("}"):
+        while not self._check("}"):
+            at = self._index
+            if texts[at] == "key":
+                self._index = at + 1
+                self._expect("=", "after 'key'")
+                self._expect("{", "to open the key list")
+                while not self._check("}"):
                     key_expr = self.parse_expression()
-                    self._expect_punct(":", "between a key expression and its match kind")
+                    self._expect(":", "between a key expression and its match kind")
                     kind = self._expect_ident("as a match kind")
-                    self._match_punct(";")
+                    self._match(";")
                     keys.append(
-                        TableKey(key_expr, kind.text, span=self._upto(key_expr.span, kind))
+                        TableKey(key_expr, texts[kind], span=self._upto(key_expr.span, kind))
                     )
-                self._expect_punct("}", "to close the key list")
-                self._match_punct(";")
-            elif token.is_keyword("actions"):
-                self._advance()
-                self._expect_punct("=", "after 'actions'")
-                self._expect_punct("{", "to open the action list")
-                while not self._check_punct("}"):
+                self._expect("}", "to close the key list")
+                self._match(";")
+            elif texts[at] == "actions":
+                self._index = at + 1
+                self._expect("=", "after 'actions'")
+                self._expect("{", "to open the action list")
+                while not self._check("}"):
                     actions.append(self._parse_action_ref())
-                    if not (self._match_punct(";") or self._match_punct(",")):
+                    if not (self._match(";") or self._match(",")):
                         break
-                self._expect_punct("}", "to close the action list")
-                self._match_punct(";")
+                self._expect("}", "to close the action list")
+                self._match(";")
             else:
-                raise ParserError(
-                    f"unexpected token {token} inside table {name.text!r}; "
+                raise self._error(
+                    at,
+                    f"unexpected token {self._show(at)} inside table {name!r}; "
                     "expected 'key = {...}' or 'actions = {...}'",
-                    token.span,
                 )
-        close = self._expect_punct("}", f"to close table {name.text!r}")
-        self._match_punct(";")
-        return TableDecl(
-            name.text, tuple(keys), tuple(actions), span=self._between(keyword, close)
-        )
+        close = self._expect("}", f"to close table {name!r}")
+        self._match(";")
+        return TableDecl(name, tuple(keys), tuple(actions), span=self._between(start, close))
 
     def _parse_action_ref(self) -> ActionRef:
         name = self._expect_ident("as an action reference")
         arguments: List[Expression] = []
         span = self._between(name, name)
-        if self._match_punct("("):
-            if not self._check_punct(")"):
+        if self._match("("):
+            if not self._check(")"):
                 while True:
                     arguments.append(self.parse_expression())
-                    if not self._match_punct(","):
+                    if not self._match(","):
                         break
-            close = self._expect_punct(")", "to close action arguments")
+            close = self._expect(")", "to close action arguments")
             span = self._between(name, close)
-        return ActionRef(name.text, tuple(arguments), span=span)
+        return ActionRef(self._texts[name], tuple(arguments), span=span)
 
     # ------------------------------------------------------------------ variable declarations
 
     def _parse_var_decl(self, *, allow_const: bool = False) -> VarDecl:
-        start = self._peek()
-        if allow_const and self._check_keyword("const"):
-            self._advance()
+        start = self._index
+        if allow_const:
+            self._match("const")
         ty = self._parse_annotated_type()
         name = self._expect_ident("as a variable name")
         init: Optional[Expression] = None
-        if self._match_punct("="):
+        if self._match("="):
             init = self.parse_expression()
-        semi = self._expect_punct(";", "after a variable declaration")
-        return VarDecl(ty, name.text, init, span=self._between(start, semi))
+        semi = self._expect(";", "after a variable declaration")
+        return VarDecl(ty, self._texts[name], init, span=self._between(start, semi))
 
     def _looks_like_type_start(self) -> bool:
         """Decide whether the upcoming tokens begin a (possibly annotated) type.
@@ -496,60 +473,52 @@ class Parser:
         stack-typed variable, ``h_t[2][3] y``).  The type parser itself
         caps the suffix count (:data:`MAX_TYPE_DEPTH`).
         """
-        token = self._peek()
-        if token.is_punct("<"):
+        texts, kinds = self._texts, self._kinds
+        at = self._index
+        if texts[at] == "<" or texts[at] in _TYPE_KEYWORDS:
             return True
-        if token.kind is TokenKind.KEYWORD and token.text in _TYPE_KEYWORDS:
-            return True
-        if token.kind is not TokenKind.IDENT:
+        if kinds[at] is not TokenKind.IDENT:
             return False
-        nxt = self._peek(1)
-        if nxt.kind is TokenKind.IDENT:
-            return True
-        ahead = 1
+        ahead = at + 1
         # Each lookahead follows a non-EOF token, so it stays in bounds.
-        while (
-            nxt.is_punct("[")
-            and self._peek(ahead + 1).kind is TokenKind.INT
-            and self._peek(ahead + 2).is_punct("]")
-        ):
+        while texts[ahead] == "[" and kinds[ahead + 1] is TokenKind.INT and texts[ahead + 2] == "]":
             ahead += 3
-            nxt = self._peek(ahead)
-        return ahead > 1 and nxt.kind is TokenKind.IDENT
+        return kinds[ahead] is TokenKind.IDENT
 
     # ------------------------------------------------------------------ statements
 
     def _parse_block(self) -> Block:
-        open_brace = self._expect_punct("{", "to open a block")
+        open_brace = self._expect("{", "to open a block")
         self._nest(open_brace)
         statements: List[Statement] = []
-        while not self._check_punct("}"):
+        while not self._check("}"):
             statements.append(self._parse_statement())
         self._depth -= 1
-        close = self._expect_punct("}", "to close a block")
+        close = self._expect("}", "to close a block")
         return Block(tuple(statements), span=self._between(open_brace, close))
 
     def _parse_statement(self) -> Statement:
-        token = self._peek()
-        if token.is_punct("{"):
+        at = self._index
+        text = self._texts[at]
+        if text == "{":
             return self._parse_block()
-        self._nest(token)
+        self._nest(at)
         try:
-            if token.is_keyword("if"):
+            if text == "if":
                 return self._parse_if()
-            if token.is_keyword("exit"):
-                self._advance()
-                semi = self._expect_punct(";", "after 'exit'")
-                return Exit(span=self._between(token, semi))
-            if token.is_keyword("return"):
-                self._advance()
-                if self._check_punct(";"):
+            if text == "exit":
+                self._index = at + 1
+                semi = self._expect(";", "after 'exit'")
+                return Exit(span=self._between(at, semi))
+            if text == "return":
+                self._index = at + 1
+                if self._check(";"):
                     semi = self._advance()
-                    return Return(None, span=self._between(token, semi))
+                    return Return(None, span=self._between(at, semi))
                 value = self.parse_expression()
-                semi = self._expect_punct(";", "after a return value")
-                return Return(value, span=self._between(token, semi))
-            if self._looks_like_type_start() or token.is_keyword("const"):
+                semi = self._expect(";", "after a return value")
+                return Return(value, span=self._between(at, semi))
+            if self._looks_like_type_start() or text == "const":
                 decl = self._parse_var_decl(allow_const=True)
                 return VarDeclStmt(decl, span=decl.span)
             return self._parse_expression_statement()
@@ -557,15 +526,14 @@ class Parser:
             self._depth -= 1
 
     def _parse_if(self) -> If:
-        keyword = self._advance()
-        self._expect_punct("(", "after 'if'")
+        start = self._advance()
+        self._expect("(", "after 'if'")
         condition = self.parse_expression()
-        self._expect_punct(")", "to close the if condition")
+        self._expect(")", "to close the if condition")
         then_branch = self._parse_block()
         else_branch = Block((), span=then_branch.span)
-        if self._check_keyword("else"):
-            self._advance()
-            if self._check_keyword("if"):
+        if self._match("else"):
+            if self._check("if"):
                 self._depth += 1  # the block ``else if`` implies
                 nested = self._parse_statement()
                 self._depth -= 1
@@ -576,16 +544,16 @@ class Parser:
             condition,
             then_branch,
             else_branch,
-            span=self._from(keyword, else_branch.span),
+            span=self._from(start, else_branch.span),
         )
 
     def _parse_expression_statement(self) -> Statement:
         expr = self.parse_expression()
-        if self._match_punct("="):
+        if self._match("="):
             value = self.parse_expression()
-            semi = self._expect_punct(";", "after an assignment")
+            semi = self._expect(";", "after an assignment")
             return Assign(expr, value, span=self._upto(expr.span, semi))
-        semi = self._expect_punct(";", "after an expression statement")
+        semi = self._expect(";", "after an expression statement")
         if isinstance(expr, Call):
             return CallStmt(expr, span=self._upto(expr.span, semi))
         raise ParserError(
@@ -613,171 +581,163 @@ class Parser:
     def _parse_binary(self, min_level: int) -> Tuple[Expression, int]:
         """Precedence climbing over operators binding at ``min_level`` or tighter."""
         left, height = self._parse_operand()
-        tokens = self._tokens
+        texts = self._texts
         while True:
-            op = tokens[self._index]
+            at = self._index
+            op = texts[at]
             # Only punctuation tokens can spell an operator.
-            level = _BINARY_LEVEL.get(op.text)
+            level = _BINARY_LEVEL.get(op)
             if level is None or level < min_level:
                 return left, height
-            self._index += 1
-            self._nest(op)
+            self._index = at + 1
+            self._nest(at)
             right, right_height = self._parse_binary(level + 1)
             self._depth -= 1
-            left = BinaryOp(op.text, left, right, span=_cover(left.span, right.span))
+            left = BinaryOp(op, left, right, span=_cover(left.span, right.span))
             height = 1 + max(height, right_height)
 
     def _parse_operand(self) -> Tuple[Expression, int]:
         """Prefix operators, a primary, then field selectors, indices and calls."""
-        tokens = self._tokens
-        token = tokens[self._index]
-        prefix: List[Token] = []
-        while token.text in _UNARY_OPERATORS:
-            self._nest(token)
-            prefix.append(token)
-            self._index += 1
-            token = tokens[self._index]
+        texts, kinds = self._texts, self._kinds
+        at = self._index
+        prefix: List[int] = []
+        while texts[at] in _UNARY_OPERATORS:
+            self._nest(at)
+            prefix.append(at)
+            at += 1
+        self._index = at + 1
 
         expr: Expression
-        kind, text = token.kind, token.text
+        kind, text = kinds[at], texts[at]
         if kind is TokenKind.IDENT:
-            self._index += 1
-            expr, height = Var(text, span=self._between(token, token)), 1
+            expr, height = Var(text, span=self._between(at, at)), 1
         elif kind is TokenKind.INT:
-            self._index += 1
-            expr, height = IntLiteral(token.value or 0, token.width, span=self._between(token, token)), 1
-        elif token.is_keyword("true") or token.is_keyword("false"):
-            self._index += 1
-            expr, height = BoolLiteral(text == "true", span=self._between(token, token)), 1
-        elif token.is_punct("("):
-            self._index += 1
-            self._nest(token)
+            value, width = self._values[text]
+            expr, height = IntLiteral(value, width, span=self._between(at, at)), 1
+        elif text == "true" or text == "false":
+            expr, height = BoolLiteral(text == "true", span=self._between(at, at)), 1
+        elif text == "(":
+            self._nest(at)
             expr, height = self._parse_binary(0)
             self._depth -= 1
-            self._expect_punct(")", "to close a parenthesised expression")
+            self._expect(")", "to close a parenthesised expression")
             height += 1
-        elif token.is_punct("{"):
-            self._index += 1
-            self._nest(token)
+        elif text == "{":
+            self._nest(at)
             fields: List[Tuple[str, Expression]] = []
             height = 0
-            while not self._check_punct("}"):
+            while not self._check("}"):
                 name = self._expect_ident("as a record field name")
-                self._expect_punct("=", "after a record field name")
+                self._expect("=", "after a record field name")
                 value, value_height = self._parse_binary(0)
-                fields.append((name.text, value))
+                fields.append((texts[name], value))
                 height = max(height, value_height)
-                if not self._match_punct(","):
+                if not self._match(","):
                     break
             self._depth -= 1
-            close = self._expect_punct("}", "to close a record literal")
-            expr, height = RecordLiteral(tuple(fields), span=self._between(token, close)), height + 1
+            close = self._expect("}", "to close a record literal")
+            expr, height = RecordLiteral(tuple(fields), span=self._between(at, close)), height + 1
         else:
-            raise ParserError(f"expected an expression, found {token}", token.span)
+            raise self._error(at, f"expected an expression, found {self._show(at)}")
 
         while True:
-            token = tokens[self._index]
-            if token.is_punct(".") and tokens[self._index + 1].is_keyword("apply"):
+            at = self._index
+            text = texts[at]
+            if text == "." and texts[at + 1] == "apply":
                 # table application t.apply(...) desugars to t(...)
-                self._index += 2
-                token = self._peek()
-                if not token.is_punct("("):
-                    raise ParserError(f"expected '(' after '.apply', found {token}", token.span)
-            if token.is_punct("("):
-                self._index += 1
-                self._nest(token)
+                self._index = at = at + 2
+                text = texts[at]
+                if text != "(":
+                    raise self._error(at, f"expected '(' after '.apply', found {self._show(at)}")
+            if text == "(":
+                self._index = at + 1
+                self._nest(at)
                 arguments: List[Expression] = []
                 inner = 0
-                if not self._check_punct(")"):
+                if not self._check(")"):
                     while True:
                         argument, argument_height = self._parse_binary(0)
                         arguments.append(argument)
                         inner = max(inner, argument_height)
-                        if not self._match_punct(","):
+                        if not self._match(","):
                             break
                 self._depth -= 1
-                close = self._expect_punct(")", "to close a call")
+                close = self._expect(")", "to close a call")
                 expr = Call(expr, tuple(arguments), span=self._upto(expr.span, close))
                 height = 1 + max(height, inner)
-            elif token.is_punct("."):
-                field = tokens[self._index + 1]
-                if field.kind is not TokenKind.IDENT:
-                    raise ParserError(f"expected a field name after '.', found {field}", field.span)
-                self._index += 2
-                expr = FieldAccess(expr, field.text, span=self._upto(expr.span, field))
+            elif text == ".":
+                field = at + 1
+                if kinds[field] is not TokenKind.IDENT:
+                    raise self._error(
+                        field, f"expected a field name after '.', found {self._show(field)}"
+                    )
+                self._index = at + 2
+                expr = FieldAccess(expr, texts[field], span=self._upto(expr.span, field))
                 height += 1
-            elif token.is_punct("["):
-                self._index += 1
-                self._nest(token)
+            elif text == "[":
+                self._index = at + 1
+                self._nest(at)
                 index, index_height = self._parse_binary(0)
                 self._depth -= 1
-                close = self._expect_punct("]", "to close an index expression")
+                close = self._expect("]", "to close an index expression")
                 expr = Index(expr, index, span=self._upto(expr.span, close))
                 height = 1 + max(height, index_height)
             else:
                 break
 
-        for token in reversed(prefix):
-            expr = UnaryOp(token.text, expr, span=self._from(token, expr.span))
+        for at in reversed(prefix):
+            expr = UnaryOp(texts[at], expr, span=self._from(at, expr.span))
         self._depth -= len(prefix)
         return expr, height + len(prefix)
 
     # ------------------------------------------------------------------ types
 
     def _parse_annotated_type(self) -> AnnotatedType:
-        token = self._peek()
-        if token.is_punct("<"):
-            open_angle = self._advance()
+        start = self._index
+        if self._match("<"):
             inner = self._parse_type()
-            self._expect_punct(",", "between a type and its security label")
+            self._expect(",", "between a type and its security label")
             label = self._parse_label_text(">")
-            close = self._expect_punct(">", "to close a security annotation")
-            return AnnotatedType(inner, label, span=self._between(open_angle, close))
+            close = self._expect(">", "to close a security annotation")
+            return AnnotatedType(inner, label, span=self._between(start, close))
         ty = self._parse_type()
         # Span the whole type, not just its first token: ``bit<8>`` and
         # ``ipv4_t[4]`` span through the last consumed token, so SARIF
         # regions cover the full type expression.
-        last = self._tokens[self._index - 1]
-        return AnnotatedType(ty, None, span=self._between(token, last))
+        return AnnotatedType(ty, None, span=self._between(start, self._index - 1))
 
     def _parse_type(self) -> Type:
-        token = self._peek()
+        texts, kinds = self._texts, self._kinds
+        at = self._index
+        text = texts[at]
         base: Type
-        if token.is_keyword("bit"):
-            self._advance()
-            self._expect_punct("<", "after 'bit'")
-            width = self._peek()
-            if width.kind is not TokenKind.INT:
-                raise ParserError("expected a bit width", width.span)
-            self._advance()
-            self._expect_punct(">", "to close 'bit<...>'")
-            base = BitType(width.value or 0)
-        elif token.is_keyword("bool"):
-            self._advance()
-            base = BoolType()
-        elif token.is_keyword("int"):
-            self._advance()
-            base = IntType()
-        elif token.is_keyword("void"):
-            self._advance()
-            base = UnitType()
-        elif token.kind is TokenKind.IDENT:
-            self._advance()
-            base = TypeName(token.text)
+        if text == "bit":
+            self._index = at + 1
+            self._expect("<", "after 'bit'")
+            width = self._index
+            if kinds[width] is not TokenKind.INT:
+                raise self._error(width, "expected a bit width")
+            self._index = width + 1
+            self._expect(">", "to close 'bit<...>'")
+            base = BitType(self._values[texts[width]][0])
+        elif text in _BASE_TYPES:
+            self._index = at + 1
+            base = _BASE_TYPES[text]()
+        elif kinds[at] is TokenKind.IDENT:
+            self._index = at + 1
+            base = TypeName(text)
         else:
-            raise ParserError(f"expected a type, found {token}", token.span)
+            raise self._error(at, f"expected a type, found {self._show(at)}")
         # header stacks / arrays: τ[n]
         stacks = 0
-        while self._check_punct("[") and self._peek(1).kind is TokenKind.INT:
-            bracket = self._advance()
+        while texts[self._index] == "[" and kinds[self._index + 1] is TokenKind.INT:
+            bracket = self._index
             stacks += 1
             if stacks > MAX_TYPE_DEPTH:
-                raise ParserError(
-                    f"type nesting deeper than {MAX_TYPE_DEPTH} levels", bracket.span
-                )
-            size = self._advance()
-            self._expect_punct("]", "to close a stack type")
-            base = StackType(AnnotatedType(base, None), size.value or 0)
+                raise self._error(bracket, f"type nesting deeper than {MAX_TYPE_DEPTH} levels")
+            self._index = bracket + 2
+            self._expect("]", "to close a stack type")
+            base = StackType(AnnotatedType(base, None), self._values[texts[bracket + 1]][0])
         return base
 
     def _parse_label_text(self, closing: str) -> str:
@@ -787,26 +747,28 @@ class Parser:
         a brace-enclosed principal set (``{alice, bob}``) or a parenthesised
         pair for product lattices.
         """
-        parts: List[str] = []
+        texts, kinds = self._texts, self._kinds
+        at = self._index
         depth = 0
         while True:
-            token = self._peek()
-            if token.kind is TokenKind.EOF:
-                raise ParserError("unterminated security label", token.span)
-            if depth == 0 and token.is_punct(closing):
+            if kinds[at] is TokenKind.EOF:
+                raise self._error(at, "unterminated security label")
+            text = texts[at]
+            if depth == 0 and text == closing:
                 break
-            if token.kind is TokenKind.PUNCT and token.text in "({":
+            if text == "(" or text == "{":
                 depth += 1
-            elif token.kind is TokenKind.PUNCT and token.text in ")}":
+            elif text == ")" or text == "}":
                 depth -= 1
-            parts.append(token.text)
-            self._advance()
-        text = "".join(
+            at += 1
+        parts = texts[self._index : at]
+        self._index = at
+        label = "".join(
             part if part in ",(){}" else (" " + part) for part in parts
         ).replace("( ", "(").replace("{ ", "{").strip()
-        if not text:
-            raise ParserError("empty security label", self._peek().span)
-        return text
+        if not label:
+            raise self._error(at, "empty security label")
+        return label
 
 
 class ParseIndex:
@@ -894,9 +856,9 @@ def _parse(
     recorder = current_recorder()
     lines = LineTable(source, filename)
     with recorder.span("parse.lex"):
-        tokens, offsets = scan(lines, start, stop)
+        columns = scan(lines, start, stop)
     with recorder.span("parse.descend"):
-        units = Parser(tokens, offsets).parse_units()
+        units = Parser(lines, *columns).parse_units()
     reparsed = len(units)
     if head or tail:
         kept = len(index.units) - tail
@@ -1019,9 +981,10 @@ def _common_prefix(a: str, b: str, limit: int) -> int:
 
 def parse_expression(source: str, filename: str = "<expr>") -> Expression:
     """Parse a standalone expression (used by tests and builders)."""
-    parser = Parser(*scan(LineTable(source, filename), 0, len(source)))
+    lines = LineTable(source, filename)
+    parser = Parser(lines, *scan(lines, 0, len(source)))
     expr = parser.parse_expression()
-    trailing = parser._peek()
-    if trailing.kind is not TokenKind.EOF:
-        raise ParserError(f"unexpected trailing token {trailing}", trailing.span)
+    if not parser._at_end():
+        at = parser._index
+        raise parser._error(at, f"unexpected trailing token {parser._show(at)}")
     return expr

@@ -76,6 +76,10 @@ class UnitState:
 
     node: Unit
     declared: Tuple[str, ...]
+    #: The node came from a program the workspace adopted rather than
+    #: parsed, so its anchor is shared with whoever parsed it and is never
+    #: re-based: a re-parsed unit does not match it by fingerprint.
+    adopted: bool = False
     #: The rest of the diff's view of the unit is ``None`` while the
     #: first plan that made the state deferred it (:func:`settle_states`).
     fingerprint: Optional[str] = None
@@ -227,14 +231,18 @@ def settle_states(states: List[UnitState]) -> None:
         state.declarers = indices
 
 
-def diff_program(old_states: List[UnitState], program: Program) -> List[UnitPlan]:
+def diff_program(
+    old_states: List[UnitState], program: Program, *, adopted: bool = False
+) -> List[UnitPlan]:
     """Diff ``program`` against the cached ``old_states``.
 
     Returns one :class:`UnitPlan` per unit of the new revision, in walk
     order.  Matched units *reuse the old state object* (and with it the
     old AST nodes, whose identities anchor cached label variables); those
     matched by fingerprint are re-based onto the re-parsed unit's anchor.
-    Old states that no new unit claims are dropped --
+    A state whose node was ``adopted`` -- parsed by someone else -- is
+    matched only by identity, so no anchor outside the workspace's own
+    parses is ever re-based.  Old states that no new unit claims are dropped --
     their annotation sites disappear from the registry once the walk's
     touch union is recomputed.
 
@@ -245,7 +253,7 @@ def diff_program(old_states: List[UnitState], program: Program) -> List[UnitPlan
     units = program_units(program)
     if not old_states:
         return [
-            UnitPlan(UnitState(node=unit, declared=declared_names(unit)), dirty=True)
+            UnitPlan(UnitState(node=unit, declared=declared_names(unit), adopted=adopted), dirty=True)
             for unit in units
         ]
     settle_states(old_states)
@@ -257,7 +265,7 @@ def diff_program(old_states: List[UnitState], program: Program) -> List[UnitPlan
     claimed = {id(state) for state in matches if state is not None}
     pool: Dict[str, List[UnitState]] = {}
     for state in old_states:
-        if id(state) not in claimed:
+        if id(state) not in claimed and not state.adopted:
             pool.setdefault(state.fingerprint, []).append(state)
 
     # Match (and re-base) the rest by fingerprint, so reference sets of
@@ -296,6 +304,7 @@ def diff_program(old_states: List[UnitState], program: Program) -> List[UnitPlan
             fingerprint=fingerprints[index],
             declared=declared_names(unit),
             referenced=referenced[index],
+            adopted=adopted,
         )
         for index, (unit, old) in enumerate(zip(units, matches))
     ]

@@ -88,7 +88,7 @@ class IncrementalGenerator:
 
     # ------------------------------------------------------------------ plan
 
-    def plan(self, program: Program) -> Program:
+    def plan(self, program: Program, *, adopted: bool = False) -> Program:
         """Diff ``program`` against the cached unit states and settle them.
 
         Every cache of a *dirty* unit is dropped here -- its generated
@@ -96,11 +96,14 @@ class IncrementalGenerator:
         so a later phase, whichever revision it first runs at, re-walks
         exactly the units still lacking products.
 
+        ``adopted``: ``program`` was parsed outside the workspace, so its
+        nodes' anchors must never be re-based (:func:`diff_program`).
+
         Returns the assembled revision: the states' nodes in unit order,
         which every later phase must see.
         """
         first = not self.units
-        plans = diff_program(self.units, program)
+        plans = diff_program(self.units, program, adopted=adopted)
         self.units = [plan.state for plan in plans]
         moved = 0
         for plan in plans:

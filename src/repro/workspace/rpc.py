@@ -177,6 +177,16 @@ class WorkspaceServer:
             )
         return value
 
+    @staticmethod
+    def _optional(params: Dict[str, Any], key: str, kind, default):
+        """``params[key]``, or ``default`` when it is absent or null."""
+        value = params.get(key)
+        if value is None:
+            return default
+        if not isinstance(value, kind):
+            raise _RpcError(INVALID_PARAMS, f"malformed {key!r} parameter")
+        return value
+
     # ------------------------------------------------------------------ methods
 
     def _ping(self, params: Dict[str, Any]) -> Dict[str, Any]:
@@ -184,10 +194,9 @@ class WorkspaceServer:
 
     def _open(self, params: Dict[str, Any]) -> Dict[str, Any]:
         source = self._require(params, "source")
-        filename = params.get("filename") or "<rpc>"
-        parsed = self.workspace.open(
-            source, filename=filename, name=params.get("name")
-        )
+        filename = self._optional(params, "filename", str, "") or "<rpc>"
+        name = self._optional(params, "name", str, None)
+        parsed = self.workspace.open(source, filename=filename, name=name)
         return {
             "parsed": parsed,
             "revision": self.workspace.revision,
@@ -206,11 +215,12 @@ class WorkspaceServer:
     def _check(self, params: Dict[str, Any]) -> Dict[str, Any]:
         from repro.tool.report import report_to_dict
 
+        flag = self._optional
         report = self.workspace.check(
-            include_ifc=bool(params.get("include_ifc", True)),
-            infer=bool(params.get("infer", False)),
-            lint=bool(params.get("lint", False)),
-            explain_released_flows=bool(params.get("explain_flows", False)),
+            include_ifc=flag(params, "include_ifc", bool, True),
+            infer=flag(params, "infer", bool, False),
+            lint=flag(params, "lint", bool, False),
+            explain_released_flows=flag(params, "explain_flows", bool, False),
         )
         payload = report_to_dict(report)
         payload["revision"] = self.workspace.revision

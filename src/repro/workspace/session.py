@@ -299,7 +299,8 @@ class Workspace:
         """
         program = self._require_program()
         if self._planned_rev != self.revision:
-            assembled = self._generator.plan(program)
+            # A revision without source text is a program the caller parsed.
+            assembled = self._generator.plan(program, adopted=self.source is None)
             self._parse_index.relink(program, assembled)
             self.program = program = assembled
             self._planned_rev = self.revision

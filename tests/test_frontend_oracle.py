@@ -13,8 +13,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from lexer_oracle import BINARY_PRECEDENCE, oracle_parse_expression, oracle_tokenize
 from repro.frontend.errors import FrontendError, LexerError
-from repro.frontend.lexer import tokenize
+from repro.frontend.lexer import TokenKind, scan, tokenize
 from repro.frontend.parser import parse_expression
+from repro.syntax.source import LineTable
 
 #: Characters on which regex classes and ``str`` predicates can disagree:
 #: ``½`` is alphanumeric but neither alpha nor digit, ``²`` a digit
@@ -52,6 +53,88 @@ def test_lexer_matches_oracle_on_edge_cases(source):
 @example("hdr.x = 8w255; /* a\nb */ if (½) {}")
 def test_lexer_matches_oracle(source):
     assert lex_outcome(tokenize, source) == lex_outcome(oracle_tokenize, source)
+
+
+#: Pieces of sources the lexer accepts on their own; joined without
+#: separators they may merge into other tokens, or fail to lex.
+LEXABLE = [
+    "hdr", "x_1", "apply", "bit", "8w255", "0x1F", "1_000", "42", "<<", ">>", "<=", "&&",
+    "||", "==", "!=", "<", ">", "/", "*", "=", ".", ";", "{", "}", "?", "@",
+    " ", "  ", "\n", "\t", "\r\n", "// line\n", "// tail", "/* block\n */", "/**/",
+]
+
+
+def scanned(lines, pos, stop):
+    """``scan``'s columns as one ``(text, kind, start, end, value)`` per token."""
+    texts, kinds, offsets, values = scan(lines, pos, stop)
+    return [
+        (texts[i], kinds[i], offsets[2 * i], offsets[2 * i + 1], values.get(texts[i]))
+        for i in range(len(texts))
+    ]
+
+
+@given(st.lists(st.sampled_from(LEXABLE), max_size=24).map("".join), st.data())
+@settings(max_examples=400, deadline=None)
+def test_a_region_lexes_as_the_slice_of_the_whole(source, data):
+    """``scan`` over ``[pos, stop)``, both token boundaries of the whole
+    source, gives the whole lex's tokens that start in the region and EOF
+    at ``stop``; it fails exactly when a token or trivia runs past
+    ``stop``, that is when no token of the whole lex starts there, with
+    an error located at ``stop``."""
+    lines = LineTable(source, "f.p4")
+    try:
+        whole = scanned(lines, 0, len(source))
+    except LexerError:
+        return
+    starts = {start for _, kind, start, _, _ in whole}
+    boundaries = sorted(starts | {end for _, _, _, end, _ in whole} | {0})
+    pos = data.draw(st.sampled_from(boundaries))
+    stop = data.draw(st.sampled_from([b for b in boundaries if b >= pos]))
+    if stop not in starts:
+        with pytest.raises(LexerError) as info:
+            scan(lines, pos, stop)
+        assert info.value.message == "a token runs past the end of the region"
+        assert (info.value.span.start, info.value.span.end) == (lines.position(stop),) * 2
+        return
+    expected = [token for token in whole[:-1] if pos <= token[2] < stop]
+    assert scanned(lines, pos, stop) == expected + [("", TokenKind.EOF, stop, stop, None)]
+
+
+@pytest.mark.parametrize(
+    "source, pos, stop, expected",
+    [
+        ("abc def", 0, 2, ("a token runs past the end of the region", "1:3-1:3")),
+        ("8wx1 y", 0, 2, ("malformed literal '8wx1'", "1:1-1:5")),
+        ("a 8w2", 0, 4, ("a token runs past the end of the region", "1:5-1:5")),
+        ("a/* c */b", 0, 2, ("a token runs past the end of the region", "1:3-1:3")),
+        ("a/* c */b", 0, 1, ("a token runs past the end of the region", "1:2-1:2")),
+        ("a // c\nb", 0, 3, ("a token runs past the end of the region", "1:4-1:4")),
+        ("a /* never", 0, 4, ("unterminated block comment", "1:3-1:5")),
+        ("a /* c */ b", 0, 4, ("a token runs past the end of the region", "1:5-1:5")),
+        ("a << b", 0, 3, ("a token runs past the end of the region", "1:4-1:4")),
+        ("a $ b", 0, 3, ("unexpected character '$'", "1:3-1:3")),
+        ("x½y", 0, 2, ("a token runs past the end of the region", "1:3-1:3")),
+        ("½x", 0, 1, ("unexpected character '½'", "1:1-1:1")),
+        ("a /", 0, 3, [("a", 0, 1), ("/", 2, 3), ("", 3, 3)]),
+        ("a b", 1, 3, [("b", 2, 3), ("", 3, 3)]),
+        ("a b", 2, 2, [("", 2, 2)]),
+        ("a b", 1, 1, ("a token runs past the end of the region", "1:2-1:2")),
+        ("a /*x*/ /* y", 2, 12, ("unterminated block comment", "1:9-1:13")),
+        ("a\n/*\n*/b", 0, 4, ("a token runs past the end of the region", "2:3-2:3")),
+        ("1 ²", 0, 3, ("malformed literal '²'", "1:3-1:4")),
+        ("a\fb", 0, 3, ("unexpected character '\\x0c'", "1:2-1:2")),
+        ("a b ", 0, 4, [("a", 0, 1), ("b", 2, 3), ("", 4, 4)]),
+        ("a //", 0, 3, ("a token runs past the end of the region", "1:4-1:4")),
+    ],
+)
+def test_a_region_that_cuts_a_token_or_trivia(source, pos, stop, expected):
+    """Regions whose ends are no token boundaries: the outcome the
+    token-at-a-time lexer gave, error or tokens, is kept."""
+    try:
+        outcome = [(text, start, end) for text, _, start, end, _ in scanned(LineTable(source, "r.p4"), pos, stop)]
+    except LexerError as exc:
+        outcome = (exc.message, f"{exc.span.start}-{exc.span.end}")
+    assert outcome == expected
 
 
 #: All 18 binary operators of the seed grammar.

@@ -364,3 +364,96 @@ class TestParserErrors:
             assert exc.span.start.line == 1
         else:  # pragma: no cover
             pytest.fail("expected a parse error")
+
+
+# ---------------------------------------------------------------- mutation corpus
+#
+# Every case study (secure, insecure and body-stripped) and every synthetic
+# program of the ``cold_check`` corpus, with every ``MUTATION_STRIDE``-th
+# token deleted or duplicated.  Each outcome -- the error's class, message
+# and rendered span, or the SHA-256 of the parsed program's ``repr``, which
+# renders every span -- must match ``parse_mutations.json`` byte for byte.  Regenerate the fixture only for a deliberate change of the
+# parser's output:
+#
+#     PYTHONPATH=src python -c "import sys; sys.path.insert(0, 'tests'); \
+#         import test_parser; test_parser.write_mutation_fixture()"
+
+import hashlib
+import json
+from pathlib import Path
+
+from repro.frontend.errors import FrontendError
+from repro.frontend.lexer import tokenize
+
+MUTATION_STRIDE = 31
+MUTATION_FIXTURE = Path(__file__).with_name("parse_mutations.json")
+
+
+def mutation_corpus():
+    """``(name, source)`` of every program of the ``cold_check`` corpus."""
+    from repro.casestudies import all_case_studies
+    from repro.casestudies.base import strip_body_annotations
+    from repro.synth.programs import (
+        chain_pipeline_program,
+        deep_dataflow_program,
+        scc_cycle_program,
+        sharded_dataflow_program,
+        wide_table_program,
+    )
+
+    corpus = []
+    for study in all_case_studies():
+        corpus.append((f"{study.name}-secure", study.secure_source))
+        corpus.append((f"{study.name}-insecure", study.insecure_source))
+        corpus.append((f"{study.name}-stripped", strip_body_annotations(study.secure_source)))
+    corpus.append(("deep-2x40", deep_dataflow_program(40, chains=2)))
+    corpus.append(("deep-low-sink", deep_dataflow_program(80, sink_level="low")))
+    corpus.append(("scc-rings", scc_cycle_program(25, 3)))
+    corpus.append((
+        "wide-insecure",
+        wide_table_program(tables=8, actions_per_table=4, keys_per_table=2, secure=False, seed=7),
+    ))
+    corpus.append(("chain-16", chain_pipeline_program([f"L{i}" for i in range(16)], rounds=6)))
+    corpus.append(("sharded-diamond", sharded_dataflow_program(6, depth=15, source_level="A")))
+    return corpus
+
+
+def _outcome(source, filename):
+    try:
+        program = parse_program(source, filename)
+    except FrontendError as exc:
+        span = exc.span
+        return [type(exc).__name__, exc.message, f"{span.filename}:{span.start}-{span.end}"]
+    return hashlib.sha256(repr(program).encode()).hexdigest()
+
+
+def mutation_outcomes(name, source):
+    """``[token index, "delete" | "duplicate", outcome]`` per mutation."""
+    tokens = tokenize(source)[:-1]
+    outcomes = []
+    for at in range(0, len(tokens), MUTATION_STRIDE):
+        start = tokens[at].offset
+        end = start + len(tokens[at].text)
+        for edit, mutated in (
+            ("delete", source[:start] + source[end:]),
+            ("duplicate", source[:end] + " " + source[start:]),
+        ):
+            outcomes.append([at, edit, _outcome(mutated, f"{name}.p4")])
+    return outcomes
+
+
+def write_mutation_fixture():
+    """Record the current parser's outcomes, one mutation a line."""
+    programs = [
+        f"{json.dumps(name)}: [\n"
+        + ",\n".join(json.dumps(outcome) for outcome in mutation_outcomes(name, source))
+        + "\n]"
+        for name, source in mutation_corpus()
+    ]
+    MUTATION_FIXTURE.write_text("{\n" + ",\n".join(programs) + "\n}\n")
+
+
+@pytest.mark.parametrize("name, source", mutation_corpus(), ids=lambda value: value[:24])
+def test_mutated_programs_parse_as_recorded(name, source):
+    expected = json.loads(MUTATION_FIXTURE.read_text())[name]
+    assert mutation_outcomes(name, source) == expected

@@ -445,22 +445,27 @@ class TestIncrementalParse:
         assert workspace.edit(source)
         assert workspace.stats()["parse"] == {"units_reused": 0, "units_reparsed": 12}
 
-    def test_units_another_workspace_rebased_are_reparsed(self):
+    def test_a_workspace_never_rebases_units_it_adopted(self):
         # Wide gaps, so that stale offsets would still fall on whitespace.
         source = sharded_dataflow_program(4, depth=3, source_level="low") + "\n" * 20
         first = Workspace()
         assert first.open(source, filename="<input>")
         first.check(infer=True)
-        # A second workspace adopts the first one's nodes, then re-bases
-        # them onto a revision of its own.
+        before = _snapshot(first)
+        # A second workspace adopts the first one's nodes, then edits a
+        # revision of its own with five lines inserted above them.
         second = Workspace()
         second.open_program(first.program)
         second.check(infer=True)
         assert second.edit("\n" * 5 + source)
-        second.check(infer=True)
+        assert "<workspace>:8:5" in str(report_to_dict(second.check(infer=True)))
+        # The first workspace still renders its own revision.
+        rendered = str(report_to_dict(first.check(infer=True)))
+        assert "<input>:3:5" in rendered and "<workspace>" not in rendered
+        assert _snapshot(first) == before
         edited = source + "\n"
         assert first.edit(edited)
-        assert first.stats()["parse"] == {"units_reused": 0, "units_reparsed": 12}
+        assert first.stats()["parse"] == {"units_reused": 12, "units_reparsed": 0}
         assert _snapshot(first) == _cold_snapshot(edited)
 
     def test_edits_retain_nothing(self):

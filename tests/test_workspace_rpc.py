@@ -489,6 +489,30 @@ class TestServedAnswers:
             assert _verdict(result_of(server, "check", {"infer": True})) == before
         assert result_of(server, "stats")["revision"] == 1
 
+    def test_loosely_typed_parameters_are_invalid(self):
+        """A parameter of the wrong type is ``-32602``, not coerced or
+        echoed, and the session still answers from its revision."""
+        server = WorkspaceServer()
+        result_of(server, "open", {"source": LEAKY, "filename": "<input>"})
+        before = _verdict(result_of(server, "check", {"infer": True}))
+        probes = [
+            ("open", {"source": SECURE, "filename": 5}),
+            ("open", {"source": SECURE, "name": ["n"]}),
+            ("check", {"infer": "yes"}),
+            ("check", {"include_ifc": 0}),
+            ("check", {"lint": "no"}),
+            ("check", {"explain_flows": {}}),
+        ]
+        for method, params in probes:
+            response = call(server, method, params)
+            assert response["error"]["code"] == INVALID_PARAMS, (method, params)
+            assert _verdict(result_of(server, "check", {"infer": True})) == before
+        assert result_of(server, "stats")["revision"] == 1
+        # Absent and null still take the defaults.
+        assert result_of(server, "open", {"source": LEAKY, "filename": "<input>", "name": None})["parsed"]
+        report = result_of(server, "check", {"infer": True, "lint": None})
+        assert (report["ok"], report["ifc_diagnostics"]) == (before["ok"], before["ifc_diagnostics"])
+
     def test_lint_findings_serialised(self):
         server = WorkspaceServer()
         result_of(server, "open", {"source": SECURE, "filename": "<input>"})
