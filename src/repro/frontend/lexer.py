@@ -75,13 +75,14 @@ class Token(namedtuple("_TokenFields", "kind text value width offset lines")):
 #: ``/*`` of a block comment that never ends, any other single character,
 #: or the end of the region as an empty token.  So every character is
 #: matched, the pieces ``split`` yields tile the region, and no token is
-#: ever empty but the last.  The trivia never gives back a character, so
-#: a token cannot start inside a comment.  ``\w`` is exactly
-#: ``str.isalnum() or "_"``; the first character decides the token class.
-#: ``?`` only ever appears as the short spelling of an ``infer`` security
-#: annotation (``<bit<8>, ?>``); the parser rejects it anywhere else.
+#: ever empty but the last.  The token matches wherever the trivia stops,
+#: so the trivia never gives a character back and no token starts inside
+#: a comment.  ``\w`` is exactly ``str.isalnum() or "_"``; the first
+#: character decides the token class.  ``?`` only ever appears as the
+#: short spelling of an ``infer`` security annotation (``<bit<8>, ?>``);
+#: the parser rejects it anywhere else.
 _MASTER = re.compile(
-    r"((?:[ \t\r\n]+|//[^\n]*|/\*.*?\*/)*+)"
+    r"((?:[ \t\r\n]+|//[^\n]*|/\*.*?\*/)*)"
     r"(\w+|<<|>>|==|!=|<=|>=|&&|\|\||/\*|[{}()\[\]<>,;:.=+\-*/%&|^~!@?]|.|\Z)",
     re.DOTALL,
 )
@@ -187,9 +188,8 @@ def tokenize(source: str, filename: str = "<input>") -> List[Token]:
     """Lex ``source`` into a token list ending in an EOF token."""
     lines = LineTable(source, filename)
     texts, kinds, offsets, values = scan(lines, 0, len(source))
-    none = (None, None)
     return [
-        Token(kind, text, *values.get(text, none), start, lines)
+        Token(kind, text, *values.get(text, (None, None)), start, lines)
         for kind, text, start in zip(kinds, texts, offsets[::2])
     ]
 

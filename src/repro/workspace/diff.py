@@ -242,9 +242,9 @@ def diff_program(
     matched by fingerprint are re-based onto the re-parsed unit's anchor.
     A state whose node was ``adopted`` -- parsed by someone else -- is
     matched only by identity, so no anchor outside the workspace's own
-    parses is ever re-based.  Old states that no new unit claims are dropped --
-    their annotation sites disappear from the registry once the walk's
-    touch union is recomputed.
+    parses is ever re-based.  Old states that no new unit claims are
+    dropped -- their annotation sites disappear from the registry once
+    the walk's touch union is recomputed.
 
     Against no states (a first plan) every unit is new and dirty, and
     the states' fingerprints, references and signatures are left for
@@ -253,7 +253,9 @@ def diff_program(
     units = program_units(program)
     if not old_states:
         return [
-            UnitPlan(UnitState(node=unit, declared=declared_names(unit), adopted=adopted), dirty=True)
+            UnitPlan(
+                UnitState(node=unit, declared=declared_names(unit), adopted=adopted), dirty=True
+            )
             for unit in units
         ]
     settle_states(old_states)

@@ -131,7 +131,8 @@ def test_a_region_that_cuts_a_token_or_trivia(source, pos, stop, expected):
     """Regions whose ends are no token boundaries: the outcome the
     token-at-a-time lexer gave, error or tokens, is kept."""
     try:
-        outcome = [(text, start, end) for text, _, start, end, _ in scanned(LineTable(source, "r.p4"), pos, stop)]
+        tokens = scanned(LineTable(source, "r.p4"), pos, stop)
+        outcome = [(text, start, end) for text, _, start, end, _ in tokens]
     except LexerError as exc:
         outcome = (exc.message, f"{exc.span.start}-{exc.span.end}")
     assert outcome == expected

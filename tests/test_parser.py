@@ -1,8 +1,13 @@
 """Unit tests for the parser."""
 
+import hashlib
+import json
+from pathlib import Path
+
 import pytest
 
-from repro.frontend.errors import ParserError
+from repro.frontend.errors import FrontendError, ParserError
+from repro.frontend.lexer import tokenize
 from repro.frontend.parser import MAX_TYPE_DEPTH, parse_expression, parse_program
 from repro.syntax import (
     Assign,
@@ -372,18 +377,12 @@ class TestParserErrors:
 # program of the ``cold_check`` corpus, with every ``MUTATION_STRIDE``-th
 # token deleted or duplicated.  Each outcome -- the error's class, message
 # and rendered span, or the SHA-256 of the parsed program's ``repr``, which
-# renders every span -- must match ``parse_mutations.json`` byte for byte.  Regenerate the fixture only for a deliberate change of the
-# parser's output:
+# renders every span -- must match ``parse_mutations.json`` byte for byte.
+# Regenerate the fixture only for a deliberate change of the parser's
+# output:
 #
 #     PYTHONPATH=src python -c "import sys; sys.path.insert(0, 'tests'); \
 #         import test_parser; test_parser.write_mutation_fixture()"
-
-import hashlib
-import json
-from pathlib import Path
-
-from repro.frontend.errors import FrontendError
-from repro.frontend.lexer import tokenize
 
 MUTATION_STRIDE = 31
 MUTATION_FIXTURE = Path(__file__).with_name("parse_mutations.json")
