@@ -178,7 +178,7 @@ class Parser:
     # ------------------------------------------------------------------ utils
 
     def _show(self, at: int) -> str:
-        """Token ``at`` as error messages name it."""
+        """How error messages name token ``at``."""
         return f"{self._kinds[at].value} {self._texts[at]!r}"
 
     def _error(self, at: int, message: str) -> ParserError:

@@ -5,7 +5,7 @@ Tokens must agree on ``(kind, text, span, value, width)``, lexer errors on
 message and span, and expressions on the whole AST, spans included.  A
 parsed span compares by its unit's anchor, not by position, so ASTs are
 compared through ``repr``, which renders every span's start, end and file
-name.
+name.  A region lexed on its own must agree with the whole source's lex.
 """
 
 import pytest
