@@ -16,8 +16,7 @@ fully annotated program that the unmodified checker re-verifies.
   missing or ``infer``-marked annotations into variables.
 * :mod:`repro.inference.solve` -- the :func:`solve` entry point, Kleene
   least-fixpoint semantics and unsatisfiable-core extraction for
-  conflicts, plus :func:`solve_worklist`, the single-worklist reference
-  solver the property tests use as an oracle.
+  conflicts.
 * :mod:`repro.inference.graph` -- the one solving engine: edges
   deduplicated and condensed into SCCs (Tarjan), the Kleene iteration
   scheduled in topological component order, cone-of-influence queries.
@@ -54,7 +53,6 @@ from repro.inference.solve import (
     InferenceError,
     Solution,
     solve,
-    solve_worklist,
 )
 from repro.inference.terms import (
     ConstTerm,
@@ -100,5 +98,4 @@ __all__ = [
     "join_terms",
     "meet_terms",
     "solve",
-    "solve_worklist",
 ]

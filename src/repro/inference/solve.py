@@ -32,17 +32,13 @@ condensed into SCCs via Tarjan) and runs the Kleene iteration in
 topological component order, so acyclic regions are solved in one pass and
 iteration is confined to genuine cycles; the persistent
 :class:`~repro.inference.engine.Solver` runs the same schedule over an
-edit's cone of influence.  :func:`solve_worklist` keeps the original
-single global worklist as the test oracle -- the property tests assert
-both produce identical least solutions and conflict sets, and the scaling
-benchmark compares their iteration counts.  It is not selectable from the
-pipeline, the CLI or the server.
+edit's cone of influence.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.ifc.errors import IfcDiagnostic
 from repro.inference.constraints import Constraint
@@ -53,7 +49,6 @@ from repro.inference.terms import (
     MeetTerm,
     Term,
     VarTerm,
-    evaluate,
 )
 from repro.lattice.base import Label, Lattice
 
@@ -111,8 +106,7 @@ class Solution:
     propagation_count: int = 0
     check_count: int = 0
     #: Scheduler statistics (SCC counts, edges visited, passes, solve time);
-    #: populated by the graph-based solver, ``None`` for the reference
-    #: worklist solver's bare counters.
+    #: populated by the graph-based solver.
     stats: Optional["SolverStats"] = None
     #: The propagation graph the solution was computed over (set by the
     #: graph-based solvers).  Downstream analyses -- leak-path witnesses,
@@ -197,57 +191,6 @@ def solve(
     from repro.inference.graph import PropagationGraph
 
     return PropagationGraph(lattice, constraints, buckets=buckets).solve()
-
-
-def solve_worklist(lattice: Lattice, constraints: List[Constraint]) -> Solution:
-    """The original single-worklist Kleene solver, kept as the reference.
-
-    Runs over the same deduplicated propagation edges as :func:`solve` but
-    with one global LIFO worklist seeded with every edge, exactly as the
-    seed solver scheduled it.  Property tests assert it agrees with the
-    SCC-scheduled solver; the scaling benchmark counts how many more pops
-    this schedule needs.
-    """
-    from repro.inference.graph import PropagationGraph
-
-    graph = PropagationGraph(lattice, constraints)
-    assignment = graph.fresh_assignment()
-    solution = Solution(lattice, assignment)
-    solution.propagation_count = len(graph.edges)
-    solution.check_count = len(graph.checks)
-
-    pending: List[int] = list(range(len(graph.edges)))
-    queued: Set[int] = set(pending)
-    # Worklist Kleene iteration from ⊥.  Monotone + finite lattice =>
-    # termination; the bound below only guards against a broken lattice.
-    budget = (len(graph.edges) + 1) * (len(assignment) + 1) * _height_bound(lattice)
-    while pending:
-        index = pending.pop()
-        queued.discard(index)
-        solution.iterations += 1
-        if solution.iterations > budget:
-            raise InferenceError(
-                "constraint solving did not converge; the lattice violates the "
-                "ascending chain condition"
-            )
-        edge = graph.edges[index]
-        value = evaluate(edge.lhs, lattice, assignment)
-        if edge.cover is not None and lattice.leq(value, edge.cover):
-            continue  # the join's constant part absorbs the flow
-        current = assignment[edge.target]
-        if not lattice.leq(value, current):
-            assignment[edge.target] = lattice.join(current, value)
-            for dependent in graph.dependents.get(edge.target, ()):  # re-examine
-                if dependent not in queued:
-                    queued.add(dependent)
-                    pending.append(dependent)
-
-    solution.conflicts = [
-        conflict
-        for conflict in graph.check_conflicts(assignment)
-        if conflict is not None
-    ]
-    return solution
 
 
 def _height_bound(lattice: Lattice) -> int:

@@ -1,12 +1,12 @@
 """Synthetic program generation.
 
-Used by the ablation benchmarks (checker cost vs program size and vs
-lattice height), by the property-based tests that validate the soundness
-claim empirically (any randomly generated program the checker accepts must
-pass the differential non-interference harness), and by the solver-scaling
-stress suite (:func:`deep_dataflow_program` / :func:`scc_cycle_program`
-synthesise programs whose inference constraint systems reach 10k+
-constraints).
+Used by the ablation tables of ``benchmarks/regenerate.py`` (checker
+cost vs program size and vs lattice height), by the property-based tests
+that validate the soundness claim empirically (any randomly generated
+program the checker accepts must pass the differential non-interference
+harness), and by the solver-scaling stress suite
+(:func:`deep_dataflow_program` / :func:`scc_cycle_program` synthesise
+programs whose inference constraint systems reach 10k+ constraints).
 """
 
 from repro.synth.constraints import constraint_label_count, mega_constraint_system

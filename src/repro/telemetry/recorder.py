@@ -8,8 +8,8 @@ interface:
   ``False``, so instrumented hot paths can skip *all* bookkeeping with a
   single attribute test.  This is the ambient default: a process that
   never asks for telemetry pays one branch per coarse phase and nothing
-  per edge, per component, or per rule site (the overhead guard in
-  ``benchmarks/test_telemetry_overhead.py`` enforces this).
+  per edge, per component, or per rule site (the no-op guard in
+  ``tests/test_telemetry.py`` enforces this).
 * :class:`TraceRecorder` -- records a **span tree** (monotonic clocks,
   parent ids, strict nesting), **counters**, and **histograms**, all in
   plain Python structures that the exporters in

@@ -4,6 +4,7 @@ matrix of Section 5)."""
 import pytest
 
 from repro.casestudies import get_case_study, strip_security_annotations, table1_case_studies
+from repro.casestudies.d2r import d2r_source
 from repro.ifc.errors import ViolationKind
 from repro.tool.pipeline import check_source
 
@@ -12,6 +13,12 @@ class TestAcceptRejectMatrix:
     def test_secure_variant_accepted(self, case_study):
         report = check_source(
             case_study.secure_source, case_study.lattice_name, name=case_study.name
+        )
+        assert report.ok, [str(d) for d in report.diagnostics]
+
+    def test_secure_variant_accepted_with_inference(self, case_study):
+        report = check_source(
+            case_study.secure_source, case_study.lattice_name, infer=True
         )
         assert report.ok, [str(d) for d in report.diagnostics]
 
@@ -48,6 +55,12 @@ class TestAcceptRejectMatrix:
         """With no annotations every label defaults to ⊥, so nothing can leak."""
         report = check_source(case_study.unannotated_source, case_study.lattice_name)
         assert report.ok, [str(d) for d in report.diagnostics]
+
+
+@pytest.mark.parametrize("steps", [1, 2, 4, 8, 16, 32])
+def test_d2r_unrolled_secure_variant_accepted(steps):
+    """The secure D2R program stays accepted however far its BFS unrolls."""
+    assert check_source(d2r_source(secure=True, bfs_steps=steps)).ok
 
 
 class TestSpecificFindings:

@@ -26,13 +26,13 @@ from repro.inference import (
     join_terms,
     meet_terms,
     solve,
-    solve_worklist,
 )
 from repro.lattice.chain import ChainLattice
 from repro.lattice.powerset import PowersetLattice
 from repro.lattice.product import ProductLattice
 from repro.lattice.registry import available_lattices, get_lattice
 from repro.synth import mega_constraint_system, random_straightline_program
+from solver_oracle import solve_worklist
 
 #: Every registered lattice, plus chains tall enough to exercise joins that
 #: are neither ⊥ nor ⊤.

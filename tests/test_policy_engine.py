@@ -155,6 +155,23 @@ def test_decide_matches_oracle_on_generated_scenarios():
         assert regrants == (300 - 1) // 50
 
 
+def test_regrant_recompiles_only_the_lineage_fan_out():
+    """On the 216-principal lattice, revoking one subject's consent
+    recompiles the datasets its lineage reaches and no others."""
+    universe = scenario_universe(
+        get_lattice("policy-120-96-8"), subjects=96, datasets=48, seed=2022
+    )
+    engine = PolicyEngine(universe)
+    subject = universe.subjects[0]
+    affected = engine.set_grant(subject, universe.lattice.bottom)
+    assert 0 < len(affected) <= len(universe.datasets)
+    assert set(affected) == {
+        name
+        for name in universe.datasets
+        if subject in universe.contributing_subjects(name)
+    }
+
+
 def test_revocation_tightens_bounds_monotonically():
     universe = small_universe()
     engine = PolicyEngine(universe)

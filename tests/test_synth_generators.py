@@ -15,6 +15,7 @@ from repro.synth import (
     wide_table_program,
 )
 from repro.syntax.visitor import walk
+from repro.tool.pipeline import check_source
 from repro.typechecker import check_core_types
 
 
@@ -55,6 +56,13 @@ class TestChainPipeline:
         lattice = ChainLattice.of_height(4)
         program = parse_program(chain_pipeline_program(tuple(reversed(lattice.levels))))
         assert not check_ifc(program, lattice).ok
+
+    @pytest.mark.parametrize("height", [2, 4, 8, 16, 32])
+    def test_accepted_under_taller_chains(self, height):
+        lattice = ChainLattice.of_height(height)
+        assert len(list(lattice.labels())) == height
+        program = parse_program(chain_pipeline_program(lattice.levels, rounds=4))
+        assert check_ifc(program, lattice).ok
 
     def test_rounds_scale_size(self):
         levels = ChainLattice.of_height(3).levels
@@ -148,6 +156,11 @@ class TestWideTables:
         assert check_ifc(parse_program(wide_table_program(secure=True))).ok
         insecure = check_ifc(parse_program(wide_table_program(secure=False)))
         assert not insecure.ok
+
+    @pytest.mark.parametrize("tables", [1, 2, 4, 8, 16])
+    def test_accepted_by_the_pipeline_at_every_width(self, tables):
+        source = wide_table_program(tables=tables, actions_per_table=4, keys_per_table=2)
+        assert check_source(source).ok
 
     def test_violation_count_matches_key_action_pairs(self):
         result = check_ifc(

@@ -22,8 +22,11 @@ import pytest
 
 from repro.casestudies import get_case_study
 from repro.casestudies.base import strip_security_annotations
+from repro.frontend.parser import parse_program
+from repro.inference import PropagationGraph, generate_constraints
 from repro.lattice import TwoPointLattice
 from repro.lattice.registry import get_lattice
+from repro.synth import deep_dataflow_program
 from repro.telemetry import (
     NULL_RECORDER,
     CountingLattice,
@@ -566,6 +569,38 @@ class TestNoOpGuard:
         # The disabled path pays only the coarse solver spans -- never one
         # per component, edge, or rule site.
         assert 0 < exploding.span_calls <= 12
+
+    @staticmethod
+    def _solve_spans(depth):
+        """How many spans a build+solve opens under a disabled recorder."""
+        lattice = TwoPointLattice()
+        generation = generate_constraints(
+            parse_program(deep_dataflow_program(depth)), lattice
+        )
+        assert not generation.errors
+        recorder = ExplodingRecorder()
+        with use_recorder(recorder):
+            solution = PropagationGraph(lattice, generation.constraints).solve()
+        assert solution.ok
+        return recorder.span_calls
+
+    def test_disabled_solve_span_count_is_size_independent(self):
+        """Coarse stage spans only: the count must not grow with the system."""
+        small = self._solve_spans(300)
+        large = self._solve_spans(3_000)
+        assert small == large, (
+            f"span calls grew with problem size ({small} -> {large}): "
+            "a per-component or per-edge span escaped its enabled guard"
+        )
+        assert large <= 12
+
+    def test_disabled_deep_pipeline_never_calls_metric_hooks(self):
+        """A 1,500-deep ``--infer`` run reaches every instrumented layer:
+        rule-site hooks, constraint emission, graph build, propagation,
+        conflict checks and the pipeline's projected solve span."""
+        with use_recorder(ExplodingRecorder()):
+            report = check_source(deep_dataflow_program(1_500), infer=True)
+        assert report.ok
 
 
 # ---------------------------------------------------------------------------

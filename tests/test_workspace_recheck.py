@@ -189,6 +189,54 @@ class TestRecheckCounters:
         assert counted["units_ifc_checked"] == 0
 
 
+class TestTenThousandConstraints:
+    """The incrementality claims at 10k constraints (100 shards x depth
+    101), on counters rather than clocks."""
+
+    SOURCE = sharded_dataflow_program(100, depth=101)
+    EDITED = SOURCE.replace(
+        "header shard50_t {\n    <bit<8>, high> seed;",
+        "header shard50_t {\n    <bit<8>, low> seed;",
+    )
+
+    @pytest.fixture(scope="class")
+    def cold(self):
+        """A fresh session converged on the edited source, and its result."""
+        workspace = Workspace()
+        assert workspace.open(self.EDITED, filename="<input>")
+        return workspace, workspace.check(infer=True).inference_result
+
+    def test_one_seed_flip_rechecks_three_of_300_units(self, cold):
+        assert self.EDITED != self.SOURCE
+        workspace = Workspace()
+        assert workspace.open(self.SOURCE, filename="<input>")
+        workspace.check(infer=True)  # converge the session before the edit
+        assert workspace.edit(self.EDITED)
+        warm = workspace.check(infer=True).inference_result
+        stats = workspace.stats()
+        _, cold = cold
+        # 10,100 constraints, less the flipped seed's now-trivial one.
+        assert cold.constraint_count >= 10_000
+
+        # The shard's header, struct and control: re-walked, and re-checked
+        # in every phase after generation.
+        assert stats["regen"]["units_rewalked"] == 3
+        assert stats["regen"]["units_reused"] == 297
+        assert stats["rechecks"] == dict.fromkeys(RECHECKS, 3)
+        # The re-solve visits the edit's cone: 100 of the cold 10,099 edges.
+        warm_edges = warm.solution.stats.edges_visited
+        cold_edges = cold.solution.stats.edges_visited
+        assert 100 * warm_edges <= cold_edges, (warm_edges, cold_edges)
+        assert warm.assignment_by_hint() == cold.assignment_by_hint()
+
+    def test_pin_in_a_converged_session_takes_the_label(self, cold):
+        workspace, result = cold
+        hint = next(iter(result.assignment_by_hint()))
+        workspace.pin(hint, "high")
+        pinned = workspace.infer()
+        assert workspace.lattice.format_label(pinned.assignment_by_hint()[hint]) == "high"
+
+
 class TestRecheckMatchesCold:
     @pytest.mark.parametrize("declassify", [False, True])
     @pytest.mark.parametrize("lattice", sorted(available_lattices()))
