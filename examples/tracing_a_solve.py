@@ -109,10 +109,10 @@ def main() -> None:
         solver.resolve({slot: "high"})
     print(
         "\nincremental resolve: "
-        f"{incremental.counters.get('solver.resolve.cone_vars', 0)} cone var(s), "
-        f"{incremental.counters.get('solver.resolve.vars_reused', 0)} reused, "
-        f"{incremental.counters.get('solver.resolve.edges_skipped', 0)} "
-        "edge(s) skipped"
+        f"{incremental.counters.get('solver.rebase.cone_vars', 0)} cone var(s), "
+        f"{incremental.counters.get('solver.rebase.vars_reused', 0)} reused, "
+        f"{incremental.counters.get('solver.rebase.checks_cached', 0)} "
+        "check verdict(s) cached"
     )
 
 

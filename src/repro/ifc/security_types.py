@@ -14,6 +14,7 @@ structurally, hashed, and shared freely between the checker and tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Optional, Tuple
 
 from repro.lattice.base import Label, Lattice
@@ -62,20 +63,28 @@ class SMatchKind(SecurityBody):
         return "match_kind"
 
 
-@dataclass(frozen=True)
-class SRecord(SecurityBody):
-    """Record types ``{ f : ⟨τ, χ⟩ }`` with per-field security types."""
+class _NamedFields:
+    """Field lookup for records and headers, by a name index built once
+    per type; of duplicate names, the first field wins."""
 
     fields: Tuple[Tuple[str, "SecurityType"], ...]
 
+    @cached_property
+    def _by_name(self) -> Dict[str, "SecurityType"]:
+        return dict(reversed(self.fields))
+
     def field_named(self, name: str) -> Optional["SecurityType"]:
-        for field_name, sec_type in self.fields:
-            if field_name == name:
-                return sec_type
-        return None
+        return self._by_name.get(name)
 
     def field_map(self) -> Dict[str, "SecurityType"]:
         return dict(self.fields)
+
+
+@dataclass(frozen=True)
+class SRecord(_NamedFields, SecurityBody):
+    """Record types ``{ f : ⟨τ, χ⟩ }`` with per-field security types."""
+
+    fields: Tuple[Tuple[str, "SecurityType"], ...]
 
     def describe(self) -> str:
         inner = ", ".join(f"{name}: {st.describe()}" for name, st in self.fields)
@@ -83,19 +92,10 @@ class SRecord(SecurityBody):
 
 
 @dataclass(frozen=True)
-class SHeader(SecurityBody):
+class SHeader(_NamedFields, SecurityBody):
     """Header types ``header { f : ⟨τ, χ⟩ }``."""
 
     fields: Tuple[Tuple[str, "SecurityType"], ...]
-
-    def field_named(self, name: str) -> Optional["SecurityType"]:
-        for field_name, sec_type in self.fields:
-            if field_name == name:
-                return sec_type
-        return None
-
-    def field_map(self) -> Dict[str, "SecurityType"]:
-        return dict(self.fields)
 
     def describe(self) -> str:
         inner = ", ".join(f"{name}: {st.describe()}" for name, st in self.fields)

@@ -17,15 +17,16 @@ fully annotated program that the unmodified checker re-verifies.
 * :mod:`repro.inference.solve` -- the :func:`solve` entry point, Kleene
   least-fixpoint semantics and unsatisfiable-core extraction for
   conflicts.
-* :mod:`repro.inference.graph` -- the one solving engine: edges
+* :mod:`repro.inference.graph` -- the propagation structure: edges
   deduplicated and condensed into SCCs (Tarjan), the Kleene iteration
   scheduled in topological component order, cone-of-influence queries.
 * :mod:`repro.inference.elaborate` -- substitution of solved labels back
   into the AST.
-* :mod:`repro.inference.engine` -- the generate → solve → elaborate
-  pipeline behind :func:`infer_labels`, and the persistent :class:`Solver`
-  whose :meth:`Solver.resolve` re-solves only the cone of influence of
-  edited slots (for IDE-style interactive use).
+* :mod:`repro.inference.engine` -- :func:`infer_labels` (a one-shot
+  :class:`~repro.workspace.session.Workspace`) and the :class:`Solver`,
+  the one holder of solver state: :func:`solve` returns its solution,
+  which keeps it, and :meth:`Solver.rebase` re-solves only the cone of
+  influence of an edit, pins included (for IDE-style interactive use).
 
 Quickstart::
 

@@ -1,17 +1,19 @@
 """The inference pipeline: generate → solve → elaborate.
 
-:func:`infer_labels` is the public entry point.  It produces an
-:class:`InferenceResult` carrying the solved per-slot assignment (for
-reporting), the conflicts mapped back to source spans as
+:func:`infer_labels` is the public entry point: a one-shot
+:class:`~repro.workspace.session.Workspace`, whose
+:meth:`~repro.workspace.session.Workspace.infer` is the one assembly of
+an :class:`InferenceResult`.  That carries the solved per-slot assignment
+(for reporting), the conflicts mapped back to source spans as
 :class:`~repro.ifc.errors.IfcDiagnostic` values, and -- when the system is
 satisfiable -- a fully annotated program ready for independent
 re-verification by the stock checker.
 
-:class:`Solver` is the persistent counterpart for interactive use (an
-IDE/LSP-style annotation assistant): it builds the propagation graph once;
-after an annotation edit :meth:`Solver.resolve`, and after a code edit
-:meth:`Solver.rebase` (which patches the graph per unit), recompute only
-the edit's cone of influence instead of restarting from scratch.
+:class:`Solver` is the one holder of solver state.  It builds the
+propagation graph once, solves it, and after an edit re-solves only the
+edit's cone of influence (:meth:`Solver.rebase`, with
+:meth:`Solver.resolve` its pin-only case), which is what a warm workspace
+and an IDE/LSP-style annotation assistant need.
 """
 
 from __future__ import annotations
@@ -22,13 +24,11 @@ from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.ifc.errors import IfcDiagnostic
 from repro.inference.constraints import Constraint
-from repro.inference.elaborate import elaborate_program
-from repro.inference.generate import GenerationResult, generate_constraints
-from repro.inference.graph import PropagationGraph
+from repro.inference.generate import GenerationResult
+from repro.inference.graph import PropagationGraph, SolverStats
 from repro.inference.solve import InferenceConflict, Solution, solve
 from repro.inference.terms import ConstTerm, LabelVar, VarTerm, evaluate, free_vars
 from repro.lattice.base import Label, Lattice
-from repro.lattice.two_point import TwoPointLattice
 from repro.syntax.program import Program
 from repro.syntax.source import SourceSpan
 from repro.telemetry.recorder import current_recorder
@@ -156,28 +156,22 @@ def _maximise_control_pcs(
 
 
 class Solver:
-    """A persistent solver over one constraint system.
+    """The one holder of solver state for one constraint system.
 
     Construction builds the :class:`~repro.inference.graph.PropagationGraph`
-    (normalisation, edge deduplication, SCC condensation), or takes over
-    one already built over the system.  :meth:`solve` produces the least
-    solution; after an edit, only what the edit can change is redone --
-    everything else keeps its converged value and its cached check
-    verdicts.  This is the reasoning core an IDE-style annotation
-    assistant needs: per-keystroke cost proportional to what the
-    keystroke can change, not to the program.  Two kinds of edit:
-
-    * *pins* (:meth:`resolve`): ``resolve({slot: label})`` makes ``label``
-      a floor of ``slot`` (as if the user wrote the annotation), and
-      ``resolve({slot: None})`` removes the pin again.  Both raising and
-      lowering are supported; the cone is reset to ``⊥`` (plus pins) and
-      the SCC schedule is replayed over the cone's components only, which
-      yields exactly the assignment a from-scratch solve with the same
-      pins would;
-    * *structural* edits (:meth:`rebase`): the system, held as per-unit
-      buckets, swaps some buckets for others.  The graph is patched in
-      place (:meth:`~repro.inference.graph.PropagationGraph.patch`) and
-      the cone of what changed is re-solved.
+    (normalisation, edge deduplication, SCC condensation).  :meth:`solve`
+    produces the least solution, and every :class:`Solution` records the
+    solver that made it, so a one-shot :func:`~repro.inference.solve.solve`
+    hands its caller a solver to keep.  After an edit, :meth:`rebase` redoes
+    only what the edit can change -- everything else keeps its converged
+    value and its cached check verdicts.  This is the reasoning core an
+    IDE-style annotation assistant needs: per-keystroke cost proportional
+    to what the keystroke can change, not to the program.  An edit swaps
+    some of the system's per-unit buckets for others (the graph is patched
+    in place by :meth:`~repro.inference.graph.PropagationGraph.patch`),
+    changes the *pins*, or both.  A pin ``slot: label`` makes ``label`` a
+    floor of ``slot`` (as if the user wrote the annotation);
+    :meth:`resolve` is the pin-only edit.
 
     The graph is shared with the solutions this solver returns, so a
     solution's ``graph`` describes the solver's latest system.
@@ -189,18 +183,15 @@ class Solver:
         constraints: Sequence[Constraint] = (),
         *,
         buckets: Optional[Sequence[Sequence[Constraint]]] = None,
-        graph: Optional[PropagationGraph] = None,
     ) -> None:
         self.lattice = lattice
-        #: ``graph`` lets a caller that already built the propagation graph
-        #: over exactly this system (e.g. a workspace adopting a cold
-        #: solution) hand it over instead of paying a second construction.
-        self.graph = graph or PropagationGraph(lattice, constraints, buckets=buckets)
+        self.graph = PropagationGraph(lattice, constraints, buckets=buckets)
         self._pins: Dict[LabelVar, Label] = {}
         self._assignment: Optional[Dict[LabelVar, Label]] = None
         #: Cached per-check verdicts, aligned with ``graph.checks``.
         self._check_results: List[Optional[InferenceConflict]] = []
-        self._solution: Optional[Solution] = None
+        #: What the last solve or re-solve did.
+        self._stats: Optional[SolverStats] = None
 
     @property
     def pins(self) -> Dict[LabelVar, Label]:
@@ -208,109 +199,48 @@ class Solver:
         return dict(self._pins)
 
     def solve(self) -> Solution:
-        """The least solution above the current pins (cached)."""
-        if self._solution is None:
+        """The least solution above the current pins (solved once)."""
+        if self._assignment is None:
+            graph = self.graph
             recorder = current_recorder()
             start = time.perf_counter()
             with recorder.span(
-                "solver.solve",
-                edges=len(self.graph.edges),
-                variables=self.graph.variable_count,
-                persistent=True,
+                "solver.solve", edges=len(graph.edges), variables=graph.variable_count
             ):
-                stats = self.graph._new_stats()
-                self._assignment = self.graph.fresh_assignment(self._pins)
-                self.graph.propagate(self._assignment, stats)
-                self._check_results = self.graph.check_conflicts(self._assignment)
+                stats = graph._new_stats()
+                self._assignment = graph.fresh_assignment(self._pins)
+                graph.propagate(self._assignment, stats)
+                self._check_results = graph.check_conflicts(self._assignment)
             stats.solve_ms = (time.perf_counter() - start) * 1000.0
-            self._solution = self._snapshot(stats)
-        return self._solution
+            self._stats = stats
+            if recorder.enabled:
+                recorder.count("solver.solves")
+                recorder.count("solver.edges_visited", stats.edges_visited)
+                recorder.count("solver.worklist_pops", stats.worklist_pops)
+                recorder.count(
+                    "solver.conflicts",
+                    sum(verdict is not None for verdict in self._check_results),
+                )
+        return self._snapshot()
 
     def resolve(
         self, changes: Mapping[LabelVar, Optional[Label]]
     ) -> Solution:
-        """Incrementally re-solve after editing the given label slots.
+        """Re-solve after editing the given label slots' pins.
 
         ``changes`` maps each edited slot to its new pinned label (``None``
-        removes the pin).  Only the forward closure (cone of influence) of
-        the edited slots is reset and re-propagated; checks outside the
-        cone keep their cached verdicts.  The result is identical to a
-        from-scratch :meth:`solve` with the updated pins.
+        removes the pin); the other pins stay.  This is :meth:`rebase` over
+        the current system, so only the cone of influence of the slots
+        whose pin changed is re-solved, and the result is identical to a
+        from-scratch solve with the updated pins.
         """
-        if self._assignment is None:
-            for var, label in changes.items():
-                self._apply_pin(var, label)
-            return self.solve()
-        recorder = current_recorder()
-        start = time.perf_counter()
+        pins = dict(self._pins)
         for var, label in changes.items():
-            self._apply_pin(var, label)
-        graph = self.graph
-        cone = graph.cone_of(changes)
-        components = {graph.component_of[var] for var in cone}
-        with recorder.span(
-            "solver.resolve",
-            edited=len(changes),
-            cone=len(cone),
-            components=len(components),
-        ):
-            stats = graph._new_stats()
-            # Reset the cone to ⊥ (plus pins) and replay the schedule over its
-            # components; an SCC is entirely inside or outside the cone, so the
-            # restricted schedule sees exactly the edges it must revisit.
-            self._reset(cone)
-            graph.propagate(self._assignment, stats, components)
-            # Slots outside the graph (never constrained) still surface edits.
-            for var, label in changes.items():
-                if var not in graph.component_of:
-                    if label is None:
-                        self._assignment.pop(var, None)
-                    else:
-                        self._assignment[var] = label
-            affected = graph.checks_touching(cone)
-            for index, verdict in zip(
-                affected, graph.check_conflicts(self._assignment, affected)
-            ):
-                self._check_results[index] = verdict
-        stats.solve_ms = (time.perf_counter() - start) * 1000.0
-        if recorder.enabled:
-            # Cache accounting: how much of the graph the edit did *not*
-            # have to revisit -- the quantity that makes the incremental
-            # path worth having.
-            recorder.count("solver.resolve.calls")
-            recorder.count("solver.resolve.cone_vars", len(cone))
-            recorder.count(
-                "solver.resolve.vars_reused", graph.variable_count - len(cone)
-            )
-            recorder.count(
-                "solver.resolve.edges_skipped",
-                len(graph.edges) - stats.edges_visited,
-            )
-            recorder.count("solver.resolve.checks_reevaluated", len(affected))
-            recorder.count(
-                "solver.resolve.checks_cached",
-                len(self._check_results) - len(affected),
-            )
-        self._solution = self._snapshot(stats)
-        return self._solution
-
-    def adopt(self, solution: Solution) -> None:
-        """Seed the persistent state from an externally computed solution.
-
-        Used by a workspace whose *initial* solve was the one-shot
-        :func:`~repro.inference.solve.solve`: the assignment is taken
-        over, the per-check verdicts are re-derived against this solver's
-        graph (so they are aligned for incremental updates), and
-        ``solution`` becomes the cached result.  Only valid before any
-        pin has been applied.
-        """
-        if self._pins:
-            raise ValueError("adopt() requires a pristine solver (no pins)")
-        self._assignment = dict(solution.assignment)
-        for var in self.graph.variables:
-            self._assignment.setdefault(var, self.lattice.bottom)
-        self._check_results = self.graph.check_conflicts(self._assignment)
-        self._solution = solution
+            if label is None:
+                pins.pop(var, None)
+            else:
+                pins[var] = label
+        return self.rebase(self.graph.buckets, pins=pins)
 
     def rebase(
         self,
@@ -320,16 +250,15 @@ class Solver:
     ) -> Solution:
         """Re-anchor the solver on an edited constraint system.
 
-        Where :meth:`resolve` handles *pin* edits over a fixed system,
-        ``rebase`` handles *structural* edits: ``buckets`` is the new
-        system, one constraint sequence per unit in unit order, and a
-        unit that changed (a workspace re-generated it) comes as a new
-        sequence.  The graph is patched by bucket identity: the dropped
-        buckets' edges and checks leave it, only the added buckets'
-        constraints are normalised, and only the region whose components
-        can have changed is re-condensed
-        (:meth:`~repro.inference.graph.PropagationGraph.patch`).  Then only
-        the cone of influence of what changed is re-solved:
+        ``buckets`` is the new system, one constraint sequence per unit in
+        unit order, and a unit that changed (a workspace re-generated it)
+        comes as a new sequence.  The graph is patched by bucket identity:
+        the dropped buckets' edges and checks leave it, only the added
+        buckets' constraints are normalised, and only the region whose
+        components can have changed is re-condensed
+        (:meth:`~repro.inference.graph.PropagationGraph.patch`; the same
+        buckets patch nothing).  Then only the cone of influence of what
+        changed is re-solved:
 
         * seeds are that region -- the forward closure of the targets of
           edges that appeared or vanished and of variables new to the
@@ -341,15 +270,14 @@ class Solver:
           forward closure);
         * check verdicts migrate with their buckets: a check that passed
           and whose variables lie outside the cone keeps its verdict;
-          failing, new and cone-touching checks are re-evaluated
-          (conflicts embed provenance and cores, which must reflect the
-          new system).
+          new and cone-touching checks are re-evaluated, and so are the
+          failing ones when a bucket was swapped (conflicts embed
+          provenance and cores, which must reflect the new system).
 
-        ``pins`` optionally replaces the pin set wholesale (the workspace
-        re-keys pins across re-allocated slot variables); ``None`` keeps
-        the current pins.  Removing a pin this way restores the inferred
-        least solution for that slot, exactly as ``resolve({slot: None})``
-        does over a fixed system.
+        ``pins`` replaces the pin set wholesale (the workspace re-keys
+        pins across re-allocated slot variables); ``None`` keeps the
+        current pins.  Removing a pin restores the inferred least solution
+        for that slot.  Before any solve, this is a full solve.
         """
         recorder = current_recorder()
         start = time.perf_counter()
@@ -359,10 +287,9 @@ class Solver:
         patch = graph.patch(buckets)
         self._pins = new_pins
         if self._assignment is None:
-            self._check_results = []
-            self._solution = None
             return self.solve()
-        assignment = self._assignment
+        # Solutions share the assignment they were given: re-solve a copy.
+        assignment = self._assignment = dict(self._assignment)
         component_of = graph.component_of
         pinned = old_pins.keys() | new_pins.keys()
         changed_pins = []
@@ -403,15 +330,17 @@ class Solver:
                     old_offset : old_offset + count
                 ]
             affected = set(patch.fresh_checks)
-            affected.update(
-                index for index, verdict in enumerate(results) if verdict is not None
-            )
+            if patch.units_patched:
+                affected.update(
+                    index for index, verdict in enumerate(results) if verdict is not None
+                )
             affected.update(graph.checks_touching(cone))
             ordered = sorted(affected)
             for index, verdict in zip(ordered, graph.check_conflicts(assignment, ordered)):
                 results[index] = verdict
             self._check_results = results
         stats.solve_ms = (time.perf_counter() - start) * 1000.0
+        self._stats = stats
         if recorder.enabled:
             recorder.count("solver.rebase.calls")
             recorder.count("solver.rebase.units_patched", patch.units_patched)
@@ -429,8 +358,7 @@ class Solver:
             recorder.count(
                 "solver.rebase.checks_cached", len(results) - len(ordered)
             )
-        self._solution = self._snapshot(stats)
-        return self._solution
+        return self._snapshot()
 
     def _reset(self, cone) -> None:
         """Every variable of ``cone`` back to ``⊥``, or to its pin."""
@@ -441,24 +369,18 @@ class Solver:
             pin = pins.get(var)
             assignment[var] = bottom if pin is None else pin
 
-    def _apply_pin(self, var: LabelVar, label: Optional[Label]) -> None:
-        if label is None:
-            self._pins.pop(var, None)
-        else:
-            self._pins[var] = label
-
-    def _snapshot(self, stats) -> Solution:
-        solution = Solution(
+    def _snapshot(self) -> Solution:
+        stats = self._stats
+        return Solution(
             self.lattice,
-            dict(self._assignment or {}),
+            self._assignment,
             [c for c in self._check_results if c is not None],
             iterations=stats.worklist_pops,
             propagation_count=len(self.graph.edges),
             check_count=len(self.graph.checks),
+            stats=stats,
+            solver=self,
         )
-        solution.stats = stats
-        solution.graph = self.graph
-        return solution
 
 
 def infer_labels(
@@ -478,46 +400,9 @@ def infer_labels(
     are reported as diagnostics whose spans and unsatisfiable cores point at
     the source constructs that clash.
     """
-    resolved = lattice or TwoPointLattice()
-    recorder = current_recorder()
-    with recorder.span("infer.generate") as generate_span:
-        generation = generate_constraints(
-            program, resolved, allow_declassification=allow_declassification
-        )
-    if recorder.enabled:
-        generate_span.attrs["constraints"] = len(generation.constraints)
-        generate_span.attrs["slots"] = len(generation.sites)
-        recorder.count("infer.runs")
-        recorder.count("infer.constraints_generated", len(generation.constraints))
-        recorder.count("infer.slots", len(generation.sites))
-    solution = solve(resolved, generation.constraints)
-    if solution.ok and generation.control_pc_vars:
-        with recorder.span("infer.maximise-pc", pcs=len(generation.control_pc_vars)):
-            solution = _maximise_control_pcs(resolved, generation, solution)
-    inferred = [
-        InferredLabel(
-            site.hint,
-            site.span,
-            # Augmentation slots sit on top of a declared floor: report the
-            # effective label, not the bare variable's (often ⊥) value.
-            solution.value_of(site.var)
-            if site.floor is None
-            else resolved.join(solution.value_of(site.var), site.floor),
-        )
-        for site in generation.sites
-    ]
-    diagnostics = list(generation.errors)
-    diagnostics.extend(
-        conflict.as_diagnostic(resolved) for conflict in solution.conflicts
-    )
-    with recorder.span("infer.elaborate"):
-        elaborated = elaborate_program(generation, solution)
-    return InferenceResult(
-        program,
-        resolved,
-        generation,
-        solution,
-        inferred,
-        diagnostics,
-        elaborated,
-    )
+    # The workspace imports this module; a throwaway one is the cold path.
+    from repro.workspace.session import Workspace
+
+    workspace = Workspace(lattice, allow_declassification=allow_declassification)
+    workspace.open_program(program)
+    return workspace.infer()

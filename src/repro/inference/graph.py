@@ -17,9 +17,13 @@ solves.  This module makes the propagation structure explicit:
   Kleene iteration is confined to components that are genuine cycles;
 * cone-of-influence queries -- the forward closure of a set of label
   slots, which is exactly the region an incremental re-solve (a restricted
-  :meth:`PropagationGraph.propagate`, wrapped by
-  :meth:`repro.inference.engine.Solver.resolve`) has to revisit after an
+  :meth:`PropagationGraph.propagate`, run by
+  :meth:`repro.inference.engine.Solver.rebase`) has to revisit after an
   edit.
+
+The graph holds structure only; the assignment, the pins and the check
+verdicts belong to the :class:`~repro.inference.engine.Solver` that owns
+it, which runs every solve, full or incremental.
 
 Because an SCC is either entirely inside or entirely outside the forward
 closure of any slot set, an incremental re-solve simply resets the cone to
@@ -47,7 +51,6 @@ and the CLI (``p4bid --solver-stats``).
 
 from __future__ import annotations
 
-import time
 from collections import deque
 from dataclasses import dataclass
 from typing import (
@@ -67,7 +70,6 @@ from repro.inference.constraints import Constraint
 from repro.inference.solve import (
     InferenceConflict,
     InferenceError,
-    Solution,
     _height_bound,
     _normalise,
 )
@@ -659,6 +661,11 @@ class PropagationGraph:
     # -- structure queries ---------------------------------------------------
 
     @property
+    def buckets(self) -> List[Sequence[Constraint]]:
+        """The system as handed over: one sequence per unit, in unit order."""
+        return [bucket.constraints for bucket in self._buckets]
+
+    @property
     def variables(self) -> List[LabelVar]:
         """Every variable the system mentions (discovery order on a fresh
         build; a patch appends the variables it introduces)."""
@@ -845,37 +852,6 @@ class PropagationGraph:
                 assignment.get(var, self.lattice.bottom), label
             )
         return assignment
-
-    def solve(
-        self, overrides: Optional[Mapping[LabelVar, Label]] = None
-    ) -> Solution:
-        """Full SCC-scheduled solve; least solution above ``overrides``."""
-        recorder = current_recorder()
-        start = time.perf_counter()
-        with recorder.span(
-            "solver.solve", edges=len(self.edges), variables=self.variable_count
-        ):
-            stats = self._new_stats()
-            assignment = self.fresh_assignment(overrides)
-            self.propagate(assignment, stats)
-            conflicts = [c for c in self.check_conflicts(assignment) if c is not None]
-        stats.solve_ms = (time.perf_counter() - start) * 1000.0
-        if recorder.enabled:
-            recorder.count("solver.solves")
-            recorder.count("solver.edges_visited", stats.edges_visited)
-            recorder.count("solver.worklist_pops", stats.worklist_pops)
-            recorder.count("solver.conflicts", len(conflicts))
-        solution = Solution(
-            self.lattice,
-            assignment,
-            conflicts,
-            iterations=stats.worklist_pops,
-            propagation_count=len(self.edges),
-            check_count=len(self.checks),
-        )
-        solution.stats = stats
-        solution.graph = self
-        return solution
 
     def _new_stats(self) -> SolverStats:
         return SolverStats(

@@ -26,13 +26,13 @@ by slicing backwards through the propagation edges that raised the
 offending variables, giving the chain of source spans from the annotated
 secret to the too-low sink.
 
-There is one solving engine.  :func:`solve` builds a
-:class:`~repro.inference.graph.PropagationGraph` (edges deduplicated,
-condensed into SCCs via Tarjan) and runs the Kleene iteration in
+There is one solving engine, the :class:`~repro.inference.engine.Solver`.
+:func:`solve` builds one, whose
+:class:`~repro.inference.graph.PropagationGraph` deduplicates the edges and
+condenses them into SCCs (Tarjan), and runs the Kleene iteration in
 topological component order, so acyclic regions are solved in one pass and
-iteration is confined to genuine cycles; the persistent
-:class:`~repro.inference.engine.Solver` runs the same schedule over an
-edit's cone of influence.
+iteration is confined to genuine cycles.  The solution keeps its solver,
+which re-runs the same schedule over an edit's cone of influence.
 """
 
 from __future__ import annotations
@@ -53,7 +53,8 @@ from repro.inference.terms import (
 from repro.lattice.base import Label, Lattice
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
-    from repro.inference.graph import SolverStats
+    from repro.inference.engine import Solver
+    from repro.inference.graph import PropagationGraph, SolverStats
 
 
 class InferenceError(Exception):
@@ -105,18 +106,23 @@ class Solution:
     iterations: int = 0
     propagation_count: int = 0
     check_count: int = 0
-    #: Scheduler statistics (SCC counts, edges visited, passes, solve time);
-    #: populated by the graph-based solver.
+    #: Scheduler statistics (SCC counts, edges visited, passes, solve time).
     stats: Optional["SolverStats"] = None
-    #: The propagation graph the solution was computed over (set by the
-    #: graph-based solvers).  Downstream analyses -- leak-path witnesses,
-    #: lint graph queries (:mod:`repro.analysis`) -- walk it instead of
-    #: re-normalising the constraints.
-    graph: Optional[object] = None
+    #: The :class:`~repro.inference.engine.Solver` that produced the
+    #: solution (``None`` for one assembled by hand).
+    solver: Optional["Solver"] = None
 
     @property
     def ok(self) -> bool:
         return not self.conflicts
+
+    @property
+    def graph(self) -> Optional["PropagationGraph"]:
+        """The solver's propagation graph, which describes its latest
+        system.  Downstream analyses -- leak-path witnesses, lint graph
+        queries (:mod:`repro.analysis`) -- walk it instead of
+        re-normalising the constraints."""
+        return None if self.solver is None else self.solver.graph
 
     def value_of(self, var: LabelVar) -> Label:
         return self.assignment.get(var, self.lattice.bottom)
@@ -180,17 +186,14 @@ def solve(
 ) -> Solution:
     """Solve ``constraints`` over ``lattice``; least solution plus conflicts.
 
-    Builds the propagation graph, condenses it into SCCs and schedules the
-    Kleene iteration in topological component order (see
-    :mod:`repro.inference.graph`).  ``buckets``, when given, is the same
-    system split per unit (concatenating to ``constraints``): the
-    solution's graph is then built over them, so a
-    :class:`repro.inference.engine.Solver` taking it over can patch it
-    per unit.
+    A fresh :class:`~repro.inference.engine.Solver`'s full solve, kept as
+    ``solution.solver``.  ``buckets``, when given, is the same system split
+    per unit (concatenating to ``constraints``), so the solver's
+    :meth:`~repro.inference.engine.Solver.rebase` can patch it per unit.
     """
-    from repro.inference.graph import PropagationGraph
+    from repro.inference.engine import Solver
 
-    return PropagationGraph(lattice, constraints, buckets=buckets).solve()
+    return Solver(lattice, constraints, buckets=buckets).solve()
 
 
 def _height_bound(lattice: Lattice) -> int:

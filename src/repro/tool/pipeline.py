@@ -56,7 +56,7 @@ if False:  # pragma: no cover - typing-only imports (cycle-free at runtime)
     from repro.analysis.rules import Finding
 
 #: Span names of the solver intervals that constitute the "solve" sub-phase.
-_SOLVE_SPANS = ("solver.solve", "solver.resolve", "solver.rebase")
+_SOLVE_SPANS = ("solver.solve", "solver.rebase")
 #: Span name -> the sub-phase it accumulates into.
 _SUB_PHASE_SPANS: Mapping[str, str] = {
     **{name: "solve" for name in _SOLVE_SPANS},

@@ -58,13 +58,13 @@ tracing recorder, in the ``workspace.units_core_checked`` /
 ``workspace.units_elaborated`` / ``workspace.units_ifc_checked``
 counters.
 
-The first check of a freshly opened workspace is the *cold* path run
-verbatim -- same walk, same solver entry point, same spans and counters
--- so a one-shot :func:`repro.check_source` built on a throwaway
-workspace stays byte-identical with what the pipeline always produced.
-The persistent :class:`~repro.inference.engine.Solver` is only
-constructed at the first warm operation (it adopts the cold solution and
-rebases from there).
+The first check of a freshly opened workspace is the *cold* path, and a
+one-shot :func:`repro.check_source` or
+:func:`~repro.inference.engine.infer_labels` is exactly that, over a
+throwaway workspace.  Its solve is the one-shot
+:func:`~repro.inference.solve.solve`, whose
+:class:`~repro.inference.engine.Solver` the workspace keeps: every later
+solve is a :meth:`~repro.inference.engine.Solver.rebase` of it.
 
 This module never imports :mod:`repro.tool.pipeline` at module level --
 the pipeline imports the workspace to serve as its engine; reports are
@@ -349,61 +349,30 @@ class Workspace:
                     pins[site.var] = label
         return pins
 
-    def _ensure_solver(self, generation: GenerationResult) -> Solver:
-        """The persistent solver, built lazily at the first warm operation.
-
-        It takes over the last solution's graph (built over that
-        solution's buckets, which :meth:`Solver.rebase` then patches), or,
-        before any solve, builds one over ``generation``'s buckets.
-        """
-        if self._solver is None:
-            if self._solved is not None:
-                self._solver = Solver(self.lattice, graph=self._solved.graph)
-                self._solver.adopt(self._solved)
-            else:
-                self._solver = Solver(self.lattice, buckets=generation.buckets)
-        return self._solver
-
     def _ensure_solution(self) -> Solution:
         generation = self._ensure_generation()
         if self._solved is not None and self._solved_generation is generation:
             return self._solved
-        if self._solved is None and self._solver is None:
-            # First solve ever: run the one-shot path verbatim (identical
-            # spans/counters to the cold pipeline) unless pins already
-            # exist, which only the persistent solver can honour.
-            if self._pin_hints:
-                solution = self._ensure_solver(generation).resolve(
-                    self._pins_for(generation)
-                )
-            else:
-                solution = solve(
-                    self.lattice, generation.constraints, buckets=generation.buckets
-                )
-        else:
-            solver = self._ensure_solver(generation)
-            solution = solver.rebase(
-                generation.buckets, pins=self._pins_for(generation)
+        pins = self._pins_for(generation)
+        if self._solver is None:
+            # The cold solve; the pins a load replays ride on a rebase.
+            solution = solve(
+                self.lattice, generation.constraints, buckets=generation.buckets
             )
+            self._solver = solution.solver
+            if pins:
+                solution = self._solver.rebase(generation.buckets, pins=pins)
+        else:
+            solution = self._solver.rebase(generation.buckets, pins=pins)
         self._solved = solution
         self._solved_generation = generation
         return solution
 
     def _solution_graph(self, generation: GenerationResult) -> PropagationGraph:
         """A propagation graph over the current constraints, reusing the
-        solver's or the last solution's when it is current."""
-        if (
-            self._solver is not None
-            and self._solved_generation is generation
-            and self._solver.graph.lattice is self.lattice
-        ):
+        solver's when it is current."""
+        if self._solver is not None and self._solved_generation is generation:
             return self._solver.graph
-        if (
-            self._solved is not None
-            and self._solved_generation is generation
-            and self._solved.graph is not None
-        ):
-            return self._solved.graph
         return PropagationGraph(self.lattice, generation.constraints)
 
     # ------------------------------------------------------------------ pinning
@@ -435,7 +404,7 @@ class Workspace:
         self._inference = None
         self._inference_rev = -1
         if self._solved is not None and self._solved_generation is generation:
-            self._solved = self._ensure_solver(generation).resolve({site.var: label})
+            self._solved = self._solver.resolve({site.var: label})
 
     @property
     def pins(self) -> Dict[str, Label]:
@@ -464,10 +433,11 @@ class Workspace:
     def infer(self) -> InferenceResult:
         """Label inference over the current revision (cached until edited).
 
-        Re-implements :func:`repro.inference.engine.infer_labels` over
-        the warm state: generation comes from the incremental re-walk and
-        the solution from the persistent solver; everything downstream
-        (pc maximisation, elaboration, diagnostics) is shared code.
+        The one assembly of an :class:`InferenceResult`
+        (:func:`~repro.inference.engine.infer_labels` runs it over a
+        throwaway workspace): generation comes from the incremental
+        re-walk and the solution from the workspace's solver; then pc
+        maximisation, the inferred labels, diagnostics and elaboration.
         """
         if self._inference is not None and self._inference_rev == self.revision:
             return self._inference
@@ -568,11 +538,7 @@ class Workspace:
         """Leak-path witnesses for the current conflicts, warm."""
         from repro.analysis.witness import witnesses_for_solution
 
-        generation = self._ensure_generation()
-        solution = self._ensure_solution()
-        if solution.graph is None:
-            solution.graph = self._solution_graph(generation)
-        return witnesses_for_solution(solution)
+        return witnesses_for_solution(self._ensure_solution())
 
     # ------------------------------------------------------------------ reports
 
@@ -639,7 +605,6 @@ class Workspace:
                 for hint, label in sorted(self._pin_hints.items())
             },
             "solver": {
-                "persistent": self._solver is not None,
                 "solved": self._solved is not None,
                 "conflicts": len(self._solved.conflicts)
                 if self._solved is not None

@@ -9,8 +9,6 @@ indistinguishable from a from-scratch solve.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.ifc.errors import ViolationKind
 from repro.inference import (
     Constraint,
@@ -376,28 +374,17 @@ class TestSolverRebase:
         assert warm.ok == scratch.ok
         assert len(warm.conflicts) == len(scratch.conflicts) == 1
 
-    def test_adopt_then_rebase_continues_warm(self):
+    def test_one_shot_solver_then_rebase_continues_warm(self):
         lattice = get_lattice("two-point")
         variables, constraints = self._chain(lattice, length=6)
-        cold = solve(lattice, constraints)
-        solver = Solver(lattice, constraints)
-        solver.adopt(cold)
+        solver = solve(lattice, constraints).solver
         edited = constraints + [Constraint(ConstTerm("high"), VarTerm(variables[3]))]
         warm = solver.rebase([edited])
         scratch = solve(lattice, edited)
         for var in variables:
             assert lattice.equal(warm.value_of(var), scratch.value_of(var))
-        # The adopted prefix was reused: only v3's cone was revisited
-        # (in-edges of v3..v5: const→v3, v2→v3, v3→v4, v4→v5), never the
-        # whole system.
+        # The one-shot solve's state was reused: only v3's cone was
+        # revisited (in-edges of v3..v5: const→v3, v2→v3, v3→v4, v4→v5),
+        # never the whole system.
         assert warm.stats.edges_visited == 4
         assert warm.stats.edges_visited < warm.stats.edge_count
-
-    def test_adopt_rejects_a_pinned_solver(self):
-        lattice = get_lattice("two-point")
-        variables, constraints = self._chain(lattice)
-        cold = solve(lattice, constraints)
-        solver = Solver(lattice, constraints)
-        solver.resolve({variables[0]: "high"})
-        with pytest.raises(ValueError):
-            solver.adopt(cold)

@@ -5,7 +5,7 @@ it: dropped buckets' edges and checks leave the indexes, only added
 buckets are normalised, and only the region whose components can have
 changed is re-condensed.  These tests drive edit scripts (add, delete or
 rewrite a unit; flip a seed; pin and unpin) and after every step compare
-the patched solver with a `PropagationGraph` built from scratch over the
+the patched solver with a `Solver` built from scratch over the
 same buckets: edge keys with their origins in order, each variable's
 in-edges in order, the checks in order, the SCC partition and the
 whole-system stats, the least solution, and the conflicts with their
@@ -106,9 +106,9 @@ def _answers(solution) -> tuple:
 
 
 def _assert_matches_fresh(solver: Solver, solution, buckets, pins) -> None:
-    fresh = PropagationGraph(solver.lattice, buckets=buckets)
-    assert _structure(solver.graph) == _structure(fresh)
-    assert _answers(solution) == _answers(fresh.solve(pins))
+    fresh = Solver(solver.lattice, buckets=buckets)
+    assert _structure(solver.graph) == _structure(fresh.graph)
+    assert _answers(solution) == _answers(fresh.resolve(pins))
 
 
 # ---------------------------------------------------------------------------
@@ -316,12 +316,9 @@ def _assert_workspace_matches_fresh(workspace: Workspace) -> None:
     generation = workspace._generation
     assert [c for bucket in generation.buckets for c in bucket] == generation.constraints
     pins = workspace._pins_for(generation)
-    solver = workspace._solver
-    if solver is not None:
-        _assert_matches_fresh(solver, workspace._solved, generation.buckets, pins)
-    else:
-        fresh = PropagationGraph(workspace.lattice, buckets=generation.buckets)
-        assert _answers(workspace._solved) == _answers(fresh.solve(pins))
+    _assert_matches_fresh(
+        workspace._solver, workspace._solved, generation.buckets, pins
+    )
 
 
 @settings(max_examples=40, deadline=None)
@@ -430,7 +427,7 @@ def test_one_shard_edit_patches_only_that_shard():
     assert workspace.open(source, filename="<input>")
     workspace.check(infer=True)
     assert workspace.edit(source.replace("s9 = hdr.data.s8", "s9 = hdr.data.s7", 1))
-    workspace.check(infer=True)  # the persistent solver now exists
+    workspace.check(infer=True)  # a warm rebase of the kept solver
     assert workspace.edit(source)
     workspace.check(infer=True)
 

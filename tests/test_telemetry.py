@@ -23,7 +23,7 @@ import pytest
 from repro.casestudies import get_case_study
 from repro.casestudies.base import strip_security_annotations
 from repro.frontend.parser import parse_program
-from repro.inference import PropagationGraph, generate_constraints
+from repro.inference import generate_constraints, solve
 from repro.lattice import TwoPointLattice
 from repro.lattice.registry import get_lattice
 from repro.synth import deep_dataflow_program
@@ -445,7 +445,7 @@ class TestPipelineTracing:
         timing = report.timing
         assert timing.parse_ms == pytest.approx(rec.total_ms("phase.parse"))
         assert timing.infer_ms == pytest.approx(rec.total_ms("phase.infer"))
-        solver_total = rec.total_ms("solver.solve") + rec.total_ms("solver.resolve")
+        solver_total = rec.total_ms("solver.solve") + rec.total_ms("solver.rebase")
         assert timing.solve_ms == pytest.approx(solver_total)
         assert 0.0 < timing.solve_ms <= timing.infer_ms
 
@@ -503,13 +503,13 @@ class TestPhaseTiming:
         with rec.span("phase.infer") as infer_span:
             with rec.span("solver.solve"):
                 pass
-            with rec.span("solver.resolve"):
+            with rec.span("solver.rebase"):
                 pass
         rec._open("phase.core", {})  # left open: must be skipped
         timing = PhaseTiming.from_spans(rec.spans)
         assert timing.parse_ms > 0
         assert timing.infer_ms == pytest.approx(infer_span.duration_ms)
-        solve = rec.total_ms("solver.solve") + rec.total_ms("solver.resolve")
+        solve = rec.total_ms("solver.solve") + rec.total_ms("solver.rebase")
         assert timing.solve_ms == pytest.approx(solve)
         assert timing.core_ms == 0.0
         assert timing.total_ms == pytest.approx(timing.parse_ms + timing.infer_ms)
@@ -580,7 +580,7 @@ class TestNoOpGuard:
         assert not generation.errors
         recorder = ExplodingRecorder()
         with use_recorder(recorder):
-            solution = PropagationGraph(lattice, generation.constraints).solve()
+            solution = solve(lattice, generation.constraints)
         assert solution.ok
         return recorder.span_calls
 

@@ -231,10 +231,25 @@ class TestTenThousandConstraints:
 
     def test_pin_in_a_converged_session_takes_the_label(self, cold):
         workspace, result = cold
-        hint = next(iter(result.assignment_by_hint()))
-        workspace.pin(hint, "high")
-        pinned = workspace.infer()
-        assert workspace.lattice.format_label(pinned.assignment_by_hint()[hint]) == "high"
+        fmt = workspace.lattice.format_label
+        before = {hint: fmt(label) for hint, label in result.assignment_by_hint().items()}
+        chain = {f"field shard50_t.s{i}" for i in range(101)}
+        # The flipped seed leaves shard 50's chain low: the pin must raise it.
+        assert {before[hint] for hint in chain} == {"low"}
+        workspace.pin("field shard50_t.s0", "high")
+        try:
+            pinned = workspace.infer()
+            after = {hint: fmt(label) for hint, label in pinned.assignment_by_hint().items()}
+            moved = {hint for hint in before if after[hint] != before[hint]}
+            assert moved == chain
+            assert {after[hint] for hint in chain} == {"high"}
+            # The re-solve visits the pin's cone, not the program.
+            pin_edges = pinned.solution.stats.edges_visited
+            cold_edges = result.solution.stats.edges_visited
+            assert 100 * pin_edges <= cold_edges, (pin_edges, cold_edges)
+        finally:
+            workspace.pin("field shard50_t.s0", None)
+        assert workspace.infer().assignment_by_hint() == result.assignment_by_hint()
 
 
 class TestRecheckMatchesCold:
