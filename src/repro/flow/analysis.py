@@ -140,22 +140,9 @@ class FlowAnalysis:
         from repro.flow.units import FlowUnits, drive_units, program_units
 
         products = drive_units(
-            FlowUnits(self, program), program_units(program), cache
+            FlowUnits(self), program_units(program), cache
         )
         self.algebra.merge_units([unit.outputs for unit in products])
-
-    def _suggest_declaration_hints(self, program: Program) -> None:
-        """Attach readable hints to the annotation slots of declared types."""
-        if not self.algebra.wants_hints:
-            return
-        for decl in program.iter_declarations():
-            if isinstance(decl, (d.HeaderDecl, d.StructDecl)):
-                for field in decl.fields:
-                    self.algebra.suggest_hint(
-                        field.ty, f"field {decl.name}.{field.name}"
-                    )
-            elif isinstance(decl, d.TypedefDecl):
-                self.algebra.suggest_hint(decl.ty, f"typedef {decl.name}")
 
     # ------------------------------------------------------------------ controls
 
@@ -195,8 +182,15 @@ class FlowAnalysis:
         if isinstance(decl, d.VarDecl):
             return self._check_var_decl(decl, gamma, labeler, pc)
         if isinstance(decl, d.TypedefDecl):
+            if self.algebra.wants_hints:
+                self.algebra.suggest_hint(decl.ty, f"typedef {decl.name}")
             labeler.definitions.define(decl.name, decl.ty)
             return gamma
+        if isinstance(decl, (d.HeaderDecl, d.StructDecl)) and self.algebra.wants_hints:
+            # A field's variable is made where the type is first used,
+            # possibly by a later unit: the hint outlives this walk.
+            for field in decl.fields:
+                self.algebra.suggest_hint(field.ty, f"field {decl.name}.{field.name}")
         if isinstance(decl, d.HeaderDecl):
             labeler.definitions.define(
                 decl.name, AnnotatedType(HeaderType(decl.fields), None, decl.span)

@@ -26,7 +26,7 @@ symbolic ``pc_fn`` when the body finishes (see
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.flow.algebra import LabelAlgebra, RuleSite
 from repro.ifc.context import SecurityTypeDefs
@@ -60,10 +60,11 @@ class SymbolicUnit:
     """What the symbolic walk of one top-level unit generated.
 
     ``touches`` lists every annotation site the walk resolved (fresh or
-    memoised), in order -- the sites this unit keeps alive.
+    memoised), in order -- the sites this unit keeps alive -- and
+    ``hinted`` the slots it suggested hints for.
     """
 
-    __slots__ = ("constraints", "errors", "pc_vars", "touches")
+    __slots__ = ("constraints", "errors", "pc_vars", "touches", "hinted", "_unique")
 
     def __init__(
         self,
@@ -71,11 +72,20 @@ class SymbolicUnit:
         errors: List[IfcDiagnostic],
         pc_vars: List[Tuple[d.ControlDecl, LabelVar]],
         touches: List[InferenceSite],
+        hinted: List[AnnotatedType],
     ) -> None:
         self.constraints = constraints
         self.errors = errors
         self.pc_vars = pc_vars
         self.touches = touches
+        self.hinted = hinted
+        self._unique: Optional[Dict[int, InferenceSite]] = None
+
+    def unique_touches(self) -> Dict[int, InferenceSite]:
+        """``touches`` without repeats, by site id, in first-touch order."""
+        if self._unique is None:
+            self._unique = {id(site): site for site in self.touches}
+        return self._unique
 
 
 class SymbolicAlgebra(LabelAlgebra):
@@ -222,7 +232,7 @@ class SymbolicAlgebra(LabelAlgebra):
             self._unit_constraints.as_list(),
             self.errors,
             self.control_pc_vars,
-            self.registry.end_touch_log(),
+            *self.registry.end_touch_log(),
         )
 
     def merge_units(self, outputs: Sequence[SymbolicUnit]) -> None:

@@ -162,7 +162,7 @@ class FlowUnits:
     top-level Γ/Δ and write-bound maps, recorded per unit, with the
     algebra's outputs captured per unit."""
 
-    def __init__(self, analysis, program: Program) -> None:
+    def __init__(self, analysis) -> None:
         algebra = analysis.algebra
         self.analysis = analysis
         self.gamma = RecordingContext()
@@ -173,7 +173,6 @@ class FlowUnits:
         kind = SecurityType(SMatchKind(), algebra.bottom)
         for member in DEFAULT_MATCH_KINDS:
             self.gamma.bind(member, kind)
-        analysis._suggest_declaration_hints(program)
         self.recorders = (
             self.gamma,
             self.delta,

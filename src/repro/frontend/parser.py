@@ -32,7 +32,7 @@ objects, their anchors moved to where the units sit now.
 from __future__ import annotations
 
 from array import array
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.frontend.errors import FrontendError, ParserError
 from repro.frontend.lexer import TokenKind, scan
@@ -788,6 +788,8 @@ class ParseIndex:
         self.filename: Optional[str] = None
         #: The units of the last parse, in source order.
         self.units: List[Unit] = []
+        #: Per unit, its :func:`_type_shape`.
+        self.shapes: List[Optional[TypeShape]] = []
         #: How many units the last parse reused and how many it parsed.
         self.reused = 0
         self.reparsed = 0
@@ -860,11 +862,13 @@ def _parse(
     with recorder.span("parse.descend"):
         units = Parser(lines, *columns).parse_units()
     reparsed = len(units)
+    shapes = [_type_shape(unit) for unit in units]
     if head or tail:
         kept = len(index.units) - tail
         delta = len(source) - len(index.source)
         units = index.units[:head] + units + index.units[kept:]
-    _check_type_depth(units)
+        shapes = index.shapes[:head] + shapes + index.shapes[kept:]
+    _check_type_depth(units, shapes)
     if head or tail:
         for unit in units[:head]:
             unit.span.anchor.move(lines, 0)
@@ -872,7 +876,7 @@ def _parse(
             unit.span.anchor.move(lines, delta)
     if index is not None:
         index.source, index.filename = source, filename
-        index.units = units
+        index.units, index.shapes = units, shapes
         index.reused, index.reparsed = len(units) - reparsed, reparsed
     # The program runs from its first unit to the end of the source.
     ends = array("l", (units[0].span.anchor.start if units else len(source), len(source)))
@@ -884,7 +888,32 @@ def _parse(
     )
 
 
-def _check_type_depth(units: List[Unit]) -> None:
+#: A type declaration's own nesting level (1 plus its deepest stack
+#: suffix) and the type names its fields refer to.
+TypeShape = Tuple[int, FrozenSet[str]]
+
+
+def _type_shape(unit: Unit) -> Optional[TypeShape]:
+    """The :data:`TypeShape` of a type declaration; None for other units.
+    A function of the unit's tokens, so a reused unit keeps its shape."""
+    if isinstance(unit, TypedefDecl):
+        fields = [unit.ty]
+    elif isinstance(unit, (HeaderDecl, StructDecl)):
+        fields = [f.ty for f in unit.fields]
+    else:
+        return None
+    levels, names = 1, set()
+    for annotated in fields:
+        ty, stacks = annotated.ty, 0
+        while isinstance(ty, StackType):
+            ty, stacks = ty.element.ty, stacks + 1
+        levels = max(levels, 1 + stacks)
+        if isinstance(ty, TypeName):
+            names.add(ty.name)
+    return levels, frozenset(names)
+
+
+def _check_type_depth(units: List[Unit], shapes: List[Optional[TypeShape]]) -> None:
     """Refuse a type declaration nested deeper than :data:`MAX_TYPE_DEPTH`.
 
     A declaration's depth is its own level plus its stack suffixes plus
@@ -892,23 +921,16 @@ def _check_type_depth(units: List[Unit]) -> None:
     forward, and in cycles, which the checkers report; every declaration
     a cycle reaches gets the levels of the whole unresolved region, an
     upper bound on any chain a walker can follow before it finds the
-    cycle.  Iterative, so the check itself cannot overflow.
+    cycle.  Iterative, so the check itself cannot overflow.  ``shapes``
+    are the units' :func:`_type_shape`, in order.
     """
-    decls = [u for u in units if isinstance(u, (HeaderDecl, StructDecl, TypedefDecl))]
+    decls = [(u, shape) for u, shape in zip(units, shapes) if shape is not None]
     if not decls:
         return
     own: Dict[str, int] = {}
     refs: Dict[str, Set[str]] = {}
-    for decl in decls:
-        fields = [decl.ty] if isinstance(decl, TypedefDecl) else [f.ty for f in decl.fields]
-        levels, names = 1, refs.setdefault(decl.name, set())
-        for annotated in fields:
-            ty, stacks = annotated.ty, 0
-            while isinstance(ty, StackType):
-                ty, stacks = ty.element.ty, stacks + 1
-            levels = max(levels, 1 + stacks)
-            if isinstance(ty, TypeName):
-                names.add(ty.name)
+    for decl, (levels, names) in decls:
+        refs.setdefault(decl.name, set()).update(names)
         own[decl.name] = max(own.get(decl.name, 1), levels)
     users: Dict[str, List[str]] = {name: [] for name in own}
     pending: Dict[str, int] = {}
@@ -932,7 +954,7 @@ def _check_type_depth(units: List[Unit]) -> None:
     if cyclic:
         bound = sum(own[name] for name in cyclic) + max(below[name] for name in cyclic)
         depth.update(dict.fromkeys(cyclic, bound))
-    for decl in decls:
+    for decl, _shape in decls:
         if depth[decl.name] > MAX_TYPE_DEPTH:
             raise ParserError(
                 f"type nesting deeper than {MAX_TYPE_DEPTH} levels", decl.span

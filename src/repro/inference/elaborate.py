@@ -13,11 +13,12 @@ soundness of inference rests on that unmodified checker, not on the solver.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import FrozenSet, List, Optional, Set, Tuple
 
 from repro.flow.units import UnitCache, program_units
-from repro.inference.generate import GenerationResult
+from repro.inference.generate import GenerationResult, InferenceSite
 from repro.inference.solve import Solution
+from repro.inference.terms import LabelVar
 from repro.syntax import declarations as d
 from repro.syntax import statements as s
 from repro.syntax.digest import Unit
@@ -37,17 +38,43 @@ class Elaboration:
     """One top-level unit with its solved labels written in.
 
     ``slots`` are the unit's annotation slots, in the order elaboration
-    read them, and ``key`` what it read for them (then for the control's
-    pc) from the solution: the elaborated ``node`` is a function of the
-    unit and the key.
+    read them, ``sites`` their sites (``None`` for a slot without one),
+    and ``key`` what it read for them (then for the control's pc) from
+    the solution: the elaborated ``node`` is a function of the unit and
+    the key.  ``pc_var`` is the control's pc variable, if it has one.
     """
 
-    __slots__ = ("node", "slots", "key")
+    __slots__ = ("node", "slots", "sites", "key", "pc_var", "_reads")
 
-    def __init__(self, node: Unit, slots: List[AnnotatedType], key: tuple) -> None:
+    def __init__(
+        self,
+        node: Unit,
+        slots: List[AnnotatedType],
+        sites: List[Optional[InferenceSite]],
+        key: tuple,
+        pc_var: Optional[LabelVar] = None,
+    ) -> None:
         self.node = node
         self.slots = slots
+        self.sites = sites
         self.key = key
+        self.pc_var = pc_var
+        self._reads: Optional[Tuple[FrozenSet[LabelVar], FrozenSet[int]]] = None
+
+    def unchanged(self, moved: Set[LabelVar], sited: Set[int]) -> bool:
+        """Whether none of the variables read is in ``moved`` and none of
+        the slots that had no site is in ``sited`` (ids of slot nodes that
+        gained one): then the key reads the same."""
+        if self._reads is None:
+            read = {site.var for site in self.sites if site is not None}
+            if self.pc_var is not None:
+                read.add(self.pc_var)
+            unsited = {
+                id(slot) for slot, site in zip(self.slots, self.sites) if site is None
+            }
+            self._reads = frozenset(read), frozenset(unsited)
+        read, unsited = self._reads
+        return moved.isdisjoint(read) and sited.isdisjoint(unsited)
 
 
 class _Elaborator:
@@ -58,23 +85,41 @@ class _Elaborator:
         }
         self._solution = solution
         self._lattice = generation.lattice
-        #: The slots read (and what was read for them) by the current unit.
+        #: The slots read (their sites, and what was read for them) by the
+        #: current unit.
         self._slots: List[AnnotatedType] = []
+        self._sites: List[Optional[InferenceSite]] = []
         self._key: list = []
 
     # -- units ----------------------------------------------------------------
 
     def unit(self, unit: Unit) -> Elaboration:
-        self._slots, self._key = [], []
+        self._slots, self._sites, self._key = [], [], []
+        pc_var = None
         if isinstance(unit, d.ControlDecl):
             node: Unit = self.control(unit)
             self._key.append(self._pc_value(unit))
+            pc_var = self._control_pc_vars.get(id(unit))
         else:
             node = self.declaration(unit)
-        return Elaboration(node, self._slots, tuple(self._key))
+        return Elaboration(node, self._slots, self._sites, tuple(self._key), pc_var)
 
-    def still_valid(self, elaboration: Elaboration, unit: Unit) -> bool:
-        """Whether ``elaboration`` is what :meth:`unit` would build now."""
+    def still_valid(
+        self,
+        elaboration: Elaboration,
+        unit: Unit,
+        moved: Optional[Set[LabelVar]] = None,
+        sited: Set[int] = frozenset(),
+    ) -> bool:
+        """Whether ``elaboration`` is what :meth:`unit` would build now.
+
+        ``moved`` holds the variables whose value may differ from the
+        solution ``elaboration`` was made from, and ``sited`` the ids of
+        the slot nodes that gained a site since; ``None`` (a full solve)
+        re-reads every slot.
+        """
+        if moved is not None:
+            return elaboration.unchanged(moved, sited)
         key = [self._slot_value(node) for node in elaboration.slots]
         if isinstance(unit, d.ControlDecl):
             key.append(self._pc_value(unit))
@@ -95,6 +140,7 @@ class _Elaborator:
     def _label_text(self, node: AnnotatedType) -> Optional[str]:
         site = self._registry.site_of(node) if self._registry is not None else None
         self._slots.append(node)
+        self._sites.append(site)
         if site is None:
             self._key.append(None)
         else:
@@ -209,6 +255,9 @@ def elaborate_program(
     generation: GenerationResult,
     solution: Solution,
     cache: Optional[UnitCache] = None,
+    *,
+    moved: Optional[Set[LabelVar]] = None,
+    sited: Set[int] = frozenset(),
 ) -> Program:
     """The program with every inferred label written into its slot.
 
@@ -217,7 +266,10 @@ def elaborate_program(
     :class:`Elaboration` records: it offers each unit's last elaboration, and
     one whose slots (and control pc) ``solution`` still assigns the labels
     it read keeps its elaborated node; the cache then receives every
-    unit's elaboration.
+    unit's elaboration.  With ``moved`` -- the variables that may have
+    changed since the cached elaborations were made -- and ``sited`` --
+    the ids of the slot nodes that gained a site since -- that test reads
+    no slot (:meth:`Elaboration.unchanged`).
     """
     elaborator = _Elaborator(generation, solution)
     program = generation.program
@@ -226,7 +278,7 @@ def elaborate_program(
     elaborations: List[Elaboration] = []
     for index, unit in enumerate(units):
         previous = cached[index] if cached is not None else None
-        if previous is not None and elaborator.still_valid(previous, unit):
+        if previous is not None and elaborator.still_valid(previous, unit, moved, sited):
             elaborations.append(previous)
         else:
             elaborations.append(elaborator.unit(unit))

@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence
+from itertools import chain
+from typing import Dict, List, Mapping, Optional, Sequence, Set
 
 from repro.ifc.errors import IfcDiagnostic
 from repro.inference.constraints import Constraint
@@ -34,16 +35,22 @@ from repro.syntax.source import SourceSpan
 from repro.telemetry.recorder import current_recorder
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InferredLabel:
-    """One solved annotation slot, for reports and the CLI."""
+    """One solved annotation slot, for reports and the CLI.
+
+    ``text`` is the label's spelling and ``location`` the rendered span,
+    both made once with the slot, so a report only reads them.
+    """
 
     hint: str
     span: SourceSpan
     label: Label
+    text: str
+    location: str
 
     def describe(self, lattice: Lattice) -> str:
-        location = "" if self.span.is_unknown() else f" ({self.span})"
+        location = "" if self.span.is_unknown() else f" ({self.location})"
         return f"{self.hint}: {lattice.format_label(self.label)}{location}"
 
 
@@ -278,6 +285,11 @@ class Solver:
         pins across re-allocated slot variables); ``None`` keeps the
         current pins.  Removing a pin restores the inferred least solution
         for that slot.  Before any solve, this is a full solve.
+
+        The solution's ``moved`` holds the variables whose value differs
+        from the previous solution's.  Only the cone, the variables that
+        left the system and those whose pin changed can differ, so only
+        they are compared.
         """
         recorder = current_recorder()
         start = time.perf_counter()
@@ -289,7 +301,8 @@ class Solver:
         if self._assignment is None:
             return self.solve()
         # Solutions share the assignment they were given: re-solve a copy.
-        assignment = self._assignment = dict(self._assignment)
+        previous = self._assignment
+        assignment = self._assignment = dict(previous)
         component_of = graph.component_of
         pinned = old_pins.keys() | new_pins.keys()
         changed_pins = []
@@ -339,6 +352,12 @@ class Solver:
             for index, verdict in zip(ordered, graph.check_conflicts(assignment, ordered)):
                 results[index] = verdict
             self._check_results = results
+            bottom = self.lattice.bottom
+            moved = {
+                var
+                for var in chain(cone, patch.removed_vars, changed_pins)
+                if previous.get(var, bottom) != assignment.get(var, bottom)
+            }
         stats.solve_ms = (time.perf_counter() - start) * 1000.0
         self._stats = stats
         if recorder.enabled:
@@ -358,7 +377,8 @@ class Solver:
             recorder.count(
                 "solver.rebase.checks_cached", len(results) - len(ordered)
             )
-        return self._snapshot()
+            recorder.count("solver.rebase.vars_moved", len(moved))
+        return self._snapshot(moved)
 
     def _reset(self, cone) -> None:
         """Every variable of ``cone`` back to ``⊥``, or to its pin."""
@@ -369,7 +389,7 @@ class Solver:
             pin = pins.get(var)
             assignment[var] = bottom if pin is None else pin
 
-    def _snapshot(self) -> Solution:
+    def _snapshot(self, moved: Optional[Set[LabelVar]] = None) -> Solution:
         stats = self._stats
         return Solution(
             self.lattice,
@@ -380,6 +400,7 @@ class Solver:
             check_count=len(self.graph.checks),
             stats=stats,
             solver=self,
+            moved=moved,
         )
 
 

@@ -140,6 +140,11 @@ class SiteRegistry:
     Keyed by node identity: the registry keeps every node alive, so ``id``
     reuse cannot alias two different slots, and repeated resolution of the
     same ``typedef``/``header`` field always yields the same variable.
+
+    A suggested hint stays until :meth:`forget_hints` drops it: a
+    workspace keeps the hints of a declaration for as long as the
+    declaration is live, since a later revision may give one of its
+    slots a variable without walking the declaration again.
     """
 
     def __init__(self, supply: VarSupply) -> None:
@@ -152,11 +157,25 @@ class SiteRegistry:
         self._order: List[InferenceSite] = []
         #: When not None, every ``var_for`` resolution (fresh *or* memoised)
         #: is appended here -- a workspace records one log per re-walked
-        #: declaration to learn which sites the declaration touches.
+        #: declaration to learn which sites the declaration touches -- and
+        #: every hinted node to the hint log.
         self._touch_log: Optional[List[InferenceSite]] = None
+        self._hint_log: List[AnnotatedType] = []
+        #: Sites made since the last :meth:`restrict_to`.
+        self._created: List[InferenceSite] = []
 
     def suggest_hint(self, node: AnnotatedType, hint: str) -> None:
         self._hints.setdefault(id(node), (node, hint))
+        if self._touch_log is not None:
+            self._hint_log.append(node)
+
+    def forget_hints(self, nodes: List[AnnotatedType]) -> None:
+        """Drop the hints suggested for ``nodes``."""
+        hints = self._hints
+        for node in nodes:
+            hinted = hints.get(id(node))
+            if hinted is not None and hinted[0] is node:
+                del hints[id(node)]
 
     def var_for(
         self,
@@ -176,6 +195,8 @@ class SiteRegistry:
             )
             self._sites[id(node)] = site
             self._order.append(site)
+            if self._touch_log is not None:
+                self._created.append(site)
         if self._touch_log is not None:
             self._touch_log.append(site)
         return site.var
@@ -190,19 +211,27 @@ class SiteRegistry:
 
     def begin_touch_log(self) -> None:
         self._touch_log = []
+        self._hint_log = []
 
-    def end_touch_log(self) -> List[InferenceSite]:
+    def end_touch_log(self) -> Tuple[List[InferenceSite], List[AnnotatedType]]:
+        """The sites resolved and the nodes hinted since the log began."""
         log, self._touch_log = self._touch_log or [], None
-        return log
+        hinted, self._hint_log = self._hint_log, []
+        return log, hinted
 
-    def restrict_to(self, sites: List[InferenceSite]) -> None:
-        """Replace the site order, dropping the sites and hints of nodes
-        that are no longer live (deleted or re-parsed declarations)."""
+    def restrict_to(self, sites: List[InferenceSite]) -> List[InferenceSite]:
+        """Replace the site order, dropping the sites of nodes that are no
+        longer live (deleted or re-parsed declarations).
+
+        Returns the sites this dropped and those made since the last call:
+        the slots whose variable changed.
+        """
+        old = self._sites
         self._order = list(sites)
-        self._sites = {id(site.node): site for site in self._order}
-        self._hints = {
-            key: hinted for key, hinted in self._hints.items() if key in self._sites
-        }
+        self._sites = new = {id(site.node): site for site in self._order}
+        changed, self._created = self._created, []
+        changed.extend(old[key] for key in old.keys() - new.keys())
+        return changed
 
 
 class InferenceLabeler(TypeLabeler):

@@ -38,7 +38,7 @@ which re-runs the same schedule over an edit's cone of influence.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 from repro.ifc.errors import IfcDiagnostic
 from repro.inference.constraints import Constraint
@@ -111,6 +111,10 @@ class Solution:
     #: The :class:`~repro.inference.engine.Solver` that produced the
     #: solution (``None`` for one assembled by hand).
     solver: Optional["Solver"] = None
+    #: The variables whose value differs from the solver's previous
+    #: solution; ``None`` (a full solve, or a hand-built solution) means
+    #: every variable may have changed.
+    moved: Optional[Set[LabelVar]] = None
 
     @property
     def ok(self) -> bool:

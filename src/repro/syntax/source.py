@@ -186,6 +186,27 @@ def anchor_of(span: SourceSpan) -> Optional[Anchor]:
     return anchor if type(anchor) is Anchor else None
 
 
+def placement(anchor: Anchor) -> tuple:
+    """What the spans of ``anchor``'s unit render from: the token offsets
+    it indexes, its file, and the line and column where it starts.
+
+    A unit's text changes only by a re-parse, which re-bases its anchor
+    onto new offsets; a reused unit's text is the same, so while the
+    placement is the same (:func:`same_placement`), so is every line and
+    column of the unit, even when its offset moved.
+    """
+    lines = anchor.lines
+    start = anchor.offsets[anchor.base] + anchor.shift
+    line = bisect_right(lines.starts, start)
+    return anchor.offsets, anchor.base, lines.filename, line, start - lines.starts[line - 1]
+
+
+def same_placement(anchor: Anchor, mark: tuple) -> bool:
+    """Whether ``anchor`` renders as it did when :func:`placement` gave ``mark``."""
+    now = placement(anchor)
+    return now[0] is mark[0] and now[1:] == mark[1:]
+
+
 _new = object.__new__
 
 

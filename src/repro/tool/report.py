@@ -178,11 +178,7 @@ def report_to_dict(report: CheckReport) -> Dict[str, Any]:
                     else None
                 ),
                 "labels": [
-                    {
-                        "slot": slot.hint,
-                        "label": inference.lattice.format_label(slot.label),
-                        "location": str(slot.span),
-                    }
+                    {"slot": slot.hint, "label": slot.text, "location": slot.location}
                     for slot in inference.inferred
                 ],
                 "control_pcs": [

@@ -56,14 +56,16 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.flow.units import UnitProducts, program_units
 from repro.inference.elaborate import Elaboration
+from repro.inference.generate import InferenceSite
 from repro.syntax import declarations as d
 from repro.syntax.digest import Unit, declared_names, referenced_names, unit_fingerprint
 from repro.syntax.program import Program
 from repro.syntax.source import anchor_of
+from repro.syntax.types import AnnotatedType
 
 @dataclass
 class UnitState:
@@ -96,6 +98,15 @@ class UnitState:
     start: Optional[int] = None
     #: The symbolic walk: constraints, errors, pc vars, touched sites.
     generated: Optional[UnitProducts] = None
+    #: The slots the last walk suggested hints for; they keep their hints
+    #: while the state is live.
+    hinted: Sequence[AnnotatedType] = ()
+    #: The sites the unit adds to the live site list (those of its walk's
+    #: touches no earlier unit touched), in order.
+    sites: Optional[List[InferenceSite]] = None
+    #: The inferred labels of ``sites`` (a
+    #: :class:`~repro.workspace.session.SlotLabels`).
+    labels: Optional[object] = None
     #: The Core P4 check: diagnostics.
     core: Optional[UnitProducts] = None
     #: The unit with its solved labels written in.

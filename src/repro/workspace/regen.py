@@ -85,6 +85,8 @@ class IncrementalGenerator:
         self.program: Optional[Program] = None
         self._moved = 0
         self.last = RegenStats()
+        #: The sites the last refresh dropped or made.
+        self.changed_sites: List[InferenceSite] = []
 
     # ------------------------------------------------------------------ plan
 
@@ -103,8 +105,14 @@ class IncrementalGenerator:
         which every later phase must see.
         """
         first = not self.units
-        plans = diff_program(self.units, program, adopted=adopted)
+        previous = self.units
+        plans = diff_program(previous, program, adopted=adopted)
         self.units = [plan.state for plan in plans]
+        live = {id(state) for state in self.units}
+        registry = self.algebra.registry
+        for state in previous:
+            if id(state) not in live:
+                registry.forget_hints(state.hinted)
         moved = 0
         for plan in plans:
             state = plan.state
@@ -113,6 +121,7 @@ class IncrementalGenerator:
                 state.core = None
                 state.elaborated = None
                 state.ifc = None
+                state.labels = None
             anchor = anchor_of(state.node.span)
             start = None if anchor is None else anchor.start
             if not plan.dirty and start != state.start:
@@ -156,20 +165,36 @@ class IncrementalGenerator:
             units_respanned=self._moved,
         )
         # The live sites are the first-occurrence union of the units'
-        # touch logs -- on a fully dirty refresh, allocation order.
+        # touch logs -- on a fully dirty refresh, allocation order.  A unit
+        # whose share of it changed drops its inferred labels.
         sites: List[InferenceSite] = []
         seen_sites: set = set()
         for state, fresh in zip(self.units, cache.fresh):
             outputs = state.generated.outputs
             if fresh:
                 stats.constraints_regenerated += len(outputs.constraints)
+                state.hinted = outputs.hinted
             else:
                 stats.constraints_reused += len(outputs.constraints)
-            for site in outputs.touches:
-                if id(site) not in seen_sites:
-                    seen_sites.add(id(site))
-                    sites.append(site)
-        registry.restrict_to(sites)
+            touched = outputs.unique_touches()
+            if seen_sites.isdisjoint(touched):
+                # The unit's share is all it touched: its old share, unless
+                # an earlier unit claimed some of it then.
+                seen_sites.update(touched)
+                own = state.sites
+                if fresh or own is None or len(own) != len(touched):
+                    own = list(touched.values())
+            else:
+                own = []
+                for key, site in touched.items():
+                    if key not in seen_sites:
+                        seen_sites.add(key)
+                        own.append(site)
+            if own is not state.sites and own != state.sites:
+                state.sites = own
+                state.labels = None
+            sites.extend(own)
+        self.changed_sites = registry.restrict_to(sites)
 
         stats.sites_live = len(sites)
         self.last = stats

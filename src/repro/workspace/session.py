@@ -26,7 +26,7 @@ across edits:
 
 Past generation, a warm check redoes only the units it must.  Each
 :class:`~repro.workspace.diff.UnitState` caches, next to its generated
-constraints, three per-unit products that live and die with it:
+constraints, four per-unit products that live and die with it:
 
 * the **Core P4 products** (diagnostics, recorded Γ/Δ effects) --
   reused while the diff finds the unit clean;
@@ -37,7 +37,15 @@ constraints, three per-unit products that live and die with it:
   effects) -- reused while the unit is clean, keeps the very
   node they were made for (elaborated, or the source on a check without
   inference) and every referenced declarer's products were reused too,
-  decided in unit order so the rule is transitive (:class:`RecheckSlots`).
+  decided in unit order so the rule is transitive (:class:`RecheckSlots`);
+* the **inferred labels** of the sites the unit adds to the site list,
+  with their text and location (:class:`SlotLabels`).
+
+Which labels the solutions since the last :meth:`Workspace.infer` moved
+is what the solver reports (:attr:`~repro.inference.solve.Solution.moved`)
+plus the slots whose site an edit dropped or made, so a warm check reads
+the solution only for those: an elaboration stays valid while none of its
+slots is among them, and a label is remade only when it is.
 
 Every phase reads the diff plan the first phase of a revision takes
 (:meth:`Workspace._ensure_plan`), so a session that never infers reuses
@@ -74,7 +82,9 @@ lazily by :meth:`Workspace.check`.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Union
+from itertools import compress, repeat
+from operator import attrgetter, is_
+from typing import Dict, List, Optional, Set, Union
 
 from repro.flow.units import program_units
 from repro.frontend.errors import FrontendError
@@ -86,16 +96,21 @@ from repro.inference.engine import (
     Solver,
     _maximise_control_pcs,
 )
-from repro.inference.generate import GenerationResult
+from repro.inference.generate import GenerationResult, InferenceSite
 from repro.inference.graph import PropagationGraph
 from repro.inference.solve import Solution, solve
+from repro.inference.terms import LabelVar
 from repro.lattice.base import Label, Lattice
 from repro.lattice.registry import get_lattice
 from repro.lattice.two_point import TwoPointLattice
 from repro.syntax.program import Program
+from repro.syntax.source import anchor_of, placement, same_placement
 from repro.telemetry.recorder import current_recorder
 from repro.workspace.diff import StateSlots, UnitState, settle_states
 from repro.workspace.regen import IncrementalGenerator
+
+
+_note_of = attrgetter("var.note")
 
 
 class WorkspaceError(Exception):
@@ -156,6 +171,52 @@ class RecheckSlots(StateSlots):
         self._note("units_ifc_checked", self.walked)
 
 
+class SlotLabels:
+    """The inferred labels of the sites one unit adds to the site list
+    (:attr:`UnitState.sites <repro.workspace.diff.UnitState.sites>`), as
+    ``entries``, with what they were made from: the sites' variables and
+    the placement of every unit whose spans they render.
+    """
+
+    __slots__ = ("sites", "entries", "vars", "marks")
+
+    def __init__(
+        self, sites: List[InferenceSite], solution: Solution, lattice: Lattice
+    ) -> None:
+        self.sites = sites
+        self.entries = [_inferred(site, solution, lattice) for site in sites]
+        self.vars = frozenset(site.var for site in sites)
+        anchors = {}
+        for site in sites:
+            anchor = anchor_of(site.span)
+            if anchor is not None:
+                anchors[id(anchor)] = anchor
+        self.marks = [(anchor, placement(anchor)) for anchor in anchors.values()]
+
+    def placed(self) -> bool:
+        """Whether every span the entries render is where it was."""
+        return all(same_placement(anchor, mark) for anchor, mark in self.marks)
+
+    def update(self, solution: Solution, moved: Set[LabelVar], lattice: Lattice) -> int:
+        """Remake the entries whose variable is in ``moved``; returns how many."""
+        entries = self.entries
+        remade = 0
+        for index, site in enumerate(self.sites):
+            if site.var in moved:
+                entries[index] = _inferred(site, solution, lattice)
+                remade += 1
+        return remade
+
+
+def _inferred(site: InferenceSite, solution: Solution, lattice: Lattice) -> InferredLabel:
+    """The reported label of ``site``: its effective label, ``floor`` ⊔ solved."""
+    label = solution.value_of(site.var)
+    if site.floor is not None:
+        label = lattice.join(label, site.floor)
+    span = site.span
+    return InferredLabel(site.hint, span, label, lattice.format_label(label), str(span))
+
+
 class Workspace:
     """Long-lived checking state for one program under one lattice."""
 
@@ -212,6 +273,18 @@ class Workspace:
         #: Interactive pins, keyed by slot *hint* (stable across the var
         #: re-allocation a structural edit may cause).
         self._pin_hints: Dict[str, Label] = {}
+        #: The first site of each hint, for the generation it was built from.
+        self._sites_by_hint: Dict[str, InferenceSite] = {}
+        self._sites_by_hint_of: Optional[GenerationResult] = None
+        #: What may have changed since :meth:`infer` last made the units'
+        #: slot labels and elaborations: the variables whose value moved or
+        #: whose site was dropped or made, and the ids of the slot nodes
+        #: that gained a site.  ``None`` after a full solve: everything.
+        self._moved: Optional[Set[LabelVar]] = None
+        self._sited: Set[int] = set()
+        #: How many slot labels the last :meth:`infer` at this revision
+        #: made afresh.
+        self._relabelled = 0
 
     # ------------------------------------------------------------------ identity
 
@@ -268,6 +341,7 @@ class Workspace:
 
     def _invalidate(self) -> None:
         self._rechecked = dict.fromkeys(self._rechecked, 0)
+        self._relabelled = 0
         self._generation = None
         self._generation_rev = -1
         self._inference = None
@@ -320,6 +394,10 @@ class Workspace:
         recorder = current_recorder()
         with recorder.span("workspace.regenerate", revision=self.revision):
             generation = self._generator.refresh(self.program)
+        if self._moved is not None:
+            for site in self._generator.changed_sites:
+                self._moved.add(site.var)
+                self._sited.add(id(site.node))
         stats = self._generator.last
         if recorder.enabled:
             recorder.count("workspace.regenerations")
@@ -340,14 +418,41 @@ class Workspace:
 
     # ------------------------------------------------------------------ solving
 
+    def _site_named(
+        self, generation: GenerationResult, hint: str
+    ) -> Optional[InferenceSite]:
+        """The first site of ``generation`` named ``hint``, from an index
+        built once per generation."""
+        if self._sites_by_hint_of is not generation:
+            sites = generation.sites
+            notes = list(map(_note_of, sites))
+            # Reversed, so that each hint keeps its first site.
+            index = dict(zip(reversed(notes), reversed(sites)))
+            if None in index:
+                # A slot without a note is named by its position.
+                del index[None]
+                for site in compress(sites, map(is_, notes, repeat(None))):
+                    index.setdefault(site.hint, site)
+            self._sites_by_hint = index
+            self._sites_by_hint_of = generation
+        return self._sites_by_hint.get(hint)
+
     def _pins_for(self, generation: GenerationResult) -> Dict[object, Label]:
         pins: Dict[object, Label] = {}
-        if self._pin_hints:
-            for site in generation.sites:
-                label = self._pin_hints.get(site.hint)
-                if label is not None:
-                    pins[site.var] = label
+        for hint, label in self._pin_hints.items():
+            site = self._site_named(generation, hint)
+            if site is not None:
+                pins[site.var] = label
         return pins
+
+    def _adopt(self, solution: Solution) -> None:
+        """Make ``solution`` the current one, noting what it moved."""
+        self._solved = solution
+        if self._moved is not None:
+            if solution.moved is None:
+                self._moved = None
+            else:
+                self._moved.update(solution.moved)
 
     def _ensure_solution(self) -> Solution:
         generation = self._ensure_generation()
@@ -364,7 +469,7 @@ class Workspace:
                 solution = self._solver.rebase(generation.buckets, pins=pins)
         else:
             solution = self._solver.rebase(generation.buckets, pins=pins)
-        self._solved = solution
+        self._adopt(solution)
         self._solved_generation = generation
         return solution
 
@@ -389,7 +494,7 @@ class Workspace:
         if isinstance(label, str):
             label = self.lattice.parse_label(label)
         generation = self._ensure_generation()
-        site = next((s for s in generation.sites if s.hint == hint), None)
+        site = self._site_named(generation, hint)
         if site is None and label is None and hint in self._pin_hints:
             del self._pin_hints[hint]
             self._inference = None
@@ -404,7 +509,7 @@ class Workspace:
         self._inference = None
         self._inference_rev = -1
         if self._solved is not None and self._solved_generation is generation:
-            self._solved = self._solver.resolve({site.var: label})
+            self._adopt(self._solver.resolve({site.var: label}))
 
     @property
     def pins(self) -> Dict[str, Label]:
@@ -438,6 +543,14 @@ class Workspace:
         throwaway workspace): generation comes from the incremental
         re-walk and the solution from the workspace's solver; then pc
         maximisation, the inferred labels, diagnostics and elaboration.
+
+        The inferred labels are kept per unit (:class:`SlotLabels`), and
+        a unit's are remade only when its share of the site list changed
+        (its walk, or an earlier unit's), a unit whose spans they render
+        moved, or -- label by label -- the variable is among those the
+        solutions since the last run moved.  A unit keeps its elaboration
+        unless it read such a variable (the pc variables always count:
+        maximisation re-derives them).
         """
         if self._inference is not None and self._inference_rev == self.revision:
             return self._inference
@@ -456,24 +569,36 @@ class Workspace:
                 "infer.maximise-pc", pcs=len(generation.control_pc_vars)
             ):
                 solution = _maximise_control_pcs(self.lattice, generation, solution)
-        inferred = [
-            InferredLabel(
-                site.hint,
-                site.span,
-                solution.value_of(site.var)
-                if site.floor is None
-                else self.lattice.join(solution.value_of(site.var), site.floor),
-            )
-            for site in generation.sites
-        ]
+        moved, sited = self._moved, self._sited
+        if moved is not None:
+            moved.update(var for _control, var in generation.control_pc_vars)
+        lattice = self.lattice
+        inferred: List[InferredLabel] = []
+        relabelled = 0
+        for state in self._generator.units:
+            if not state.sites:
+                continue
+            labels = state.labels
+            if labels is None or moved is None or not labels.placed():
+                labels = state.labels = SlotLabels(state.sites, solution, lattice)
+                relabelled += len(labels.entries)
+            elif not moved.isdisjoint(labels.vars):
+                relabelled += labels.update(solution, moved, lattice)
+            inferred.extend(labels.entries)
+        self._relabelled = relabelled
+        if recorder.enabled:
+            recorder.count("workspace.slots_relabelled", relabelled)
         diagnostics = list(generation.errors)
         diagnostics.extend(
-            conflict.as_diagnostic(self.lattice) for conflict in solution.conflicts
+            conflict.as_diagnostic(lattice) for conflict in solution.conflicts
         )
         with recorder.span("infer.elaborate"):
             cache = StateSlots(self._generator.units, "elaborated")
-            elaborated = elaborate_program(generation, solution, cache)
+            elaborated = elaborate_program(
+                generation, solution, cache, moved=moved, sited=sited
+            )
         self._note("units_elaborated", cache.walked)
+        self._moved, self._sited = set(), set()
         result = InferenceResult(
             self.program,
             self.lattice,
@@ -611,6 +736,7 @@ class Workspace:
                 else None,
             },
             "rechecks": dict(self._rechecked),
+            "slots_relabelled": self._relabelled,
             "regen": {
                 "units_total": regen.units_total,
                 "units_reused": regen.units_reused,

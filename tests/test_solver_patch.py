@@ -111,6 +111,11 @@ def _assert_matches_fresh(solver: Solver, solution, buckets, pins) -> None:
     assert _answers(solution) == _answers(fresh.resolve(pins))
 
 
+def _moved(before, after) -> set:
+    """The variables whose value differs between two solutions."""
+    return {var for var in POOL if before.value_of(var) != after.value_of(var)}
+
+
 # ---------------------------------------------------------------------------
 # edit scripts over constraint buckets
 
@@ -180,10 +185,13 @@ def _run_script(initial, edits) -> None:
     buckets = [units.bucket(shapes) for shapes in initial]
     solver = Solver(LATTICE, buckets=buckets)
     solution = solver.solve()
+    # A full solve may have moved anything.
+    assert solution.moved is None
     pins = {}
     _assert_matches_fresh(solver, solution, buckets, pins)
     for edit in edits:
         kind = edit[0]
+        previous = solution
         if kind in ("pin", "unpin"):
             var = POOL[edit[1]]
             label = LABELS[edit[2]] if kind == "pin" else None
@@ -202,6 +210,8 @@ def _run_script(initial, edits) -> None:
                 buckets[edit[1] % len(buckets)] = units.bucket(edit[2])
             solution = solver.rebase(buckets)
         _assert_matches_fresh(solver, solution, buckets, pins)
+        # The moved set is exactly what changed value.
+        assert solution.moved == _moved(previous, solution)
 
 
 @settings(max_examples=150, deadline=None)

@@ -20,6 +20,7 @@ from repro.lattice.registry import available_lattices, get_lattice
 from repro.synth import sharded_dataflow_program
 from repro.telemetry import TraceRecorder, use_recorder
 from repro.tool.pipeline import check_source
+from repro.tool.report import report_to_dict
 from repro.workspace import Workspace, diff
 
 RECHECKS = ("units_core_checked", "units_elaborated", "units_ifc_checked")
@@ -189,6 +190,145 @@ class TestRecheckCounters:
         assert counted["units_ifc_checked"] == 0
 
 
+def _relabelled(action) -> int:
+    """How many slot labels one traced action made afresh."""
+    recorder = TraceRecorder()
+    with use_recorder(recorder):
+        action()
+    return recorder.counters.get("workspace.slots_relabelled", 0)
+
+
+def _report(report) -> dict:
+    """A JSON report without the fields that describe the work done."""
+    rendered = report_to_dict(report)
+    del rendered["timing_ms"]
+    if rendered["inference"] is not None:
+        del rendered["inference"]["solver"]
+    return rendered
+
+
+#: A program with a header no control uses yet.
+SPARE = """header used_t {
+    bit<8> a;
+}
+
+header spare_t {
+    bit<8> x;
+    bit<8> y;
+}
+
+struct used_headers { used_t data; }
+
+control Main(inout used_headers hdr) {
+    apply {
+        hdr.data.a = hdr.data.a;
+    }
+}
+"""
+
+
+class TestSlotRelabelling:
+    """The per-slot products of a warm check -- the inferred labels with
+    their text and location, and the elaborations' validity -- are
+    remade only where the solver moved a label, a unit was re-walked or
+    a span moved (``workspace.slots_relabelled``, never timing)."""
+
+    def test_cold_check_labels_every_slot_once(self):
+        workspace = Workspace()
+        assert workspace.open(sharded_dataflow_program(2, depth=2), filename="<input>")
+        assert _relabelled(lambda: workspace.check(infer=True)) == 4
+        assert workspace.stats()["slots_relabelled"] == 4
+        # Not a re-check count: a line-only edit may relabel slots.
+        assert "slots_relabelled" not in workspace.stats()["rechecks"]
+
+    def test_seed_flip_relabels_only_its_shard(self):
+        workspace, source = _session()
+        raised = source.replace(SEED, SEED.replace("low", "high"))
+
+        def edit():
+            assert workspace.edit(raised)
+            workspace.check(infer=True)
+
+        # Shard 3's four slots; the other shards' spans shifted by one
+        # character, on the same lines and columns.
+        assert _relabelled(edit) == 4
+        assert workspace.stats()["slots_relabelled"] == 4
+        assert _snapshot(workspace) == _cold_snapshot(raised)
+
+    def test_pin_relabels_the_slots_it_moved(self):
+        workspace, _ = _session()
+
+        def pin(label):
+            workspace.pin("field shard2_t.s1", label)
+            workspace.check(infer=True)
+
+        # s1 and the two slots downstream of it go high, then back.
+        assert _relabelled(lambda: pin("high")) == 3
+        assert _relabelled(lambda: pin(None)) == 3
+        assert _relabelled(lambda: workspace.check(infer=True)) == 0
+
+    def test_moves_between_checks_accumulate(self):
+        """Two solves between checks: the second check relabels what
+        either moved."""
+        workspace, source = _session()
+        workspace.pin("field shard2_t.s1", "high")
+        workspace.unsat_cores()  # solves without relabelling
+        raised = source.replace(SEED, SEED.replace("low", "high"))
+        assert workspace.edit(raised)
+        workspace.lint()
+        workspace.check(infer=True)
+        assert workspace.stats()["slots_relabelled"] == 3 + 4
+        assert _snapshot(workspace) == _cold_snapshot(
+            raised, pins={"field shard2_t.s1": "high"}
+        )
+
+    def test_blank_line_above_a_shard_matches_cold(self):
+        """Units below a blank line keep every product but their
+        rendered locations, which must be a cold check's."""
+        workspace, source = _session()
+        shard = source.index("header shard3_t")
+        spaced = source[:shard] + "\n" + source[shard:]
+        recorder = TraceRecorder()
+        with use_recorder(recorder):
+            assert workspace.edit(spaced)
+            warm = workspace.check(infer=True)
+        counters = recorder.counters
+        for name in ("units_rewalked", *RECHECKS):
+            assert counters.get("workspace." + name, 0) == 0
+        # Shards 3, 4 and 5 moved down a line: their four slots each.
+        assert counters["workspace.slots_relabelled"] == 12
+        cold = check_source(spaced, infer=True, filename="<input>")
+        assert _report(warm) == _report(cold)
+        assert _report(warm)["inference"]["labels"][-1]["location"].startswith("<input>:")
+        # And back: the same units move up again.
+        assert workspace.edit(source)
+        assert _report(workspace.check(infer=True)) == _report(
+            check_source(source, infer=True, filename="<input>")
+        )
+        assert workspace.stats()["slots_relabelled"] == 12
+
+    def test_first_use_of_a_clean_header_keeps_its_field_names(self):
+        """An edit makes the control use a header nothing used before:
+        the header is not re-walked, yet its slots are named after its
+        fields, as a cold check names them."""
+        workspace = Workspace()
+        assert workspace.open(SPARE, filename="<input>")
+        workspace.check(infer=True)
+        edited = SPARE.replace(
+            "        hdr.data.a = hdr.data.a;\n",
+            "        spare_t spare;\n        spare.y = hdr.data.a;\n",
+        )
+        assert workspace.edit(edited)
+        inferred = workspace.check(infer=True).inference_result.inferred
+        assert workspace.stats()["regen"]["units_rewalked"] == 1
+        assert [slot.hint for slot in inferred] == [
+            "field used_t.a",
+            "field spare_t.x",
+            "field spare_t.y",
+        ]
+        assert _snapshot(workspace) == _cold_snapshot(edited)
+
+
 class TestTenThousandConstraints:
     """The incrementality claims at 10k constraints (100 shards x depth
     101), on counters rather than clocks."""
@@ -223,6 +363,8 @@ class TestTenThousandConstraints:
         assert stats["regen"]["units_rewalked"] == 3
         assert stats["regen"]["units_reused"] == 297
         assert stats["rechecks"] == dict.fromkeys(RECHECKS, 3)
+        # The shard's slots are relabelled, at most 2% of them all.
+        assert 50 * stats["slots_relabelled"] <= stats["sites"], stats
         # The re-solve visits the edit's cone: 100 of the cold 10,099 edges.
         warm_edges = warm.solution.stats.edges_visited
         cold_edges = cold.solution.stats.edges_visited
@@ -239,6 +381,8 @@ class TestTenThousandConstraints:
         workspace.pin("field shard50_t.s0", "high")
         try:
             pinned = workspace.infer()
+            # Exactly the slots the pin moved are relabelled.
+            assert workspace.stats()["slots_relabelled"] == len(chain)
             after = {hint: fmt(label) for hint, label in pinned.assignment_by_hint().items()}
             moved = {hint for hint in before if after[hint] != before[hint]}
             assert moved == chain
