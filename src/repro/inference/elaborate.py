@@ -39,32 +39,30 @@ class Elaboration:
 
     ``slots`` are the unit's annotation slots, in the order elaboration
     read them, ``sites`` their sites (``None`` for a slot without one),
-    and ``key`` what it read for them (then for the control's pc) from
-    the solution: the elaborated ``node`` is a function of the unit and
-    the key.  ``pc_var`` is the control's pc variable, if it has one.
+    and ``pc_var`` the control's pc variable, if it has one: the
+    elaborated ``node`` is a function of the unit and the values of the
+    variables they name.
     """
 
-    __slots__ = ("node", "slots", "sites", "key", "pc_var", "_reads")
+    __slots__ = ("node", "slots", "sites", "pc_var", "_reads")
 
     def __init__(
         self,
         node: Unit,
         slots: List[AnnotatedType],
         sites: List[Optional[InferenceSite]],
-        key: tuple,
         pc_var: Optional[LabelVar] = None,
     ) -> None:
         self.node = node
         self.slots = slots
         self.sites = sites
-        self.key = key
         self.pc_var = pc_var
         self._reads: Optional[Tuple[FrozenSet[LabelVar], FrozenSet[int]]] = None
 
     def unchanged(self, moved: Set[LabelVar], sited: Set[int]) -> bool:
         """Whether none of the variables read is in ``moved`` and none of
         the slots that had no site is in ``sited`` (ids of slot nodes that
-        gained one): then the key reads the same."""
+        gained one): then elaborating the unit again builds the same node."""
         if self._reads is None:
             read = {site.var for site in self.sites if site is not None}
             if self.pc_var is not None:
@@ -85,55 +83,21 @@ class _Elaborator:
         }
         self._solution = solution
         self._lattice = generation.lattice
-        #: The slots read (their sites, and what was read for them) by the
-        #: current unit.
+        #: The slots read (and their sites) by the current unit.
         self._slots: List[AnnotatedType] = []
         self._sites: List[Optional[InferenceSite]] = []
-        self._key: list = []
 
     # -- units ----------------------------------------------------------------
 
     def unit(self, unit: Unit) -> Elaboration:
-        self._slots, self._sites, self._key = [], [], []
+        self._slots, self._sites = [], []
         pc_var = None
         if isinstance(unit, d.ControlDecl):
             node: Unit = self.control(unit)
-            self._key.append(self._pc_value(unit))
             pc_var = self._control_pc_vars.get(id(unit))
         else:
             node = self.declaration(unit)
-        return Elaboration(node, self._slots, self._sites, tuple(self._key), pc_var)
-
-    def still_valid(
-        self,
-        elaboration: Elaboration,
-        unit: Unit,
-        moved: Optional[Set[LabelVar]] = None,
-        sited: Set[int] = frozenset(),
-    ) -> bool:
-        """Whether ``elaboration`` is what :meth:`unit` would build now.
-
-        ``moved`` holds the variables whose value may differ from the
-        solution ``elaboration`` was made from, and ``sited`` the ids of
-        the slot nodes that gained a site since; ``None`` (a full solve)
-        re-reads every slot.
-        """
-        if moved is not None:
-            return elaboration.unchanged(moved, sited)
-        key = [self._slot_value(node) for node in elaboration.slots]
-        if isinstance(unit, d.ControlDecl):
-            key.append(self._pc_value(unit))
-        return tuple(key) == elaboration.key
-
-    def _slot_value(self, node: AnnotatedType):
-        site = self._registry.site_of(node) if self._registry is not None else None
-        if site is None:
-            return None
-        return site.augments, self._solution.value_of(site.var)
-
-    def _pc_value(self, control: d.ControlDecl):
-        var = self._control_pc_vars.get(id(control))
-        return None if var is None else self._solution.value_of(var)
+        return Elaboration(node, self._slots, self._sites, pc_var)
 
     # -- types ---------------------------------------------------------------
 
@@ -141,11 +105,8 @@ class _Elaborator:
         site = self._registry.site_of(node) if self._registry is not None else None
         self._slots.append(node)
         self._sites.append(site)
-        if site is None:
-            self._key.append(None)
-        else:
+        if site is not None:
             label = self._solution.value_of(site.var)
-            self._key.append((site.augments, label))
             if site.augments and self._lattice.equal(label, self._lattice.bottom):
                 # A ⊥ augmentation adds nothing to the underlying label;
                 # leave the slot unannotated rather than writing a label
@@ -263,22 +224,22 @@ def elaborate_program(
 
     Elaborates one top-level unit at a time.  ``cache`` works like the
     per-unit loop's (:class:`repro.flow.units.UnitCache`), over
-    :class:`Elaboration` records: it offers each unit's last elaboration, and
-    one whose slots (and control pc) ``solution`` still assigns the labels
-    it read keeps its elaborated node; the cache then receives every
-    unit's elaboration.  With ``moved`` -- the variables that may have
-    changed since the cached elaborations were made -- and ``sited`` --
-    the ids of the slot nodes that gained a site since -- that test reads
-    no slot (:meth:`Elaboration.unchanged`).
+    :class:`Elaboration` records, and receives every unit's elaboration.
+    With ``moved`` -- the variables whose value may differ from the
+    solution the cached elaborations were made from -- and ``sited`` --
+    the ids of the slot nodes that gained a site since -- it offers each
+    unit's last elaboration, which the unit keeps while it read none of
+    them (:meth:`Elaboration.unchanged`).  Without ``moved`` (after a
+    full solve) every unit is elaborated afresh.
     """
     elaborator = _Elaborator(generation, solution)
     program = generation.program
     units = program_units(program)
-    cached = cache.reuse() if cache is not None else None
+    cached = cache.reuse() if cache is not None and moved is not None else None
     elaborations: List[Elaboration] = []
     for index, unit in enumerate(units):
         previous = cached[index] if cached is not None else None
-        if previous is not None and elaborator.still_valid(previous, unit, moved, sited):
+        if previous is not None and previous.unchanged(moved, sited):
             elaborations.append(previous)
         else:
             elaborations.append(elaborator.unit(unit))

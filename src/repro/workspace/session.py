@@ -82,8 +82,6 @@ lazily by :meth:`Workspace.check`.
 
 from __future__ import annotations
 
-from itertools import compress, repeat
-from operator import attrgetter, is_
 from typing import Dict, List, Optional, Set, Union
 
 from repro.flow.units import program_units
@@ -108,9 +106,6 @@ from repro.syntax.source import anchor_of, placement, same_placement
 from repro.telemetry.recorder import current_recorder
 from repro.workspace.diff import StateSlots, UnitState, settle_states
 from repro.workspace.regen import IncrementalGenerator
-
-
-_note_of = attrgetter("var.note")
 
 
 class WorkspaceError(Exception):
@@ -273,13 +268,11 @@ class Workspace:
         #: Interactive pins, keyed by slot *hint* (stable across the var
         #: re-allocation a structural edit may cause).
         self._pin_hints: Dict[str, Label] = {}
-        #: The first site of each hint, for the generation it was built from.
-        self._sites_by_hint: Dict[str, InferenceSite] = {}
-        self._sites_by_hint_of: Optional[GenerationResult] = None
         #: What may have changed since :meth:`infer` last made the units'
         #: slot labels and elaborations: the variables whose value moved or
         #: whose site was dropped or made, and the ids of the slot nodes
-        #: that gained a site.  ``None`` after a full solve: everything.
+        #: that gained a site.  ``None`` after a full solve, or once it
+        #: outgrows the site list (:meth:`_bound_moved`): everything.
         self._moved: Optional[Set[LabelVar]] = None
         self._sited: Set[int] = set()
         #: How many slot labels the last :meth:`infer` at this revision
@@ -398,6 +391,7 @@ class Workspace:
             for site in self._generator.changed_sites:
                 self._moved.add(site.var)
                 self._sited.add(id(site.node))
+            self._bound_moved(generation)
         stats = self._generator.last
         if recorder.enabled:
             recorder.count("workspace.regenerations")
@@ -418,34 +412,16 @@ class Workspace:
 
     # ------------------------------------------------------------------ solving
 
-    def _site_named(
-        self, generation: GenerationResult, hint: str
-    ) -> Optional[InferenceSite]:
-        """The first site of ``generation`` named ``hint``, from an index
-        built once per generation."""
-        if self._sites_by_hint_of is not generation:
-            sites = generation.sites
-            notes = list(map(_note_of, sites))
-            # Reversed, so that each hint keeps its first site.
-            index = dict(zip(reversed(notes), reversed(sites)))
-            if None in index:
-                # A slot without a note is named by its position.
-                del index[None]
-                for site in compress(sites, map(is_, notes, repeat(None))):
-                    index.setdefault(site.hint, site)
-            self._sites_by_hint = index
-            self._sites_by_hint_of = generation
-        return self._sites_by_hint.get(hint)
-
     def _pins_for(self, generation: GenerationResult) -> Dict[object, Label]:
         pins: Dict[object, Label] = {}
-        for hint, label in self._pin_hints.items():
-            site = self._site_named(generation, hint)
-            if site is not None:
-                pins[site.var] = label
+        if self._pin_hints:
+            for site in generation.sites:
+                label = self._pin_hints.get(site.hint)
+                if label is not None:
+                    pins[site.var] = label
         return pins
 
-    def _adopt(self, solution: Solution) -> None:
+    def _adopt(self, solution: Solution, generation: GenerationResult) -> None:
         """Make ``solution`` the current one, noting what it moved."""
         self._solved = solution
         if self._moved is not None:
@@ -453,6 +429,21 @@ class Workspace:
                 self._moved = None
             else:
                 self._moved.update(solution.moved)
+                self._bound_moved(generation)
+
+    def _bound_moved(self, generation: GenerationResult) -> None:
+        """Give up the moved set once it holds more variables than
+        ``generation`` has sites.
+
+        Remaking every label and elaboration then costs about what
+        testing each against the set does, and a session that refreshes
+        or re-solves without inferring (lints, pins, unsat cores) would
+        otherwise grow the set on every edit -- and keep, through the
+        spans of dropped variables, the source of every revision.
+        """
+        if len(self._moved) > len(generation.sites):
+            self._moved = None
+            self._sited = set()
 
     def _ensure_solution(self) -> Solution:
         generation = self._ensure_generation()
@@ -469,7 +460,7 @@ class Workspace:
                 solution = self._solver.rebase(generation.buckets, pins=pins)
         else:
             solution = self._solver.rebase(generation.buckets, pins=pins)
-        self._adopt(solution)
+        self._adopt(solution, generation)
         self._solved_generation = generation
         return solution
 
@@ -494,7 +485,7 @@ class Workspace:
         if isinstance(label, str):
             label = self.lattice.parse_label(label)
         generation = self._ensure_generation()
-        site = self._site_named(generation, hint)
+        site = next((s for s in generation.sites if s.hint == hint), None)
         if site is None and label is None and hint in self._pin_hints:
             del self._pin_hints[hint]
             self._inference = None
@@ -509,7 +500,7 @@ class Workspace:
         self._inference = None
         self._inference_rev = -1
         if self._solved is not None and self._solved_generation is generation:
-            self._adopt(self._solver.resolve({site.var: label}))
+            self._adopt(self._solver.resolve({site.var: label}), generation)
 
     @property
     def pins(self) -> Dict[str, Label]:

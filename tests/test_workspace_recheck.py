@@ -282,6 +282,27 @@ class TestSlotRelabelling:
             raised, pins={"field shard2_t.s1": "high"}
         )
 
+    def test_checks_without_inference_keep_the_moved_set_bounded(self):
+        """Edits checked with lints but no inference grow what the next
+        inference must relabel; past the size of the site list the
+        workspace stops tracking it and that inference relabels all."""
+        workspace, source = _session()
+        raised = source.replace(SEED, SEED.replace("low", "high"))
+        sites = workspace.stats()["sites"]
+        for cycle in range(50):
+            assert workspace.edit(raised if cycle % 2 == 0 else source)
+            workspace.check(lint=True)
+            assert workspace._moved is None or len(workspace._moved) <= sites
+        assert workspace._moved is None
+        assert workspace.edit(raised)
+        workspace.check(lint=True)
+        assert workspace._moved is None and not workspace._sited
+        workspace.check(infer=True)
+        assert workspace.stats()["slots_relabelled"] == sites
+        assert _snapshot(workspace) == _cold_snapshot(raised)
+        # And tracked again from there on.
+        assert workspace._moved == set()
+
     def test_blank_line_above_a_shard_matches_cold(self):
         """Units below a blank line keep every product but their
         rendered locations, which must be a cold check's."""
