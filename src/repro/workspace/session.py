@@ -541,7 +541,9 @@ class Workspace:
         moved, or -- label by label -- the variable is among those the
         solutions since the last run moved.  A unit keeps its elaboration
         unless it read such a variable (the pc variables always count:
-        maximisation re-derives them).
+        maximisation re-derives them).  Without that set -- after a full
+        solve, or once it outgrew the site list -- every label and
+        elaboration is remade.
         """
         if self._inference is not None and self._inference_rev == self.revision:
             return self._inference
