@@ -6,8 +6,11 @@ Control in P4" (PLDI 2022).  It provides:
 * ``repro.lattice`` -- security lattices (two-point, diamond, product, ...).
 * ``repro.syntax`` -- the Core P4 abstract syntax (Figure 1 / Figure 3).
 * ``repro.frontend`` -- a lexer and parser for an annotated P4 dialect.
-* ``repro.typechecker`` -- the ordinary Core P4 type system.
+* ``repro.typechecker`` -- the ordinary Core P4 type system: its
+  diagnostics, which the ``repro.flow`` walk reports on the way, and
+  ``check_core_types``, that walk without labels.
 * ``repro.ifc`` -- the security (IFC) type system, the paper's contribution.
+* ``repro.flow`` -- the one Figure 5–7 traversal both type systems share.
 * ``repro.inference`` -- constraint-based security-label inference for
   partially annotated programs (missing / ``infer``-marked annotations are
   solved to their least labels, then re-verified by ``repro.ifc``).

@@ -18,7 +18,10 @@ instance per reading:
 :class:`repro.ifc.checker.IfcChecker` and
 :class:`repro.inference.generate.ConstraintGenerator` are façades over
 these, so checker/generator drift is structurally impossible: there is
-only one rule walk to drift from.
+only one rule walk to drift from.  The walk reports Core P4's own
+diagnostics too, under either algebra; the ordinary checker
+(:func:`repro.typechecker.checker.check_core_types`) is the same walk
+with a label-free algebra.
 """
 
 from repro.flow.algebra import LabelAlgebra, RuleSite

@@ -33,10 +33,10 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, List, Optional, Sequence
 
 from repro.ifc.context import SecurityTypeDefs
-from repro.ifc.convert import TypeLabeler
+from repro.ifc.convert import LabelResolutionError, TypeLabeler
 from repro.ifc.errors import ViolationKind
 from repro.ifc.security_types import SecurityType, lower_labels
 from repro.lattice.base import Lattice
@@ -44,6 +44,7 @@ from repro.telemetry.recorder import current_recorder
 from repro.syntax import declarations as d
 from repro.syntax.source import SourceSpan
 from repro.syntax.types import AnnotatedType
+from repro.typechecker.errors import TypeDiagnostic
 
 
 @dataclass(frozen=True)
@@ -101,6 +102,15 @@ class LabelAlgebra(ABC):
         #: through :meth:`note_site`; with the default no-op recorder the
         #: cost is one attribute test per site.
         self.telemetry = current_recorder()
+        #: The Core P4 diagnostics of the unit being walked, apart from the
+        #: IFC outputs; ``None`` once an annotation of the unit did not
+        #: resolve -- the label-free walk
+        #: (:func:`repro.typechecker.checker.check_core_types`) supplies
+        #: them then.
+        self.core: Optional[List[TypeDiagnostic]] = []
+        #: While positive, :meth:`core_error` drops what it is given: a
+        #: walk the Core P4 rules would not make, or a repeated one.
+        self.core_quiet = 0
 
     # ------------------------------------------------------------------ carrier
 
@@ -182,10 +192,26 @@ class LabelAlgebra(ABC):
         (unknown labels, forbidden declassification, arity errors)."""
 
     def type_error(self, message: str, span: SourceSpan, rule: str) -> None:
-        """Report an ordinary type error (read-only writes, non-l-value
-        arguments, unsupported constructs).  The checker owns these; the
-        symbolic algebra leaves them to the re-run checker, so the default
-        is a no-op."""
+        """Report an ordinary type error as an IFC violation too (read-only
+        writes, non-l-value arguments, unsupported constructs).  The
+        concrete checker gives a verdict on these; the symbolic algebra
+        reports them through :meth:`core_error` only, so the default is a
+        no-op."""
+
+    def core_error(self, message: str, span: SourceSpan, rule: str) -> None:
+        """Report a Core P4 type error of the unit being walked."""
+        if self.core is not None and not self.core_quiet:
+            self.core.append(TypeDiagnostic(message, span, rule))
+
+    def unresolved_type(
+        self, error: LabelResolutionError, span: SourceSpan
+    ) -> Optional[SecurityType]:
+        """An annotation did not resolve: report it, and give up the unit's
+        core diagnostics, since the walk goes on without the binding (a
+        fallback label would add flow errors).  ``None``: bind nothing."""
+        self.error(ViolationKind.LABEL_ERROR, str(error), span, rule="labels")
+        self.core = None
+        return None
 
     # ------------------------------------------------------------------ per-unit outputs
 

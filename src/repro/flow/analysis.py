@@ -33,6 +33,20 @@ condition does involve ``pc_fn``; those are flagged via
 ``RuleSite.pc_obligation`` and the symbolic algebra emits them against
 ``pc_fn`` when the body walk finishes.
 
+Core P4 diagnostics
+-------------------
+
+The rules type every expression with a base type and a label at once,
+so the walk checks Core P4's typing (Section 3.3) on the way: where a
+base type does not fit -- an unknown name, a wrong operand, a non-bool
+guard, an ill-typed argument -- it reports a
+:class:`~repro.typechecker.errors.TypeDiagnostic` through
+``algebra.core_error`` and, as the ordinary rules do, checks nothing
+further on that expression.  The core outputs are kept per unit apart
+from the label outputs; a check reads them from its first walk over the
+source.  An operation the core rules reject still gets a body for the
+label rules to carry on with, marked by the direction :data:`DIR_ILL`.
+
 Per-unit driving
 ----------------
 
@@ -49,9 +63,11 @@ checker and generator are it without one.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from contextlib import contextmanager
+from typing import TYPE_CHECKING, Iterator, List, Optional, Tuple
 
 from repro.flow.algebra import LabelAlgebra, RuleSite
+from repro.flow.units import DEFAULT_MATCH_KINDS, FlowUnits, drive_units, program_units
 from repro.ifc.context import SecurityContext
 from repro.ifc.convert import LabelResolutionError, TypeLabeler
 from repro.ifc.declassify import DECLASSIFY_FUNCTIONS
@@ -70,9 +86,11 @@ from repro.ifc.security_types import (
     SStack,
     STable,
     SUnit,
+    SUnresolved,
     SecurityBody,
     SecurityType,
     bodies_compatible,
+    type_text,
 )
 from repro.syntax import declarations as d
 from repro.syntax import expressions as e
@@ -80,15 +98,61 @@ from repro.syntax import statements as s
 from repro.syntax.declarations import Direction
 from repro.syntax.program import Program
 from repro.syntax.source import SourceSpan
-from repro.syntax.types import AnnotatedType, HeaderType, RecordType
+from repro.syntax.types import AnnotatedType, HeaderType, MatchKindType, RecordType
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.flow.units import UnitCache
 
+#: The direction of an expression the Core P4 rules reject: read-only
+#: like ``DIR_IN``, but with no core type, so no core rule checks it
+#: again -- while the label rules carry on with its security type.
+DIR_ILL = "ill-typed"
 
-def binary_result_body(op: str, left: SecurityBody, right: SecurityBody) -> SecurityBody:
-    """The type component of a binary operation's result (T-BinOp)."""
-    if op in {"==", "!=", "<", ">", "<=", ">=", "&&", "||"}:
+COMPARISON_OPERATORS = frozenset({"==", "!=", "<", ">", "<=", ">="})
+BOOLEAN_OPERATORS = frozenset({"&&", "||"})
+SHIFT_OPERATORS = frozenset({"<<", ">>"})
+NUMERIC_OPERATORS = frozenset({"+", "-", "*", "/", "%", "&", "|", "^"})
+
+
+def _numeric_merge(left: SecurityBody, right: SecurityBody) -> Optional[SecurityBody]:
+    """The common numeric body of two operands: ``int`` literals take the
+    width of a ``bit<n>`` operand."""
+    if isinstance(left, SBit):
+        if isinstance(right, SBit):
+            return left if left.width == right.width else None
+        return left if isinstance(right, SInt) else None
+    if isinstance(left, SInt):
+        return right if isinstance(right, (SBit, SInt)) else None
+    return None
+
+
+def binary_result_body(
+    op: str, left: SecurityBody, right: SecurityBody
+) -> Optional[SecurityBody]:
+    """The oracle ``T(Δ; ⊕; ρ1; ρ2) = ρ3`` of T-BinOp: arithmetic and
+    bitwise operators on equal numeric types, shifts on any two numeric
+    ones, comparisons of numbers or (``==``/``!=``) booleans, and
+    connectives of booleans; ``None`` when Core P4 rejects the operation."""
+    if op in BOOLEAN_OPERATORS:
+        return SBool() if isinstance(left, SBool) and isinstance(right, SBool) else None
+    if op in COMPARISON_OPERATORS:
+        if op in ("==", "!=") and isinstance(left, SBool) and isinstance(right, SBool):
+            return SBool()
+        return SBool() if _numeric_merge(left, right) is not None else None
+    if op in SHIFT_OPERATORS:
+        if isinstance(left, (SBit, SInt)) and isinstance(right, (SBit, SInt)):
+            return left
+        return None
+    if op in NUMERIC_OPERATORS:
+        return _numeric_merge(left, right)
+    return None
+
+
+def _ill_typed_body(op: str, left: SecurityBody, right: SecurityBody) -> SecurityBody:
+    """The body the label rules carry a rejected binary operation on
+    with: bool for comparisons and connectives, else the first ``bit<n>``
+    operand's, else int."""
+    if op in COMPARISON_OPERATORS or op in BOOLEAN_OPERATORS:
         return SBool()
     if isinstance(left, SBit):
         return left
@@ -97,6 +161,13 @@ def binary_result_body(op: str, left: SecurityBody, right: SecurityBody) -> Secu
     if isinstance(left, SInt) or isinstance(right, SInt):
         return SInt()
     return left
+
+
+def _unary_typed(op: str, operand: SecurityBody) -> bool:
+    """Whether Core P4 types a unary operation (its result is the operand's body)."""
+    if op == "!":
+        return isinstance(operand, SBool)
+    return op in ("-", "~") and isinstance(operand, (SBit, SInt))
 
 
 class FlowAnalysis:
@@ -123,8 +194,17 @@ class FlowAnalysis:
         try:
             return labeler.security_type(annotated)
         except LabelResolutionError as exc:
-            self.algebra.error(ViolationKind.LABEL_ERROR, str(exc), span, rule="labels")
-            return None
+            return self.algebra.unresolved_type(exc, span)
+
+    @contextmanager
+    def _core_quiet(self, quiet: bool = True) -> Iterator[None]:
+        """Drop the core errors of a walk the Core P4 rules do not make
+        (the arguments of a call with too many of them)."""
+        self.algebra.core_quiet += quiet
+        try:
+            yield
+        finally:
+            self.algebra.core_quiet -= quiet
 
     # ------------------------------------------------------------------ entry point
 
@@ -137,11 +217,7 @@ class FlowAnalysis:
         into the algebra's outputs.  With a ``cache``, units it holds
         valid products for are replayed instead of walked.
         """
-        from repro.flow.units import FlowUnits, drive_units, program_units
-
-        products = drive_units(
-            FlowUnits(self), program_units(program), cache
-        )
+        products = drive_units(FlowUnits(self), program_units(program), cache)
         self.algebra.merge_units([unit.outputs for unit in products])
 
     # ------------------------------------------------------------------ controls
@@ -202,7 +278,10 @@ class FlowAnalysis:
             )
             return gamma
         if isinstance(decl, d.MatchKindDecl):
-            kind = SecurityType(SMatchKind(), self.algebra.bottom)
+            # Declarations accumulate: each adds its kinds to the earlier ones.
+            members = tuple(dict.fromkeys(self._match_kinds(labeler) + decl.members))
+            labeler.definitions.define("match_kind", AnnotatedType(MatchKindType(members)))
+            kind = SecurityType(SMatchKind(members), self.algebra.bottom)
             for member in decl.members:
                 gamma.bind(member, kind)
             return gamma
@@ -210,10 +289,16 @@ class FlowAnalysis:
             return self._check_function_decl(decl, gamma, labeler)
         if isinstance(decl, d.TableDecl):
             return self._check_table_decl(decl, gamma, labeler, pc)
-        self.algebra.type_error(
-            f"unsupported declaration {decl.describe()}", decl.span, rule="decl"
-        )
+        message = f"unsupported declaration {decl.describe()}"
+        self.algebra.core_error(message, decl.span, rule="")
+        self.algebra.type_error(message, decl.span, rule="decl")
         return gamma
+
+    @staticmethod
+    def _match_kinds(labeler: TypeLabeler) -> Tuple[str, ...]:
+        """The match kinds declared so far (Δ's ``match_kind`` entry)."""
+        declared = labeler.definitions.lookup("match_kind")
+        return declared.ty.members if declared is not None else ()
 
     # -- T-VarDecl / T-VarInit ------------------------------------------------
 
@@ -231,8 +316,10 @@ class FlowAnalysis:
         if declared is None:
             return gamma
         if decl.init is not None:
-            init_type, _ = self.check_expression(decl.init, gamma, labeler, pc)
-            if init_type is not None and bodies_compatible(declared.body, init_type.body):
+            init_type, init_dir = self.check_expression(decl.init, gamma, labeler, pc)
+            if init_type is None:
+                init_dir = DIR_ILL
+            elif bodies_compatible(declared.body, init_type.body):
                 self.algebra.require_flow(
                     init_type,
                     declared,
@@ -249,6 +336,13 @@ class FlowAnalysis:
                             "which may not flow into a variable labelled {dst}"
                         ),
                     ),
+                )
+            elif init_dir is not DIR_ILL:
+                self.algebra.core_error(
+                    f"initialiser of {decl.name!r} has type {type_text(init_type.body)}, "
+                    f"expected {type_text(declared.body)}",
+                    decl.span,
+                    rule="T-VarInit",
                 )
         gamma.bind(decl.name, declared)
         return gamma
@@ -291,7 +385,7 @@ class FlowAnalysis:
         pc_fn = self._analyze_function_body(decl, body_scope, labeler)
 
         fn_type = SecurityType(
-            SFunction(tuple(parameters), pc_fn, return_type), algebra.bottom
+            SFunction(tuple(parameters), pc_fn, return_type, decl), algebra.bottom
         )
         gamma.bind(decl.name, fn_type)
         self.function_bounds[decl.name] = pc_fn
@@ -327,12 +421,22 @@ class FlowAnalysis:
         labeler: TypeLabeler,
         pc,
     ) -> SecurityContext:
+        known_kinds = DEFAULT_MATCH_KINDS + self._match_kinds(labeler)
         key_labels: List[Tuple[d.TableKey, object]] = []
         for key in decl.keys:
-            key_type, _ = self.check_expression(key.expression, gamma, labeler, pc)
-            if key_type is None:
-                continue
-            key_labels.append((key, self.algebra.read_label(key_type)))
+            key_type, key_dir = self.check_expression(key.expression, gamma, labeler, pc)
+            if key_type is not None:
+                if key_dir is not DIR_ILL and not key_type.is_base():
+                    self.algebra.core_error(
+                        f"table key {key.expression.describe()!r} must have a base type",
+                        key.span,
+                        rule="T-TblDecl",
+                    )
+                key_labels.append((key, self.algebra.read_label(key_type)))
+            if key.match_kind not in known_kinds:
+                self.algebra.core_error(
+                    f"unknown match kind {key.match_kind!r}", key.span, rule="T-TblDecl"
+                )
 
         action_bounds: List[object] = []
         for action_ref in decl.actions:
@@ -360,8 +464,18 @@ class FlowAnalysis:
         table_name: str,
     ):
         target = gamma.lookup(ref.name)
-        if target is None or not isinstance(target.body, SFunction):
-            # The ordinary checker reports the missing/ill-typed action.
+        if target is None:
+            self.algebra.core_error(
+                f"table refers to undeclared action {ref.name!r}", ref.span, rule="T-TblDecl"
+            )
+            return None
+        if not isinstance(target.body, SFunction):
+            self.algebra.core_error(
+                f"table action {ref.name!r} is not an action (it has type "
+                f"{type_text(target.body)})",
+                ref.span,
+                rule="T-TblDecl",
+            )
             return None
         fn = target.body
         # Keys act like the guard of a conditional: every key label must be
@@ -386,12 +500,23 @@ class FlowAnalysis:
                     ),
                 ),
             )
+        too_many = len(ref.arguments) > len(fn.parameters)
+        if too_many:
+            self.algebra.core_error(
+                f"action {ref.name!r} takes {len(fn.parameters)} parameters but "
+                f"{len(ref.arguments)} arguments were supplied",
+                ref.span,
+                rule="T-TblDecl",
+            )
         # Declaration-time arguments bind to the action's leading parameters.
-        for argument, parameter in zip(ref.arguments, fn.parameters):
-            arg_type, arg_dir = self.check_expression(argument, gamma, labeler, pc)
-            if arg_type is None:
-                continue
-            self._check_argument_flow(argument, arg_type, arg_dir, parameter, ref.name)
+        with self._core_quiet(too_many):
+            for argument, parameter in zip(ref.arguments, fn.parameters):
+                arg_type, arg_dir = self.check_expression(argument, gamma, labeler, pc)
+                if arg_type is None:
+                    continue
+                self._check_argument_flow(
+                    argument, arg_type, arg_dir, parameter, ref.name, ref=ref
+                )
         return fn.pc_fn
 
     # ------------------------------------------------------------------ statements (Figure 6)
@@ -425,9 +550,9 @@ class FlowAnalysis:
             return gamma
         if isinstance(stmt, s.VarDeclStmt):
             return self._check_var_decl(stmt.declaration, gamma, labeler, pc)
-        self.algebra.type_error(
-            f"unsupported statement {stmt.describe()}", stmt.span, rule="stmt"
-        )
+        message = f"unsupported statement {stmt.describe()}"
+        self.algebra.core_error(message, stmt.span, rule="")
+        self.algebra.type_error(message, stmt.span, rule="stmt")
         return gamma
 
     # -- T-Assign --------------------------------------------------------------
@@ -436,22 +561,28 @@ class FlowAnalysis:
         self, stmt: s.Assign, gamma: SecurityContext, labeler: TypeLabeler, pc
     ) -> None:
         target_type, target_dir = self.check_expression(stmt.target, gamma, labeler, pc)
-        value_type, _ = self.check_expression(stmt.value, gamma, labeler, pc)
+        value_type, value_dir = self.check_expression(stmt.value, gamma, labeler, pc)
         if target_type is None or value_type is None:
             return
+        typed = target_dir is not DIR_ILL and value_dir is not DIR_ILL
+        compatible = bodies_compatible(target_type.body, value_type.body)
         target_bound = self.algebra.write_label(target_type)
         self._record_write(target_bound)
         if target_dir != DIR_INOUT:
             # Assignment to a read-only expression never executes; the flow
             # and pc conditions below would blame labels for a type error.
-            self.algebra.type_error(
-                f"cannot assign to read-only expression {stmt.target.describe()!r}",
-                stmt.target.span,
+            message = f"cannot assign to read-only expression {stmt.target.describe()!r}"
+            if typed:
+                self.algebra.core_error(message, stmt.target.span, rule="T-Assign")
+            self.algebra.type_error(message, stmt.target.span, rule="T-Assign")
+        if not compatible and typed:
+            self.algebra.core_error(
+                f"cannot assign {type_text(value_type.body)} to "
+                f"{stmt.target.describe()!r} of type {type_text(target_type.body)}",
+                stmt.span,
                 rule="T-Assign",
             )
-            return
-        if not bodies_compatible(target_type.body, value_type.body):
-            # The ordinary checker reports the shape mismatch; nothing to add.
+        if target_dir != DIR_INOUT or not compatible:
             return
         self.algebra.require_flow(
             value_type,
@@ -495,12 +626,17 @@ class FlowAnalysis:
     def _check_if(
         self, stmt: s.If, gamma: SecurityContext, labeler: TypeLabeler, pc
     ) -> None:
-        guard_type, _ = self.check_expression(stmt.condition, gamma, labeler, pc)
-        guard_label = (
-            self.algebra.read_label(guard_type)
-            if guard_type is not None
-            else self.algebra.bottom
-        )
+        guard_type, guard_dir = self.check_expression(stmt.condition, gamma, labeler, pc)
+        if guard_type is None:
+            guard_label = self.algebra.bottom
+        else:
+            guard_label = self.algebra.read_label(guard_type)
+            if guard_dir is not DIR_ILL and not isinstance(guard_type.body, SBool):
+                self.algebra.core_error(
+                    f"if condition has type {type_text(guard_type.body)}, expected bool",
+                    stmt.condition.span,
+                    rule="T-Cond",
+                )
         branch_pc = self.algebra.join(pc, guard_label)
         self.check_statement(stmt.then_branch, gamma, labeler, branch_pc)
         self.check_statement(stmt.else_branch, gamma, labeler, branch_pc)
@@ -511,10 +647,22 @@ class FlowAnalysis:
         self, stmt: s.CallStmt, gamma: SecurityContext, labeler: TypeLabeler, pc
     ) -> None:
         call = stmt.call
+        if self._is_release(call, gamma):
+            # A release whose result is dropped releases nothing: only its
+            # argument is typed.
+            if len(call.arguments) != 1:
+                self._release_arity_error(call)
+            else:
+                self.check_expression(call.arguments[0], gamma, labeler, pc)
+            return
         callee_type, _ = self.check_expression(call.callee, gamma, labeler, pc)
         if callee_type is None:
             return
         if isinstance(callee_type.body, STable):
+            if call.arguments:
+                self.algebra.core_error(
+                    "table application takes no arguments", call.span, rule="T-TblCall"
+                )
             pc_tbl = self.algebra.coerce(callee_type.body.pc_tbl)
             self._record_write(pc_tbl)
             self.algebra.require_leq(
@@ -536,7 +684,7 @@ class FlowAnalysis:
             )
             return
         # Ordinary action / function call used as a statement.
-        self.check_expression(call, gamma, labeler, pc)
+        self._check_call(call, gamma, labeler, pc, callee_type)
 
     # -- T-Exit / T-Return -------------------------------------------------------
 
@@ -565,9 +713,21 @@ class FlowAnalysis:
     ) -> None:
         self._check_control_signal(stmt.span, "return", pc, rule="T-Return")
         expected = gamma.lookup(SecurityContext.RETURN_KEY)
-        if stmt.value is None or expected is None:
+        if expected is None:
+            self.algebra.core_error(
+                "return statement outside of a function or action", stmt.span, rule="T-Return"
+            )
             return
-        value_type, _ = self.check_expression(stmt.value, gamma, labeler, pc)
+        if stmt.value is None:
+            if not isinstance(expected.body, SUnit):
+                self.algebra.core_error(
+                    "return without a value in a function returning "
+                    f"{type_text(expected.body)}",
+                    stmt.span,
+                    rule="T-Return",
+                )
+            return
+        value_type, value_dir = self.check_expression(stmt.value, gamma, labeler, pc)
         if value_type is None:
             return
         if bodies_compatible(expected.body, value_type.body):
@@ -585,6 +745,13 @@ class FlowAnalysis:
                     ),
                 ),
             )
+        elif value_dir is not DIR_ILL:
+            self.algebra.core_error(
+                f"return value has type {type_text(value_type.body)}, expected "
+                f"{type_text(expected.body)}",
+                stmt.span,
+                rule="T-Return",
+            )
 
     # ------------------------------------------------------------------ expressions (Figure 5)
 
@@ -595,7 +762,11 @@ class FlowAnalysis:
         labeler: TypeLabeler,
         pc,
     ) -> Tuple[Optional[SecurityType], str]:
-        """Type an expression; returns ``(security type, direction)``."""
+        """Type an expression; returns ``(security type, direction)``.
+
+        ``(None, DIR_IN)`` when the expression is ill-typed and the label
+        rules cannot go on either; a core diagnostic has been reported.
+        """
         algebra = self.algebra
         bottom = algebra.bottom
         if isinstance(expr, e.BoolLiteral):
@@ -606,45 +777,74 @@ class FlowAnalysis:
         if isinstance(expr, e.Var):
             sec_type = gamma.lookup(expr.name)
             if sec_type is None:
-                # Unknown variables are the ordinary checker's problem.
+                algebra.core_error(f"unknown variable {expr.name!r}", expr.span, rule="T-Var")
                 return None, DIR_IN
             return sec_type, DIR_INOUT
         if isinstance(expr, e.BinaryOp):
-            left_type, _ = self.check_expression(expr.left, gamma, labeler, pc)
-            right_type, _ = self.check_expression(expr.right, gamma, labeler, pc)
-            if left_type is None or right_type is None:
-                return None, DIR_IN
-            label = algebra.join(
-                algebra.read_label(left_type), algebra.read_label(right_type)
-            )
-            result_body = binary_result_body(expr.op, left_type.body, right_type.body)
-            return SecurityType(result_body, label), DIR_IN
+            return self._check_binary(expr, gamma, labeler, pc)
         if isinstance(expr, e.UnaryOp):
-            operand_type, _ = self.check_expression(expr.operand, gamma, labeler, pc)
+            operand_type, operand_dir = self.check_expression(expr.operand, gamma, labeler, pc)
             if operand_type is None:
                 return None, DIR_IN
-            return operand_type.with_label(algebra.read_label(operand_type)), DIR_IN
+            result = operand_type.with_label(algebra.read_label(operand_type))
+            if operand_dir is DIR_ILL:
+                return result, DIR_ILL
+            if not _unary_typed(expr.op, operand_type.body):
+                algebra.core_error(
+                    f"operator {expr.op!r} cannot be applied to "
+                    f"{type_text(operand_type.body)}",
+                    expr.span,
+                    rule="T-UnOp",
+                )
+                return result, DIR_ILL
+            return result, DIR_IN
         if isinstance(expr, e.RecordLiteral):
             fields = []
+            direction = DIR_IN
             for name, value in expr.fields:
-                value_type, _ = self.check_expression(value, gamma, labeler, pc)
+                # The core rules stop at the first rejected field.
+                with self._core_quiet(direction is DIR_ILL):
+                    value_type, value_dir = self.check_expression(value, gamma, labeler, pc)
                 if value_type is None:
                     return None, DIR_IN
+                if value_dir is DIR_ILL:
+                    direction = DIR_ILL
                 fields.append((name, value_type))
-            return SecurityType(SRecord(tuple(fields)), bottom), DIR_IN
+            return SecurityType(SRecord(tuple(fields)), bottom), direction
         if isinstance(expr, e.FieldAccess):
             return self._check_field_access(expr, gamma, labeler, pc)
         if isinstance(expr, e.Index):
             return self._check_index(expr, gamma, labeler, pc)
         if isinstance(expr, e.Call):
-            if (
-                isinstance(expr.callee, e.Var)
-                and expr.callee.name in DECLASSIFY_FUNCTIONS
-                and gamma.lookup(expr.callee.name) is None
-            ):
+            if self._is_release(expr, gamma):
                 return self._check_declassify(expr, gamma, labeler, pc)
             return self._check_call(expr, gamma, labeler, pc)
+        algebra.core_error(f"unsupported expression {expr.describe()}", expr.span, rule="")
         return None, DIR_IN
+
+    # -- T-BinOp ------------------------------------------------------------------
+
+    def _check_binary(
+        self, expr: e.BinaryOp, gamma: SecurityContext, labeler: TypeLabeler, pc
+    ) -> Tuple[Optional[SecurityType], str]:
+        algebra = self.algebra
+        left_type, left_dir = self.check_expression(expr.left, gamma, labeler, pc)
+        right_type, right_dir = self.check_expression(expr.right, gamma, labeler, pc)
+        if left_type is None or right_type is None:
+            return None, DIR_IN
+        label = algebra.join(algebra.read_label(left_type), algebra.read_label(right_type))
+        body = binary_result_body(expr.op, left_type.body, right_type.body)
+        direction = DIR_ILL if DIR_ILL in (left_dir, right_dir) else DIR_IN
+        if body is None:
+            if direction is DIR_IN:
+                algebra.core_error(
+                    f"operator {expr.op!r} cannot be applied to "
+                    f"{type_text(left_type.body)} and {type_text(right_type.body)}",
+                    expr.span,
+                    rule="T-BinOp",
+                )
+            body, direction = _ill_typed_body(expr.op, left_type.body, right_type.body), DIR_ILL
+        return SecurityType(body, label), direction
 
     # -- T-MemRec / T-MemHdr ------------------------------------------------------
 
@@ -655,11 +855,28 @@ class FlowAnalysis:
         if target_type is None:
             return None, DIR_IN
         body = target_type.body
+        typed = direction is not DIR_ILL
         if not isinstance(body, (SRecord, SHeader)):
+            if typed:
+                self.algebra.core_error(
+                    f"cannot project field {expr.field_name!r} from {type_text(body)}",
+                    expr.span,
+                    rule="T-MemRec",
+                )
             return None, DIR_IN
         field_type = body.field_named(expr.field_name)
         if field_type is None:
+            if typed:
+                self.algebra.core_error(
+                    f"type {type_text(body)} has no field {expr.field_name!r}",
+                    expr.span,
+                    rule="T-MemRec",
+                )
             return None, DIR_IN
+        if isinstance(field_type.body, SUnresolved):
+            # Only the label-free walk resolves a field type this late.
+            self.algebra.core_error(field_type.body.message, expr.span, rule="typedef")
+            return SecurityType(SUnit(), self.algebra.bottom), direction
         return field_type, direction
 
     # -- T-Index ------------------------------------------------------------------
@@ -668,11 +885,25 @@ class FlowAnalysis:
         self, expr: e.Index, gamma: SecurityContext, labeler: TypeLabeler, pc
     ) -> Tuple[Optional[SecurityType], str]:
         array_type, direction = self.check_expression(expr.array, gamma, labeler, pc)
-        index_type, _ = self.check_expression(expr.index, gamma, labeler, pc)
-        if array_type is None or not isinstance(array_type.body, SStack):
+        index_type, index_dir = self.check_expression(expr.index, gamma, labeler, pc)
+        if array_type is None:
+            return None, DIR_IN
+        if not isinstance(array_type.body, SStack):
+            if direction is not DIR_ILL:
+                self.algebra.core_error(
+                    f"cannot index into non-array type {type_text(array_type.body)}",
+                    expr.span,
+                    rule="T-Index",
+                )
             return None, DIR_IN
         element = array_type.body.element
         if index_type is not None:
+            if index_dir is not DIR_ILL and not isinstance(index_type.body, (SBit, SInt)):
+                self.algebra.core_error(
+                    f"array index must be numeric, found {type_text(index_type.body)}",
+                    expr.index.span,
+                    rule="T-Index",
+                )
             self.algebra.require_leq(
                 self.algebra.read_label(index_type),
                 self.algebra.coerce(element.label),
@@ -695,11 +926,30 @@ class FlowAnalysis:
 
     # -- declassify / endorse (extension; off unless explicitly enabled) ----------
 
+    @staticmethod
+    def _is_release(call: e.Call, gamma: SecurityContext) -> bool:
+        """Whether ``call`` is the built-in ``declassify``/``endorse``
+        (typed ``τ -> τ``), not a program's own function of that name."""
+        callee = call.callee
+        return (
+            isinstance(callee, e.Var)
+            and callee.name in DECLASSIFY_FUNCTIONS
+            and gamma.lookup(callee.name) is None
+        )
+
+    def _release_arity_error(self, expr: e.Call) -> None:
+        self.algebra.core_error(
+            f"{expr.callee.name} takes exactly one argument",  # type: ignore[union-attr]
+            expr.span,
+            rule="T-Call",
+        )
+
     def _check_declassify(
         self, expr: e.Call, gamma: SecurityContext, labeler: TypeLabeler, pc
     ) -> Tuple[Optional[SecurityType], str]:
         primitive = expr.callee.name  # type: ignore[union-attr]
         if len(expr.arguments) != 1:
+            self._release_arity_error(expr)
             self.algebra.error(
                 ViolationKind.TYPE_ERROR,
                 f"{primitive} takes exactly one argument",
@@ -708,9 +958,10 @@ class FlowAnalysis:
             )
             return None, DIR_IN
         argument = expr.arguments[0]
-        arg_type, _ = self.check_expression(argument, gamma, labeler, pc)
+        arg_type, arg_dir = self.check_expression(argument, gamma, labeler, pc)
         if arg_type is None:
             return None, DIR_IN
+        direction = DIR_ILL if arg_dir is DIR_ILL else DIR_IN
         if not self.algebra.allow_declassification:
             self.algebra.error(
                 ViolationKind.DECLASSIFICATION,
@@ -720,7 +971,7 @@ class FlowAnalysis:
                 expr.span,
                 rule="T-Declassify",
             )
-            return arg_type, DIR_IN
+            return arg_type, direction
         # Releases are only honoured in a public context: otherwise the fact
         # that the release happened would itself leak the guard.
         self.algebra.require_leq(
@@ -738,21 +989,42 @@ class FlowAnalysis:
         self.algebra.record_declassification(
             primitive, argument.describe(), arg_type, expr.span
         )
-        return self.algebra.lower_to_bottom(arg_type), DIR_IN
+        return self.algebra.lower_to_bottom(arg_type), direction
 
     # -- T-Call --------------------------------------------------------------------
 
     def _check_call(
-        self, expr: e.Call, gamma: SecurityContext, labeler: TypeLabeler, pc
+        self,
+        expr: e.Call,
+        gamma: SecurityContext,
+        labeler: TypeLabeler,
+        pc,
+        callee_type: Optional[SecurityType] = None,
     ) -> Tuple[Optional[SecurityType], str]:
-        callee_type, _ = self.check_expression(expr.callee, gamma, labeler, pc)
+        """T-Call; ``callee_type`` is given for a call in statement
+        position, whose callee :meth:`_check_call_statement` has typed."""
         if callee_type is None:
-            return None, DIR_IN
-        if isinstance(callee_type.body, STable):
-            # Table application in expression position; the ordinary checker
-            # flags the position, here we just return unit.
-            return SecurityType(SUnit(), self.algebra.bottom), DIR_IN
+            callee_type, _ = self.check_expression(expr.callee, gamma, labeler, pc)
+            if callee_type is None:
+                return None, DIR_IN
+            if isinstance(callee_type.body, STable):
+                self.algebra.core_error(
+                    "tables may only be applied in statement position",
+                    expr.span,
+                    rule="T-TblCall",
+                )
+                if expr.arguments:
+                    self.algebra.core_error(
+                        "table application takes no arguments", expr.span, rule="T-TblCall"
+                    )
+                return SecurityType(SUnit(), self.algebra.bottom), DIR_IN
         if not isinstance(callee_type.body, SFunction):
+            self.algebra.core_error(
+                f"{expr.callee.describe()!r} of type {type_text(callee_type.body)} "
+                "is not callable",
+                expr.span,
+                rule="T-Call",
+            )
             return None, DIR_IN
         fn = callee_type.body
         self._record_write(fn.pc_fn)
@@ -774,13 +1046,22 @@ class FlowAnalysis:
                 ),
             ),
         )
-        for argument, parameter in zip(expr.arguments, fn.parameters):
-            arg_type, arg_dir = self.check_expression(argument, gamma, labeler, pc)
-            if arg_type is None:
-                continue
-            self._check_argument_flow(
-                argument, arg_type, arg_dir, parameter, expr.callee.describe()
+        too_many = len(expr.arguments) > len(fn.parameters)
+        if too_many:
+            self.algebra.core_error(
+                f"call supplies {len(expr.arguments)} arguments but "
+                f"{expr.callee.describe()!r} takes {len(fn.parameters)}",
+                expr.span,
+                rule="T-Call",
             )
+        with self._core_quiet(too_many):
+            for argument, parameter in zip(expr.arguments, fn.parameters):
+                arg_type, arg_dir = self.check_expression(argument, gamma, labeler, pc)
+                if arg_type is None:
+                    continue
+                self._check_argument_flow(
+                    argument, arg_type, arg_dir, parameter, expr.callee.describe()
+                )
         return fn.return_type, DIR_IN
 
     # -- T-Call / T-SubType-In arguments ---------------------------------------------
@@ -792,11 +1073,19 @@ class FlowAnalysis:
         arg_dir: str,
         parameter: SParam,
         callee: str,
+        ref: Optional[d.ActionRef] = None,
     ) -> None:
-        if not bodies_compatible(parameter.sec_type.body, arg_type.body):
-            # Shape mismatch: the ordinary checker reports it.
+        """The argument conditions of T-Call; ``ref``: the argument is one a
+        table declaration binds (T-TblDecl's core reports)."""
+        compatible = bodies_compatible(parameter.sec_type.body, arg_type.body)
+        writable = parameter.direction in (DIR_INOUT, "out")
+        if arg_dir is not DIR_ILL:
+            self._argument_core_errors(
+                argument, arg_type, arg_dir, parameter, compatible, writable, ref
+            )
+        if not compatible:
             return
-        if parameter.direction in (DIR_INOUT, "out"):
+        if writable:
             self._record_write(self.algebra.write_label(arg_type))
             if arg_dir != DIR_INOUT:
                 self.algebra.type_error(
@@ -848,3 +1137,49 @@ class FlowAnalysis:
                 ),
             ),
         )
+
+    def _argument_core_errors(
+        self,
+        argument: e.Expression,
+        arg_type: SecurityType,
+        arg_dir: str,
+        parameter: SParam,
+        compatible: bool,
+        writable: bool,
+        ref: Optional[d.ActionRef],
+    ) -> None:
+        """The Core P4 reports of one argument: its type, then whether a
+        writable parameter gets an l-value."""
+        core_error = self.algebra.core_error
+        shown = argument.describe()
+        if not compatible:
+            expected = type_text(parameter.sec_type.body)
+            if ref is None:
+                core_error(
+                    f"argument {shown!r} has type {type_text(arg_type.body)}, "
+                    f"expected {expected}",
+                    argument.span,
+                    rule="T-Call",
+                )
+            else:
+                core_error(
+                    f"argument {shown!r} of action {ref.name!r} has type "
+                    f"{type_text(arg_type.body)}, expected {expected}",
+                    ref.span,
+                    rule="T-TblDecl",
+                )
+        if writable and arg_dir != DIR_INOUT:
+            if ref is None:
+                core_error(
+                    f"argument {shown!r} for {parameter.direction} parameter "
+                    f"{parameter.name!r} must be an l-value",
+                    argument.span,
+                    rule="T-Call",
+                )
+            else:
+                core_error(
+                    f"argument {shown!r} must be writable (direction "
+                    f"{parameter.direction})",
+                    ref.span,
+                    rule="T-TblDecl",
+                )

@@ -10,14 +10,14 @@ over exactly that.
 Function bodies are analysed in two passes (``rechecks_bodies``): a
 *silent* walk under a ⊥ pc collects the labels the body writes at (their
 meet is ``pc_fn``), then the body is re-checked for real under ``pc_fn``.
-Diagnostics and declassification audit events are suppressed during the
-silent walk so nothing is reported twice.
+Diagnostics, Core P4 diagnostics and declassification audit events are
+suppressed during the silent walk so nothing is reported twice.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Iterable, Iterator, List, Sequence
+from typing import Iterable, Iterator, List, Optional, Sequence
 
 from repro.flow.algebra import LabelAlgebra, RuleSite
 from repro.ifc.context import SecurityTypeDefs
@@ -35,20 +35,23 @@ from repro.lattice.base import Label, Lattice
 from repro.syntax import declarations as d
 from repro.syntax.source import SourceSpan
 from repro.syntax.types import inference_marker_guidance, is_inference_marker
+from repro.typechecker.errors import TypeDiagnostic
 
 
 class ConcreteUnit:
     """What the concrete walk of one top-level unit reported."""
 
-    __slots__ = ("diagnostics", "declassifications")
+    __slots__ = ("diagnostics", "declassifications", "core")
 
     def __init__(
         self,
         diagnostics: List[IfcDiagnostic],
         declassifications: List[DeclassificationEvent],
+        core: Optional[List[TypeDiagnostic]],
     ) -> None:
         self.diagnostics = diagnostics
         self.declassifications = declassifications
+        self.core = core
 
 
 class ConcreteAlgebra(LabelAlgebra):
@@ -183,9 +186,10 @@ class ConcreteAlgebra(LabelAlgebra):
     def begin_unit(self) -> None:
         self.diagnostics = []
         self.declassifications = []
+        self.core = []
 
     def end_unit(self) -> ConcreteUnit:
-        return ConcreteUnit(self.diagnostics, self.declassifications)
+        return ConcreteUnit(self.diagnostics, self.declassifications, self.core)
 
     def merge_units(self, outputs: Sequence[ConcreteUnit]) -> None:
         self.diagnostics = [diag for unit in outputs for diag in unit.diagnostics]
@@ -198,7 +202,9 @@ class ConcreteAlgebra(LabelAlgebra):
     @contextmanager
     def write_bound_pass(self) -> Iterator[None]:
         self._silent_depth += 1
+        self.core_quiet += 1
         try:
             yield
         finally:
             self._silent_depth -= 1
+            self.core_quiet -= 1

@@ -54,6 +54,7 @@ from repro.lattice.base import Lattice, LatticeError
 from repro.syntax import declarations as d
 from repro.syntax.source import SourceSpan
 from repro.syntax.types import AnnotatedType, is_inference_marker
+from repro.typechecker.errors import TypeDiagnostic
 
 
 class SymbolicUnit:
@@ -61,22 +62,26 @@ class SymbolicUnit:
 
     ``touches`` lists every annotation site the walk resolved (fresh or
     memoised), in order -- the sites this unit keeps alive -- and
-    ``hinted`` the slots it suggested hints for.
+    ``hinted`` the slots it suggested hints for.  ``core`` holds the
+    unit's Core P4 diagnostics (see :attr:`LabelAlgebra.core
+    <repro.flow.algebra.LabelAlgebra.core>`).
     """
 
-    __slots__ = ("constraints", "errors", "pc_vars", "touches", "hinted", "_unique")
+    __slots__ = ("constraints", "errors", "pc_vars", "core", "touches", "hinted", "_unique")
 
     def __init__(
         self,
         constraints: List[Constraint],
         errors: List[IfcDiagnostic],
         pc_vars: List[Tuple[d.ControlDecl, LabelVar]],
+        core: Optional[List[TypeDiagnostic]],
         touches: List[InferenceSite],
         hinted: List[AnnotatedType],
     ) -> None:
         self.constraints = constraints
         self.errors = errors
         self.pc_vars = pc_vars
+        self.core = core
         self.touches = touches
         self.hinted = hinted
         self._unique: Optional[Dict[int, InferenceSite]] = None
@@ -225,6 +230,7 @@ class SymbolicAlgebra(LabelAlgebra):
         self._unit_constraints = ConstraintSet()
         self.errors = []
         self.control_pc_vars = []
+        self.core = []
         self.registry.begin_touch_log()
 
     def end_unit(self) -> SymbolicUnit:
@@ -232,6 +238,7 @@ class SymbolicAlgebra(LabelAlgebra):
             self._unit_constraints.as_list(),
             self.errors,
             self.control_pc_vars,
+            self.core,
             *self.registry.end_touch_log(),
         )
 

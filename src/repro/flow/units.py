@@ -1,12 +1,12 @@
 """The per-unit loop: walk a program one top-level unit at a time.
 
 A program's *top-level units* are its named declarations and its control
-blocks, walked in that order (declarations first, then controls).  Every
-checker over a program -- the Figure 5–7 traversal under either label
-algebra, and the Core P4 type checker -- threads one top-level
-environment through that walk, and each unit touches the environment only
-through a few top-level effects (Γ bindings, Δ definitions, inferred
-write bounds).  :func:`drive_units` runs that walk once per unit and
+blocks, walked in that order (declarations first, then controls).  The
+Figure 5–7 traversal -- under any label algebra, the label-free one of
+the Core P4 checker included -- threads one top-level environment
+through that walk, and each unit touches the environment only through a
+few top-level effects (Γ bindings, Δ definitions, inferred write
+bounds).  :func:`drive_units` runs that walk once per unit and
 captures, per unit, those effects plus the checker's own outputs, as a
 :class:`UnitProducts`.
 
@@ -19,9 +19,8 @@ caller concatenates the per-unit outputs in unit order.
 
 Effects are intercepted by substitution, not patching: the environments
 the loop installs (:class:`RecordingContext`, :class:`RecordingDefs`,
-:class:`RecordingDict`, and the Core P4 pair in
-:mod:`repro.typechecker.environment`) log their top-level ``bind`` /
-``define`` / item writes while a log is installed.  Their inherited
+:class:`RecordingDict`) log their top-level ``bind`` / ``define`` / item
+writes while a log is installed.  Their inherited
 ``child()`` returns *plain* instances, so the scopes inside a unit record
 nothing -- only the effects that outlive the unit are replayed.
 
@@ -40,7 +39,12 @@ from repro.ifc.context import SecurityContext, SecurityTypeDefs
 from repro.ifc.security_types import SMatchKind, SecurityType
 from repro.syntax import declarations as d
 from repro.syntax.program import Program
-from repro.typechecker.checker import DEFAULT_MATCH_KINDS
+from repro.syntax.types import AnnotatedType, MatchKindType
+
+#: The match kinds in scope without a ``match_kind`` declaration.  Real
+#: P4 programs import these from core.p4; the dialect lets a program
+#: declare more but does not require it.
+DEFAULT_MATCH_KINDS = ("exact", "lpm", "ternary", "range", "optional")
 
 #: One recorded top-level effect of a unit's walk, replayed verbatim when
 #: the unit is reused: ``("gamma", name, type)`` for Γ bindings,
@@ -170,7 +174,10 @@ class FlowUnits:
         analysis.function_bounds = RecordingDict("fn")
         analysis.table_bounds = RecordingDict("tbl")
         self.labeler = algebra.make_labeler(self.delta)
-        kind = SecurityType(SMatchKind(), algebra.bottom)
+        # Δ's ``match_kind`` entry (a keyword, so no type name) accumulates
+        # the declared kinds; Γ binds each kind to the kinds known with it.
+        self.delta.define("match_kind", AnnotatedType(MatchKindType(DEFAULT_MATCH_KINDS)))
+        kind = SecurityType(SMatchKind(DEFAULT_MATCH_KINDS), algebra.bottom)
         for member in DEFAULT_MATCH_KINDS:
             self.gamma.bind(member, kind)
         self.recorders = (

@@ -115,6 +115,11 @@ class TypeLabeler:
             return base
         return SecurityType(base.body, self._lattice.join(base.label, label))
 
+    def field_type(self, annotated: AnnotatedType, seen: frozenset) -> SecurityType:
+        """The security type of a record or header field (a hook: the
+        label-free labeler defers a field's resolution error to its use)."""
+        return self.security_type(annotated, seen=seen)
+
     def _body_of(self, ty: Type, seen: frozenset) -> SecurityType:
         bottom = self._lattice.bottom
         if isinstance(ty, BoolType):
@@ -126,13 +131,13 @@ class TypeLabeler:
         if isinstance(ty, UnitType):
             return SecurityType(SUnit(), bottom)
         if isinstance(ty, MatchKindType):
-            return SecurityType(SMatchKind(), bottom)
+            return SecurityType(SMatchKind(ty.members), bottom)
         if isinstance(ty, RecordType):
-            fields = tuple((f.name, self.security_type(f.ty, seen=seen)) for f in ty.fields)
-            return SecurityType(SRecord(fields), bottom)
+            fields = tuple((f.name, self.field_type(f.ty, seen)) for f in ty.fields)
+            return SecurityType(SRecord(fields, ty), bottom)
         if isinstance(ty, HeaderType):
-            fields = tuple((f.name, self.security_type(f.ty, seen=seen)) for f in ty.fields)
-            return SecurityType(SHeader(fields), bottom)
+            fields = tuple((f.name, self.field_type(f.ty, seen)) for f in ty.fields)
+            return SecurityType(SHeader(fields, ty), bottom)
         if isinstance(ty, StackType):
             element = self.security_type(ty.element, seen=seen)
             return SecurityType(SStack(element, ty.size), bottom)

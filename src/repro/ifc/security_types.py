@@ -13,11 +13,15 @@ structurally, hashed, and shared freely between the checker and tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from repro.lattice.base import Label, Lattice
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.syntax.declarations import FunctionDecl
+    from repro.syntax.types import Type
 
 
 @dataclass(frozen=True)
@@ -59,8 +63,19 @@ class SUnit(SecurityBody):
 
 @dataclass(frozen=True)
 class SMatchKind(SecurityBody):
+    #: The kinds declared when this member was (for diagnostics only).
+    members: Tuple[str, ...] = field(default=(), compare=False)
+
     def describe(self) -> str:
         return "match_kind"
+
+
+@dataclass(frozen=True)
+class SUnresolved(SecurityBody):
+    """A field whose type did not resolve, in a label-free walk: the
+    Core P4 rules report ``message`` where the field is projected."""
+
+    message: str
 
 
 class _NamedFields:
@@ -68,6 +83,12 @@ class _NamedFields:
     per type; of duplicate names, the first field wins."""
 
     fields: Tuple[Tuple[str, "SecurityType"], ...]
+    #: The declared type this one resolves (for diagnostics only).
+    syntax: Optional["Type"]
+
+    def with_fields(self, fields: Tuple[Tuple[str, "SecurityType"], ...]):
+        """The same type with relabelled ``fields``."""
+        return type(self)(fields, self.syntax)
 
     @cached_property
     def _by_name(self) -> Dict[str, "SecurityType"]:
@@ -85,6 +106,7 @@ class SRecord(_NamedFields, SecurityBody):
     """Record types ``{ f : ⟨τ, χ⟩ }`` with per-field security types."""
 
     fields: Tuple[Tuple[str, "SecurityType"], ...]
+    syntax: Optional["Type"] = field(default=None, compare=False)
 
     def describe(self) -> str:
         inner = ", ".join(f"{name}: {st.describe()}" for name, st in self.fields)
@@ -96,6 +118,7 @@ class SHeader(_NamedFields, SecurityBody):
     """Header types ``header { f : ⟨τ, χ⟩ }``."""
 
     fields: Tuple[Tuple[str, "SecurityType"], ...]
+    syntax: Optional["Type"] = field(default=None, compare=False)
 
     def describe(self) -> str:
         inner = ", ".join(f"{name}: {st.describe()}" for name, st in self.fields)
@@ -147,6 +170,8 @@ class SFunction(SecurityBody):
     parameters: Tuple[SParam, ...]
     pc_fn: Label
     return_type: "SecurityType"
+    #: The declaration (for diagnostics only: its written labels).
+    syntax: Optional["FunctionDecl"] = field(default=None, compare=False)
 
     def is_base(self) -> bool:
         return False
@@ -188,42 +213,65 @@ DIR_INOUT = "inout"
 
 
 def bodies_compatible(expected: SecurityBody, actual: SecurityBody) -> bool:
-    """Structural compatibility of type bodies, ignoring labels.
+    """Whether a value of body ``actual`` may be used where ``expected``
+    is required, ignoring labels (Core P4's compatibility).
 
-    Mirrors the ordinary compatibility relation: ``int`` literals fit any
-    ``bit<n>``, records/headers match field-by-field, stacks match on size
-    and element.
+    Bodies must be structurally equal, except that an ``int`` literal
+    fits any ``bit<n>`` (a width-inferred constant); records and headers
+    match field by field, in order, and stacks on size and element.
     """
-    if isinstance(expected, SBool) and isinstance(actual, SBool):
-        return True
-    if isinstance(expected, SUnit) and isinstance(actual, SUnit):
-        return True
-    if isinstance(expected, SMatchKind) and isinstance(actual, SMatchKind):
-        return True
-    if isinstance(expected, SInt) and isinstance(actual, SInt):
-        return True
     if isinstance(expected, SBit):
         if isinstance(actual, SBit):
             return expected.width == actual.width
         return isinstance(actual, SInt)
-    if isinstance(expected, SInt) and isinstance(actual, SBit):
-        return True
+    if isinstance(expected, (SBool, SUnit, SMatchKind, SInt)):
+        return type(actual) is type(expected)
     if isinstance(expected, (SRecord, SHeader)) and type(expected) is type(actual):
-        if len(expected.fields) != len(actual.fields):
-            return False
-        actual_map = actual.field_map()
-        for name, exp_field in expected.fields:
-            act_field = actual_map.get(name)
-            if act_field is None:
-                return False
-            if not bodies_compatible(exp_field.body, act_field.body):
-                return False
-        return True
+        return len(expected.fields) == len(actual.fields) and all(
+            exp_name == act_name and bodies_compatible(exp.body, act.body)
+            for (exp_name, exp), (act_name, act) in zip(expected.fields, actual.fields)
+        )
     if isinstance(expected, SStack) and isinstance(actual, SStack):
         return expected.size == actual.size and bodies_compatible(
             expected.element.body, actual.element.body
         )
     return False
+
+
+def _annotated_text(text: str, label: Optional[str]) -> str:
+    return text if label is None else f"<{text}, {label}>"
+
+
+def type_text(body: SecurityBody) -> str:
+    """``body`` as the Core P4 rules spell its type in a diagnostic: a
+    record or header as declared, a function with its written labels."""
+    if isinstance(body, (SRecord, SHeader)):
+        if body.syntax is not None:
+            return body.syntax.describe()
+        inner = []
+        for name, f in body.fields:  # a loop, not a generator: one frame per level
+            inner.append(f"{name}: {type_text(f.body)}")
+        return ("struct {" if isinstance(body, SRecord) else "header {") + ", ".join(inner) + "}"
+    if isinstance(body, SStack):
+        return f"{type_text(body.element.body)}[{body.size}]"
+    if isinstance(body, SMatchKind):
+        return "match_kind {" + ", ".join(body.members) + "}"
+    if isinstance(body, STable):
+        return "table"
+    if isinstance(body, SFunction):
+        decl = body.syntax
+        params = ", ".join(
+            (f"{p.direction} " if p.direction else "")
+            + _annotated_text(type_text(p.sec_type.body), written.ty.label)
+            for p, written in zip(body.parameters, decl.params)
+        )
+        written_return = decl.return_type
+        result = _annotated_text(
+            type_text(body.return_type.body),
+            None if written_return is None else written_return.label,
+        )
+        return f"({params}) -> {result}"
+    return body.describe()
 
 
 def flow_allowed(
@@ -276,10 +324,7 @@ def join_into(lattice: Lattice, sec_type: SecurityType, label: Label) -> Securit
         fields = tuple(
             (name, join_into(lattice, field, label)) for name, field in body.fields
         )
-        new_body: SecurityBody = (
-            SRecord(fields) if isinstance(body, SRecord) else SHeader(fields)
-        )
-        return SecurityType(new_body, sec_type.label)
+        return SecurityType(body.with_fields(fields), sec_type.label)
     if isinstance(body, SStack):
         return SecurityType(
             SStack(join_into(lattice, body.element, label), body.size), sec_type.label
@@ -316,10 +361,7 @@ def lower_labels(sec_type: SecurityType, bottom: Label) -> SecurityType:
         fields = tuple(
             (name, lower_labels(field, bottom)) for name, field in body.fields
         )
-        lowered: SecurityBody = (
-            SRecord(fields) if isinstance(body, SRecord) else SHeader(fields)
-        )
-        return SecurityType(lowered, bottom)
+        return SecurityType(body.with_fields(fields), bottom)
     if isinstance(body, SStack):
         return SecurityType(
             SStack(lower_labels(body.element, bottom), body.size), bottom

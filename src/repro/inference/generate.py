@@ -33,7 +33,6 @@ from repro.ifc.security_types import (
     SHeader,
     SRecord,
     SStack,
-    SecurityBody,
     SecurityType,
 )
 from repro.inference.constraints import Constraint
@@ -92,10 +91,7 @@ def term_join_into(lattice: Lattice, sec_type: SecurityType, term: Term) -> Secu
         fields = tuple(
             (name, term_join_into(lattice, f, term)) for name, f in body.fields
         )
-        new_body: SecurityBody = (
-            SRecord(fields) if isinstance(body, SRecord) else SHeader(fields)
-        )
-        return SecurityType(new_body, sec_type.label)
+        return SecurityType(body.with_fields(fields), sec_type.label)
     if isinstance(body, SStack):
         return SecurityType(
             SStack(term_join_into(lattice, body.element, term), body.size),

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.flow.units import DEFAULT_MATCH_KINDS
 from repro.semantics.control_plane import ControlPlane
 from repro.semantics.errors import EvaluationError
 from repro.semantics.lvalues import (
@@ -51,7 +52,6 @@ from repro.syntax import statements as s
 from repro.syntax.declarations import Direction
 from repro.syntax.program import Program
 from repro.syntax.types import HeaderType, MatchKindType, RecordType, Type
-from repro.typechecker.checker import DEFAULT_MATCH_KINDS
 
 #: Safety valve against runaway evaluation (the fragment has no loops, but a
 #: malformed synthetic program could still recurse through closures).

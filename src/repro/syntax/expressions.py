@@ -88,8 +88,8 @@ class BinaryOp(Expression):
     """Binary operation ``exp1 (+) exp2``.
 
     The operator is kept as its source spelling (``+``, ``-``, ``==``,
-    ``&&`` ...); the typing oracle ``T`` in
-    :mod:`repro.typechecker.operators` gives its meaning.
+    ``&&`` ...); the typing oracle ``T``,
+    :func:`repro.flow.analysis.binary_result_body`, gives its meaning.
     """
 
     op: str

@@ -11,8 +11,8 @@ General types ``κ``::
 
 Type *names* introduced by ``typedef`` / ``header`` / ``struct``
 declarations are represented by :class:`TypeName` and resolved by the
-unfolding judgement ``Δ ⊢ τ ⇝ τ'`` implemented in
-:mod:`repro.typechecker.unfold`.
+unfolding judgement ``Δ ⊢ τ ⇝ τ'``, which
+:class:`repro.ifc.convert.TypeLabeler` implements.
 
 Security annotations from the surface syntax are carried by
 :class:`AnnotatedType` as raw strings; they mean nothing to the ordinary

@@ -8,6 +8,12 @@ Section 4.  With ``infer=True`` a label-inference phase
 solved for, and the IFC phase re-verifies the *elaborated* program, so the
 security verdict still rests on the unmodified Figure 5–7 checker.
 
+The Core P4 diagnostics come from the same walks: the first walk over
+the source (generation when inferring, otherwise the IFC check) reports
+them per unit, and ``phase.core`` reads them after it
+(:meth:`~repro.workspace.Workspace.core`); without the security pass,
+``phase.core`` is the label-free walk.
+
 Every phase runs inside a :mod:`repro.telemetry` span (``phase.parse``,
 ``phase.core``, ``phase.infer``, ``phase.ifc``).  When the ambient
 recorder is a :class:`~repro.telemetry.TraceRecorder` (``p4bid --trace``,
@@ -252,14 +258,32 @@ def _run_phases(
     lint: bool = False,
     explain_released_flows: bool = False,
 ) -> None:
-    """The core → (infer) → ifc → (analysis) phases over a parsed workspace."""
-    lattice = workspace.lattice
+    """The (infer) → ifc → core → (analysis) phases over a parsed
+    workspace: the core phase reads what the walks before it reported."""
+    if include_ifc:
+        _run_security_phases(report, workspace, recorder, infer=infer)
     with recorder.span("phase.core"):
         report.core_result = workspace.core()
+    if include_ifc and (lint or explain_released_flows):
+        # Analyses run over the *original* program: annotation lints reason
+        # about what the user wrote, not what elaboration filled in.
+        from repro.analysis import explain_flows as explain_released
 
-    if not include_ifc:
-        return
-    target: Optional[Program] = workspace.program
+        outcome = AnalysisOutcome()
+        with recorder.span("phase.analysis", lint=lint):
+            if lint:
+                outcome.findings = workspace.lint()
+            if explain_released_flows and workspace.allow_declassification:
+                outcome.released_flows = explain_released(workspace.program, workspace.lattice)
+        report.analysis = outcome
+
+
+def _run_security_phases(
+    report: CheckReport, workspace: Workspace, recorder: TraceRecorder, *, infer: bool
+) -> None:
+    """The (infer) → ifc phases."""
+    lattice = workspace.lattice
+    target: Optional[Program] = workspace.plan()
     if infer:
         with recorder.span("phase.infer") as infer_span:
             report.inference_result = workspace.infer()
@@ -288,18 +312,6 @@ def _run_phases(
                 allow_declassification=workspace.allow_declassification,
                 cache=workspace.recheck_cache(target),
             )
-    if lint or explain_released_flows:
-        # Analyses run over the *original* program: annotation lints reason
-        # about what the user wrote, not what elaboration filled in.
-        from repro.analysis import explain_flows as explain_released
-
-        outcome = AnalysisOutcome()
-        with recorder.span("phase.analysis", lint=lint):
-            if lint:
-                outcome.findings = workspace.lint()
-            if explain_released_flows and workspace.allow_declassification:
-                outcome.released_flows = explain_released(workspace.program, lattice)
-        report.analysis = outcome
 
 
 def check_workspace(

@@ -7,8 +7,9 @@ and its control blocks, in program order.  For each unit the workspace
 keeps a :class:`UnitState` -- the AST node whose identities anchor the
 cached label variables, plus what each phase's last walk of the unit
 produced (the symbolic walk's constraints and touched annotation sites,
-the Core P4 diagnostics, the elaborated node, the IFC re-check's
-diagnostics; each with the context effects it replays).
+the elaborated node, the IFC re-check's diagnostics; each with the
+context effects it replays, and the walks with the unit's Core P4
+diagnostics).
 
 Diffing a new revision against the cached states proceeds in three steps,
 all position-independent:
@@ -107,8 +108,6 @@ class UnitState:
     #: The inferred labels of ``sites`` (a
     #: :class:`~repro.workspace.session.SlotLabels`).
     labels: Optional[object] = None
-    #: The Core P4 check: diagnostics.
-    core: Optional[UnitProducts] = None
     #: The unit with its solved labels written in.
     elaborated: Optional[Elaboration] = None
     #: The concrete IFC re-check of ``ifc_node``: diagnostics and

@@ -8,12 +8,12 @@ per-unit states of the last revision.
 
 :meth:`IncrementalGenerator.plan` diffs a new revision against those
 states (:mod:`repro.workspace.diff`) and settles them: every per-unit
-cache of a *dirty* unit is dropped -- its generated constraints, Core P4
-products, elaborated node and IFC products.  A unit that only moved
+cache of a *dirty* unit is dropped -- its generated constraints,
+elaborated node and IFC products.  A unit that only moved
 keeps them all: their spans are relative to the unit's anchor, which the
 parser or the diff re-based.  The workspace plans once per revision,
-before its first phase, so core, generation, elaboration and the IFC
-check all read the same verdicts.
+before its first phase, so generation, elaboration and the IFC check all
+read the same verdicts.
 
 :meth:`IncrementalGenerator.refresh` then runs the real
 :class:`~repro.flow.analysis.FlowAnalysis` walk through the per-unit
@@ -94,7 +94,7 @@ class IncrementalGenerator:
         """Diff ``program`` against the cached unit states and settle them.
 
         Every cache of a *dirty* unit is dropped here -- its generated
-        constraints, Core P4 products, elaborated node and IFC products --
+        constraints, elaborated node and IFC products --
         so a later phase, whichever revision it first runs at, re-walks
         exactly the units still lacking products.
 
@@ -118,7 +118,6 @@ class IncrementalGenerator:
             state = plan.state
             if plan.dirty:
                 state.generated = None
-                state.core = None
                 state.elaborated = None
                 state.ifc = None
                 state.labels = None

@@ -38,12 +38,15 @@ Methods (``params`` is always an object):
 ``policy.stats``      engine counters (decisions, permits, denies, ...)
 ====================  =====================================================
 
-Error codes follow the JSON-RPC 2.0 spec: ``-32700`` parse error,
-``-32600`` invalid request, ``-32601`` method not found, ``-32602``
-invalid params, ``-32000`` workspace errors (no program open, unknown
-slot, malformed snapshot, ...), ``-32001`` I/O errors (``save`` / ``load``
-on a path the server cannot write or read).  A failed request changes
-nothing: the session keeps its workspace and answers the next request.
+Error codes follow the JSON-RPC 2.0 spec: ``-32700`` parse error (also
+for a line that is not UTF-8), ``-32600`` invalid request (also for an
+``id`` that is not a string, a number or null), ``-32601`` method not
+found, ``-32602`` invalid params (also for a ``policy.open`` size out of
+its bounds), ``-32000`` workspace errors (no program open, unknown slot,
+malformed snapshot, ...), ``-32001`` I/O errors (``save`` / ``load`` on a
+path the server cannot write or read), ``-32002`` a request line longer
+than :data:`MAX_LINE_BYTES`.  A failed request changes nothing: the
+session keeps its workspace and answers the next request.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ from __future__ import annotations
 import json
 import socketserver
 import sys
-from typing import Any, Dict, Optional, TextIO
+from typing import Any, BinaryIO, Dict, Optional, TextIO
 
 from repro.workspace.session import Workspace, WorkspaceError
 
@@ -61,6 +64,22 @@ METHOD_NOT_FOUND = -32601
 INVALID_PARAMS = -32602
 WORKSPACE_ERROR = -32000
 IO_ERROR = -32001
+LINE_TOO_LONG = -32002
+
+#: The longest request line a stream session reads, in bytes (newline
+#: excluded); a longer one is answered with ``LINE_TOO_LONG`` and skipped
+#: without being kept.
+MAX_LINE_BYTES = 16 * 1024 * 1024
+
+#: ``policy.open`` size parameters: ``(default, least, greatest)``.  The
+#: scenario is built eagerly, so each is bounded before anything is.
+POLICY_SIZES = {
+    "subjects": (24, 1, 4096),
+    "datasets": (12, 1, 4096),
+    "events": (1000, 1, 200_000),
+    # 0: no grant is ever revoked.
+    "revoke_every": (200, 0, 200_000),
+}
 
 
 class _RpcError(Exception):
@@ -122,17 +141,23 @@ class WorkspaceServer:
             return None
         try:
             request = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a JSONDecodeError, or an int too long to read
             return self._encode_error(None, PARSE_ERROR, f"parse error: {exc}")
         except RecursionError:
             return self._encode_error(None, PARSE_ERROR, "parse error: nested too deeply")
+        request_id = request.get("id") if isinstance(request, dict) else None
+        if isinstance(request_id, bool) or not isinstance(request_id, (str, int, float, type(None))):
+            return self._encode_error(
+                None,
+                INVALID_REQUEST,
+                "invalid request: 'id' must be a string, a number or null",
+            )
         if not isinstance(request, dict) or not isinstance(request.get("method"), str):
             return self._encode_error(
-                request.get("id") if isinstance(request, dict) else None,
+                request_id,
                 INVALID_REQUEST,
                 "invalid request: expected an object with a string 'method' member",
             )
-        request_id = request.get("id")
         method = request.get("method")
         params = request.get("params") or {}
         if not isinstance(params, dict):
@@ -157,6 +182,15 @@ class WorkspaceServer:
         if request_id is None:
             return None  # notification: no response
         return json.dumps({"jsonrpc": "2.0", "id": request_id, "result": result})
+
+    def handle_bytes(self, raw: bytes) -> Optional[str]:
+        """:meth:`handle_line` for a line read as bytes: a line that is not
+        UTF-8 gets a parse error."""
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            return self._encode_error(None, PARSE_ERROR, f"parse error: not UTF-8 ({exc.reason})")
+        return self.handle_line(line)
 
     @staticmethod
     def _encode_error(request_id, code: int, message: str) -> str:
@@ -320,16 +354,14 @@ class WorkspaceServer:
         if not isinstance(name, str):
             raise _RpcError(INVALID_PARAMS, "lattice must be a string")
         sizes = {}
-        for key, default in (
-            ("subjects", 24),
-            ("datasets", 12),
-            ("events", 1000),
-            ("revoke_every", 200),
-            ("seed", 0),
-        ):
+        for key, (default, least, greatest) in (*POLICY_SIZES.items(), ("seed", (0, None, None))):
             value = params.get(key, default)
             if not isinstance(value, int) or isinstance(value, bool):
                 raise _RpcError(INVALID_PARAMS, f"{key} must be an integer")
+            if least is not None and not least <= value <= greatest:
+                raise _RpcError(
+                    INVALID_PARAMS, f"{key} must be between {least} and {greatest}"
+                )
             sizes[key] = value
         try:
             lattice = get_lattice(name)
@@ -479,19 +511,39 @@ def serve_stdio(
     return 0
 
 
+def serve_stream(
+    server: WorkspaceServer,
+    rfile: BinaryIO,
+    wfile: BinaryIO,
+    *,
+    max_line: int = MAX_LINE_BYTES,
+) -> None:
+    """Serve newline-delimited JSON-RPC over a byte stream until EOF or
+    ``shutdown``.  A line longer than ``max_line`` bytes is answered with
+    ``LINE_TOO_LONG`` and read past in pieces of at most that size."""
+    while server.running:
+        raw = rfile.readline(max_line + 1)
+        if not raw:
+            break
+        if len(raw) > max_line and not raw.endswith(b"\n"):
+            while raw and not raw.endswith(b"\n"):
+                raw = rfile.readline(max_line + 1)
+            response: Optional[str] = server._encode_error(
+                None, LINE_TOO_LONG, f"request line longer than {max_line} bytes"
+            )
+        else:
+            response = server.handle_bytes(raw)
+        if response is not None:
+            wfile.write(response.encode("utf-8") + b"\n")
+            wfile.flush()
+
+
 def serve_tcp(host: str, port: int, **options) -> int:
     """Serve JSON-RPC over TCP; each connection gets its own workspace."""
 
     class Handler(socketserver.StreamRequestHandler):
         def handle(self) -> None:
-            session = WorkspaceServer(**options)
-            for raw in self.rfile:
-                response = session.handle_line(raw.decode("utf-8"))
-                if response is not None:
-                    self.wfile.write(response.encode("utf-8") + b"\n")
-                    self.wfile.flush()
-                if not session.running:
-                    break
+            serve_stream(WorkspaceServer(**options), self.rfile, self.wfile)
 
     class Server(socketserver.ThreadingTCPServer):
         allow_reuse_address = True

@@ -26,10 +26,8 @@ across edits:
 
 Past generation, a warm check redoes only the units it must.  Each
 :class:`~repro.workspace.diff.UnitState` caches, next to its generated
-constraints, four per-unit products that live and die with it:
+constraints, three per-unit products that live and die with it:
 
-* the **Core P4 products** (diagnostics, recorded Γ/Δ effects) --
-  reused while the diff finds the unit clean;
 * the **elaborated node** -- reused while the unit is clean and the
   solution still assigns its annotation slots (and its control's pc)
   the labels it was elaborated with;
@@ -47,9 +45,14 @@ plus the slots whose site an edit dropped or made, so a warm check reads
 the solution only for those: an elaboration stays valid while none of its
 slots is among them, and a label is remade only when it is.
 
+The Core P4 diagnostics are no phase of their own: every walk reports
+them per unit next to its label outputs, so :meth:`Workspace.core`
+reads them from the products of the walk over the source -- generation,
+or the IFC check of a check without inference.
+
 Every phase reads the diff plan the first phase of a revision takes
-(:meth:`Workspace._ensure_plan`), so a session that never infers reuses
-core and IFC products all the same.  The first plan of a workspace has
+(:meth:`Workspace.plan`), so a session that never infers reuses
+IFC products all the same.  The first plan of a workspace has
 no states to diff against, so it only lists the units: their
 fingerprints, reference sets and dependency signatures, which nothing
 but a later edit reads, are computed at the next plan -- or by an IFC
@@ -62,9 +65,8 @@ phase: its spans are relative to its anchor, which the parser or the
 diff re-based, so its products render at the new positions as they
 stand.  How many units the last run of each phase redid at the current
 revision is in ``stats()["rechecks"]`` and, under a
-tracing recorder, in the ``workspace.units_core_checked`` /
-``workspace.units_elaborated`` / ``workspace.units_ifc_checked``
-counters.
+tracing recorder, in the ``workspace.units_elaborated`` /
+``workspace.units_ifc_checked`` counters.
 
 The first check of a freshly opened workspace is the *cold* path, and a
 one-shot :func:`repro.check_source` or
@@ -104,6 +106,8 @@ from repro.lattice.two_point import TwoPointLattice
 from repro.syntax.program import Program
 from repro.syntax.source import anchor_of, placement, same_placement
 from repro.telemetry.recorder import current_recorder
+from repro.typechecker import checker
+from repro.typechecker.checker import CoreCheckResult
 from repro.workspace.diff import StateSlots, UnitState, settle_states
 from repro.workspace.regen import IncrementalGenerator
 
@@ -261,7 +265,6 @@ class Workspace:
         #: How many units the last run of each per-unit phase re-did at
         #: this revision (0 until it runs).
         self._rechecked: Dict[str, int] = {
-            "units_core_checked": 0,
             "units_elaborated": 0,
             "units_ifc_checked": 0,
         }
@@ -355,10 +358,10 @@ class Workspace:
 
     # ------------------------------------------------------------------ generation
 
-    def _ensure_plan(self) -> Program:
+    def plan(self) -> Program:
         """Diff the current revision against the unit states, once.
 
-        Every per-unit phase (core, generation, elaboration, IFC re-check)
+        Every per-unit phase (generation, elaboration, IFC re-check)
         reads the states this settles.  Matched units keep their original
         AST nodes; the assembled program (identical to the parse on a
         first plan) is what every phase must see, and what the next
@@ -381,7 +384,7 @@ class Workspace:
             recorder.count("workspace." + counter, units)
 
     def _ensure_generation(self) -> GenerationResult:
-        self._ensure_plan()
+        self.plan()
         if self._generation is not None and self._generation_rev == self.revision:
             return self._generation
         recorder = current_recorder()
@@ -509,22 +512,36 @@ class Workspace:
 
     # ------------------------------------------------------------------ phases
 
-    def core(self):
-        """The Core P4 (non-security) check, cached per revision.
+    def core(self) -> CoreCheckResult:
+        """The Core P4 (non-security) diagnostics, cached per revision.
 
-        Re-checks only the units the edits since their last check made
-        dirty; the others replay their recorded Γ/Δ effects and keep
-        their diagnostics.
+        They are the per-unit core outputs of the walk over the source
+        that every unit still holds products of: generation, or the IFC
+        check of the source (a check without inference).  When neither
+        is current, or an annotation did not resolve (that walk then
+        went on without the binding), they come from the label-free walk
+        (:func:`~repro.typechecker.checker.check_core_types`).
         """
-        from repro.typechecker.checker import check_core_types
-
         if self._core is None or self._core_rev != self.revision:
-            program = self._ensure_plan()
-            cache = StateSlots(self._generator.units, "core")
-            self._core = check_core_types(program, cache)
-            self._note("units_core_checked", cache.walked)
+            program = self.plan()
+            units = self._source_walk_core()
+            if units is None or any(core is None for core in units):
+                self._core = checker.check_core_types(program)
+            else:
+                self._core = CoreCheckResult(
+                    program, [diag for core in units for diag in core]
+                )
             self._core_rev = self.revision
         return self._core
+
+    def _source_walk_core(self) -> Optional[list]:
+        """Per unit, the core outputs of the current walk over the source."""
+        states = self._generator.units
+        if all(state.generated is not None for state in states):
+            return [state.generated.outputs.core for state in states]
+        if all(state.ifc is not None and state.ifc_node is state.node for state in states):
+            return [state.ifc.outputs.core for state in states]
+        return None
 
     def infer(self) -> InferenceResult:
         """Label inference over the current revision (cached until edited).

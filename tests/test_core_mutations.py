@@ -5,8 +5,8 @@ Every program of the ``cold_check`` corpus (see ``test_parser``'s
 an unknown variable or field, a wrong operand type, a non-bool
 condition, a read-only or ill-typed assignment, a bad call arity or
 argument, a table key or match kind, ``return`` placement, and an
-unknown label paired with an ill-typed use of the labelled field -- at
-its first and last assignment (which in most programs sit in an action
+unknown label paired with an ill-typed use of the labelled field, and
+operations built on a rejected one -- at its first and last assignment (which in most programs sit in an action
 body and in an ``apply`` block).  Each variant is checked three ways:
 ``--core-only`` (``include_ifc=False``), a plain check, and ``--infer``.
 Each core diagnostic is recorded as it renders (span, rule, message); the
@@ -84,6 +84,12 @@ def _assignment_mutations(source: str, match: re.Match, where: str):
     yield f"{where}:index-non-array", _replace(source, match, "rhs", f"{root}[0]")
     yield f"{where}:struct-assigned", _replace(source, match, "rhs", root)
     yield f"{where}:unknown-in-operand", _replace(source, match, "rhs", f"{rhs} + ghost")
+    # A rejected operation is reported once: nothing built on it is checked.
+    yield f"{where}:ill-typed-chain", _replace(source, match, "rhs", f"(({rhs}) + true) == 1")
+    yield f"{where}:ill-typed-operand", _replace(source, match, "rhs", f"(({rhs}) + true) + true")
+    yield f"{where}:ill-typed-field", _replace(
+        source, match, "rhs", f"{{a = ({rhs}) + true, b = ghost}}.a"
+    )
     yield f"{where}:return-value", _replace(
         source, match, "lhs", f"return 1; {lhs}"
     )
@@ -107,6 +113,7 @@ def mutations(source: str):
     cond = _IF.search(source)
     if cond is not None:
         yield "if:non-bool", _replace(source, cond, "cond", "8w1")
+        yield "if:ill-typed", _replace(source, cond, "cond", f"({cond.group('cond')}) + 1")
         yield "if:unknown", _replace(source, cond, "cond", "ghost == 1")
     call = _CALL.search(source)
     if call is not None:
@@ -125,7 +132,7 @@ def mutations(source: str):
         yield "actions:undeclared", _replace(source, actions, "first", "ghost_action")
         if actions.group("args"):
             yield "actions:bad-argument", _replace(source, actions, "args", "(true)")
-            yield "actions:arity", _replace(source, actions, "args", "(1, 2, 3)")
+            yield "actions:arity", _replace(source, actions, "args", "(ghost, 2, 3)")
     declared = list(_ACTION.finditer(source))
     if declared:
         body = declared[0].end()
@@ -138,9 +145,11 @@ def mutations(source: str):
         apply = _APPLY.search(source)
         if apply is not None:
             at = apply.end()
-            calls = [("apply:call-arity", ", ".join(["1"] * (arity + 1)))]
+            # Too many arguments: only the count is reported, not the unknown names.
+            calls = [("apply:call-arity", ", ".join(["ghost"] * (arity + 1)))]
             if arity:
                 calls.append(("apply:call-bad-argument", ", ".join(["true"] * arity)))
+                calls.append(("apply:call-ill-typed-argument", ", ".join(["(true + 1)"] * arity)))
             for tag, args in calls:
                 yield tag, source[:at] + f" {name}({args});" + source[at:]
             yield "apply:return", source[:at] + " return;" + source[at:]

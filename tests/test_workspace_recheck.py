@@ -1,5 +1,6 @@
-"""Per-unit re-checking past generation: core, elaboration and the IFC
-re-check redo only the units an edit or a pin invalidated.
+"""Per-unit re-checking past generation: elaboration and the IFC
+re-check redo only the units an edit or a pin invalidated, and the core
+diagnostics come from the walks, not a walk of their own.
 
 Two halves, as in ``test_workspace.py``: how much was redone (through
 the ``workspace.units_*`` telemetry counters and ``Workspace.stats()``,
@@ -23,7 +24,7 @@ from repro.tool.pipeline import check_source
 from repro.tool.report import report_to_dict
 from repro.workspace import Workspace, diff
 
-RECHECKS = ("units_core_checked", "units_elaborated", "units_ifc_checked")
+RECHECKS = ("units_elaborated", "units_ifc_checked")
 SEED = "header shard3_t {\n    <bit<8>, low> seed;"
 
 
@@ -99,11 +100,10 @@ class TestRecheckCounters:
             workspace.check(infer=True)
 
         counted = _counted(pin)
-        # No edit: nothing is re-walked or re-checked by core.  The pinned
-        # slots live in shard 2's header, the one unit re-elaborated; the
-        # IFC re-check also redoes the struct and control typed against it.
+        # No edit: nothing is re-walked, so the core diagnostics stand.  The
+        # pinned slots live in shard 2's header, the one unit re-elaborated;
+        # the IFC re-check also redoes the struct and control typed against it.
         assert counted["units_rewalked"] == 0
-        assert counted["units_core_checked"] == 0
         assert counted["units_elaborated"] == 1
         assert counted["units_ifc_checked"] == 3
 
@@ -167,8 +167,9 @@ class TestRecheckCounters:
 
 
     def test_session_without_inference_rechecks_only_the_edit(self):
-        """Core and the IFC check reuse per-unit products in a session
-        that never infers, as the served ``check`` does by default."""
+        """The IFC check, which reports the core diagnostics too, reuses
+        per-unit products in a session that never infers, as the served
+        ``check`` does by default."""
         source = sharded_dataflow_program(6, depth=4, source_level="low")
         workspace = Workspace()
         assert workspace.open(source, filename="<input>")
@@ -177,7 +178,6 @@ class TestRecheckCounters:
         counted = _counted(lambda: (workspace.edit(raised), workspace.check()))
         assert counted == {
             "units_rewalked": 0,
-            "units_core_checked": 3,
             "units_elaborated": 0,
             "units_ifc_checked": 3,
         }
@@ -186,8 +186,62 @@ class TestRecheckCounters:
         counted = _counted(
             lambda: (workspace.edit("// a new first line\n" + raised), workspace.check())
         )
-        assert counted["units_core_checked"] == 0
         assert counted["units_ifc_checked"] == 0
+
+
+class TestCoreFromTheWalks:
+    """A check reads the Core P4 diagnostics from its first walk over the
+    source -- the IFC check, or generation when inferring -- so it walks
+    each unit once without inference and twice with it (generation, then
+    the re-check of the elaborated program), never the label-free walk."""
+
+    # Shard 1's control reads an unknown field and adds a bool to a byte.
+    SOURCE = sharded_dataflow_program(3, depth=3, source_level="low").replace(
+        "control Shard1(inout shard1_headers hdr) {\n    apply {\n",
+        "control Shard1(inout shard1_headers hdr) {\n    apply {\n"
+        "        hdr.data.s1 = hdr.data.nope;\n        hdr.data.s2 = hdr.data.s0 + true;\n",
+    )
+
+    @staticmethod
+    def _core_only(source: str) -> list:
+        report = check_source(source, include_ifc=False, filename="<input>")
+        return [str(d) for d in report.core_diagnostics]
+
+    @staticmethod
+    def _refuse_label_free_walk(monkeypatch) -> None:
+        from repro.typechecker import checker
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the label-free walk ran")
+
+        monkeypatch.setattr(checker, "check_core_types", refuse)
+
+    @pytest.mark.parametrize("infer", [False, True])
+    def test_one_shot_check(self, monkeypatch, infer):
+        expected = self._core_only(self.SOURCE)
+        assert len(expected) == 2
+        self._refuse_label_free_walk(monkeypatch)
+        recorder = TraceRecorder()
+        with use_recorder(recorder):
+            report = check_source(self.SOURCE, infer=infer, filename="<input>")
+        assert [str(d) for d in report.core_diagnostics] == expected
+        counters = recorder.counters
+        walks = (counters.get("workspace.units_rewalked", 0), counters["workspace.units_ifc_checked"])
+        assert walks == ((9, 9) if infer else (0, 9))
+
+    def test_served_warm_check(self, monkeypatch):
+        from test_workspace_rpc import result_of
+
+        from repro.workspace.rpc import WorkspaceServer
+
+        revisions = [self.SOURCE, "// a new first line\n" + self.SOURCE, self.SOURCE]
+        expected = [self._core_only(revision) for revision in revisions]
+        self._refuse_label_free_walk(monkeypatch)
+        server = WorkspaceServer()
+        result_of(server, "open", {"source": self.SOURCE, "filename": "<input>"})
+        for revision, cold in zip(revisions, expected):
+            result_of(server, "edit", {"source": revision})
+            assert result_of(server, "check", {"infer": True})["core_diagnostics"] == cold
 
 
 def _relabelled(action) -> int:

@@ -20,11 +20,14 @@ from repro.workspace.rpc import (
     INVALID_PARAMS,
     IO_ERROR,
     INVALID_REQUEST,
+    LINE_TOO_LONG,
     METHOD_NOT_FOUND,
     PARSE_ERROR,
+    POLICY_SIZES,
     WORKSPACE_ERROR,
     WorkspaceServer,
     serve_stdio,
+    serve_stream,
 )
 
 SECURE = sharded_dataflow_program(2, depth=3)
@@ -150,6 +153,55 @@ class TestProtocol:
         assert response["error"]["code"] == PARSE_ERROR
         assert response["id"] is None
 
+    def test_an_id_that_is_no_scalar_is_invalid_and_not_echoed(self):
+        # JSON-RPC 2.0 allows a string, a number or null as the id.
+        server = WorkspaceServer()
+        for request_id in ({"a": 1}, [1], True):
+            line = json.dumps({"jsonrpc": "2.0", "id": request_id, "method": "ping"})
+            response = json.loads(server.handle_line(line))
+            assert response["error"]["code"] == INVALID_REQUEST, request_id
+            assert response["id"] is None
+        assert call(server, "ping", request_id=2.5)["result"]["pong"] is True
+
+    def test_an_integer_too_long_to_read_is_a_parse_error(self):
+        server = WorkspaceServer()
+        response = json.loads(server.handle_line('{"id": 1' + "0" * 5000 + ', "method": "ping"}'))
+        assert response["error"]["code"] == PARSE_ERROR
+        assert response["id"] is None
+
+
+class TestStreamLines:
+    """``serve_stream``, the TCP transport's loop, over in-memory streams."""
+
+    @staticmethod
+    def _served(data: bytes, **options) -> list:
+        out = io.BytesIO()
+        serve_stream(WorkspaceServer(), io.BytesIO(data), out, **options)
+        return [json.loads(line) for line in out.getvalue().splitlines()]
+
+    PING = json.dumps({"jsonrpc": "2.0", "id": 1, "method": "ping"}).encode()
+
+    def test_a_line_that_is_not_utf8_is_a_parse_error(self):
+        first, second = self._served(b'{"id": 7, "method": "\xff"}\n' + self.PING + b"\n")
+        assert first["error"]["code"] == PARSE_ERROR and first["id"] is None
+        assert second["result"]["pong"] is True
+
+    def test_an_overlong_line_is_refused_and_skipped(self):
+        overlong = json.dumps({"id": 3, "method": "ping", "params": {"pad": "x" * 200}}).encode()
+        responses = self._served(
+            self.PING + b"\n" + overlong + b"\n" + self.PING + b"\n", max_line=len(self.PING)
+        )
+        assert [r.get("result", {}).get("pong") for r in responses] == [True, None, True]
+        assert responses[1]["error"]["code"] == LINE_TOO_LONG and responses[1]["id"] is None
+
+    def test_a_line_at_the_cap_and_a_last_line_without_newline_are_served(self):
+        responses = self._served(self.PING + b"\n" + self.PING, max_line=len(self.PING))
+        assert [r["result"]["pong"] for r in responses] == [True, True]
+
+    def test_shutdown_ends_the_stream(self):
+        shutdown = json.dumps({"id": 1, "method": "shutdown"}).encode()
+        assert len(self._served(shutdown + b"\n" + self.PING + b"\n")) == 1
+
     def test_failing_notifications_still_report_the_error(self):
         # A notification (no id) that cannot be dispatched gets an error
         # response with a null id, so the failure is never swallowed.
@@ -219,7 +271,25 @@ class TestPolicyMethods:
         response = call(server, "policy.open", {"subjects": "many"})
         assert response["error"]["code"] == INVALID_PARAMS
         response = call(server, "policy.open", {"subjects": 0})
-        assert response["error"]["code"] == WORKSPACE_ERROR
+        assert response["error"]["code"] == INVALID_PARAMS
+
+    def test_open_bounds_every_size_before_building_anything(self, monkeypatch):
+        import importlib
+
+        # The package exports a function of the module's name.
+        traffic = importlib.import_module("repro.synth.policy_traffic")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("built a scenario")
+
+        monkeypatch.setattr(traffic, "scenario_universe", refuse)
+        monkeypatch.setattr(traffic, "policy_traffic", refuse)
+        server = WorkspaceServer()
+        for key, (_default, least, greatest) in POLICY_SIZES.items():
+            for value in (least - 1, greatest + 1):
+                response = call(server, "policy.open", {key: value})
+                assert response["error"]["code"] == INVALID_PARAMS, (key, value)
+                assert key in response["error"]["message"]
 
     def test_decide_by_stream_uid_and_adhoc(self):
         server = WorkspaceServer()
