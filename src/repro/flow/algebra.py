@@ -194,9 +194,9 @@ class LabelAlgebra(ABC):
     def type_error(self, message: str, span: SourceSpan, rule: str) -> None:
         """Report an ordinary type error as an IFC violation too (read-only
         writes, non-l-value arguments, unsupported constructs).  The
-        concrete checker gives a verdict on these; the symbolic algebra
-        reports them through :meth:`core_error` only, so the default is a
-        no-op."""
+        concrete checker gives a verdict on these; the symbolic algebra has
+        none to give -- the walk reports each through :meth:`core_error`
+        as well -- so the default is a no-op."""
 
     def core_error(self, message: str, span: SourceSpan, rule: str) -> None:
         """Report a Core P4 type error of the unit being walked."""

@@ -197,7 +197,7 @@ class FlowAnalysis:
             return self.algebra.unresolved_type(exc, span)
 
     @contextmanager
-    def _core_quiet(self, quiet: bool = True) -> Iterator[None]:
+    def _core_quiet(self, quiet: bool) -> Iterator[None]:
         """Drop the core errors of a walk the Core P4 rules do not make
         (the arguments of a call with too many of them)."""
         self.algebra.core_quiet += quiet
@@ -655,36 +655,29 @@ class FlowAnalysis:
             else:
                 self.check_expression(call.arguments[0], gamma, labeler, pc)
             return
-        callee_type, _ = self.check_expression(call.callee, gamma, labeler, pc)
-        if callee_type is None:
-            return
-        if isinstance(callee_type.body, STable):
-            if call.arguments:
-                self.algebra.core_error(
-                    "table application takes no arguments", call.span, rule="T-TblCall"
-                )
-            pc_tbl = self.algebra.coerce(callee_type.body.pc_tbl)
-            self._record_write(pc_tbl)
-            self.algebra.require_leq(
-                pc,
-                pc_tbl,
-                RuleSite(
-                    stmt.span,
-                    rule="T-TblCall",
-                    kind=ViolationKind.IMPLICIT_FLOW,
-                    reason=(
-                        f"table {call.callee.describe()!r} is applied in a "
-                        "guarded context; its write bound must dominate the guard"
-                    ),
-                    message=(
-                        f"table {call.callee.describe()!r} writes at level "
-                        "{rhs} but is applied in a context of level {lhs}"
-                    ),
+        self._check_call(call, gamma, labeler, pc, statement=stmt)
+
+    def _check_table_apply(self, stmt: s.CallStmt, table: STable, pc) -> None:
+        pc_tbl = self.algebra.coerce(table.pc_tbl)
+        self._record_write(pc_tbl)
+        callee = stmt.call.callee.describe()
+        self.algebra.require_leq(
+            pc,
+            pc_tbl,
+            RuleSite(
+                stmt.span,
+                rule="T-TblCall",
+                kind=ViolationKind.IMPLICIT_FLOW,
+                reason=(
+                    f"table {callee!r} is applied in a guarded context; its "
+                    "write bound must dominate the guard"
                 ),
-            )
-            return
-        # Ordinary action / function call used as a statement.
-        self._check_call(call, gamma, labeler, pc, callee_type)
+                message=(
+                    f"table {callee!r} writes at level {{rhs}} but is applied "
+                    "in a context of level {lhs}"
+                ),
+            ),
+        )
 
     # -- T-Exit / T-Return -------------------------------------------------------
 
@@ -999,25 +992,26 @@ class FlowAnalysis:
         gamma: SecurityContext,
         labeler: TypeLabeler,
         pc,
-        callee_type: Optional[SecurityType] = None,
+        statement: Optional[s.CallStmt] = None,
     ) -> Tuple[Optional[SecurityType], str]:
-        """T-Call; ``callee_type`` is given for a call in statement
-        position, whose callee :meth:`_check_call_statement` has typed."""
+        """T-Call, and T-TblCall for a table applied as the ``statement``."""
+        callee_type, _ = self.check_expression(expr.callee, gamma, labeler, pc)
         if callee_type is None:
-            callee_type, _ = self.check_expression(expr.callee, gamma, labeler, pc)
-            if callee_type is None:
-                return None, DIR_IN
-            if isinstance(callee_type.body, STable):
+            return None, DIR_IN
+        if isinstance(callee_type.body, STable):
+            if statement is None:
                 self.algebra.core_error(
                     "tables may only be applied in statement position",
                     expr.span,
                     rule="T-TblCall",
                 )
-                if expr.arguments:
-                    self.algebra.core_error(
-                        "table application takes no arguments", expr.span, rule="T-TblCall"
-                    )
-                return SecurityType(SUnit(), self.algebra.bottom), DIR_IN
+            else:
+                self._check_table_apply(statement, callee_type.body, pc)
+            if expr.arguments:
+                self.algebra.core_error(
+                    "table application takes no arguments", expr.span, rule="T-TblCall"
+                )
+            return SecurityType(SUnit(), self.algebra.bottom), DIR_IN
         if not isinstance(callee_type.body, SFunction):
             self.algebra.core_error(
                 f"{expr.callee.describe()!r} of type {type_text(callee_type.body)} "

@@ -63,7 +63,7 @@ class SUnit(SecurityBody):
 
 @dataclass(frozen=True)
 class SMatchKind(SecurityBody):
-    #: The kinds declared when this member was (for diagnostics only).
+    #: The kinds known where this one was declared (for diagnostics only).
     members: Tuple[str, ...] = field(default=(), compare=False)
 
     def describe(self) -> str:

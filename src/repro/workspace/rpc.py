@@ -146,7 +146,9 @@ class WorkspaceServer:
         except RecursionError:
             return self._encode_error(None, PARSE_ERROR, "parse error: nested too deeply")
         request_id = request.get("id") if isinstance(request, dict) else None
-        if isinstance(request_id, bool) or not isinstance(request_id, (str, int, float, type(None))):
+        if request_id is not None and (
+            isinstance(request_id, bool) or not isinstance(request_id, (str, int, float))
+        ):
             return self._encode_error(
                 None,
                 INVALID_REQUEST,

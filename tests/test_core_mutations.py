@@ -153,6 +153,14 @@ def mutations(source: str):
             for tag, args in calls:
                 yield tag, source[:at] + f" {name}({args});" + source[at:]
             yield "apply:return", source[:at] + " return;" + source[at:]
+            # Reported twice, as before: core T-Call and an IFC type error.
+            yield "apply:not-an-l-value", (
+                source[: apply.start()]
+                + "action p4_lv(inout bit<8> v) { v = 1; }\n    "
+                + source[apply.start() : at]
+                + " p4_lv(1);"
+                + source[at:]
+            )
             yield "apply:action-in-if", source[:at] + f" if ({name}) {{ }}" + source[at:]
 
 

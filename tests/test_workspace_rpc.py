@@ -170,6 +170,31 @@ class TestProtocol:
         assert response["id"] is None
 
 
+    def test_failing_notifications_still_report_the_error(self):
+        # A notification (no id) that cannot be dispatched gets an error
+        # response with a null id, so the failure is never swallowed.
+        server = WorkspaceServer()
+        line = json.dumps({"jsonrpc": "2.0", "method": "frobnicate"})
+        response = json.loads(server.handle_line(line))
+        assert response["error"]["code"] == METHOD_NOT_FOUND
+        assert response["id"] is None
+
+    def test_a_dropped_server_frees_its_workspace_without_the_collector(self):
+        # No reference cycle through the dispatch table: a closed session's
+        # program, constraints and graph go when the server does, not at
+        # the next full collection.
+        gc.disable()
+        try:
+            server = WorkspaceServer()
+            result_of(server, "open", {"source": SECURE})
+            result_of(server, "check", {"infer": True})
+            workspace = weakref.ref(server.workspace)
+            del server
+            assert workspace() is None
+        finally:
+            gc.enable()
+
+
 class TestStreamLines:
     """``serve_stream``, the TCP transport's loop, over in-memory streams."""
 
@@ -201,30 +226,6 @@ class TestStreamLines:
     def test_shutdown_ends_the_stream(self):
         shutdown = json.dumps({"id": 1, "method": "shutdown"}).encode()
         assert len(self._served(shutdown + b"\n" + self.PING + b"\n")) == 1
-
-    def test_failing_notifications_still_report_the_error(self):
-        # A notification (no id) that cannot be dispatched gets an error
-        # response with a null id, so the failure is never swallowed.
-        server = WorkspaceServer()
-        line = json.dumps({"jsonrpc": "2.0", "method": "frobnicate"})
-        response = json.loads(server.handle_line(line))
-        assert response["error"]["code"] == METHOD_NOT_FOUND
-        assert response["id"] is None
-
-    def test_a_dropped_server_frees_its_workspace_without_the_collector(self):
-        # No reference cycle through the dispatch table: a closed session's
-        # program, constraints and graph go when the server does, not at
-        # the next full collection.
-        gc.disable()
-        try:
-            server = WorkspaceServer()
-            result_of(server, "open", {"source": SECURE})
-            result_of(server, "check", {"infer": True})
-            workspace = weakref.ref(server.workspace)
-            del server
-            assert workspace() is None
-        finally:
-            gc.enable()
 
 
 class TestPolicyMethods:
