@@ -105,8 +105,8 @@ class LabelAlgebra(ABC):
         #: The Core P4 diagnostics of the unit being walked, apart from the
         #: IFC outputs; ``None`` once an annotation of the unit did not
         #: resolve -- the label-free walk
-        #: (:func:`repro.typechecker.checker.check_core_types`) supplies
-        #: them then.
+        #: (:func:`repro.typechecker.checker.check_core_types`) remakes
+        #: them then, for this unit and the units that depend on it.
         self.core: Optional[List[TypeDiagnostic]] = []
         #: While positive, :meth:`core_error` drops what it is given: a
         #: walk the Core P4 rules would not make, or a repeated one.

@@ -317,9 +317,7 @@ class FlowAnalysis:
             return gamma
         if decl.init is not None:
             init_type, init_dir = self.check_expression(decl.init, gamma, labeler, pc)
-            if init_type is None:
-                init_dir = DIR_ILL
-            elif bodies_compatible(declared.body, init_type.body):
+            if init_type is not None and bodies_compatible(declared.body, init_type.body):
                 self.algebra.require_flow(
                     init_type,
                     declared,
@@ -337,7 +335,7 @@ class FlowAnalysis:
                         ),
                     ),
                 )
-            elif init_dir is not DIR_ILL:
+            elif init_type is not None and init_dir is not DIR_ILL:
                 self.algebra.core_error(
                     f"initialiser of {decl.name!r} has type {type_text(init_type.body)}, "
                     f"expected {type_text(declared.body)}",

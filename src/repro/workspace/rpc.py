@@ -513,25 +513,19 @@ def serve_stdio(
     return 0
 
 
-def serve_stream(
-    server: WorkspaceServer,
-    rfile: BinaryIO,
-    wfile: BinaryIO,
-    *,
-    max_line: int = MAX_LINE_BYTES,
-) -> None:
+def serve_stream(server: WorkspaceServer, rfile: BinaryIO, wfile: BinaryIO) -> None:
     """Serve newline-delimited JSON-RPC over a byte stream until EOF or
-    ``shutdown``.  A line longer than ``max_line`` bytes is answered with
-    ``LINE_TOO_LONG`` and read past in pieces of at most that size."""
+    ``shutdown``.  A line longer than :data:`MAX_LINE_BYTES` is answered
+    with ``LINE_TOO_LONG`` and read past in pieces of at most that size."""
     while server.running:
-        raw = rfile.readline(max_line + 1)
+        raw = rfile.readline(MAX_LINE_BYTES + 1)
         if not raw:
             break
-        if len(raw) > max_line and not raw.endswith(b"\n"):
+        if len(raw) > MAX_LINE_BYTES and not raw.endswith(b"\n"):
             while raw and not raw.endswith(b"\n"):
-                raw = rfile.readline(max_line + 1)
+                raw = rfile.readline(MAX_LINE_BYTES + 1)
             response: Optional[str] = server._encode_error(
-                None, LINE_TOO_LONG, f"request line longer than {max_line} bytes"
+                None, LINE_TOO_LONG, f"request line longer than {MAX_LINE_BYTES} bytes"
             )
         else:
             response = server.handle_bytes(raw)

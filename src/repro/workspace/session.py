@@ -86,7 +86,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set, Union
 
-from repro.flow.units import program_units
+from repro.flow.units import UnitProducts, program_units
 from repro.frontend.errors import FrontendError
 from repro.frontend.parser import ParseIndex, parse_program
 from repro.inference.elaborate import elaborate_program
@@ -116,6 +116,23 @@ class WorkspaceError(Exception):
     """An operation the workspace's current state cannot support."""
 
 
+def replayable(states: List[UnitState], whole: List[bool]) -> List[bool]:
+    """Per unit, whether it may replay its products: they are ``whole``,
+    and so are those of every unit declaring a name it references.
+    Deciding in unit order makes that transitive, as
+    :func:`~repro.workspace.diff.environment_signatures` does for the
+    source."""
+    settle_states(states)
+    replayed: Set[int] = set()
+    valid = []
+    for index, (state, ok) in enumerate(zip(states, whole)):
+        ok = ok and all(declarer is None or declarer in replayed for declarer in state.declarers)
+        if ok:
+            replayed.add(index)
+        valid.append(ok)
+    return valid
+
+
 class RecheckSlots(StateSlots):
     """The units' IFC re-check products, as a per-unit cache.
 
@@ -123,9 +140,7 @@ class RecheckSlots(StateSlots):
     the unit has now in the checked program (its elaborated node, or its
     source node on a check without inference), and every name it
     references resolves to a declaring unit whose products are reused
-    too.  Deciding in unit order makes that transitive, as
-    :func:`~repro.workspace.diff.environment_signatures` does for the
-    source.  A reused declarer then holds the very products the unit was
+    too (:func:`replayable`).  A reused declarer then holds the very products the unit was
     checked against: every run stores all units' products, so a unit
     whose declarer was re-checked was re-checked in the same run, and a
     plan keeps a unit's products only while its declarers are the same
@@ -146,28 +161,45 @@ class RecheckSlots(StateSlots):
         states = self.states
         if all(state.ifc is None for state in states):
             return None
-        settle_states(states)
-        reused: set = set()
-        cached = []
-        for index, (state, node) in enumerate(zip(states, self.nodes)):
-            valid = (
-                state.ifc is not None
-                and state.ifc_node is node
-                and all(
-                    declarer is None or declarer in reused
-                    for declarer in state.declarers
-                )
-            )
-            if valid:
-                reused.add(index)
-            cached.append(state.ifc if valid else None)
-        return cached
+        whole = [
+            state.ifc is not None and state.ifc_node is node
+            for state, node in zip(states, self.nodes)
+        ]
+        valid = replayable(states, whole)
+        return [state.ifc if ok else None for state, ok in zip(states, valid)]
 
     def store(self, products: list) -> None:
         super().store(products)
         for state, node in zip(self.states, self.nodes):
             state.ifc_node = node
         self._note("units_ifc_checked", self.walked)
+
+
+class SourceWalkCore:
+    """The source walk's products as a cache of the label-free walk
+    (:class:`repro.flow.units.UnitCache`).
+
+    A unit replays its effects and keeps its core outputs when they are
+    whole -- its annotations resolved -- and every name it references
+    resolves to a declaring unit that is replayed too, so it sees the
+    environment the label-free walk would give it but for labels, which
+    that walk ignores (:func:`replayable`).  The other units are walked
+    afresh, and nothing is kept.
+    """
+
+    def __init__(self, states: List[UnitState], products: List[UnitProducts]) -> None:
+        self.states = states
+        self.products = products
+
+    def reuse(self) -> list:
+        valid = replayable(self.states, [unit.outputs.core is not None for unit in self.products])
+        return [
+            UnitProducts(unit.effects, unit.outputs.core) if ok else None
+            for unit, ok in zip(self.products, valid)
+        ]
+
+    def store(self, products: list) -> None:
+        pass
 
 
 class SlotLabels:
@@ -518,29 +550,35 @@ class Workspace:
         They are the per-unit core outputs of the walk over the source
         that every unit still holds products of: generation, or the IFC
         check of the source (a check without inference).  When neither
-        is current, or an annotation did not resolve (that walk then
-        went on without the binding), they come from the label-free walk
-        (:func:`~repro.typechecker.checker.check_core_types`).
+        is current they come from the label-free walk
+        (:func:`~repro.typechecker.checker.check_core_types`).  So do a
+        unit's when an annotation in it did not resolve (that walk then
+        went on without the binding), and those of every unit that
+        depends on it; the other units replay the source walk's products
+        (:class:`SourceWalkCore`).
         """
         if self._core is None or self._core_rev != self.revision:
             program = self.plan()
-            units = self._source_walk_core()
-            if units is None or any(core is None for core in units):
+            products = self._source_walk()
+            if products is None:
                 self._core = checker.check_core_types(program)
+            elif any(unit.outputs.core is None for unit in products):
+                cache = SourceWalkCore(self._generator.units, products)
+                self._core = checker.check_core_types(program, cache)
             else:
                 self._core = CoreCheckResult(
-                    program, [diag for core in units for diag in core]
+                    program, [diag for unit in products for diag in unit.outputs.core]
                 )
             self._core_rev = self.revision
         return self._core
 
-    def _source_walk_core(self) -> Optional[list]:
-        """Per unit, the core outputs of the current walk over the source."""
+    def _source_walk(self) -> Optional[List[UnitProducts]]:
+        """Per unit, the products of the current walk over the source."""
         states = self._generator.units
         if all(state.generated is not None for state in states):
-            return [state.generated.outputs.core for state in states]
+            return [state.generated for state in states]
         if all(state.ifc is not None and state.ifc_node is state.node for state in states):
-            return [state.ifc.outputs.core for state in states]
+            return [state.ifc for state in states]
         return None
 
     def infer(self) -> InferenceResult:

@@ -35,6 +35,7 @@ from repro.synth import (
     random_straightline_program,
     wide_table_program,
 )
+from repro.tool.pipeline import check_source
 
 #: Kinds the require_* hooks produce (flow conditions: constraints in the
 #: symbolic reading, diagnostics in the concrete one).
@@ -333,3 +334,87 @@ class TestControlSignalsUnderBothAlgebras:
             evaluate(generation.function_bounds["stop"], two_point, {}),
             two_point.bottom,
         )
+
+
+# ---------------------------------------------------------------------------
+# Core P4's typing under the label rules: the one operator table decides
+# which assignments get a flow check, and a dropped release is still typed
+
+
+def checked(source, *, infer=False):
+    """``(core, flows)`` of a check: core diagnostics as (rule, message),
+    the inference (with ``infer``) or IFC diagnostics as (kind, rule)."""
+    report = check_source(source, infer=infer, allow_declassification=True)
+    flows = report.inference_diagnostics if infer else report.ifc_diagnostics
+    return (
+        [(d.rule, d.message) for d in report.core_diagnostics],
+        [(d.kind, d.rule) for d in flows],
+    )
+
+
+class TestCoreTypingUnderTheLabelRules:
+    def test_shift_by_a_secret_amount_into_a_wider_public_target(self, two_point):
+        """``1 << y`` has Core P4's type ``int``, whatever ``y``'s width, so
+        it fits a ``bit<16>`` target and its label is checked: a high
+        shift amount is an explicit flow into a low ``x``."""
+        source = control("x = 1 << hdr.h.sec;", "  <bit<16>, low> x;")
+        assert_no_drift(source, two_point)
+        for infer in (False, True):
+            assert checked(source, infer=infer) == (
+                [],
+                [(ViolationKind.EXPLICIT_FLOW, "T-Assign")],
+            )
+
+    def test_reordered_struct_assignment_is_a_core_error_without_a_flow(self, two_point):
+        """Core P4 matches record fields in order, so assigning a struct
+        from one with the same fields swapped is a core error; the label
+        rules add no flow check for it, even from a high source."""
+        source = (
+            "struct pair_t { <bit<8>, low> a; <bit<8>, low> b; }\n"
+            "struct swapped_t { <bit<8>, low> b; <bit<8>, low> a; }\n"
+        ) + control("p = q;", "  pair_t p;\n  <swapped_t, high> q;")
+        assert_no_drift(source, two_point)
+        for infer in (False, True):
+            assert checked(source, infer=infer) == (
+                [
+                    (
+                        "T-Assign",
+                        "cannot assign struct {b: <bit<8>, low>, a: <bit<8>, low>} "
+                        "to 'p' of type struct {a: <bit<8>, low>, b: <bit<8>, low>}",
+                    )
+                ],
+                [],
+            )
+
+    def test_int_target_fed_a_bit_is_a_core_error_without_a_flow(self, two_point):
+        source = control("x = hdr.h.sec;", "  <int, low> x;")
+        assert_no_drift(source, two_point)
+        for infer in (False, True):
+            assert checked(source, infer=infer) == (
+                [("T-Assign", "cannot assign bit<8> to 'x' of type int")],
+                [],
+            )
+
+    def test_dropped_release_types_its_argument(self, two_point):
+        """``declassify(e);`` releases nothing, but ``e`` is still typed:
+        its core errors and the flows of a call inside it are reported."""
+        function = "  function <bit<8>, low> f(in <bit<8>, low> v) { hdr.h.pub = v; return v; }"
+        cases = {
+            control("declassify(hdr.h.sec + true);"): (
+                [("T-BinOp", "operator '+' cannot be applied to bit<8> and bool")],
+                [],
+            ),
+            control("declassify(f(hdr.h.sec));", function): (
+                [],
+                [(ViolationKind.ARGUMENT_FLOW, "T-Call")],
+            ),
+            control("if (hdr.h.sec_flag) { declassify(f(hdr.h.pub)); }", function): (
+                [],
+                [(ViolationKind.CALL_CONTEXT, "T-FnCall")],
+            ),
+            control("declassify(hdr.h.sec);"): ([], []),
+        }
+        for source, expected in cases.items():
+            assert_no_drift(source, two_point, allow_declassification=True)
+            for infer in (False, True):
+                assert checked(source, infer=infer) == expected, source

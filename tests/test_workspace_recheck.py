@@ -244,6 +244,71 @@ class TestCoreFromTheWalks:
             assert result_of(server, "check", {"infer": True})["core_diagnostics"] == cold
 
 
+class TestCoreWhenAnAnnotationDoesNotResolve:
+    """A unit whose annotation did not resolve has no core outputs from
+    the walk over the source; the label-free walk remakes them, and those
+    of every unit that depends on it, and replays the other units."""
+
+    # Top-level variables of an unknown type and with an unknown label,
+    # which the control then misuses: five units, three of them walked.
+    SOURCE = """header h_t { <bit<8>, low> a; <bit<8>, high> b; }
+struct headers { h_t h; }
+nosuch_t x;
+<bit<8>, nolabel> y;
+control C(inout headers hdr) {
+    apply {
+        hdr.h.a = x;
+        y = true;
+    }
+}
+"""
+
+    @staticmethod
+    def _label_free_walks(monkeypatch) -> list:
+        """Collects one entry per unit the label-free walk walks."""
+        from repro.typechecker.checker import LabelFreeAlgebra
+
+        walks = []
+        begin_unit = LabelFreeAlgebra.begin_unit
+
+        def counting(self):
+            walks.append(self)
+            begin_unit(self)
+
+        monkeypatch.setattr(LabelFreeAlgebra, "begin_unit", counting)
+        return walks
+
+    @pytest.mark.parametrize("infer", [False, True])
+    def test_one_shot_check_walks_the_unit_and_its_dependents(self, monkeypatch, infer):
+        expected = TestCoreFromTheWalks._core_only(self.SOURCE)
+        # Core P4 binds x to unit and y to bit<8>: no unknown variables.
+        core_only = check_source(self.SOURCE, include_ifc=False).core_diagnostics
+        assert [d.rule for d in core_only] == ["typedef", "T-Assign", "T-Assign"]
+        walks = self._label_free_walks(monkeypatch)
+        report = check_source(self.SOURCE, infer=infer, filename="<input>")
+        assert [str(d) for d in report.core_diagnostics] == expected
+        assert len(walks) == 3
+
+    @pytest.mark.parametrize("infer", [False, True])
+    def test_served_edit_walks_only_the_unit_with_the_typo(self, monkeypatch, infer):
+        from test_workspace_rpc import result_of
+
+        from repro.workspace.rpc import WorkspaceServer
+
+        source = sharded_dataflow_program(3, depth=3, source_level="low")
+        last = "control Shard2(inout shard2_headers hdr) {\n"
+        typo = source.replace(last, last + "    mytype_t scratch;\n")
+        expected = TestCoreFromTheWalks._core_only(typo)
+        assert len(expected) == 1
+        server = WorkspaceServer()
+        result_of(server, "open", {"source": source, "filename": "<input>"})
+        result_of(server, "check", {"infer": infer})
+        walks = self._label_free_walks(monkeypatch)
+        result_of(server, "edit", {"source": typo})
+        assert result_of(server, "check", {"infer": infer})["core_diagnostics"] == expected
+        assert len(walks) == 1
+
+
 def _relabelled(action) -> int:
     """How many slot labels one traced action made afresh."""
     recorder = TraceRecorder()

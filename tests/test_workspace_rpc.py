@@ -16,6 +16,7 @@ import weakref
 
 from repro.synth import sharded_dataflow_program
 from repro.tool.pipeline import check_source
+from repro.workspace import rpc
 from repro.workspace.rpc import (
     INVALID_PARAMS,
     IO_ERROR,
@@ -199,9 +200,9 @@ class TestStreamLines:
     """``serve_stream``, the TCP transport's loop, over in-memory streams."""
 
     @staticmethod
-    def _served(data: bytes, **options) -> list:
+    def _served(data: bytes) -> list:
         out = io.BytesIO()
-        serve_stream(WorkspaceServer(), io.BytesIO(data), out, **options)
+        serve_stream(WorkspaceServer(), io.BytesIO(data), out)
         return [json.loads(line) for line in out.getvalue().splitlines()]
 
     PING = json.dumps({"jsonrpc": "2.0", "id": 1, "method": "ping"}).encode()
@@ -211,16 +212,16 @@ class TestStreamLines:
         assert first["error"]["code"] == PARSE_ERROR and first["id"] is None
         assert second["result"]["pong"] is True
 
-    def test_an_overlong_line_is_refused_and_skipped(self):
+    def test_an_overlong_line_is_refused_and_skipped(self, monkeypatch):
+        monkeypatch.setattr(rpc, "MAX_LINE_BYTES", len(self.PING))
         overlong = json.dumps({"id": 3, "method": "ping", "params": {"pad": "x" * 200}}).encode()
-        responses = self._served(
-            self.PING + b"\n" + overlong + b"\n" + self.PING + b"\n", max_line=len(self.PING)
-        )
+        responses = self._served(self.PING + b"\n" + overlong + b"\n" + self.PING + b"\n")
         assert [r.get("result", {}).get("pong") for r in responses] == [True, None, True]
         assert responses[1]["error"]["code"] == LINE_TOO_LONG and responses[1]["id"] is None
 
-    def test_a_line_at_the_cap_and_a_last_line_without_newline_are_served(self):
-        responses = self._served(self.PING + b"\n" + self.PING, max_line=len(self.PING))
+    def test_a_line_at_the_cap_and_a_last_line_without_newline_are_served(self, monkeypatch):
+        monkeypatch.setattr(rpc, "MAX_LINE_BYTES", len(self.PING))
+        responses = self._served(self.PING + b"\n" + self.PING)
         assert [r["result"]["pong"] for r in responses] == [True, True]
 
     def test_shutdown_ends_the_stream(self):
