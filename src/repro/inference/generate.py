@@ -215,18 +215,28 @@ class SiteRegistry:
         hinted, self._hint_log = self._hint_log, []
         return log, hinted
 
-    def restrict_to(self, sites: List[InferenceSite]) -> List[InferenceSite]:
-        """Replace the site order, dropping the sites of nodes that are no
-        longer live (deleted or re-parsed declarations).
+    def restrict_to(
+        self,
+        sites: List[InferenceSite],
+        dropped: List[InferenceSite],
+        added: List[InferenceSite],
+    ) -> List[InferenceSite]:
+        """Make ``sites`` the site order, given what changed since the
+        last call: the sites that left some unit's share (``dropped``) and
+        those that joined one (``added``).  A dropped site that joined no
+        share is no longer live, and its node is forgotten.
 
-        Returns the sites this dropped and those made since the last call:
+        Returns the sites this forgot and those made since the last call:
         the slots whose variable changed.
         """
-        old = self._sites
-        self._order = list(sites)
-        self._sites = new = {id(site.node): site for site in self._order}
+        self._order = sites
         changed, self._created = self._created, []
-        changed.extend(old[key] for key in old.keys() - new.keys())
+        kept = {id(site) for site in added}
+        by_node = self._sites
+        for site in dropped:
+            if id(site) not in kept and by_node.get(id(site.node)) is site:
+                del by_node[id(site.node)]
+                changed.append(site)
         return changed
 
 

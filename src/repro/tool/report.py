@@ -15,7 +15,7 @@ import json
 from typing import Any, Dict, List
 
 from repro.analysis.witness import witnesses_for_solution
-from repro.inference.engine import InferenceResult
+from repro.inference.engine import InferenceResult, InferredLabel
 from repro.lattice.registry import get_lattice
 from repro.tool.pipeline import CheckReport
 
@@ -156,8 +156,22 @@ def format_report(
     return "\n".join(lines)
 
 
+def label_entry(slot: InferredLabel) -> Dict[str, str]:
+    """One entry of a report's ``inference.labels`` list."""
+    return {"slot": slot.hint, "label": slot.text, "location": slot.location}
+
+
 def report_to_dict(report: CheckReport) -> Dict[str, Any]:
     """A JSON-serialisable view of a report (used by ``p4bid --json``)."""
+    inference = report.inference_result
+    labels = None if inference is None else [label_entry(slot) for slot in inference.inferred]
+    return report_fields(report, labels)
+
+
+def report_fields(report: CheckReport, labels: Any) -> Dict[str, Any]:
+    """:func:`report_to_dict` with ``labels`` standing as the inference's
+    ``labels`` list -- which a caller holding them already encoded
+    (:meth:`repro.workspace.session.Workspace.labels_json`) splices in."""
     inference = report.inference_result
     return {
         "name": report.name,
@@ -177,10 +191,7 @@ def report_to_dict(report: CheckReport) -> Dict[str, Any]:
                     if inference.solution.stats is not None
                     else None
                 ),
-                "labels": [
-                    {"slot": slot.hint, "label": slot.text, "location": slot.location}
-                    for slot in inference.inferred
-                ],
+                "labels": labels,
                 "control_pcs": [
                     {
                         "control": control.name,

@@ -67,6 +67,7 @@ from repro.syntax.digest import Unit, declared_names, referenced_names, unit_fin
 from repro.syntax.program import Program
 from repro.syntax.source import anchor_of
 from repro.syntax.types import AnnotatedType
+from repro.telemetry import current_recorder
 
 @dataclass
 class UnitState:
@@ -95,8 +96,13 @@ class UnitState:
     #: unit in the plan that made this state's signature (``None``:
     #: resolves to nothing).
     declarers: Optional[Tuple[Optional[int], ...]] = None
+    #: The deep fingerprint its declared names resolve to: its own
+    #: fingerprint with its signature (None: it declares nothing).
+    deep: Optional[str] = None
     #: Where the unit started when it was last planned (None: placed spans).
     start: Optional[int] = None
+    #: The unit's index at the last refresh (None: not refreshed yet).
+    order: Optional[int] = None
     #: The symbolic walk: constraints, errors, pc vars, touched sites.
     generated: Optional[UnitProducts] = None
     #: The slots the last walk suggested hints for; they keep their hints
@@ -161,6 +167,9 @@ def environment_signatures(
     fingerprints: List[str],
     referenced: List[FrozenSet[str]],
     declarers: Optional[List[Tuple[Optional[int], ...]]] = None,
+    *,
+    previous: Optional[List[Optional["UnitState"]]] = None,
+    deeps: Optional[List[Optional[str]]] = None,
 ) -> List[Dict[str, Optional[str]]]:
     """The environment signature of every unit, in unit order.
 
@@ -178,7 +187,12 @@ def environment_signatures(
 
     A ``declarers`` list, when given, receives per unit the index of the
     declaring unit of each referenced name, in signature order (``None``:
-    resolves to nothing).
+    resolves to nothing), and a ``deeps`` list its deep fingerprint
+    (``None``: it declares nothing, or is a control).  ``previous`` gives
+    per unit the state it matched, of the same fingerprint: while its
+    signature is the state's, so is its deep fingerprint, which is then
+    not hashed again (counter ``workspace.signatures_hashed``: the ones
+    that were).
     """
     env: Dict[str, str] = {}
     #: name -> index of the unit declaring it.
@@ -186,6 +200,9 @@ def environment_signatures(
     signatures: List[Dict[str, Optional[str]]] = [dict() for _ in units]
     if declarers is not None:
         declarers[:] = [()] * len(units)
+    if deeps is not None:
+        deeps[:] = [None] * len(units)
+    hashed = 0
     control_indices: List[int] = []
     for index, unit in enumerate(units):
         if isinstance(unit, d.ControlDecl):
@@ -198,11 +215,18 @@ def environment_signatures(
             declarers[index] = tuple(owner.get(name) for name in names)
         declared = declared_names(unit)
         if declared:
-            deep = hashlib.sha256(
-                (fingerprints[index] + "|" + repr(sorted(signature.items()))).encode(
-                    "utf-8"
-                )
-            ).hexdigest()
+            known = previous[index] if previous is not None else None
+            if known is not None and known.deep is not None and known.signature == signature:
+                deep = known.deep
+            else:
+                deep = hashlib.sha256(
+                    (fingerprints[index] + "|" + repr(sorted(signature.items()))).encode(
+                        "utf-8"
+                    )
+                ).hexdigest()
+                hashed += 1
+            if deeps is not None:
+                deeps[index] = deep
             for name in declared:
                 env[name] = deep
                 owner[name] = index
@@ -211,6 +235,9 @@ def environment_signatures(
         signatures[index] = {name: env.get(name) for name in names}
         if declarers is not None:
             declarers[index] = tuple(owner.get(name) for name in names)
+    recorder = current_recorder()
+    if recorder.enabled:
+        recorder.count("workspace.signatures_hashed", hashed)
     return signatures
 
 
@@ -230,15 +257,18 @@ def settle_states(states: List[UnitState]) -> None:
         if state.referenced is None:
             state.referenced = referenced_names(state.node)
     declarers: List[Tuple[Optional[int], ...]] = []
+    deeps: List[Optional[str]] = []
     signatures = environment_signatures(
         units,
         [state.fingerprint for state in states],
         [state.referenced for state in states],
         declarers,
+        deeps=deeps,
     )
-    for state, signature, indices in zip(states, signatures, declarers):
+    for state, signature, indices, deep in zip(states, signatures, declarers, deeps):
         state.signature = signature
         state.declarers = indices
+        state.deep = deep
 
 
 def diff_program(
@@ -306,7 +336,10 @@ def diff_program(
         for index, unit in enumerate(units)
     ]
     declarers: List[Tuple[Optional[int], ...]] = []
-    signatures = environment_signatures(units, fingerprints, referenced, declarers)
+    deeps: List[Optional[str]] = []
+    signatures = environment_signatures(
+        units, fingerprints, referenced, declarers, previous=matches, deeps=deeps
+    )
 
     states = [
         old
@@ -342,6 +375,7 @@ def diff_program(
         )
         state.signature = signatures[index]
         state.declarers = declarers[index]
+        state.deep = deeps[index]
         plans.append(UnitPlan(state, dirty))
     return plans
 

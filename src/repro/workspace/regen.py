@@ -43,6 +43,7 @@ identically to a cold run.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import List, Optional
 
 from repro.flow.analysis import FlowAnalysis
@@ -84,6 +85,8 @@ class IncrementalGenerator:
         #: The revision the unit states were last planned against.
         self.program: Optional[Program] = None
         self._moved = 0
+        #: The shares of the states plans dropped since the last refresh.
+        self._released: List[InferenceSite] = []
         self.last = RegenStats()
         #: The sites the last refresh dropped or made.
         self.changed_sites: List[InferenceSite] = []
@@ -113,6 +116,7 @@ class IncrementalGenerator:
         for state in previous:
             if id(state) not in live:
                 registry.forget_hints(state.hinted)
+                self._released.extend(state.sites or ())
         moved = 0
         for plan in plans:
             state = plan.state
@@ -163,37 +167,61 @@ class IncrementalGenerator:
             units_reused=len(self.units) - cache.walked,
             units_respanned=self._moved,
         )
-        # The live sites are the first-occurrence union of the units'
-        # touch logs -- on a fully dirty refresh, allocation order.  A unit
-        # whose share of it changed drops its inferred labels.
-        sites: List[InferenceSite] = []
-        seen_sites: set = set()
-        for state, fresh in zip(self.units, cache.fresh):
+        # The live sites are the first-occurrence union of the units' touch
+        # logs -- on a fully dirty refresh, allocation order -- each unit's
+        # share kept on its state.  Only a site in the delta can change
+        # hands: one a re-walked, re-ordered or dropped unit shared, or a
+        # re-walked or re-ordered unit touches now.  Any other site is
+        # touched by clean units alone, in their old relative order, so
+        # its first toucher is the unit whose share held it.
+        units, fresh = self.units, cache.fresh
+        delta = {id(site) for site in self._released}
+        redo = []
+        last = -1
+        for index, (state, new) in enumerate(zip(units, fresh)):
             outputs = state.generated.outputs
-            if fresh:
+            if new:
                 stats.constraints_regenerated += len(outputs.constraints)
                 state.hinted = outputs.hinted
             else:
                 stats.constraints_reused += len(outputs.constraints)
-            touched = outputs.unique_touches()
-            if seen_sites.isdisjoint(touched):
-                # The unit's share is all it touched: its old share, unless
-                # an earlier unit claimed some of it then.
-                seen_sites.update(touched)
-                own = state.sites
-                if fresh or own is None or len(own) != len(touched):
-                    own = list(touched.values())
-            else:
-                own = []
-                for key, site in touched.items():
-                    if key not in seen_sites:
-                        seen_sites.add(key)
+                if state.order > last:
+                    last = state.order
+                    state.order = index
+                    continue
+            # Re-walked, or placed before a clean unit it used to follow.
+            state.order = index
+            redo.append(state)
+            delta.update(map(id, state.sites or ()))
+            delta.update(outputs.unique_touches())
+        redo_ids = {id(state) for state in redo}
+        claimed: set = set()
+        dropped: List[InferenceSite] = list(self._released)
+        added: List[InferenceSite] = []
+        for state in units:
+            touched = state.generated.outputs.unique_touches()
+            if id(state) not in redo_ids and delta.isdisjoint(touched):
+                continue
+            # A delta site is this unit's if no earlier unit touched it;
+            # any other site stays where it was.
+            old = state.sites or []
+            held = {id(site) for site in old}
+            own = []
+            for key, site in touched.items():
+                if key in delta:
+                    if key not in claimed:
+                        claimed.add(key)
                         own.append(site)
-            if own is not state.sites and own != state.sites:
+                elif key in held:
+                    own.append(site)
+            if own != old or state.sites is None:
                 state.sites = own
                 state.labels = None
-            sites.extend(own)
-        self.changed_sites = registry.restrict_to(sites)
+                dropped.extend(old)
+                added.extend(own)
+        self._released = []
+        sites = list(chain.from_iterable(state.sites for state in units))
+        self.changed_sites = registry.restrict_to(sites, dropped, added)
 
         stats.sites_live = len(sites)
         self.last = stats

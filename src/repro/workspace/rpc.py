@@ -54,7 +54,7 @@ from __future__ import annotations
 import json
 import socketserver
 import sys
-from typing import Any, BinaryIO, Dict, Optional, TextIO
+from typing import Any, BinaryIO, Dict, Optional, Tuple
 
 from repro.workspace.session import Workspace, WorkspaceError
 
@@ -80,6 +80,23 @@ POLICY_SIZES = {
     # 0: no grant is ever revoked.
     "revoke_every": (200, 0, 200_000),
 }
+
+
+class _Encoded(str):
+    """A result already encoded as JSON, written into the response as it
+    stands."""
+
+
+def _encode_at(value: Dict[str, Any], path: Tuple[str, ...], encoded: str) -> str:
+    """``json.dumps(value)``, with the value at ``path`` (a chain of keys
+    into nested objects) given by its JSON text ``encoded``."""
+    key, *rest = path
+    inner = _encode_at(value[key], tuple(rest), encoded) if rest else encoded
+    keys = list(value)
+    at = keys.index(key)
+    before = json.dumps({name: value[name] for name in keys[:at]})[1:-1]
+    after = json.dumps({name: value[name] for name in keys[at + 1:]})[1:-1]
+    return "{" + ", ".join(filter(None, (before, f"{json.dumps(key)}: {inner}", after))) + "}"
 
 
 class _RpcError(Exception):
@@ -183,6 +200,8 @@ class WorkspaceServer:
             return self._encode_error(request_id, IO_ERROR, f"{method}: {exc}")
         if request_id is None:
             return None  # notification: no response
+        if isinstance(result, _Encoded):
+            return f'{{"jsonrpc": "2.0", "id": {json.dumps(request_id)}, "result": {result}}}'
         return json.dumps({"jsonrpc": "2.0", "id": request_id, "result": result})
 
     def handle_bytes(self, raw: bytes) -> Optional[str]:
@@ -248,20 +267,24 @@ class WorkspaceServer:
             "parse_error": self.workspace.parse_error,
         }
 
-    def _check(self, params: Dict[str, Any]) -> Dict[str, Any]:
-        from repro.tool.report import report_to_dict
+    def _check(self, params: Dict[str, Any]) -> Any:
+        from repro.tool.report import report_fields
 
         flag = self._optional
-        report = self.workspace.check(
+        workspace = self.workspace
+        report = workspace.check(
             include_ifc=flag(params, "include_ifc", bool, True),
             infer=flag(params, "infer", bool, False),
             lint=flag(params, "lint", bool, False),
             explain_released_flows=flag(params, "explain_flows", bool, False),
         )
-        payload = report_to_dict(report)
-        payload["revision"] = self.workspace.revision
-        payload["regen"] = self.workspace.stats()["regen"]
-        return payload
+        payload = report_fields(report, None)
+        payload["revision"] = workspace.revision
+        payload["regen"] = workspace.stats()["regen"]
+        if report.inference_result is None:
+            return payload
+        # The labels list is spliced from the units' encoded fragments.
+        return _Encoded(_encode_at(payload, ("inference", "labels"), workspace.labels_json()))
 
     def _infer(self, params: Dict[str, Any]) -> Dict[str, Any]:
         result = self.workspace.infer()
@@ -494,22 +517,17 @@ class WorkspaceServer:
 
 def serve_stdio(
     server: Optional[WorkspaceServer] = None,
-    stdin: Optional[TextIO] = None,
-    stdout: Optional[TextIO] = None,
+    stdin: Optional[BinaryIO] = None,
+    stdout: Optional[BinaryIO] = None,
     **options,
 ) -> int:
-    """Serve newline-delimited JSON-RPC over stdin/stdout until EOF or
-    ``shutdown``."""
-    server = server or WorkspaceServer(**options)
-    stdin = stdin if stdin is not None else sys.stdin
-    stdout = stdout if stdout is not None else sys.stdout
-    for line in stdin:
-        response = server.handle_line(line)
-        if response is not None:
-            stdout.write(response + "\n")
-            stdout.flush()
-        if not server.running:
-            break
+    """Serve newline-delimited JSON-RPC over stdin/stdout (as bytes: the
+    :func:`serve_stream` loop) until EOF or ``shutdown``."""
+    serve_stream(
+        server or WorkspaceServer(**options),
+        stdin if stdin is not None else sys.stdin.buffer,
+        stdout if stdout is not None else sys.stdout.buffer,
+    )
     return 0
 
 

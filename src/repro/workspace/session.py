@@ -84,6 +84,7 @@ lazily by :meth:`Workspace.check`.
 
 from __future__ import annotations
 
+import json
 from typing import Dict, List, Optional, Set, Union
 
 from repro.flow.units import UnitProducts, program_units
@@ -207,15 +208,20 @@ class SlotLabels:
     (:attr:`UnitState.sites <repro.workspace.diff.UnitState.sites>`), as
     ``entries``, with what they were made from: the sites' variables and
     the placement of every unit whose spans they render.
+
+    ``encoded`` is the entries' JSON, as the items of the report's
+    ``labels`` list: made by the first served check that reads it
+    (:meth:`fragment`), and dropped when :meth:`update` remakes an entry.
     """
 
-    __slots__ = ("sites", "entries", "vars", "marks")
+    __slots__ = ("sites", "entries", "vars", "marks", "encoded")
 
     def __init__(
         self, sites: List[InferenceSite], solution: Solution, lattice: Lattice
     ) -> None:
         self.sites = sites
         self.entries = [_inferred(site, solution, lattice) for site in sites]
+        self.encoded: Optional[str] = None
         self.vars = frozenset(site.var for site in sites)
         anchors = {}
         for site in sites:
@@ -236,7 +242,17 @@ class SlotLabels:
             if site.var in moved:
                 entries[index] = _inferred(site, solution, lattice)
                 remade += 1
+        if remade:
+            self.encoded = None
         return remade
+
+    def fragment(self) -> str:
+        """The entries' JSON, as a list's items (encoded once)."""
+        if self.encoded is None:
+            from repro.tool.report import label_entry
+
+            self.encoded = ", ".join(map(json.dumps, map(label_entry, self.entries)))
+        return self.encoded
 
 
 def _inferred(site: InferenceSite, solution: Solution, lattice: Lattice) -> InferredLabel:
@@ -659,6 +675,26 @@ class Workspace:
         self._inference = result
         self._inference_rev = self.revision
         return result
+
+    def labels_json(self) -> str:
+        """The JSON of the ``labels`` list a report of the current
+        inference holds (:func:`repro.tool.report.report_to_dict`),
+        spliced from the units' fragments (:meth:`SlotLabels.fragment`): only the
+        units whose labels were remade since the last call are encoded
+        (counter ``workspace.labels_encoded``).  Call it after
+        :meth:`infer`."""
+        fragments = []
+        encoded = 0
+        for state in self._generator.units:
+            labels = state.labels
+            if state.sites:
+                if labels.encoded is None:
+                    encoded += len(labels.entries)
+                fragments.append(labels.fragment())
+        recorder = current_recorder()
+        if recorder.enabled:
+            recorder.count("workspace.labels_encoded", encoded)
+        return "[" + ", ".join(fragments) + "]"
 
     def recheck_cache(self, program: Program) -> RecheckSlots:
         """The per-unit cache of the IFC check of ``program`` -- the

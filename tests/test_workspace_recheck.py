@@ -803,3 +803,36 @@ class TestDeferredFirstPlan:
         source = _mutate(source, rng)
         assert loaded.edit(source)
         assert _snapshot(loaded) == _cold_snapshot(source)
+
+
+class TestServedPerUnitBookkeeping:
+    """A served warm check encodes only the labels it remade and hashes
+    only the deep fingerprints whose inputs changed (counters
+    ``workspace.labels_encoded`` and ``workspace.signatures_hashed``)."""
+
+    SOURCE = sharded_dataflow_program(20, depth=30, source_level="low")
+
+    def test_seed_flip_encodes_one_shard_and_hashes_two_declarers(self):
+        from test_workspace_rpc import result_of
+
+        from repro.workspace.rpc import WorkspaceServer
+
+        server = WorkspaceServer()
+        recorder = TraceRecorder()
+        with use_recorder(recorder):
+            result_of(server, "open", {"source": self.SOURCE, "filename": "<input>"})
+            result_of(server, "check", {"infer": True})
+        assert recorder.counters["workspace.labels_encoded"] == 600
+        raised = self.SOURCE.replace(SEED, SEED.replace("low", "high"))
+        # The first edit settles what the first plan deferred (40 hashes).
+        result_of(server, "edit", {"source": self.SOURCE})
+        result_of(server, "check", {"infer": True})
+        recorder = TraceRecorder()
+        with use_recorder(recorder):
+            result_of(server, "edit", {"source": raised})
+            served = result_of(server, "check", {"infer": True})
+        assert recorder.counters["workspace.labels_encoded"] == 30
+        # The edited header and the struct embedding it.
+        assert recorder.counters["workspace.signatures_hashed"] == 2
+        cold = report_to_dict(check_source(raised, infer=True, filename="<input>"))
+        assert served["inference"]["labels"] == cold["inference"]["labels"]

@@ -596,6 +596,14 @@ class TestServedAnswers:
 
 
 class TestStdioTransport:
+    """``serve_stdio`` runs the stream loop over stdin/stdout as bytes."""
+
+    @staticmethod
+    def _served(data: bytes) -> list:
+        stdout = io.BytesIO()
+        assert serve_stdio(stdin=io.BytesIO(data), stdout=stdout) == 0
+        return [json.loads(line) for line in stdout.getvalue().splitlines()]
+
     def test_request_response_loop(self):
         lines = [
             json.dumps({"jsonrpc": "2.0", "id": 1, "method": "open",
@@ -604,12 +612,89 @@ class TestStdioTransport:
             json.dumps({"jsonrpc": "2.0", "id": 3, "method": "shutdown"}),
             json.dumps({"jsonrpc": "2.0", "id": 4, "method": "ping"}),
         ]
-        stdin = io.StringIO("\n".join(lines) + "\n")
-        stdout = io.StringIO()
-        assert serve_stdio(stdin=stdin, stdout=stdout) == 0
-        responses = [json.loads(l) for l in stdout.getvalue().splitlines()]
+        responses = self._served(("\n".join(lines) + "\n").encode())
         # The loop stops at shutdown; the trailing ping is never served.
         assert [r["id"] for r in responses] == [1, 2, 3]
         assert responses[0]["result"]["parsed"] is True
         assert responses[1]["result"]["ok"] is True
         assert responses[2]["result"] == {"ok": True}
+
+    def test_a_line_that_is_not_utf8_is_a_parse_error(self):
+        ping = TestStreamLines.PING
+        first, second = self._served(b'{"id": 7, "method": "\xff"}\n' + ping + b"\n")
+        assert first["error"]["code"] == PARSE_ERROR and first["id"] is None
+        assert second["result"]["pong"] is True
+
+    def test_a_line_over_the_cap_is_refused_and_skipped(self, monkeypatch):
+        ping = TestStreamLines.PING
+        monkeypatch.setattr(rpc, "MAX_LINE_BYTES", len(ping))
+        overlong = json.dumps({"id": 3, "method": "ping", "params": {"pad": "x" * 200}}).encode()
+        responses = self._served(overlong + b"\n" + ping + b"\n")
+        assert responses[0]["error"]["code"] == LINE_TOO_LONG and responses[0]["id"] is None
+        assert responses[1]["result"]["pong"] is True
+
+
+class TestServedBytes:
+    """A served check's labels are spliced from per-unit encoded
+    fragments: every response line is exactly ``json.dumps`` of what it
+    decodes to, and its labels are a cold check's of the same state."""
+
+    SOURCE = sharded_dataflow_program(4, depth=5, source_level="low")
+    SEED = "header shard1_t {\n    <bit<8>, low> seed;"
+    SLOT = "field shard2_t.s1"
+
+    @staticmethod
+    def _request(method: str, **params) -> str:
+        return json.dumps({"jsonrpc": "2.0", "id": 1, "method": method, "params": params})
+
+    def _cold_labels(self, source: str, pins: dict) -> list:
+        from repro.tool.report import report_to_dict
+        from repro.workspace import Workspace
+
+        workspace = Workspace()
+        assert workspace.open(source, filename="<input>")
+        for slot, label in pins.items():
+            workspace.pin(slot, label)
+        return report_to_dict(workspace.check(infer=True))["inference"]["labels"]
+
+    def test_the_served_script_is_byte_identical_to_json_dumps(self):
+        raised = self.SOURCE.replace(self.SEED, self.SEED.replace("low", "high"))
+        shard = self.SOURCE.index("header shard2_t")
+        spaced = self.SOURCE[:shard] + "\n" + self.SOURCE[shard:]
+        check = self._request("check", infer=True)
+        script = [
+            (self._request("open", source=self.SOURCE, filename="<input>"), self.SOURCE, {}),
+            (check, self.SOURCE, {}),
+            (self._request("edit", source=raised), raised, {}),
+            (check, raised, {}),
+            (self._request("edit", source=self.SOURCE), self.SOURCE, {}),
+            (check, self.SOURCE, {}),
+            (self._request("pin", slot=self.SLOT, label="high"), self.SOURCE, {self.SLOT: "high"}),
+            (check, self.SOURCE, {self.SLOT: "high"}),
+            (self._request("pin", slot=self.SLOT, label=None), self.SOURCE, {}),
+            (check, self.SOURCE, {}),
+            (self._request("edit", source=spaced), spaced, {}),
+            (check, spaced, {}),
+            # Lint checks without inference give the moved set up.
+            *[
+                step
+                for cycle in range(6)
+                for text in ([raised, spaced][cycle % 2],)
+                for step in (
+                    (self._request("edit", source=text), text, {}),
+                    (self._request("check", lint=True), text, {}),
+                )
+            ],
+            (self._request("check", infer=False), spaced, {}),
+            (check, spaced, {}),
+        ]
+        server = WorkspaceServer()
+        served = 0
+        for line, source, pins in script:
+            response = server.handle_line(line)
+            assert response == json.dumps(json.loads(response))
+            if line == check:
+                labels = json.loads(response)["result"]["inference"]["labels"]
+                assert labels == self._cold_labels(source, pins)
+                served += 1
+        assert served == 7
