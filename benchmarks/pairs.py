@@ -82,8 +82,8 @@ def main() -> int:
 
     metrics = {}
     for name, direction in better.items():
-        old = [run["metrics"][name] for run in runs["parent"] if name in run["metrics"]]
-        new = [run["metrics"][name] for run in runs["change"] if name in run["metrics"]]
+        old = [run["metrics"][name]["value"] for run in runs["parent"] if name in run["metrics"]]
+        new = [run["metrics"][name]["value"] for run in runs["change"] if name in run["metrics"]]
         if len(old) != len(new) or not old:
             continue
         wins = sum((n < o) if direction == "lower" else (n > o) for o, n in zip(old, new))
