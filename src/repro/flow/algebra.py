@@ -32,8 +32,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Sequence
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Union
 
 from repro.ifc.context import SecurityTypeDefs
 from repro.ifc.convert import LabelResolutionError, TypeLabeler
@@ -47,7 +46,10 @@ from repro.syntax.types import AnnotatedType
 from repro.typechecker.errors import TypeDiagnostic
 
 
-@dataclass(frozen=True)
+#: Rule-site text: the text itself, or a zero-argument callable making it.
+SiteText = Union[str, Callable[[], str]]
+
+
 class RuleSite:
     """One rule application site: where a ``⊑`` side condition comes from.
 
@@ -58,19 +60,49 @@ class RuleSite:
     the formatted labels of the failing comparison.  Token substitution is
     plain string replacement, so expression renderings inside the template
     cannot collide with ``str.format`` brace parsing.
+
+    Either text may be given as a zero-argument callable: most sites hold
+    (or are folded away as trivial), so the walk builds no text up front,
+    and each is made on first read and kept.  A callable built in a loop
+    must bind the loop's variables when it is made.
     """
 
-    span: SourceSpan
-    rule: str
-    kind: ViolationKind
-    reason: str
-    message: str = ""
-    #: Marks the ``pc ⊑ ⊥`` condition of T-Declassify, which additionally
-    #: obliges the *enclosing function's* write bound to be public.  The
-    #: concrete algebra discharges that by re-checking the body under
-    #: ``pc_fn``; the symbolic algebra records the span and emits
-    #: ``pc_fn ⊑ ⊥`` when the body walk finishes.
-    pc_obligation: bool = False
+    __slots__ = ("span", "rule", "kind", "_reason", "_message", "pc_obligation")
+
+    def __init__(
+        self,
+        span: SourceSpan,
+        rule: str,
+        kind: ViolationKind,
+        reason: SiteText,
+        message: SiteText = "",
+        pc_obligation: bool = False,
+    ) -> None:
+        self.span = span
+        self.rule = rule
+        self.kind = kind
+        self._reason = reason
+        self._message = message
+        #: Marks the ``pc ⊑ ⊥`` condition of T-Declassify, which additionally
+        #: obliges the *enclosing function's* write bound to be public.  The
+        #: concrete algebra discharges that by re-checking the body under
+        #: ``pc_fn``; the symbolic algebra records the span and emits
+        #: ``pc_fn ⊑ ⊥`` when the body walk finishes.
+        self.pc_obligation = pc_obligation
+
+    @property
+    def reason(self) -> str:
+        reason = self._reason
+        if not isinstance(reason, str):
+            reason = self._reason = reason()
+        return reason
+
+    @property
+    def message(self) -> str:
+        message = self._message
+        if not isinstance(message, str):
+            message = self._message = message()
+        return message
 
     def render(self, lattice: Lattice, **labels: object) -> str:
         """The concrete diagnostic text, with label tokens substituted."""

@@ -64,7 +64,7 @@ checker and generator are it without one.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Iterator, List, Optional, Tuple
 
 from repro.flow.algebra import LabelAlgebra, RuleSite
 from repro.flow.units import DEFAULT_MATCH_KINDS, FlowUnits, drive_units, program_units
@@ -102,6 +102,10 @@ from repro.syntax.types import AnnotatedType, HeaderType, MatchKindType, RecordT
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.flow.units import UnitCache
+
+#: What typing an expression gives: its security type (``None``: ill-typed
+#: past what the label rules can carry on with) and its direction.
+Typed = Tuple[Optional[SecurityType], str]
 
 #: The direction of an expression the Core P4 rules reject: read-only
 #: like ``DIR_IN``, but with no core type, so no core rule checks it
@@ -255,43 +259,50 @@ class FlowAnalysis:
         labeler: TypeLabeler,
         pc,
     ) -> SecurityContext:
-        if isinstance(decl, d.VarDecl):
-            return self._check_var_decl(decl, gamma, labeler, pc)
-        if isinstance(decl, d.TypedefDecl):
-            if self.algebra.wants_hints:
-                self.algebra.suggest_hint(decl.ty, f"typedef {decl.name}")
-            labeler.definitions.define(decl.name, decl.ty)
-            return gamma
-        if isinstance(decl, (d.HeaderDecl, d.StructDecl)) and self.algebra.wants_hints:
+        rule = _DECLARATION_RULES.get(type(decl), FlowAnalysis._check_unsupported_declaration)
+        return rule(self, decl, gamma, labeler, pc)
+
+    def _check_unsupported_declaration(
+        self, decl: d.Declaration, gamma: SecurityContext, labeler: TypeLabeler, pc
+    ) -> SecurityContext:
+        message = f"unsupported declaration {decl.describe()}"
+        self.algebra.core_error(message, decl.span, rule="")
+        self.algebra.type_error(message, decl.span, rule="decl")
+        return gamma
+
+    def _check_typedef(
+        self, decl: d.TypedefDecl, gamma: SecurityContext, labeler: TypeLabeler, pc
+    ) -> SecurityContext:
+        if self.algebra.wants_hints:
+            self.algebra.suggest_hint(decl.ty, f"typedef {decl.name}")
+        labeler.definitions.define(decl.name, decl.ty)
+        return gamma
+
+    def _check_record_decl(
+        self,
+        decl: "d.HeaderDecl | d.StructDecl",
+        gamma: SecurityContext,
+        labeler: TypeLabeler,
+        pc,
+    ) -> SecurityContext:
+        if self.algebra.wants_hints:
             # A field's variable is made where the type is first used,
             # possibly by a later unit: the hint outlives this walk.
             for field in decl.fields:
                 self.algebra.suggest_hint(field.ty, f"field {decl.name}.{field.name}")
-        if isinstance(decl, d.HeaderDecl):
-            labeler.definitions.define(
-                decl.name, AnnotatedType(HeaderType(decl.fields), None, decl.span)
-            )
-            return gamma
-        if isinstance(decl, d.StructDecl):
-            labeler.definitions.define(
-                decl.name, AnnotatedType(RecordType(decl.fields), None, decl.span)
-            )
-            return gamma
-        if isinstance(decl, d.MatchKindDecl):
-            # Declarations accumulate: each adds its kinds to the earlier ones.
-            members = tuple(dict.fromkeys(self._match_kinds(labeler) + decl.members))
-            labeler.definitions.define("match_kind", AnnotatedType(MatchKindType(members)))
-            kind = SecurityType(SMatchKind(members), self.algebra.bottom)
-            for member in decl.members:
-                gamma.bind(member, kind)
-            return gamma
-        if isinstance(decl, d.FunctionDecl):
-            return self._check_function_decl(decl, gamma, labeler)
-        if isinstance(decl, d.TableDecl):
-            return self._check_table_decl(decl, gamma, labeler, pc)
-        message = f"unsupported declaration {decl.describe()}"
-        self.algebra.core_error(message, decl.span, rule="")
-        self.algebra.type_error(message, decl.span, rule="decl")
+        shape = HeaderType if isinstance(decl, d.HeaderDecl) else RecordType
+        labeler.definitions.define(decl.name, AnnotatedType(shape(decl.fields), None, decl.span))
+        return gamma
+
+    def _check_match_kind_decl(
+        self, decl: d.MatchKindDecl, gamma: SecurityContext, labeler: TypeLabeler, pc
+    ) -> SecurityContext:
+        # Declarations accumulate: each adds its kinds to the earlier ones.
+        members = tuple(dict.fromkeys(self._match_kinds(labeler) + decl.members))
+        labeler.definitions.define("match_kind", AnnotatedType(MatchKindType(members)))
+        kind = SecurityType(SMatchKind(members), self.algebra.bottom)
+        for member in decl.members:
+            gamma.bind(member, kind)
         return gamma
 
     @staticmethod
@@ -325,11 +336,11 @@ class FlowAnalysis:
                         decl.span,
                         rule="T-VarInit",
                         kind=ViolationKind.EXPLICIT_FLOW,
-                        reason=(
+                        reason=lambda: (
                             f"initialiser of {decl.name!r} flows into its "
                             "declared label"
                         ),
-                        message=(
+                        message=lambda: (
                             f"initialiser of {decl.name!r} has label {{src}}, "
                             "which may not flow into a variable labelled {dst}"
                         ),
@@ -352,6 +363,7 @@ class FlowAnalysis:
         decl: d.FunctionDecl,
         gamma: SecurityContext,
         labeler: TypeLabeler,
+        pc,
     ) -> SecurityContext:
         algebra = self.algebra
         parameters: List[SParam] = []
@@ -486,12 +498,12 @@ class FlowAnalysis:
                     key.span,
                     rule="T-TblDecl",
                     kind=ViolationKind.TABLE_KEY_FLOW,
-                    reason=(
+                    reason=lambda key=key: (
                         f"table key {key.expression.describe()!r} of "
                         f"{table_name!r} must stay below the write bound of "
                         f"action {ref.name!r}"
                     ),
-                    message=(
+                    message=lambda key=key: (
                         f"table key {key.expression.describe()!r} has label "
                         f"{{lhs}}, but action {ref.name!r} writes at level "
                         "{rhs}; matching on the key would leak it"
@@ -513,7 +525,7 @@ class FlowAnalysis:
                 if arg_type is None:
                     continue
                 self._check_argument_flow(
-                    argument, arg_type, arg_dir, parameter, ref.name, ref=ref
+                    argument, arg_type, arg_dir, parameter, lambda: ref.name, ref=ref
                 )
         return fn.pc_fn
 
@@ -526,42 +538,40 @@ class FlowAnalysis:
         labeler: TypeLabeler,
         pc,
     ) -> SecurityContext:
-        if isinstance(stmt, s.Block):
-            scope = gamma.child()
-            for inner in stmt.statements:
-                scope = self.check_statement(inner, scope, labeler, pc)
-            return gamma
-        if isinstance(stmt, s.Assign):
-            self._check_assign(stmt, gamma, labeler, pc)
-            return gamma
-        if isinstance(stmt, s.If):
-            self._check_if(stmt, gamma, labeler, pc)
-            return gamma
-        if isinstance(stmt, s.CallStmt):
-            self._check_call_statement(stmt, gamma, labeler, pc)
-            return gamma
-        if isinstance(stmt, s.Exit):
-            self._check_control_signal(stmt.span, "exit", pc, rule="T-Exit")
-            return gamma
-        if isinstance(stmt, s.Return):
-            self._check_return(stmt, gamma, labeler, pc)
-            return gamma
-        if isinstance(stmt, s.VarDeclStmt):
-            return self._check_var_decl(stmt.declaration, gamma, labeler, pc)
+        rule = _STATEMENT_RULES.get(type(stmt), FlowAnalysis._check_unsupported_statement)
+        return rule(self, stmt, gamma, labeler, pc)
+
+    def _check_unsupported_statement(
+        self, stmt: s.Statement, gamma: SecurityContext, labeler: TypeLabeler, pc
+    ) -> SecurityContext:
         message = f"unsupported statement {stmt.describe()}"
         self.algebra.core_error(message, stmt.span, rule="")
         self.algebra.type_error(message, stmt.span, rule="stmt")
         return gamma
 
+    def _check_block(
+        self, stmt: s.Block, gamma: SecurityContext, labeler: TypeLabeler, pc
+    ) -> SecurityContext:
+        scope = gamma.child()
+        for inner in stmt.statements:
+            scope = self.check_statement(inner, scope, labeler, pc)
+        return gamma
+
+    def _check_var_decl_statement(
+        self, stmt: s.VarDeclStmt, gamma: SecurityContext, labeler: TypeLabeler, pc
+    ) -> SecurityContext:
+        return self._check_var_decl(stmt.declaration, gamma, labeler, pc)
+
     # -- T-Assign --------------------------------------------------------------
 
     def _check_assign(
         self, stmt: s.Assign, gamma: SecurityContext, labeler: TypeLabeler, pc
-    ) -> None:
-        target_type, target_dir = self.check_expression(stmt.target, gamma, labeler, pc)
-        value_type, value_dir = self.check_expression(stmt.value, gamma, labeler, pc)
+    ) -> SecurityContext:
+        target, value = stmt.target, stmt.value
+        target_type, target_dir = self.check_expression(target, gamma, labeler, pc)
+        value_type, value_dir = self.check_expression(value, gamma, labeler, pc)
         if target_type is None or value_type is None:
-            return
+            return gamma
         typed = target_dir is not DIR_ILL and value_dir is not DIR_ILL
         compatible = bodies_compatible(target_type.body, value_type.body)
         target_bound = self.algebra.write_label(target_type)
@@ -569,19 +579,19 @@ class FlowAnalysis:
         if target_dir != DIR_INOUT:
             # Assignment to a read-only expression never executes; the flow
             # and pc conditions below would blame labels for a type error.
-            message = f"cannot assign to read-only expression {stmt.target.describe()!r}"
+            message = f"cannot assign to read-only expression {target.describe()!r}"
             if typed:
-                self.algebra.core_error(message, stmt.target.span, rule="T-Assign")
-            self.algebra.type_error(message, stmt.target.span, rule="T-Assign")
+                self.algebra.core_error(message, target.span, rule="T-Assign")
+            self.algebra.type_error(message, target.span, rule="T-Assign")
         if not compatible and typed:
             self.algebra.core_error(
                 f"cannot assign {type_text(value_type.body)} to "
-                f"{stmt.target.describe()!r} of type {type_text(target_type.body)}",
+                f"{target.describe()!r} of type {type_text(target_type.body)}",
                 stmt.span,
                 rule="T-Assign",
             )
         if target_dir != DIR_INOUT or not compatible:
-            return
+            return gamma
         self.algebra.require_flow(
             value_type,
             target_type,
@@ -589,13 +599,10 @@ class FlowAnalysis:
                 stmt.span,
                 rule="T-Assign",
                 kind=ViolationKind.EXPLICIT_FLOW,
-                reason=(
-                    f"{stmt.value.describe()!r} flows into "
-                    f"{stmt.target.describe()!r}"
-                ),
-                message=(
-                    f"cannot assign {stmt.value.describe()!r} (label {{src}}) to "
-                    f"{stmt.target.describe()!r} (label {{dst}}): {{dst}} <- "
+                reason=lambda: f"{value.describe()!r} flows into {target.describe()!r}",
+                message=lambda: (
+                    f"cannot assign {value.describe()!r} (label {{src}}) to "
+                    f"{target.describe()!r} (label {{dst}}): {{dst}} <- "
                     "{src} is not allowed"
                 ),
             ),
@@ -607,23 +614,24 @@ class FlowAnalysis:
                 stmt.span,
                 rule="T-Assign",
                 kind=ViolationKind.IMPLICIT_FLOW,
-                reason=(
-                    f"assignment to {stmt.target.describe()!r} must be writable "
+                reason=lambda: (
+                    f"assignment to {target.describe()!r} must be writable "
                     "at the level of the surrounding branch or table key"
                 ),
-                message=(
-                    f"assignment to {stmt.target.describe()!r} (label {{rhs}}) "
+                message=lambda: (
+                    f"assignment to {target.describe()!r} (label {{rhs}}) "
                     "occurs in a context of level {lhs}; the branch or table "
                     "key would leak implicitly"
                 ),
             ),
         )
+        return gamma
 
     # -- T-Cond ----------------------------------------------------------------
 
     def _check_if(
         self, stmt: s.If, gamma: SecurityContext, labeler: TypeLabeler, pc
-    ) -> None:
+    ) -> SecurityContext:
         guard_type, guard_dir = self.check_expression(stmt.condition, gamma, labeler, pc)
         if guard_type is None:
             guard_label = self.algebra.bottom
@@ -638,12 +646,13 @@ class FlowAnalysis:
         branch_pc = self.algebra.join(pc, guard_label)
         self.check_statement(stmt.then_branch, gamma, labeler, branch_pc)
         self.check_statement(stmt.else_branch, gamma, labeler, branch_pc)
+        return gamma
 
     # -- T-FnCallStmt / T-TblCall ----------------------------------------------
 
     def _check_call_statement(
         self, stmt: s.CallStmt, gamma: SecurityContext, labeler: TypeLabeler, pc
-    ) -> None:
+    ) -> SecurityContext:
         call = stmt.call
         if self._is_release(call, gamma):
             # A release whose result is dropped releases nothing: only its
@@ -652,13 +661,14 @@ class FlowAnalysis:
                 self._release_arity_error(call)
             else:
                 self.check_expression(call.arguments[0], gamma, labeler, pc)
-            return
-        self._check_call(call, gamma, labeler, pc, statement=stmt)
+        else:
+            self._check_call(call, gamma, labeler, pc, statement=stmt)
+        return gamma
 
     def _check_table_apply(self, stmt: s.CallStmt, table: STable, pc) -> None:
         pc_tbl = self.algebra.coerce(table.pc_tbl)
         self._record_write(pc_tbl)
-        callee = stmt.call.callee.describe()
+        callee = stmt.call.callee
         self.algebra.require_leq(
             pc,
             pc_tbl,
@@ -666,22 +676,26 @@ class FlowAnalysis:
                 stmt.span,
                 rule="T-TblCall",
                 kind=ViolationKind.IMPLICIT_FLOW,
-                reason=(
-                    f"table {callee!r} is applied in a guarded context; its "
-                    "write bound must dominate the guard"
+                reason=lambda: (
+                    f"table {callee.describe()!r} is applied in a guarded "
+                    "context; its write bound must dominate the guard"
                 ),
-                message=(
-                    f"table {callee!r} writes at level {{rhs}} but is applied "
-                    "in a context of level {lhs}"
+                message=lambda: (
+                    f"table {callee.describe()!r} writes at level {{rhs}} but "
+                    "is applied in a context of level {lhs}"
                 ),
             ),
         )
 
     # -- T-Exit / T-Return -------------------------------------------------------
 
-    def _check_control_signal(
-        self, span: SourceSpan, keyword: str, pc, rule: str
-    ) -> None:
+    def _check_exit(
+        self, stmt: s.Exit, gamma: SecurityContext, labeler: TypeLabeler, pc
+    ) -> SecurityContext:
+        self._check_control_signal(stmt.span, "exit", pc, rule="T-Exit")
+        return gamma
+
+    def _check_control_signal(self, span: SourceSpan, keyword: str, pc, rule: str) -> None:
         self._record_write(self.algebra.bottom)
         self.algebra.require_leq(
             pc,
@@ -690,8 +704,8 @@ class FlowAnalysis:
                 span,
                 rule=rule,
                 kind=ViolationKind.CONTROL_SIGNAL,
-                reason=f"{keyword!r} statements only type check under a public pc",
-                message=(
+                reason=lambda: f"{keyword!r} statements only type check under a public pc",
+                message=lambda: (
                     f"{keyword!r} statements only type check under a {{rhs}} "
                     "program counter, but the context has level {lhs}; the "
                     "control signal would leak the guard"
@@ -701,14 +715,14 @@ class FlowAnalysis:
 
     def _check_return(
         self, stmt: s.Return, gamma: SecurityContext, labeler: TypeLabeler, pc
-    ) -> None:
+    ) -> SecurityContext:
         self._check_control_signal(stmt.span, "return", pc, rule="T-Return")
         expected = gamma.lookup(SecurityContext.RETURN_KEY)
         if expected is None:
             self.algebra.core_error(
                 "return statement outside of a function or action", stmt.span, rule="T-Return"
             )
-            return
+            return gamma
         if stmt.value is None:
             if not isinstance(expected.body, SUnit):
                 self.algebra.core_error(
@@ -717,10 +731,10 @@ class FlowAnalysis:
                     stmt.span,
                     rule="T-Return",
                 )
-            return
+            return gamma
         value_type, value_dir = self.check_expression(stmt.value, gamma, labeler, pc)
         if value_type is None:
-            return
+            return gamma
         if bodies_compatible(expected.body, value_type.body):
             self.algebra.require_flow(
                 value_type,
@@ -743,6 +757,7 @@ class FlowAnalysis:
                 stmt.span,
                 rule="T-Return",
             )
+        return gamma
 
     # ------------------------------------------------------------------ expressions (Figure 5)
 
@@ -752,72 +767,84 @@ class FlowAnalysis:
         gamma: SecurityContext,
         labeler: TypeLabeler,
         pc,
-    ) -> Tuple[Optional[SecurityType], str]:
+    ) -> Typed:
         """Type an expression; returns ``(security type, direction)``.
 
         ``(None, DIR_IN)`` when the expression is ill-typed and the label
         rules cannot go on either; a core diagnostic has been reported.
         """
-        algebra = self.algebra
-        bottom = algebra.bottom
-        if isinstance(expr, e.BoolLiteral):
-            return SecurityType(SBool(), bottom), DIR_IN
-        if isinstance(expr, e.IntLiteral):
-            body: SecurityBody = SInt() if expr.width is None else SBit(expr.width)
-            return SecurityType(body, bottom), DIR_IN
-        if isinstance(expr, e.Var):
-            sec_type = gamma.lookup(expr.name)
-            if sec_type is None:
-                algebra.core_error(f"unknown variable {expr.name!r}", expr.span, rule="T-Var")
-                return None, DIR_IN
-            return sec_type, DIR_INOUT
-        if isinstance(expr, e.BinaryOp):
-            return self._check_binary(expr, gamma, labeler, pc)
-        if isinstance(expr, e.UnaryOp):
-            operand_type, operand_dir = self.check_expression(expr.operand, gamma, labeler, pc)
-            if operand_type is None:
-                return None, DIR_IN
-            result = operand_type.with_label(algebra.read_label(operand_type))
-            if operand_dir is DIR_ILL:
-                return result, DIR_ILL
-            if not _unary_typed(expr.op, operand_type.body):
-                algebra.core_error(
-                    f"operator {expr.op!r} cannot be applied to "
-                    f"{type_text(operand_type.body)}",
-                    expr.span,
-                    rule="T-UnOp",
-                )
-                return result, DIR_ILL
-            return result, DIR_IN
-        if isinstance(expr, e.RecordLiteral):
-            fields = []
-            direction = DIR_IN
-            for name, value in expr.fields:
-                # The core rules stop at the first rejected field.
-                with self._core_quiet(direction is DIR_ILL):
-                    value_type, value_dir = self.check_expression(value, gamma, labeler, pc)
-                if value_type is None:
-                    return None, DIR_IN
-                if value_dir is DIR_ILL:
-                    direction = DIR_ILL
-                fields.append((name, value_type))
-            return SecurityType(SRecord(tuple(fields)), bottom), direction
-        if isinstance(expr, e.FieldAccess):
-            return self._check_field_access(expr, gamma, labeler, pc)
-        if isinstance(expr, e.Index):
-            return self._check_index(expr, gamma, labeler, pc)
-        if isinstance(expr, e.Call):
-            if self._is_release(expr, gamma):
-                return self._check_declassify(expr, gamma, labeler, pc)
-            return self._check_call(expr, gamma, labeler, pc)
-        algebra.core_error(f"unsupported expression {expr.describe()}", expr.span, rule="")
+        rule = _EXPRESSION_RULES.get(type(expr), FlowAnalysis._check_unsupported_expression)
+        return rule(self, expr, gamma, labeler, pc)
+
+    def _check_unsupported_expression(
+        self, expr: e.Expression, gamma: SecurityContext, labeler: TypeLabeler, pc
+    ) -> Typed:
+        self.algebra.core_error(f"unsupported expression {expr.describe()}", expr.span, rule="")
         return None, DIR_IN
+
+    # -- T-Bool / T-Int / T-Var ------------------------------------------------------
+
+    def _check_bool_literal(
+        self, expr: e.BoolLiteral, gamma: SecurityContext, labeler: TypeLabeler, pc
+    ) -> Typed:
+        return SecurityType(SBool(), self.algebra.bottom), DIR_IN
+
+    def _check_int_literal(
+        self, expr: e.IntLiteral, gamma: SecurityContext, labeler: TypeLabeler, pc
+    ) -> Typed:
+        body: SecurityBody = SInt() if expr.width is None else SBit(expr.width)
+        return SecurityType(body, self.algebra.bottom), DIR_IN
+
+    def _check_var(self, expr: e.Var, gamma: SecurityContext, labeler: TypeLabeler, pc) -> Typed:
+        sec_type = gamma.lookup(expr.name)
+        if sec_type is None:
+            self.algebra.core_error(f"unknown variable {expr.name!r}", expr.span, rule="T-Var")
+            return None, DIR_IN
+        return sec_type, DIR_INOUT
+
+    # -- T-UnOp -------------------------------------------------------------------
+
+    def _check_unary(
+        self, expr: e.UnaryOp, gamma: SecurityContext, labeler: TypeLabeler, pc
+    ) -> Typed:
+        operand_type, operand_dir = self.check_expression(expr.operand, gamma, labeler, pc)
+        if operand_type is None:
+            return None, DIR_IN
+        result = operand_type.with_label(self.algebra.read_label(operand_type))
+        if operand_dir is DIR_ILL:
+            return result, DIR_ILL
+        if not _unary_typed(expr.op, operand_type.body):
+            self.algebra.core_error(
+                f"operator {expr.op!r} cannot be applied to {type_text(operand_type.body)}",
+                expr.span,
+                rule="T-UnOp",
+            )
+            return result, DIR_ILL
+        return result, DIR_IN
+
+    # -- T-Rec --------------------------------------------------------------------
+
+    def _check_record_literal(
+        self, expr: e.RecordLiteral, gamma: SecurityContext, labeler: TypeLabeler, pc
+    ) -> Typed:
+        fields = []
+        direction = DIR_IN
+        for name, value in expr.fields:
+            # The core rules stop at the first rejected field.
+            with self._core_quiet(direction is DIR_ILL):
+                value_type, value_dir = self.check_expression(value, gamma, labeler, pc)
+            if value_type is None:
+                return None, DIR_IN
+            if value_dir is DIR_ILL:
+                direction = DIR_ILL
+            fields.append((name, value_type))
+        return SecurityType(SRecord(tuple(fields)), self.algebra.bottom), direction
 
     # -- T-BinOp ------------------------------------------------------------------
 
     def _check_binary(
         self, expr: e.BinaryOp, gamma: SecurityContext, labeler: TypeLabeler, pc
-    ) -> Tuple[Optional[SecurityType], str]:
+    ) -> Typed:
         algebra = self.algebra
         left_type, left_dir = self.check_expression(expr.left, gamma, labeler, pc)
         right_type, right_dir = self.check_expression(expr.right, gamma, labeler, pc)
@@ -841,7 +868,7 @@ class FlowAnalysis:
 
     def _check_field_access(
         self, expr: e.FieldAccess, gamma: SecurityContext, labeler: TypeLabeler, pc
-    ) -> Tuple[Optional[SecurityType], str]:
+    ) -> Typed:
         target_type, direction = self.check_expression(expr.target, gamma, labeler, pc)
         if target_type is None:
             return None, DIR_IN
@@ -874,7 +901,7 @@ class FlowAnalysis:
 
     def _check_index(
         self, expr: e.Index, gamma: SecurityContext, labeler: TypeLabeler, pc
-    ) -> Tuple[Optional[SecurityType], str]:
+    ) -> Typed:
         array_type, direction = self.check_expression(expr.array, gamma, labeler, pc)
         index_type, index_dir = self.check_expression(expr.index, gamma, labeler, pc)
         if array_type is None:
@@ -902,11 +929,11 @@ class FlowAnalysis:
                     expr.span,
                     rule="T-Index",
                     kind=ViolationKind.EXPLICIT_FLOW,
-                    reason=(
+                    reason=lambda: (
                         f"index {expr.index.describe()!r} leaks through the "
                         "selected stack element"
                     ),
-                    message=(
+                    message=lambda: (
                         f"index {expr.index.describe()!r} has label {{lhs}}, "
                         "which is not below the element label {rhs}; the index "
                         "would leak through the selected element"
@@ -937,7 +964,7 @@ class FlowAnalysis:
 
     def _check_declassify(
         self, expr: e.Call, gamma: SecurityContext, labeler: TypeLabeler, pc
-    ) -> Tuple[Optional[SecurityType], str]:
+    ) -> Typed:
         primitive = expr.callee.name  # type: ignore[union-attr]
         if len(expr.arguments) != 1:
             self._release_arity_error(expr)
@@ -972,8 +999,8 @@ class FlowAnalysis:
                 expr.span,
                 rule="T-Declassify",
                 kind=ViolationKind.IMPLICIT_FLOW,
-                reason=f"{primitive} may only be used in a public context",
-                message=f"{primitive} may not be used in a context of level {{lhs}}",
+                reason=lambda: f"{primitive} may only be used in a public context",
+                message=lambda: f"{primitive} may not be used in a context of level {{lhs}}",
                 pc_obligation=True,
             ),
         )
@@ -984,6 +1011,13 @@ class FlowAnalysis:
 
     # -- T-Call --------------------------------------------------------------------
 
+    def _check_call_expression(
+        self, expr: e.Call, gamma: SecurityContext, labeler: TypeLabeler, pc
+    ) -> Typed:
+        if self._is_release(expr, gamma):
+            return self._check_declassify(expr, gamma, labeler, pc)
+        return self._check_call(expr, gamma, labeler, pc)
+
     def _check_call(
         self,
         expr: e.Call,
@@ -991,7 +1025,7 @@ class FlowAnalysis:
         labeler: TypeLabeler,
         pc,
         statement: Optional[s.CallStmt] = None,
-    ) -> Tuple[Optional[SecurityType], str]:
+    ) -> Typed:
         """T-Call, and T-TblCall for a table applied as the ``statement``."""
         callee_type, _ = self.check_expression(expr.callee, gamma, labeler, pc)
         if callee_type is None:
@@ -1019,6 +1053,7 @@ class FlowAnalysis:
             )
             return None, DIR_IN
         fn = callee_type.body
+        callee = expr.callee.describe
         self._record_write(fn.pc_fn)
         self.algebra.require_leq(
             pc,
@@ -1027,12 +1062,12 @@ class FlowAnalysis:
                 expr.span,
                 rule="T-FnCall",
                 kind=ViolationKind.CALL_CONTEXT,
-                reason=(
-                    f"{expr.callee.describe()!r} is called in a guarded context; "
+                reason=lambda: (
+                    f"{callee()!r} is called in a guarded context; "
                     "its write bound must dominate the guard"
                 ),
-                message=(
-                    f"{expr.callee.describe()!r} writes at level {{rhs}} but is "
+                message=lambda: (
+                    f"{callee()!r} writes at level {{rhs}} but is "
                     "called in a context of level {lhs}; the call would leak "
                     "the guard into the callee's writes"
                 ),
@@ -1042,7 +1077,7 @@ class FlowAnalysis:
         if too_many:
             self.algebra.core_error(
                 f"call supplies {len(expr.arguments)} arguments but "
-                f"{expr.callee.describe()!r} takes {len(fn.parameters)}",
+                f"{callee()!r} takes {len(fn.parameters)}",
                 expr.span,
                 rule="T-Call",
             )
@@ -1051,9 +1086,7 @@ class FlowAnalysis:
                 arg_type, arg_dir = self.check_expression(argument, gamma, labeler, pc)
                 if arg_type is None:
                     continue
-                self._check_argument_flow(
-                    argument, arg_type, arg_dir, parameter, expr.callee.describe()
-                )
+                self._check_argument_flow(argument, arg_type, arg_dir, parameter, callee)
         return fn.return_type, DIR_IN
 
     # -- T-Call / T-SubType-In arguments ---------------------------------------------
@@ -1064,11 +1097,12 @@ class FlowAnalysis:
         arg_type: SecurityType,
         arg_dir: str,
         parameter: SParam,
-        callee: str,
+        callee: Callable[[], str],
         ref: Optional[d.ActionRef] = None,
     ) -> None:
-        """The argument conditions of T-Call; ``ref``: the argument is one a
-        table declaration binds (T-TblDecl's core reports)."""
+        """The argument conditions of T-Call; ``callee`` makes the callee's
+        text, and ``ref``: the argument is one a table declaration binds
+        (T-TblDecl's core reports)."""
         compatible = bodies_compatible(parameter.sec_type.body, arg_type.body)
         writable = parameter.direction in (DIR_INOUT, "out")
         if arg_dir is not DIR_ILL:
@@ -1082,7 +1116,7 @@ class FlowAnalysis:
             if arg_dir != DIR_INOUT:
                 self.algebra.type_error(
                     f"argument {argument.describe()!r} for {parameter.direction} "
-                    f"parameter {parameter.name!r} of {callee!r} must be an l-value",
+                    f"parameter {parameter.name!r} of {callee()!r} must be an l-value",
                     argument.span,
                     rule="T-Call",
                 )
@@ -1096,12 +1130,12 @@ class FlowAnalysis:
                     argument.span,
                     rule="T-SubType-In",
                     kind=ViolationKind.ARGUMENT_FLOW,
-                    reason=(
+                    reason=lambda: (
                         f"inout argument {argument.describe()!r} must carry "
                         f"exactly the label of parameter {parameter.name!r} of "
-                        f"{callee!r}"
+                        f"{callee()!r}"
                     ),
-                    message=(
+                    message=lambda: (
                         f"inout argument {argument.describe()!r} (label {{src}}) "
                         f"does not match the label of parameter "
                         f"{parameter.name!r} ({{dst}}); relabelling writable "
@@ -1118,14 +1152,14 @@ class FlowAnalysis:
                 argument.span,
                 rule="T-Call",
                 kind=ViolationKind.ARGUMENT_FLOW,
-                reason=(
+                reason=lambda: (
                     f"argument {argument.describe()!r} flows into parameter "
-                    f"{parameter.name!r} of {callee!r}"
+                    f"{parameter.name!r} of {callee()!r}"
                 ),
-                message=(
+                message=lambda: (
                     f"argument {argument.describe()!r} has label {{src}}, which "
                     f"may not flow into parameter {parameter.name!r} of "
-                    f"{callee!r} (label {{dst_read}})"
+                    f"{callee()!r} (label {{dst_read}})"
                 ),
             ),
         )
@@ -1143,8 +1177,8 @@ class FlowAnalysis:
         """The Core P4 reports of one argument: its type, then whether a
         writable parameter gets an l-value."""
         core_error = self.algebra.core_error
-        shown = argument.describe()
         if not compatible:
+            shown = argument.describe()
             expected = type_text(parameter.sec_type.body)
             if ref is None:
                 core_error(
@@ -1161,6 +1195,7 @@ class FlowAnalysis:
                     rule="T-TblDecl",
                 )
         if writable and arg_dir != DIR_INOUT:
+            shown = argument.describe()
             if ref is None:
                 core_error(
                     f"argument {shown!r} for {parameter.direction} parameter "
@@ -1175,3 +1210,37 @@ class FlowAnalysis:
                     ref.span,
                     rule="T-TblDecl",
                 )
+
+
+# Each node class's rule, looked up by ``type(node)``: a class missing from
+# a table is an unsupported construct, reported as the core and type error
+# of its ``_check_unsupported_*`` rule.
+_DECLARATION_RULES = {
+    d.VarDecl: FlowAnalysis._check_var_decl,
+    d.TypedefDecl: FlowAnalysis._check_typedef,
+    d.HeaderDecl: FlowAnalysis._check_record_decl,
+    d.StructDecl: FlowAnalysis._check_record_decl,
+    d.MatchKindDecl: FlowAnalysis._check_match_kind_decl,
+    d.FunctionDecl: FlowAnalysis._check_function_decl,
+    d.TableDecl: FlowAnalysis._check_table_decl,
+}
+_STATEMENT_RULES = {
+    s.Block: FlowAnalysis._check_block,
+    s.Assign: FlowAnalysis._check_assign,
+    s.If: FlowAnalysis._check_if,
+    s.CallStmt: FlowAnalysis._check_call_statement,
+    s.Exit: FlowAnalysis._check_exit,
+    s.Return: FlowAnalysis._check_return,
+    s.VarDeclStmt: FlowAnalysis._check_var_decl_statement,
+}
+_EXPRESSION_RULES = {
+    e.FieldAccess: FlowAnalysis._check_field_access,
+    e.Var: FlowAnalysis._check_var,
+    e.BinaryOp: FlowAnalysis._check_binary,
+    e.IntLiteral: FlowAnalysis._check_int_literal,
+    e.BoolLiteral: FlowAnalysis._check_bool_literal,
+    e.UnaryOp: FlowAnalysis._check_unary,
+    e.RecordLiteral: FlowAnalysis._check_record_literal,
+    e.Index: FlowAnalysis._check_index,
+    e.Call: FlowAnalysis._check_call_expression,
+}

@@ -113,7 +113,7 @@ class ConcreteAlgebra(LabelAlgebra):
 
     def require_leq(self, lhs: Label, rhs: Label, site: RuleSite) -> None:
         self.note_site(site)
-        if not self.lattice.leq(lhs, rhs):
+        if not self._silent_depth and not self.lattice.leq(lhs, rhs):
             self._emit(
                 site.kind, site.render(self.lattice, lhs=lhs, rhs=rhs), site.span, site.rule
             )
@@ -122,7 +122,7 @@ class ConcreteAlgebra(LabelAlgebra):
         self, source: SecurityType, destination: SecurityType, site: RuleSite
     ) -> None:
         self.note_site(site)
-        if not flow_allowed(self.lattice, source, destination):
+        if not self._silent_depth and not flow_allowed(self.lattice, source, destination):
             self._emit(
                 site.kind,
                 site.render(
@@ -139,7 +139,7 @@ class ConcreteAlgebra(LabelAlgebra):
         self, left: SecurityType, right: SecurityType, site: RuleSite
     ) -> None:
         self.note_site(site)
-        if not labels_equal(self.lattice, left, right):
+        if not self._silent_depth and not labels_equal(self.lattice, left, right):
             self._emit(
                 site.kind,
                 site.render(

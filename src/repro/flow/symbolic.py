@@ -275,7 +275,7 @@ class SymbolicAlgebra(LabelAlgebra):
                     span,
                     rule="T-Declassify",
                     kind=ViolationKind.IMPLICIT_FLOW,
-                    reason=(
+                    reason=lambda: (
                         f"declassification inside {name!r} requires the "
                         "function's write bound pc_fn to be public"
                     ),

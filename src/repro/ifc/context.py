@@ -59,10 +59,12 @@ class SecurityContext:
         self._bindings[name] = sec_type
 
     def lookup(self, name: str) -> Optional[SecurityType]:
-        if name in self._bindings:
-            return self._bindings[name]
-        if self._parent is not None:
-            return self._parent.lookup(name)
+        scope: Optional[SecurityContext] = self
+        while scope is not None:
+            bindings = scope._bindings
+            if name in bindings:
+                return bindings[name]
+            scope = scope._parent
         return None
 
     def __contains__(self, name: str) -> bool:

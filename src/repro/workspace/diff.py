@@ -99,6 +99,9 @@ class UnitState:
     #: The deep fingerprint its declared names resolve to: its own
     #: fingerprint with its signature (None: it declares nothing).
     deep: Optional[str] = None
+    #: Whether it reaches a name its signature does not pin
+    #: (:func:`unpinned_reach`): it is re-walked on every revision.
+    unpinned: bool = False
     #: Where the unit started when it was last planned (None: placed spans).
     start: Optional[int] = None
     #: The unit's index at the last refresh (None: not refreshed yet).
@@ -241,6 +244,45 @@ def environment_signatures(
     return signatures
 
 
+def unpinned_reach(
+    units: List[Unit],
+    declared: List[Tuple[str, ...]],
+    referenced: List[FrozenSet[str]],
+    declarers: List[Tuple[Optional[int], ...]],
+) -> List[bool]:
+    """Per unit, whether it reaches a name whose binding no signature pins.
+
+    A struct's or header's field types are converted where the type is
+    used, against the declarations of that point (a control sees the
+    final ones), while its signature resolves each name at the struct's
+    own position.  The two agree unless the name is declared twice, or a
+    declaration references it before its last declaration.  A unit that
+    references such a name, or references a declarer that reaches one,
+    may have products no signature change voids, so it counts as changed
+    on every revision.
+    """
+    last: Dict[str, int] = {}
+    unpinned = set()
+    for index, names in enumerate(declared):
+        for name in names:
+            if name in last:
+                unpinned.add(name)
+            last[name] = index
+    for index, unit in enumerate(units):
+        if not isinstance(unit, d.ControlDecl):
+            unpinned.update(name for name in referenced[index] if last.get(name, -1) > index)
+    reach = [False] * len(units)
+    if not unpinned:
+        return reach
+    # Units come in walk order, declarations before controls, and a unit's
+    # declarers come before it: each declarer's verdict is known first.
+    for index, names in enumerate(referenced):
+        reach[index] = not unpinned.isdisjoint(names) or any(
+            declarer is not None and reach[declarer] for declarer in declarers[index]
+        )
+    return reach
+
+
 def settle_states(states: List[UnitState]) -> None:
     """Fill in what a first plan deferred, for ``states`` in unit order.
 
@@ -265,10 +307,19 @@ def settle_states(states: List[UnitState]) -> None:
         declarers,
         deeps=deeps,
     )
-    for state, signature, indices, deep in zip(states, signatures, declarers, deeps):
+    reach = unpinned_reach(
+        units,
+        [state.declared for state in states],
+        [state.referenced for state in states],
+        declarers,
+    )
+    for state, signature, indices, deep, unpinned in zip(
+        states, signatures, declarers, deeps, reach
+    ):
         state.signature = signature
         state.declarers = indices
         state.deep = deep
+        state.unpinned = unpinned
 
 
 def diff_program(
@@ -353,15 +404,20 @@ def diff_program(
         )
         for index, (unit, old) in enumerate(zip(units, matches))
     ]
+    reach = unpinned_reach(units, [state.declared for state in states], referenced, declarers)
     plans: List[UnitPlan] = []
     for index, state in enumerate(states):
         # Clean only when every referenced name resolves to a declaration
         # with the same deep content *and* to the very same unit as
         # before, itself clean: a content-identical stand-in (deleting
         # the later of two equal declarations) carries other variables.
+        # A unit reaching an unpinned name, now or at its last walk, is
+        # never clean.
         old = matches[index]
         dirty = (
             old is None
+            or old.unpinned
+            or reach[index]
             or old.signature != signatures[index]
             or len(old.declarers) != len(declarers[index])
             or any(
@@ -376,6 +432,7 @@ def diff_program(
         state.signature = signatures[index]
         state.declarers = declarers[index]
         state.deep = deeps[index]
+        state.unpinned = reach[index]
         plans.append(UnitPlan(state, dirty))
     return plans
 

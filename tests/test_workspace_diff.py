@@ -157,6 +157,27 @@ control A(inout a_headers hdr) { apply { hdr.data.x = 1; } }
         # they anchor the label variables).
         assert {id(plan.state) for plan in plans} == {id(s) for s in states}
 
+    def test_edit_of_a_type_declared_after_its_use_dirties_its_users(self):
+        # The struct's signature resolves h_t at its own position (to
+        # nothing), but the control converts its field against the final
+        # declarations: the struct and the control must be re-walked.
+        before = """
+struct headers { h_t h; }
+header h_t { <bit<8>, low> a; }
+control Main(inout headers hdr) { apply { hdr.h.a = 1; } }
+"""
+        plans, _ = _diff(before, before.replace("low", "high"))
+        assert [plan.dirty for plan in plans] == [True, True, True]
+        # The header itself reaches no such name: a comment edit spares it.
+        plans, _ = _diff(before, "// touched\n" + before)
+        assert [plan.dirty for plan in plans] == [True, False, True]
+
+    def test_type_declared_twice_dirties_its_users_on_every_revision(self):
+        # Units in walk order: a_t, a_headers, b_t, b_headers, a_t, A, B.
+        source = self.TWO_SHARDS + "header a_t { <bit<8>, low> x; }\n"
+        plans, _ = _diff(source, "// touched\n" + source)
+        assert [plan.dirty for plan in plans] == [False, True, False, False, False, True, False]
+
     def test_resolution_changing_reorder_is_dirty(self):
         # Moving the struct above the header it references changes what
         # its type name resolves to -- that is a semantic edit, not a
@@ -387,3 +408,84 @@ control A(inout a_headers hdr) { apply { hdr.data.x = 1; } }
             warm.inference_result.assignment_by_hint()
             == cold.inference_result.assignment_by_hint()
         )
+
+
+def _served_check(server, source=None) -> dict:
+    """One served ``check {infer: true}`` (after an ``edit`` to ``source``),
+    minus what differs between a warm and a cold session by design: the
+    revision, the timings and the work counters."""
+    import json
+
+    def call(method, params):
+        line = server.handle_line(
+            json.dumps({"jsonrpc": "2.0", "id": 1, "method": method, "params": params})
+        )
+        return json.loads(line)["result"]
+
+    if source is not None:
+        call("edit", {"source": source})
+    payload = call("check", {"infer": True})
+    for key in ("revision", "regen", "timing_ms"):
+        payload.pop(key, None)
+    # The solver's work counters are the incremental solver's, not a cold one's.
+    payload.get("inference", {}).pop("solver", None)
+    return payload
+
+
+def _block_edit(rng, blocks):
+    """One random edit of the top-level blocks: swap two, delete one,
+    duplicate one, or move one field's label up (none → low → high)."""
+    blocks = list(blocks)
+    op = rng.choice(("swap", "delete", "duplicate", "relabel"))
+    if op == "swap" and len(blocks) > 1:
+        i, j = rng.sample(range(len(blocks)), 2)
+        blocks[i], blocks[j] = blocks[j], blocks[i]
+    elif op == "delete" and len(blocks) > 1:
+        del blocks[rng.randrange(len(blocks))]
+    elif op == "duplicate":
+        i = rng.randrange(len(blocks))
+        blocks.insert(rng.randrange(len(blocks) + 1), blocks[i])
+    else:
+        fields = [
+            (i, line)
+            for i, block in enumerate(blocks)
+            for line in block.splitlines()
+            if line.strip().endswith(";") and "bit<8>" in line and "high>" not in line
+        ]
+        if fields:
+            i, line = rng.choice(fields)
+            raised = (
+                line.replace("<bit<8>, low>", "<bit<8>, high>", 1)
+                if "low>" in line
+                else line.replace("bit<8>", "<bit<8>, low>", 1)
+            )
+            blocks[i] = blocks[i].replace(line, raised, 1)
+    return blocks
+
+
+class TestRandomBlockEditsMatchCold:
+    """A seeded random script of block edits -- swapping, deleting and
+    duplicating top-level declarations, and raising field labels -- makes
+    type names declared twice or after their use; a warm served check must
+    still answer every step as a cold one."""
+
+    def test_warm_check_matches_cold_at_every_step(self):
+        import random
+
+        from repro.synth import sharded_dataflow_program
+        from repro.workspace.rpc import WorkspaceServer
+
+        rng = random.Random(20)
+        blocks = sharded_dataflow_program(5, depth=4).strip("\n").split("\n\n")
+        warm = WorkspaceServer()
+        warm.workspace.open("\n\n".join(blocks) + "\n", filename="<input>")
+        _served_check(warm)
+        differ = []
+        for step in range(80):
+            blocks = _block_edit(rng, blocks)
+            source = "\n\n".join(blocks) + "\n"
+            cold = WorkspaceServer()
+            cold.workspace.open(source, filename="<input>")
+            if _served_check(warm, source) != _served_check(cold):
+                differ.append(step)
+        assert differ == []
